@@ -37,7 +37,10 @@ def _field(space: BundleLike) -> Derivation:
 def degree_cap(space: BundleLike) -> int:
     env = os.environ.get("DGCALC_DEGREE_CAP")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise CohomologyError(f"DGCALC_DEGREE_CAP must be an integer, got {env!r}")
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 

@@ -20,7 +20,15 @@ class DerivationError(Exception):
 
 
 class BundleError(Exception):
-    pass
+    """A bundle that cannot be built.
+
+    When the candidate field has the right degrees but fails Maurer-Cartan,
+    `bundle` is the unvalidated bundle (its `q` is that field on the bare
+    extended algebra) and `result` the failing MCResult; otherwise both are None.
+    """
+
+    bundle = None
+    result = None
 
 
 class Derivation:
@@ -211,19 +219,6 @@ def exp_apply(v: Derivation, a: Element, cap: int = 8) -> Element:
     raise DerivationError(f"derivation not nilpotent on element within {cap} steps")
 
 
-def _model_with_differential(gens, formal_dimension, raw_values, name) -> Model:
-    """Model whose differential is given by raw (exponents -> coefficient) data."""
-    return Model(
-        gens,
-        formal_dimension=formal_dimension,
-        differential=lambda m: {
-            g: Element(m, {Monomial(e): c for e, c in terms.items()})
-            for g, terms in raw_values.items()
-        },
-        name=name,
-    )
-
-
 class DgBundle:
     """A base model extended by shifted-line fibers with its homological field.
 
@@ -238,30 +233,39 @@ class DgBundle:
         self.base = base
         self.shape = shape
         self.fiber_names = tuple(g.name for g in fiber_gens)
+        if shape != "line":
+            self.q_name, self.t_name = self.fiber_names[0], self.fiber_names[-1]
+        if shape == "correspondence":
+            self.qbar_name = self.fiber_names[1]
         self.structural = dict(structural)
+        self.name = name or (base.name + "-bundle")
         gens = list(base.generators) + list(fiber_gens)
-        pad = len(fiber_gens)
 
-        # assemble Q's raw values on a throwaway algebra, then rebuild with the
-        # differential installed; d*d = 0 there is the Maurer-Cartan equation
+        # assemble Q's values on a throwaway algebra, then rebuild them on a model
+        # with the differential installed; d*d = 0 there is the Maurer-Cartan equation
         algebra = Model(gens, formal_dimension=base.formal_dimension)
         self.total = algebra
-        raw = {
-            g: {m.exponents + (0,) * pad: c for m, c in el.terms.items()}
-            for g, el in base.differential.items()
-        }
+        values = {g: self.include_base(el) for g, el in base.differential.items()}
         for fname, build in fiber_values.items():
             v = build(self)
             if not v.is_zero():
-                raw[fname] = {m.exponents: c for m, c in v.terms.items()}
+                values[fname] = v
         try:
-            self.total = _model_with_differential(
-                gens, base.formal_dimension, raw, name or (base.name + "-bundle")
+            self.total = Model(
+                gens,
+                formal_dimension=base.formal_dimension,
+                differential=lambda m: {g: Element(m, v.terms) for g, v in values.items()},
+                name=self.name,
             )
         except GradedError as e:
-            raise BundleError(f"Maurer-Cartan failure: {e}") from e
+            err = BundleError(f"Maurer-Cartan failure: {e}")
+            try:  # a candidate field of the right degrees is kept for inspection
+                self.q = Derivation(algebra, 1, values)
+                err.bundle, err.result = self, maurer_cartan_check(self.q)
+            except DerivationError:
+                pass
+            raise err from e
         self.q = model_differential(self.total)
-        self.name = self.total.name
 
     # -- element transport -------------------------------------------------
 
@@ -343,7 +347,7 @@ class DgBundle:
     def two_step(
         cls, base: Model, f: Element, fbar: Element, h: Element, q: str = "q", t: str = "t", name=""
     ):
-        bundle = cls(
+        return cls(
             base,
             [GradedGenerator(q, 1), GradedGenerator(t, 2)],
             {"F": f, "Fbar": fbar, "H": h},
@@ -354,8 +358,6 @@ class DgBundle:
             "two_step",
             name,
         )
-        bundle.q_name, bundle.t_name = q, t
-        return bundle
 
     @classmethod
     def correspondence(
@@ -369,7 +371,7 @@ class DgBundle:
         t: str = "t",
         name="",
     ):
-        bundle = cls(
+        return cls(
             base,
             [GradedGenerator(q, 1), GradedGenerator(qbar, 1), GradedGenerator(t, 2)],
             {"F": f, "Fbar": fbar, "H": h},
@@ -381,12 +383,10 @@ class DgBundle:
             "correspondence",
             name,
         )
-        bundle.q_name, bundle.qbar_name, bundle.t_name = q, qbar, t
-        return bundle
 
     @classmethod
     def flux(cls, base: Model, f4: Element, f7: Element, q: str = "q", t: str = "t", name=""):
-        bundle = cls(
+        return cls(
             base,
             [GradedGenerator(q, 3), GradedGenerator(t, 6)],
             {"F4": f4, "F7": f7},
@@ -398,27 +398,4 @@ class DgBundle:
             "flux",
             name,
         )
-        bundle.q_name, bundle.t_name = q, t
-        return bundle
 
-
-def candidate_two_step(base: Model, f: Element, fbar: Element, h: Element, q="q", t="t"):
-    """The field d + F dq + (H + q Fbar) dt over the extended algebra, unvalidated.
-
-    Bundle constructors reject structural data that fails Maurer-Cartan, so
-    probing the equation needs a carrier with zero data (always consistent)
-    and an explicit candidate derivation on it.  Returns (carrier, field).
-    """
-    carrier = DgBundle.two_step(base, base.zero(), base.zero(), base.zero(), q, t)
-    values = dict(carrier.total.differential)
-    values[q] = carrier.include_base(f)
-    values[t] = carrier.include_base(h) + carrier.total.gen(q) * carrier.include_base(fbar)
-    return carrier, Derivation(carrier.total, 1, values)
-
-
-def candidate_line(base: Model, theta: Element, fiber="t", degree=2):
-    """The field d + Theta dt over the extended algebra, unvalidated."""
-    carrier = DgBundle.line(base, base.zero(), fiber, degree)
-    values = dict(carrier.total.differential)
-    values[fiber] = carrier.include_base(theta)
-    return carrier, Derivation(carrier.total, 1, values)

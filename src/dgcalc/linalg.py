@@ -98,16 +98,3 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int):
         basis.append(v)
     return basis
 
-
-def stack(*blocks: Sequence[Sequence[Fraction]]):
-    """Concatenate matrices side by side (same number of rows)."""
-    rows = None
-    for b in blocks:
-        if not b:
-            continue
-        if rows is None:
-            rows = [list(r) for r in b]
-        else:
-            for acc, extra in zip(rows, b):
-                acc.extend(extra)
-    return rows or []

@@ -143,7 +143,10 @@ class _ExprParser:
     def factor(self) -> Element:
         tok = self.next()
         if tok.kind == "number":
-            return self.model.scalar(Fraction(tok.text))
+            try:
+                return self.model.scalar(Fraction(tok.text))
+            except ZeroDivisionError:
+                raise ModelFileError("syntax", tok.line, tok.col, f"zero denominator in {tok.text!r}")
         if tok.kind == "(":
             inner = self.expr()
             closing = self.next()
@@ -212,8 +215,9 @@ def _split_decl(stmt: str, sep: str, kind: str, line: int, col: int) -> Tuple[st
 def parse_model(text: str, validate: bool = True, check_dimension: bool = True) -> ModelFile:
     """Parse a .dgm document and run the load-time checks.
 
-    validate=False skips the bundle Maurer-Cartan requirement (used by the
-    mc-check command, which reports the residue instead of failing the load).
+    validate=False keeps a bundle that fails Maurer-Cartan, with its candidate
+    field as `q` (used by the mc-check command, which reports the residue
+    instead of failing the load); sym declarations are still rejected on it.
     """
     header_name = ""
     formal_dim: Optional[int] = None
@@ -316,8 +320,17 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
             raise ModelFileError("formal-dimension", dim_pos[0], dim_pos[1], str(e))
 
     # bundle assembly
+    fline, fcol = (fiber_decls[0][2], fiber_decls[0][3]) if fiber_decls else (0, 1)
+    mc_failed = False
     if fiber_decls or structural_decls:
-        out.bundle = _build_bundle(base, fiber_decls, structural_decls, validate)
+        try:
+            out.bundle = _build_bundle(base, fiber_decls, structural_decls, fline, fcol)
+        except BundleError as e:
+            if validate or e.bundle is None:
+                raise ModelFileError(
+                    "maurer-cartan", fline, fcol, "structural data fails Maurer-Cartan", str(e)
+                )
+            out.bundle, mc_failed = e.bundle, True
 
     scope = out.bundle.base if out.bundle else base
     for name, expr, line, col in let_decls:
@@ -325,17 +338,16 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
     for name, spec, line, col in vec_decls:
         out.vectors[name] = _build_vector(scope, spec, line, col)
     for name, spec, line, col in sym_decls:
-        if not isinstance(out.bundle, DgBundle):
+        if out.bundle is None or mc_failed:
             raise ModelFileError("shape", line, col, "sym declarations need a validated bundle")
         out.symmetries[name] = _build_symmetry(out, spec, line, col)
     return out
 
 
-def _build_bundle(base, fiber_decls, structural_decls, validate):
+def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
     structural: Dict[str, Element] = {}
     for key, (expr, line, col) in structural_decls.items():
         structural[key] = parse_expression(expr, base, line, col)
-    fline, fcol = (fiber_decls[0][2], fiber_decls[0][3]) if fiber_decls else (0, 1)
     fibers = {name: degree for name, degree, _, _ in fiber_decls}
     names = list(fibers)
     keys = set(structural)
@@ -373,10 +385,6 @@ def _build_bundle(base, fiber_decls, structural_decls, validate):
             (fiber, degree), = fibers.items()
             theta = structural.get("Theta", structural.get("F", base.zero()))
             return DgBundle.line(base, theta, fiber=fiber, degree=degree, name=base.name)
-    except BundleError as e:
-        if validate:
-            raise ModelFileError("maurer-cartan", fline, fcol, "structural data fails Maurer-Cartan", str(e))
-        return _unvalidated_bundle(base, fibers, structural)
     except GradedError as e:
         raise ModelFileError("degree-mismatch", fline, fcol, str(e))
     raise ModelFileError(
@@ -385,40 +393,6 @@ def _build_bundle(base, fiber_decls, structural_decls, validate):
         fcol,
         f"cannot infer a bundle shape from fibers {sorted(fibers.items())} and forms {sorted(keys)}",
     )
-
-
-class UnvalidatedBundle:
-    """Carrier for mc-check: the extended algebra plus the candidate field."""
-
-    def __init__(self, carrier: DgBundle, field: Derivation, structural):
-        self.carrier = carrier
-        self.field = field
-        self.structural = structural
-
-    @property
-    def base(self):
-        return self.carrier.base
-
-
-def _unvalidated_bundle(base, fibers, structural):
-    from .derivations import candidate_line, candidate_two_step
-
-    names = list(fibers)
-    if len(fibers) == 2 and set(structural) <= {"F", "Fbar", "H"}:
-        q, t = names
-        carrier, field = candidate_two_step(
-            base,
-            structural.get("F", base.zero()),
-            structural.get("Fbar", base.zero()),
-            structural.get("H", base.zero()),
-            q=q,
-            t=t,
-        )
-        return UnvalidatedBundle(carrier, field, structural)
-    (fiber, degree), = fibers.items()
-    theta = structural.get("Theta", structural.get("F", base.zero()))
-    carrier, field = candidate_line(base, theta, fiber=fiber, degree=degree)
-    return UnvalidatedBundle(carrier, field, structural)
 
 
 def _build_vector(base: Model, spec: str, line: int, col: int) -> Derivation:
@@ -463,6 +437,13 @@ def _build_symmetry(out: ModelFile, spec: str, line: int, col: int) -> SymElemen
         raise ModelFileError("degree-mismatch", line, col, str(e))
 
 
-def load_path(path: str, validate: bool = True, check_dimension: bool = True) -> ModelFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read(), validate=validate, check_dimension=check_dimension)
+def load_path(path: str, validate: bool = True) -> ModelFile:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        col = e.start - data.rfind(b"\n", 0, e.start)
+        raise ModelFileError("encoding", line, col, f"byte {data[e.start]:#04x} is not valid UTF-8")
+    return parse_model(text, validate=validate)

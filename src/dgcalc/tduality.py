@@ -185,10 +185,11 @@ class ChainMap:
         self.action = action
         self._source_model, self._source_q = _total(source), _field(source)
         self._target_q = _field(target)
-        self.intertwine_sign: Optional[int] = None
 
     def verify(self, cap: int) -> int:
         """Find the global sign with action(Q x) = sign * Q(action x) on all monomials."""
+        if cap < 0:
+            raise TDualityError(f"degree cap {cap} checks no monomial")
         candidates = {1, -1}
         for k in range(cap + 1):
             for m in self._source_model.basis(k):
@@ -200,8 +201,7 @@ class ChainMap:
                         candidates.discard(sign)
                 if not candidates:
                     raise TDualityError(f"not a chain map up to sign (degree {k})")
-        self.intertwine_sign = 1 if 1 in candidates else -1
-        return self.intertwine_sign
+        return 1 if 1 in candidates else -1
 
 
 def tduality_chain_map(pair: TDualPair) -> ChainMap:
@@ -225,17 +225,6 @@ class SesRow:
         self.rank_t = rank_t
         self.dim_target = dim_target
         self.ok = dim_kernel == dim_base and rank_t == dim_target
-
-    def as_tuple(self):
-        return (
-            self.degree,
-            self.dim_p,
-            self.dim_kernel,
-            self.dim_base,
-            self.rank_t,
-            self.dim_target,
-            self.ok,
-        )
 
 
 def tmap_matrix(pair: TDualPair, degree: int):

@@ -4,7 +4,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from dgcalc import cli
 from dgcalc.cli import main
+from dgcalc.symmetries import SymmetryError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -84,6 +88,28 @@ def test_mc_check_pass_and_fail(capsys):
     assert "a^2" in out
 
 
+def test_mc_check_on_failing_flux_bundle(tmp_path, capsys):
+    text = (MODELS / "e6_flux.dgm").read_text().replace("F7 = -1/2 b", "F7 = b")
+    model = tmp_path / "flux_bad.dgm"
+    model.write_text(text)
+    report = tmp_path / "report.txt"
+    code, out, _ = run(capsys, "mc-check", str(model), "--report", str(report))
+    assert code == 1
+    assert "fail on generator t" in out
+    records = report.read_text().splitlines()
+    assert "witness=t" in records
+    assert "residue=3/2*a^2" in records
+
+
+def test_mc_check_rejects_sym_on_failing_bundle(tmp_path, capsys):
+    model = tmp_path / "mc_sym.dgm"
+    model.write_text((MODELS / "mc_fail.dgm").read_text() + "sym u : deg = -2, h = 1\n")
+    code, out, err = run(capsys, "mc-check", str(model))
+    assert code == 2
+    assert out == ""
+    assert "line 11, col 1: shape: sym declarations need a validated bundle" in err
+
+
 def test_validate_rejects_mc_failure(capsys):
     code, _, err = run(capsys, "validate", str(MODELS / "mc_fail.dgm"))
     assert code == 2
@@ -127,6 +153,47 @@ def test_bn_and_e6_checks(capsys):
     assert code == 0
 
 
+def test_failing_law_reports_its_witness(monkeypatch, tmp_path, capsys):
+    def broken_pairing(a, b):
+        raise SymmetryError("pairing display disagrees")
+
+    monkeypatch.setattr(cli, "bn_pairing", broken_pairing)
+    report = tmp_path / "report.txt"
+    code, out, _ = run(
+        capsys, "bn-check", str(MODELS / "bn_selfdual.dgm"), "--trials", "4", "--report", str(report)
+    )
+    assert code == 1
+    assert "  bracket-display: pass" in out
+    assert "  pairing-display: fail (trial 0: pairing display disagrees)" in out
+    records = report.read_text().splitlines()
+    assert records[3:6] == [
+        "law.bracket-display=pass",
+        "law.pairing-display=fail",
+        "witness.pairing-display=trial 0: pairing display disagrees",
+    ]
+    assert records[-1] == "status=fail"
+
+
+@pytest.mark.parametrize("command, model", [
+    ("bn-check", "bn_selfdual.dgm"),
+    ("e6-check", "e6_flux.dgm"),
+    ("identities", "nil_pair.dgm"),
+])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_law_suites_reject_vacuous_trial_counts(command, model, trials, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, str(MODELS / model), "--trials", trials])
+    assert stop.value.code == 2
+    assert "at least one trial" in capsys.readouterr().err
+
+
+def test_tmap_verify_rejects_negative_cap(capsys):
+    code, out, err = run(capsys, "tmap-verify", str(MODELS / "t2_pair.dgm"), "--cap", "-3")
+    assert code == 2
+    assert "sign" not in out
+    assert "no monomial" in err
+
+
 def test_identities_seeded(capsys):
     code, out, _ = run(
         capsys, "identities", str(MODELS / "nil_pair.dgm"), "--trials", "8", "--seed", "3"
@@ -166,6 +233,24 @@ def test_degree_cap_env(monkeypatch, capsys):
     code, out, _ = run(capsys, "betti", str(MODELS / "s3_volume.dgm"))
     assert code == 0
     assert "H^4" in out and "H^5" not in out
+
+
+@pytest.mark.parametrize("case", ["degree-cap", "zero-denominator", "not-utf8"])
+def test_bad_input_is_a_positioned_diagnostic(case, monkeypatch, tmp_path, capsys):
+    model = tmp_path / "model.dgm"
+    model.write_bytes((MODELS / "s3_volume.dgm").read_bytes())
+    if case == "degree-cap":
+        monkeypatch.setenv("DGCALC_DEGREE_CAP", "abc")
+        expected = "DGCALC_DEGREE_CAP"
+    elif case == "zero-denominator":
+        model.write_text("model z\ndim 2\ngen a : 2; gen b : 3\nd b = 1/0 a^2\n")
+        expected = "line 4"
+    else:
+        model.write_bytes(b"model u\ndim 0\n# caf\xe9\n")
+        expected = "line 3"
+    code, _, err = run(capsys, "betti", str(model))
+    assert code == 2
+    assert err.startswith("error: ") and expected in err
 
 
 def test_module_entry_point():

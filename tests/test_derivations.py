@@ -9,7 +9,6 @@ from dgcalc.derivations import (
     Derivation,
     DerivationError,
     DgBundle,
-    candidate_two_step,
     commutator,
     gauge_transform,
     homologous_shift,
@@ -82,22 +81,35 @@ def test_mc_closed_curvature_passes(s2):
 
 def test_mc_failure_witness_on_sphere(s2):
     a = s2.gen("a")
-    carrier, q = candidate_two_step(s2, a, a, s2.zero())
-    res = maurer_cartan_check(q)
+    with pytest.raises(BundleError) as err:
+        DgBundle.two_step(s2, a, a, s2.zero())
+    carrier = err.value.bundle
+    res = maurer_cartan_check(carrier.q)
     assert not res
     assert res.witness == "t"
     assert res.residue == carrier.include_base(a * a)
-    with pytest.raises(BundleError):
-        DgBundle.two_step(s2, a, a, s2.zero())
+    assert err.value.result.witness == "t"
+    assert err.value.result.residue == res.residue
+    assert (carrier.q_name, carrier.t_name, carrier.name) == ("q", "t", "S2-bundle")
+
+
+def test_mc_failure_with_wrong_degrees_carries_no_bundle(s2):
+    # F of degree 4 cannot be the value of Q on a degree-1 fiber
+    with pytest.raises(BundleError) as err:
+        DgBundle.two_step(s2, s2.gen("a") ** 2, s2.zero(), s2.zero())
+    assert err.value.bundle is None and err.value.result is None
 
 
 def test_mc_pass_on_sphere3_volume(s3):
-    carrier, q = candidate_two_step(s3, s3.zero(), s3.zero(), s3.gen("c"))
+    q = DgBundle.two_step(s3, s3.zero(), s3.zero(), s3.gen("c")).q
     assert maurer_cartan_check(q)
 
 
 def mc_case(model, f, fbar, h):
-    _, q = candidate_two_step(model, f, fbar, h)
+    try:
+        q = DgBundle.two_step(model, f, fbar, h).q
+    except BundleError as err:
+        q = err.bundle.q
     return bool(maurer_cartan_check(q))
 
 

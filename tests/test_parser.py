@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from dgcalc.derivations import DgBundle, maurer_cartan_check
 from dgcalc.graded import Model, format_element
-from dgcalc.parser import ModelFileError, UnvalidatedBundle, parse_expression, parse_model
+from dgcalc.parser import ModelFileError, parse_expression, parse_model
 from dgcalc.sampling import random_inhomogeneous
 
 
@@ -149,7 +150,8 @@ Fbar = a
     assert err.value.line == 6  # first fiber statement
 
     lenient = parse_model(text, validate=False)
-    assert isinstance(lenient.bundle, UnvalidatedBundle)
+    assert isinstance(lenient.bundle, DgBundle)
+    assert not maurer_cartan_check(lenient.bundle.q)
 
 
 def test_shape_mismatch_diagnostic():
