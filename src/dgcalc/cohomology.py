@@ -60,10 +60,15 @@ def operator_matrix(space: BundleLike, op, source_basis, target_basis):
     The target basis must belong to whatever model op produces values in.
     """
     model = _total(space)
-    cols = []
-    for m in source_basis:
-        cols.append(coordinates(op(model.monomial_element(m)), target_basis))
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(target_basis))]
+    index = {m: i for i, m in enumerate(target_basis)}
+    rows = [[linalg.ZERO] * len(source_basis) for _ in target_basis]
+    for j, m in enumerate(source_basis):
+        for mm, c in op(model.monomial_element(m)).terms.items():
+            i = index.get(mm)
+            if i is None:
+                raise CohomologyError(f"element leaves the span of the degree basis: {mm}")
+            rows[i][j] = c
+    return rows
 
 
 class CochainSpace:
@@ -133,20 +138,14 @@ def _parity_basis(model: Model, parity: int, cap: int):
 
 def _twisted_matrix(model: Model, h: Element, source, target, cap: int):
     """Matrix of d + h on parity slices, discarding components above cap."""
-    index = {}
-    for i, (deg, m) in enumerate(target):
-        index[m] = i
-    cols = []
-    for deg, m in source:
+    index = {m: i for i, (_, m) in enumerate(target)}
+    rows = [[linalg.ZERO] * len(source) for _ in target]
+    for j, (_, m) in enumerate(source):
         image = model.d(model.monomial_element(m)) + h * model.monomial_element(m)
-        col = [Fraction(0)] * len(target)
         for mm, c in image.terms.items():
-            d = mm.degree(model)
-            if d > cap:
-                continue
-            col[index[mm]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
+            if mm.degree(model) <= cap:
+                rows[index[mm]][j] = c
+    return rows
 
 
 def _twisted_dims_at(model: Model, h: Element, cap: int) -> Tuple[int, int]:

@@ -234,6 +234,7 @@ class Model:
             raise GradedError("generator names must be unique")
         self.generators = tuple(gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
+        self._bases: dict = {}
         self.formal_dimension = formal_dimension
         self.name = name
         if differential is None:
@@ -289,26 +290,37 @@ class Model:
 
     def basis(self, degree: int):
         """All normalized monomials of the given total degree, in lexicographic
-        exponent order.  Finite because every generator has degree >= 1."""
+        exponent order.  Finite because every generator has degree >= 1.
+
+        The generators are fixed at construction, so each degree is built
+        once; every call returns a fresh list."""
         if degree < 0:
             return []
-        out = []
+        cached = self._bases.get(degree)
+        if cached is None:
+            cached = self._bases[degree] = tuple(self._build_basis(degree))
+        return list(cached)
 
-        def walk(i: int, remaining: int, acc: list):
-            if i == len(self.generators):
-                if remaining == 0:
-                    out.append(Monomial(tuple(acc)))
-                return
-            g = self.generators[i]
-            top = 1 if g.is_odd else remaining // g.degree
-            for e in range(min(top, remaining // g.degree) + 1):
-                acc.append(e)
-                walk(i + 1, remaining - e * g.degree, acc)
-                acc.pop()
-
-        walk(0, degree, [])
-        out.sort(key=lambda m: m.exponents)
-        return out
+    def _build_basis(self, degree: int):
+        # reach[i]: the most degree generators i.. can add (unbounded once one
+        # is even); a prefix that cannot reach the degree is dropped at once
+        reach = [0]
+        for g in reversed(self.generators):
+            reach.append(reach[-1] + g.degree if g.is_odd else float("inf"))
+        reach.reverse()
+        # extend exponent prefixes one generator at a time, smallest first, so
+        # the monomials come out in lexicographic order
+        prefixes = [((), degree)] if degree <= reach[0] else []
+        for g, bound in zip(self.generators, reach[1:]):
+            longer = []
+            for acc, remaining in prefixes:
+                top = remaining // g.degree
+                for e in range(min(top, 1) + 1 if g.is_odd else top + 1):
+                    left = remaining - e * g.degree
+                    if left <= bound:
+                        longer.append((acc + (e,), left))
+            prefixes = longer
+        return [Monomial(acc) for acc, _ in prefixes]
 
     def dimension(self, degree: int) -> int:
         return len(self.basis(degree))

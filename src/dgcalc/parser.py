@@ -205,11 +205,22 @@ class ModelFile:
         return self.bundle if self.bundle is not None else self.model
 
 
-def _split_decl(stmt: str, sep: str, kind: str, line: int, col: int) -> Tuple[str, str]:
-    if sep not in stmt:
+def _split_decl(text: str, sep: str, kind: str, line: int, col: int) -> Tuple[str, str, int]:
+    """(left, right, offset of right in text) of stripped text; errors point at col."""
+    if sep not in text:
         raise ModelFileError("syntax", line, col, f"expected {sep!r} in {kind} statement")
-    left, right = stmt.split(sep, 1)
-    return left.strip(), right.strip()
+    left, right = text.split(sep, 1)
+    right = right.strip()
+    return left.strip(), right, len(text) - len(right)
+
+
+def _clauses(spec: str, col: int):
+    """The comma-separated clauses of a spec starting at col, with their columns."""
+    for clause in spec.split(","):
+        stripped = clause.strip()
+        if stripped:
+            yield stripped, col + clause.index(stripped[0])
+        col += len(clause) + 1
 
 
 def parse_model(text: str, validate: bool = True, check_dimension: bool = True) -> ModelFile:
@@ -223,16 +234,18 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
     formal_dim: Optional[int] = None
     dim_pos = (0, 1)
     gen_decls: List[Tuple[str, int, int, int]] = []
-    diff_decls: Dict[str, Tuple[str, int, int]] = {}
+    # expression statements keep (text, line, statement column, text column)
+    diff_decls: Dict[str, Tuple[str, int, int, int]] = {}
     fiber_decls: List[Tuple[str, int, int, int]] = []
-    structural_decls: Dict[str, Tuple[str, int, int]] = {}
-    let_decls: List[Tuple[str, str, int, int]] = []
-    vec_decls: List[Tuple[str, str, int, int]] = []
-    sym_decls: List[Tuple[str, str, int, int]] = []
+    structural_decls: Dict[str, Tuple[str, int, int, int]] = {}
+    let_decls: List[Tuple[str, str, int, int, int]] = []
+    vec_decls: List[Tuple[str, str, int, int, int]] = []
+    sym_decls: List[Tuple[str, str, int, int, int]] = []
 
     for line, col, stmt in _statements(text):
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
+        rest_col = col + len(stmt) - len(rest)  # stmt and rest are stripped
         if head == "model":
             header_name = rest
         elif head == "dim":
@@ -242,7 +255,7 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
                 raise ModelFileError("syntax", line, col, f"bad dimension {rest!r}")
             dim_pos = (line, col)
         elif head == "gen" or head == "fiber":
-            name, degree_text = _split_decl(rest, ":", head, line, col)
+            name, degree_text, _ = _split_decl(rest, ":", head, line, col)
             try:
                 degree = int(degree_text)
             except ValueError:
@@ -250,20 +263,20 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
             target = gen_decls if head == "gen" else fiber_decls
             target.append((name, degree, line, col))
         elif head == "d":
-            name, expr = _split_decl(rest, "=", "differential", line, col)
-            diff_decls[name] = (expr, line, col)
+            name, expr, offset = _split_decl(rest, "=", "differential", line, col)
+            diff_decls[name] = (expr, line, col, rest_col + offset)
         elif head == "let":
-            name, expr = _split_decl(rest, "=", "let", line, col)
-            let_decls.append((name, expr, line, col))
+            name, expr, offset = _split_decl(rest, "=", "let", line, col)
+            let_decls.append((name, expr, line, col, rest_col + offset))
         elif head == "vec":
-            name, spec = _split_decl(rest, ":", "vec", line, col)
-            vec_decls.append((name, spec, line, col))
+            name, spec, offset = _split_decl(rest, ":", "vec", line, col)
+            vec_decls.append((name, spec, line, col, rest_col + offset))
         elif head == "sym":
-            name, spec = _split_decl(rest, ":", "sym", line, col)
-            sym_decls.append((name, spec, line, col))
+            name, spec, offset = _split_decl(rest, ":", "sym", line, col)
+            sym_decls.append((name, spec, line, col, rest_col + offset))
         elif stmt.split("=", 1)[0].strip() in STRUCTURAL_KEYS:
-            key, expr = _split_decl(stmt, "=", "structural", line, col)
-            structural_decls[key] = (expr, line, col)
+            key, expr, offset = _split_decl(stmt, "=", "structural", line, col)
+            structural_decls[key] = (expr, line, col, col + offset)
         else:
             raise ModelFileError("syntax", line, col, f"unrecognized statement {stmt!r}")
 
@@ -277,10 +290,10 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
         line, col = (gen_decls[0][2], gen_decls[0][3]) if gen_decls else (0, 1)
         raise ModelFileError("syntax", line, col, str(e))
     diff_values: Dict[str, Element] = {}
-    for name, (expr, line, col) in diff_decls.items():
+    for name, (expr, line, col, ecol) in diff_decls.items():
         if name not in algebra.index:
             raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
-        value = parse_expression(expr, algebra, line, col)
+        value = parse_expression(expr, algebra, line, ecol)
         want = algebra.generator_named(name).degree + 1
         if not value.is_zero() and value.degree() != want:
             raise ModelFileError(
@@ -307,7 +320,7 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
     except GradedError as e:
         witness = str(e)
         line, col = dim_pos
-        for name, (_, dline, dcol) in diff_decls.items():
+        for name, (_, dline, dcol, _) in diff_decls.items():
             if f"{name!r}" in witness:
                 line, col = dline, dcol
         raise ModelFileError("d-squared", line, col, "differential does not square to zero", witness)
@@ -333,21 +346,21 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
             out.bundle, mc_failed = e.bundle, True
 
     scope = out.bundle.base if out.bundle else base
-    for name, expr, line, col in let_decls:
-        out.elements[name] = parse_expression(expr, scope, line, col)
-    for name, spec, line, col in vec_decls:
-        out.vectors[name] = _build_vector(scope, spec, line, col)
-    for name, spec, line, col in sym_decls:
+    for name, expr, line, _, ecol in let_decls:
+        out.elements[name] = parse_expression(expr, scope, line, ecol)
+    for name, spec, line, col, ecol in vec_decls:
+        out.vectors[name] = _build_vector(scope, spec, line, col, ecol)
+    for name, spec, line, col, ecol in sym_decls:
         if out.bundle is None or mc_failed:
             raise ModelFileError("shape", line, col, "sym declarations need a validated bundle")
-        out.symmetries[name] = _build_symmetry(out, spec, line, col)
+        out.symmetries[name] = _build_symmetry(out, spec, line, col, ecol)
     return out
 
 
 def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
     structural: Dict[str, Element] = {}
-    for key, (expr, line, col) in structural_decls.items():
-        structural[key] = parse_expression(expr, base, line, col)
+    for key, (expr, line, _, ecol) in structural_decls.items():
+        structural[key] = parse_expression(expr, base, line, ecol)
     fibers = {name: degree for name, degree, _, _ in fiber_decls}
     names = list(fibers)
     keys = set(structural)
@@ -358,6 +371,7 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
                 raise ModelFileError(
                     "shape", fline, fcol, "two-step bundles need fibers of degree 1 and 2"
                 )
+            _check_degrees(structural, structural_decls, {"F": 2, "Fbar": 2, "H": 3})
             return DgBundle.two_step(
                 base,
                 structural.get("F", base.zero()),
@@ -373,6 +387,7 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
                 raise ModelFileError(
                     "shape", fline, fcol, "flux bundles need fibers of degree 3 and 6"
                 )
+            _check_degrees(structural, structural_decls, {"F4": 4, "F7": 7})
             return DgBundle.flux(
                 base,
                 structural.get("F4", base.zero()),
@@ -383,6 +398,7 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
             )
         if len(fibers) == 1 and keys <= {"Theta", "F"}:
             (fiber, degree), = fibers.items()
+            _check_degrees(structural, structural_decls, {"Theta": degree + 1, "F": degree + 1})
             theta = structural.get("Theta", structural.get("F", base.zero()))
             return DgBundle.line(base, theta, fiber=fiber, degree=degree, name=base.name)
     except GradedError as e:
@@ -395,30 +411,39 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
     )
 
 
-def _build_vector(base: Model, spec: str, line: int, col: int) -> Derivation:
+def _check_degrees(structural, structural_decls, wants):
+    """Each nonzero structural form has the degree its shape asks for."""
+    for key, want in wants.items():
+        value = structural.get(key)
+        if value is not None and not value.is_zero() and value.degree() != want:
+            expr, line, col, _ = structural_decls[key]
+            raise ModelFileError(
+                "degree-mismatch",
+                line,
+                col,
+                f"{key} must have degree {want}, got {value.degree()}",
+                witness=expr,
+            )
+
+
+def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) -> Derivation:
     values: Dict[str, Element] = {}
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        name, expr = _split_decl(clause, "=", "vec", line, col)
+    for clause, ccol in _clauses(spec, spec_col):
+        name, expr, offset = _split_decl(clause, "=", "vec", line, col)
         if name not in base.index:
             raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
-        values[name] = parse_expression(expr, base, line, col)
+        values[name] = parse_expression(expr, base, line, ccol + offset)
     try:
         return Derivation(base, -1, values)
     except Exception as e:
         raise ModelFileError("degree-mismatch", line, col, str(e))
 
 
-def _build_symmetry(out: ModelFile, spec: str, line: int, col: int) -> SymElement:
+def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: int) -> SymElement:
     degree = None
     parts: Dict[str, object] = {}
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        key, value = _split_decl(clause, "=", "sym", line, col)
+    for clause, ccol in _clauses(spec, spec_col):
+        key, value, offset = _split_decl(clause, "=", "sym", line, col)
         if key == "deg":
             degree = int(value)
         elif key == "X":
@@ -426,7 +451,7 @@ def _build_symmetry(out: ModelFile, spec: str, line: int, col: int) -> SymElemen
                 raise ModelFileError("unknown-generator", line, col, f"unknown vec {value!r}")
             parts["iota"] = out.vectors[value]
         elif key in SYM_KEYS:
-            parts[key] = parse_expression(value, out.bundle.base, line, col)
+            parts[key] = parse_expression(value, out.bundle.base, line, ccol + offset)
         else:
             raise ModelFileError("syntax", line, col, f"unknown sym key {key!r}")
     if degree is None:

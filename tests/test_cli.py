@@ -116,6 +116,16 @@ def test_validate_rejects_mc_failure(capsys):
     assert "maurer-cartan" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "mc-check"])
+def test_structural_form_of_wrong_degree_is_a_degree_error(command, tmp_path, capsys):
+    model = tmp_path / "mc_degree.dgm"
+    model.write_text((MODELS / "mc_fail.dgm").read_text().replace("F = a\n", "F = a^2\n"))
+    code, out, err = run(capsys, command, str(model))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 9, col 1: degree-mismatch: F must have degree 2, got 4 [a^2]\n"
+
+
 def test_tdualize_and_iso(capsys):
     code, out, _ = run(capsys, "tdualize", str(MODELS / "t2_pair.dgm"))
     assert code == 0

@@ -64,6 +64,33 @@ def test_basis_counts_match_hilbert_series(mixed, degree):
     assert len(mixed.basis(degree)) == dimension_series(mixed, 8)[degree]
 
 
+def test_basis_returns_a_fresh_list(mixed):
+    first = mixed.basis(3)
+    expected = list(first)
+    first.clear()
+    first.append("junk")
+    assert mixed.basis(3) == expected
+    assert mixed.basis(3) is not mixed.basis(3)
+
+
+def test_cached_bases_match_hilbert_series(mixed):
+    series = dimension_series(mixed, 8)
+    for _ in range(2):  # the second pass reads the cache
+        assert [len(mixed.basis(k)) for k in range(9)] == series
+    assert mixed.dimension(5) == series[5]
+
+
+def test_models_with_equal_generators_keep_separate_caches():
+    gens = [("a", 1), ("b", 1), ("t", 2)]
+    one, two = Model(gens), Model(gens)
+    first = one.basis(2)
+    assert two.basis(2) == first
+    first.pop()
+    assert len(one.basis(2)) == len(two.basis(2)) == len(first) + 1
+    assert one._bases is not two._bases
+    assert set(one._bases) == {2} and set(two._bases) == {2}
+
+
 def test_differential_closed_generator(t2):
     assert t2.d(t2.gen("th1")).is_zero()
     assert t2.d(t2.gen("th1") * t2.gen("th2")).is_zero()

@@ -154,6 +154,66 @@ Fbar = a
     assert not maurer_cartan_check(lenient.bundle.q)
 
 
+EXPR_BASE = """model cols
+dim 5
+gen x1 : 1; gen x2 : 1; gen x3 : 1; gen x4 : 1; gen z : 1
+d z = x1 x2
+fiber q : 1
+fiber t : 2
+F = x1 x2
+Fbar = x3 x4
+H = -(z x3 x4)
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, bad",
+    [
+        ("d z = 1/0 x1 x2", "1/0"),
+        ("  d   z =  x1 bogus", "bogus"),
+        ("let w = x1 + 1/0", "1/0"),
+        ("let v = 1; let w = x1 ^ x2", "x2"),
+        ("vec X : x1 = 1, x2 = 3/0", "3/0"),
+        ("vec X : x1 = 1 ,  x2 = bogus", "bogus"),
+        ("sym u : deg = -1, h = bogus", "bogus"),
+        ("sym u : deg = -1,h = 1, a = 2/0", "2/0"),
+        ("Fbar  =   x3 bogus", "bogus"),
+    ],
+)
+def test_expression_diagnostics_point_into_the_expression(statement, bad):
+    # a repeated d or structural statement replaces the one in the base text
+    text = EXPR_BASE + statement + "\n"
+    line = text.count("\n")
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text)
+    assert err.value.line == line
+    assert err.value.col == statement.rindex(bad) + 1
+
+
+@pytest.mark.parametrize(
+    "shape, statement, message",
+    [
+        ("two_step", "F = a^2", "F must have degree 2, got 4"),
+        ("two_step", "H = a", "H must have degree 3, got 2"),
+        ("flux", "F7 = b", "F7 must have degree 7, got 3"),
+        ("line", "Theta = a", "Theta must have degree 4, got 2"),
+    ],
+)
+def test_structural_form_of_wrong_degree(shape, statement, message):
+    fibers = {
+        "two_step": "fiber q : 1\nfiber t : 2\n",
+        "flux": "fiber q : 3\nfiber t : 6\n",
+        "line": "fiber t : 3\n",
+    }[shape]
+    text = "model s2\ndim 2\ngen a : 2\ngen b : 3\nd b = a^2\n" + fibers + "\n  " + statement + "\n"
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert err.value.kind == "degree-mismatch"
+        assert (err.value.line, err.value.col) == (text.count("\n"), 3)
+        assert err.value.message == message
+
+
 def test_shape_mismatch_diagnostic():
     text = "model odd\ndim 2\ngen a : 2; gen b : 3\nd b = a^2\nfiber t : 2\nF4 = a a\n"
     with pytest.raises(ModelFileError) as err:
