@@ -8,6 +8,7 @@ requested checks pass, 1 when a check fails, 2 for usage or model errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import List, Optional
@@ -530,7 +531,9 @@ def _trial_count(text):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="dgcalc",
         description="exact calculus on shifted-line bundles over CDGA models",

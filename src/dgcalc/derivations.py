@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
-from .graded import Element, GradedError, GradedGenerator, Model, Monomial, format_element
+from .graded import Element, GradedError, GradedGenerator, Model, Monomial, format_element, leibniz
 
 
 class DerivationError(Exception):
@@ -60,7 +60,8 @@ class Derivation:
         return cls(model, degree, {})
 
     def value(self, name: str) -> Element:
-        return self.values.get(name, self.model.zero())
+        value = self.values.get(name)
+        return self.model.zero() if value is None else value
 
     def is_zero(self) -> bool:
         return not self.values
@@ -95,26 +96,7 @@ class Derivation:
         """Apply by the graded Leibniz rule, one monomial factor at a time."""
         if a.model is not self.model:
             raise DerivationError("element of a different model")
-        model = self.model
-        n = len(model.generators)
-        out = model.zero()
-        sign_flip = self.degree % 2 == 1
-        for m, coeff in a.terms.items():
-            prefix_parity = 0
-            for i, e in enumerate(m.exponents):
-                if e:
-                    val = self.values.get(model.generators[i].name)
-                    if val is not None:
-                        front = list(m.exponents[:i]) + [0] * (n - i)
-                        rest = [0] * i + [e - 1] + list(m.exponents[i + 1 :])
-                        sign = -1 if (sign_flip and prefix_parity % 2) else 1
-                        out = out + (
-                            model.monomial_element(Monomial(tuple(front)), sign * coeff * e)
-                            * val
-                            * model.monomial_element(Monomial(tuple(rest)))
-                        )
-                prefix_parity += e * model.generators[i].degree
-        return out
+        return leibniz(self.model, self.values, self.degree, a)
 
     def __repr__(self):
         parts = ", ".join(f"{k} -> {format_element(v)}" for k, v in sorted(self.values.items()))
@@ -134,8 +116,8 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     sign = -1 if (d1.degree % 2 and d2.degree % 2) else 1
     values = {}
     for g in model.generators:
-        x = model.gen(g.name)
-        values[g.name] = d1(d2(x)) - sign * d2(d1(x))
+        first, second = d1(d2.value(g.name)), d2(d1.value(g.name))
+        values[g.name] = first - second if sign == 1 else first + second
     return Derivation(model, d1.degree + d2.degree, values)
 
 

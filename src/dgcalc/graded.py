@@ -3,12 +3,16 @@
 Monomials are kept in a normal form: generator powers in declaration order,
 odd generators with exponent at most one.  Reordering a product into normal
 form accumulates the transposition sign (-1)^{|a||b|}; every other sign in
-the package derives from this one convention.
+the package derives from this one convention.  Only odd generators move signs,
+so a product's sign is read off the odd-generator bitmasks of its factors by
+popcounts, and `d` and every derivation apply through one Leibniz kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -57,7 +61,7 @@ class Monomial:
         return self.exponents < other.exponents
 
     def degree(self, model: "Model") -> int:
-        return sum(e * g.degree for e, g in zip(self.exponents, model.generators))
+        return sum(map(mul, self.exponents, model.degrees))
 
     def is_unit(self) -> bool:
         return not any(self.exponents)
@@ -66,26 +70,81 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
+def _odd_mask(bits: Sequence[int], exponents: Sequence[int]) -> int:
+    """Bit i is set when odd generator i occurs; `bits` is a model's `odd_bits`."""
+    return sum(compress(bits, exponents))
+
+
+def _parity(left_mask: int, right_mask: int) -> int:
+    """Transpositions, mod 2, that move each odd factor of `right` left past
+    the odd factors of `left` after it: the Koszul sign of left*right."""
+    parity = 0
+    while right_mask:
+        low = right_mask & -right_mask
+        parity += (left_mask >> low.bit_length()).bit_count()
+        right_mask ^= low
+    return parity & 1
+
+
 def _merge_sign(model: "Model", left: Sequence[int], right: Sequence[int]):
     """Normal form of (left monomial)*(right monomial): (sign, exponents) or None if zero."""
-    sign = 1
-    merged = []
-    # odd degree carried by the part of `right` already consumed, per generator:
-    # moving right[j] left past left[i] for i > j costs a sign when both are odd.
-    for j, g in enumerate(model.generators):
-        a, b = left[j], right[j]
-        if g.is_odd:
-            if a + b > 1:
-                return None
-            if b:
-                # pull right[j] through the tail of `left`
-                tail_odd = sum(
-                    left[i] for i in range(j + 1, len(left)) if model.generators[i].is_odd
-                )
-                if tail_odd % 2:
-                    sign = -sign
-        merged.append(a + b)
-    return sign, tuple(merged)
+    bits = model.odd_bits
+    left_mask, right_mask = _odd_mask(bits, left), _odd_mask(bits, right)
+    if left_mask & right_mask:
+        return None
+    return -1 if _parity(left_mask, right_mask) else 1, tuple(map(add, left, right))
+
+
+def _collect(model: "Model", acc: dict) -> "Element":
+    """The element of exponent-keyed Fraction sums, zeros dropped."""
+    return Element._trusted(model, {Monomial(k): c for k, c in acc.items() if c})
+
+
+def leibniz(model: "Model", values: Mapping[str, "Element"], degree: int, a: "Element"):
+    """D(a) for the derivation of the given degree with D(x) = values[x] on generators.
+
+    D(x_1 ... x_k) = sum_i (-1)^{|D|(|x_1| + ... + |x_{i-1}|)} x_1 ... D(x_i) ... x_k,
+    with e x^{e-1} D(x) for an even power x^e.  Each term of D(x_i) is merged
+    with the front and then with the rest of the monomial, straight into one sum.
+    """
+    bits = model.odd_bits
+    gens = model.generators
+    flip = degree % 2
+    table: dict = {}  # generator index -> the terms of its value with their odd masks
+    out: dict = {}
+    for m, coeff in a.terms.items():
+        exps = m.exponents
+        mask = _odd_mask(bits, exps)
+        for i, e in enumerate(exps):
+            if not e:
+                continue
+            value = table.get(i)
+            if value is None:
+                v = values.get(gens[i].name)
+                value = table[i] = () if v is None else [
+                    (mv.exponents, _odd_mask(bits, mv.exponents), cv) for mv, cv in v.terms.items()
+                ]
+            if not value:
+                continue
+            front = mask & ((1 << i) - 1)
+            rest = mask >> (i + 1) << (i + 1)
+            others = front | rest
+            lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+            c = coeff if e == 1 else coeff * e
+            if flip and front.bit_count() & 1:
+                c = -c
+            for vexps, vmask, vc in value:
+                if vmask & others:
+                    continue
+                term = c * vc
+                if vmask and (_parity(front, vmask) ^ _parity(vmask, rest)):
+                    term = -term
+                key = tuple(map(add, lowered, vexps))
+                if key in out:
+                    out[key] += term
+                else:
+                    out[key] = term
+    return _collect(model, out)
 
 
 class Element:
@@ -102,6 +161,14 @@ class Element:
                 clean[m] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, model: "Model", terms: dict) -> "Element":
+        """Wrap terms whose coefficients are already nonzero Fractions, as they are."""
+        el = cls.__new__(cls)
+        el.model = model
+        el.terms = terms
+        return el
+
     # -- ring structure ---------------------------------------------------
 
     def _coerce(self, other) -> "Element":
@@ -111,20 +178,27 @@ class Element:
             return other
         return self.model.scalar(other)
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _combine(self, other, subtract: bool) -> "Element":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Element(self.model, out)
+        for m, c in self._coerce(other).terms.items():
+            if subtract:
+                c = -c
+            if m in out:
+                out[m] += c
+            else:
+                out[m] = c
+        return Element._trusted(self.model, {m: c for m, c in out.items() if c})
+
+    def __add__(self, other):
+        return self._combine(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.model, {m: -c for m, c in self.terms.items()})
+        return Element._trusted(self.model, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -132,19 +206,28 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             c = Fraction(other)
-            return Element(self.model, {m: c * v for m, v in self.terms.items()})
+            terms = {m: c * v for m, v in self.terms.items()} if c else {}
+            return Element._trusted(self.model, terms)
         if other.model is not self.model:
             raise GradedError("ambient model mismatch")
+        bits = self.model.odd_bits
+        right = [(m.exponents, _odd_mask(bits, m.exponents), c) for m, c in other.terms.items()]
         out: dict = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                hit = _merge_sign(self.model, ma.exponents, mb.exponents)
-                if hit is None:
+            a = ma.exponents
+            amask = _odd_mask(bits, a)
+            for b, bmask, cb in right:
+                if amask & bmask:
                     continue
-                sign, exps = hit
-                m = Monomial(exps)
-                out[m] = out.get(m, Fraction(0)) + sign * ca * cb
-        return Element(self.model, out)
+                term = ca * cb
+                if bmask and _parity(amask, bmask):
+                    term = -term
+                key = tuple(map(add, a, b))
+                if key in out:
+                    out[key] += term
+                else:
+                    out[key] = term
+        return _collect(self.model, out)
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -152,7 +235,7 @@ class Element:
 
     def __truediv__(self, other):
         c = Fraction(other)
-        return Element(self.model, {m: v / c for m, v in self.terms.items()})
+        return Element._trusted(self.model, {m: v / c for m, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -234,6 +317,10 @@ class Model:
             raise GradedError("generator names must be unique")
         self.generators = tuple(gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
+        self.degrees = tuple(g.degree for g in gens)
+        # bit i for each odd generator i, 0 for even ones: the odd mask of an
+        # exponent vector is the sum of the bits it selects
+        self.odd_bits = tuple(1 << i if g.is_odd else 0 for i, g in enumerate(gens))
         self._bases: dict = {}
         self.formal_dimension = formal_dimension
         self.name = name
@@ -272,7 +359,7 @@ class Model:
         return Element(self, {Monomial(exps): Fraction(1)})
 
     def zero(self) -> Element:
-        return Element(self, {})
+        return Element._trusted(self, {})
 
     def one(self) -> Element:
         return self.scalar(1)
@@ -331,25 +418,7 @@ class Model:
         """Extend the declared differential by the graded Leibniz rule."""
         if a.model is not self:
             raise GradedError("element of a different model")
-        out = self.zero()
-        n = len(self.generators)
-        for m, coeff in a.terms.items():
-            prefix_parity = 0
-            for i, e in enumerate(m.exponents):
-                if e:
-                    dg = self.differential.get(self.generators[i].name)
-                    if dg is not None:
-                        front = list(m.exponents[:i]) + [0] * (n - i)
-                        rest = [0] * i + [e - 1] + list(m.exponents[i + 1 :])
-                        sign = -1 if prefix_parity % 2 else 1
-                        piece = (
-                            self.monomial_element(Monomial(front), sign * coeff * e)
-                            * dg
-                            * self.monomial_element(Monomial(rest))
-                        )
-                        out = out + piece
-                prefix_parity += e * self.generators[i].degree
-        return out
+        return leibniz(self, self.differential, 1, a)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

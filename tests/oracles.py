@@ -1,6 +1,8 @@
-"""Independent oracles for the exact linear algebra, used by the tests only."""
+"""Independent oracles for the exact linear algebra and the monomial core; tests only."""
 
 from math import gcd
+
+from dgcalc.graded import Monomial
 
 
 def _integer_rows(rows):
@@ -39,3 +41,47 @@ def bareiss_rank(rows):
         if r == nrows:
             break
     return r
+
+
+def merge_sign(model, left, right):
+    """Normal form of (left monomial)*(right monomial): (sign, exponents) or None if zero.
+
+    Moves each odd factor of `right` left past the odd factors of `left` after it,
+    re-summing that tail for every factor: O(n^2), but free of bit tricks.
+    """
+    sign = 1
+    merged = []
+    for j, g in enumerate(model.generators):
+        a, b = left[j], right[j]
+        if g.is_odd:
+            if a + b > 1:
+                return None
+            if b:
+                tail_odd = sum(
+                    left[i] for i in range(j + 1, len(left)) if model.generators[i].is_odd
+                )
+                if tail_odd % 2:
+                    sign = -sign
+        merged.append(a + b)
+    return sign, tuple(merged)
+
+
+def apply_derivation(model, values, degree, a):
+    """D(a) by the graded Leibniz rule as products of elements: for each factor
+    x_i of each monomial, (-1)^{|D|(|x_1| + ... + |x_{i-1}|)} front * D(x_i) * rest."""
+    n = len(model.generators)
+    out = model.zero()
+    for m, coeff in a.terms.items():
+        prefix_parity = 0
+        for i, e in enumerate(m.exponents):
+            if e and model.generators[i].name in values:
+                front = m.exponents[:i] + (0,) * (n - i)
+                rest = (0,) * i + (e - 1,) + m.exponents[i + 1 :]
+                sign = -1 if degree % 2 and prefix_parity % 2 else 1
+                out = out + (
+                    model.monomial_element(Monomial(front), sign * coeff * e)
+                    * values[model.generators[i].name]
+                    * model.monomial_element(Monomial(rest))
+                )
+            prefix_parity += e * model.generators[i].degree
+    return out

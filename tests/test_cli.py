@@ -212,6 +212,16 @@ def test_identities_seeded(capsys):
     assert "seed 3" in out
 
 
+def test_parser_is_built_once_and_leaks_no_defaults(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    model = str(MODELS / "nil_pair.dgm")
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    assert run(capsys, "identities", model, "--trials", "2", "--report", str(first))[0] == 0
+    assert run(capsys, "identities", model, "--report", str(second))[0] == 0
+    assert "trials=2" in first.read_text().splitlines()
+    assert "trials=25" in second.read_text().splitlines()
+
+
 def test_sym_command(capsys):
     code, out, _ = run(capsys, "sym", str(MODELS / "t2_pair.dgm"))
     assert code == 0
