@@ -183,8 +183,8 @@ def cmd_ses_verify(mf, args, report):
     pair = dualize(bundle)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
     ok, rows = ses_verify(pair, cap)
-    source_betti = betti(pair.p, 0, cap)
-    target_betti = betti(pair.pbar, 0, cap)
+    source_betti = betti(pair.complex["p"], 0, cap)
+    target_betti = betti(pair.complex["pbar"], 0, cap)
     print(f"short exact sequence check through degree {cap}")
     print("  k   dim C^k(P)  ker T  base  im T  dim C^(k-1)(dual)  H^k(P)  H^(k-1)(dual)  ok")
     for row in rows:
@@ -216,7 +216,7 @@ def cmd_iso_check(mf, args, report):
         f"H^{k + 1}(P) vs H^{k}(dual): dims {info['dim_source']}/{info['dim_target']}, "
         f"induced rank {info['induced_rank']}: {'pass' if ok else 'fail'}"
     )
-    periodic = periodicity_check(bundle, k + 1, 1) if k + 1 > bundle.formal_dimension else True
+    periodic = k + 1 <= bundle.formal_dimension or periodicity_check(pair.complex["p"], k + 1, 1)
     report.add("periodicity", periodic)
     return ok
 
@@ -285,11 +285,18 @@ def _run_laws(title, laws, report):
     trial(i) draws the inputs of trial i and returns one check per law name;
     a check raises SymmetryError when its law fails.  A failed law is not
     checked again, but its later trials still draw their inputs, so the draw
-    order does not depend on which laws fail.
+    order does not depend on which laws fail.  A row whose trial count can be
+    0 carries a fourth item, the reason; with no trials its laws are reported
+    as skipped, not as passing, and leave the result alone.
     """
     print(title)
     ok = True
-    for names, count, trial in laws:
+    for names, count, trial, *why in laws:
+        if not count:
+            for name in names:
+                print(f"  {name}: skipped ({why[0]})")
+                report.add(f"law.{name}", "skip")
+            continue
         failures = {}
         for i in range(count):
             for name, check in zip(names, trial(i)):
@@ -517,7 +524,7 @@ def cmd_identities(mf, args, report):
             (("jacobi",), args.trials, jacobi),
             (("leibniz",), args.trials, leibniz),
             (("derived-leibniz", "derived-jacobi"), args.trials, derived),
-            (("sym0-action",), len(actors) * per_actor, action),
+            (("sym0-action",), len(actors) * per_actor, action, "no degree-0 actor"),
         ],
         report,
     )

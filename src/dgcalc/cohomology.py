@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
-from .derivations import Derivation, DgBundle, model_differential
+from .derivations import DgBundle
 from .graded import Element, GradedError, Model, Monomial
 
 BundleLike = Union[Model, DgBundle]
@@ -26,12 +26,11 @@ class CohomologyError(Exception):
     pass
 
 
-def _total(space: BundleLike) -> Model:
+def _total(space) -> Model:
+    """The model whose functions a space, or the complex of one, is made of."""
+    if isinstance(space, Complex):
+        space = space.space
     return space.total if isinstance(space, DgBundle) else space
-
-
-def _field(space: BundleLike) -> Derivation:
-    return space.q if isinstance(space, DgBundle) else model_differential(space)
 
 
 def degree_cap(space: BundleLike) -> int:
@@ -79,15 +78,57 @@ class CochainSpace:
         self.degree = degree
         model = _total(space)
         self.basis = model.basis(degree)
-        q = _field(space)
-        self.d_matrix = operator_matrix(space, q, self.basis, model.basis(degree + 1))
+        self.d_matrix = operator_matrix(space, model.d, self.basis, model.basis(degree + 1))
+        self._rank: Optional[int] = None
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def rank(self) -> int:
-        return linalg.rank(self.d_matrix)
+        if self._rank is None:
+            self._rank = linalg.rank(self.d_matrix)
+        return self._rank
+
+    def cocycles(self) -> List[Element]:
+        """A basis of the kernel of d on this slice, as elements."""
+        model = _total(self.space)
+        return [
+            Element._trusted(model, {m: c for m, c in zip(self.basis, v) if c})
+            for v in linalg.kernel_basis(self.d_matrix, self.dimension)
+        ]
+
+    def images(self) -> List[Tuple[Fraction, ...]]:
+        """d of each basis monomial, as a vector in the basis one degree up."""
+        return list(zip(*self.d_matrix)) if self.d_matrix else [()] * self.dimension
+
+
+class Complex:
+    """The cochain complex of one space: each degree slice is built on first use
+    and shared by every later reader."""
+
+    def __init__(self, space: BundleLike):
+        self.space = space
+        self._slices: Dict[int, CochainSpace] = {}
+
+    def __getitem__(self, degree: int) -> CochainSpace:
+        cs = self._slices.get(degree)
+        if cs is None:
+            cs = self._slices[degree] = CochainSpace(self.space, degree)
+        return cs
+
+    def rank(self, degree: int) -> int:
+        """Rank of d out of the given degree; nothing leaves a negative degree."""
+        return self[degree].rank() if degree >= 0 else 0
+
+
+def induced_rank(source: Complex, degree: int, f, target: Complex, target_degree: int) -> int:
+    """Rank of the map that f, a chain map up to sign, induces from
+    H^degree(source) to H^target_degree(target)."""
+    basis = target[target_degree].basis
+    images = [coordinates(f(z), basis) for z in source[degree].cocycles()]
+    boundaries = target[target_degree - 1].images() if target_degree > 0 else []
+    return linalg.rank(boundaries + images) - target.rank(target_degree - 1)
 
 
 class BettiTable:
@@ -110,23 +151,14 @@ class BettiTable:
         return f"BettiTable({inner})"
 
 
-def betti(space: BundleLike, lo: int, hi: int) -> BettiTable:
-    """Exact cohomology dimensions of the bundle complex for lo <= degree <= hi."""
+def betti(space, lo: int, hi: int) -> BettiTable:
+    """Exact cohomology dimensions of a space, or its complex, for lo <= degree <= hi."""
     if lo < 0 or hi < lo:
         raise CohomologyError("need hi >= lo >= 0")
-    ranks = {}
-    dims = {}
-    for k in range(lo, hi + 2):
-        cs = CochainSpace(space, k)
-        dims[k] = cs.dimension
-        ranks[k] = cs.rank()
-    out = {}
-    for k in range(lo, hi + 1):
-        incoming = ranks.get(k - 1)
-        if incoming is None:
-            incoming = CochainSpace(space, k - 1).rank() if k > 0 else 0
-        out[k] = dims[k] - ranks[k] - incoming
-    return BettiTable(lo, hi, out)
+    cx = space if isinstance(space, Complex) else Complex(space)
+    return BettiTable(
+        lo, hi, {k: cx[k].dimension - cx.rank(k) - cx.rank(k - 1) for k in range(lo, hi + 1)}
+    )
 
 
 def _parity_basis(model: Model, parity: int, cap: int):
@@ -219,7 +251,7 @@ def twist_operator(model: Model, h: Element):
     return op
 
 
-def periodicity_check(space: BundleLike, j: int, l: int) -> bool:
+def periodicity_check(space, j: int, l: int) -> bool:
     """Betti dimension agreement between degrees j and j + 2l (for j past the base)."""
     if j <= _total(space).formal_dimension:
         raise CohomologyError("periodicity applies above the formal dimension")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
-from .graded import Element, GradedError, GradedGenerator, Model, Monomial, format_element, leibniz
+from .graded import Element, GradedError, GradedGenerator, Model, Monomial, _odd_mask, format_element, leibniz
 
 
 class DerivationError(Exception):
@@ -284,20 +284,15 @@ class DgBundle:
         if el.model is not self.total:
             raise BundleError("expected an element of the total model")
         idx = self.total.index[fiber]
-        odd = self.total.generators[idx].is_odd
+        bits = self.total.odd_bits
+        odd = bits[idx]
         out: Dict[int, Dict[Monomial, Fraction]] = {}
         for m, c in el.terms.items():
             k = m.exponents[idx]
             stripped = list(m.exponents)
             stripped[idx] = 0
-            if odd and k:
-                tail = sum(
-                    e
-                    for i, e in enumerate(m.exponents)
-                    if i > idx and self.total.generators[i].is_odd
-                )
-                if tail % 2:
-                    c = -c
+            if odd and k and (_odd_mask(bits, m.exponents) >> (idx + 1)).bit_count() & 1:
+                c = -c
             out.setdefault(k, {})[Monomial(tuple(stripped))] = c
         return {k: Element(self.total, t) for k, t in sorted(out.items())}
 

@@ -590,12 +590,8 @@ def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
         for g in total.generators:
             col.extend(coordinates(bracket.value(g.name), residue_bases[g.name]))
         columns.append(col)
-    n = len(unknowns)
-    kernel_dim = 0
-    if n:
-        constraint = [[columns[j][i] for j in range(n)] for i in range(len(columns[0]))]
-        kernel_dim = n - linalg.rank(constraint)
-    return _structured_kernel_dim(bundle), kernel_dim
+    # the rank of the constraint matrix is the rank of its columns
+    return _structured_kernel_dim(bundle), len(unknowns) - linalg.rank(columns)
 
 
 def _structured_parameters(bundle: DgBundle):

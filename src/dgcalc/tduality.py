@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import CochainSpace, betti, coordinates, degree_cap, operator_matrix
+from .cohomology import Complex, _total, betti, degree_cap, induced_rank, operator_matrix
 from .derivations import Derivation, DgBundle, exp_apply
 from .graded import Element, Model, Monomial
 
@@ -84,6 +84,8 @@ class TDualPair:
             base, f, fbar, h, q=p.q_name, qbar=dual_fiber, t=p.t_name
         )
         self.dual_fiber = dual_fiber
+        # one cochain complex per space, shared by every cohomology check on the pair
+        self.complex = {"base": Complex(base), "p": Complex(p), "pbar": Complex(self.pbar)}
         self._gauge = Derivation(
             self.correspondence.total,
             0,
@@ -177,14 +179,12 @@ class ChainMap:
     """Degree-homogeneous linear map between complexes with a pinned global sign."""
 
     def __init__(self, source, target, degree: int, action: Callable):
-        from .cohomology import _field, _total
-
         self.source = source
         self.target = target
         self.degree = degree
         self.action = action
-        self._source_model, self._source_q = _total(source), _field(source)
-        self._target_q = _field(target)
+        self._source_model = _total(source)
+        self._source_q, self._target_q = self._source_model.d, _total(target).d
 
     def verify(self, cap: int) -> int:
         """Find the global sign with action(Q x) = sign * Q(action x) on all monomials."""
@@ -263,39 +263,6 @@ def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[S
     return ok, rows
 
 
-def cocycle_vectors(space, degree: int):
-    """Kernel basis of the outgoing differential in the given degree."""
-    cs = CochainSpace(space, degree)
-    return linalg.kernel_basis(cs.d_matrix, len(cs.basis)), cs.basis
-
-
-def boundary_vectors(space, degree: int):
-    """Images of the incoming differential, as vectors in the degree basis."""
-    if degree == 0:
-        return []
-    below = CochainSpace(space, degree - 1)
-    cols = [
-        [below.d_matrix[i][j] for i in range(len(below.d_matrix))]
-        for j in range(len(below.basis))
-    ]
-    return cols
-
-
-def induced_rank(image_vectors, boundaries) -> int:
-    """Dimension of the span of image vectors inside cohomology (mod boundaries)."""
-    b = [list(v) for v in boundaries]
-    joint = [list(v) for v in image_vectors] + b
-    return linalg.rank(joint) - linalg.rank(b)
-
-
-def _vectors_to_elements(model: Model, vectors, basis):
-    out = []
-    for v in vectors:
-        terms = {m: c for m, c in zip(basis, v) if c}
-        out.append(Element(model, terms))
-    return out
-
-
 def les_node_ranks(pair: TDualPair, degree: int):
     """Induced ranks (i_*, T_*, beta_*) entering and leaving cohomology degree k.
 
@@ -303,37 +270,20 @@ def les_node_ranks(pair: TDualPair, degree: int):
     beta_*: H^{k-1}(Pbar) -> H^{k+1}(base).
     """
     k = degree
-    # i_*
-    zb, base_basis = cocycle_vectors(pair.base, k)
-    upstairs_basis = pair.p.total.basis(k)
-    included = [
-        coordinates(pair.p.include_base(el), upstairs_basis)
-        for el in _vectors_to_elements(pair.base, zb, base_basis)
-    ]
-    rank_i = induced_rank(included, boundary_vectors(pair.p, k))
-    # T_*
-    zp, p_basis = cocycle_vectors(pair.p, k)
-    target_basis = pair.pbar.total.basis(k - 1)
-    mapped = [
-        coordinates(pair.tmap(el), target_basis)
-        for el in _vectors_to_elements(pair.p.total, zp, p_basis)
-    ]
-    rank_t = induced_rank(mapped, boundary_vectors(pair.pbar, k - 1)) if k >= 1 else 0
-    # beta_*
-    zpb, pbar_basis = cocycle_vectors(pair.pbar, k - 1) if k >= 1 else ([], [])
-    connected = []
-    base_up = pair.base.basis(k + 1)
-    for el in _vectors_to_elements(pair.pbar.total, zpb, pbar_basis):
-        connected.append(coordinates(pair.connecting(el), base_up))
-    rank_beta = induced_rank(connected, boundary_vectors(pair.base, k + 1)) if k >= 1 else 0
+    base, p, pbar = (pair.complex[key] for key in ("base", "p", "pbar"))
+    rank_i = induced_rank(base, k, pair.p.include_base, p, k)
+    if k < 1:
+        return rank_i, 0, 0
+    rank_t = induced_rank(p, k, pair.tmap, pbar, k - 1)
+    rank_beta = induced_rank(pbar, k - 1, pair.connecting, base, k + 1)
     return rank_i, rank_t, rank_beta
 
 
 def les_check(pair: TDualPair, lo: int, hi: int) -> Tuple[bool, List[Tuple]]:
     """Exactness bookkeeping for the long exact sequence on a degree window."""
-    hp = betti(pair.p, max(lo - 1, 0), hi + 1)
-    hpb = betti(pair.pbar, max(lo - 1, 0), hi + 1)
-    hm = betti(pair.base, max(lo - 1, 0), hi + 1)
+    hp, hpb, hm = (
+        betti(pair.complex[key], max(lo - 1, 0), hi + 1) for key in ("p", "pbar", "base")
+    )
     node_ranks = {k: les_node_ranks(pair, k) for k in range(lo, hi + 2)}
     rows = []
     ok = True
@@ -357,14 +307,9 @@ def tduality_iso_check(pair: TDualPair, k: Optional[int] = None):
         k = pair.base.formal_dimension
     if k < pair.base.formal_dimension:
         raise TDualityError("isomorphism range starts at the formal dimension")
-    dim_source = betti(pair.p, k + 1, k + 1)[k + 1]
-    dim_target = betti(pair.pbar, k, k)[k]
-    z, p_basis = cocycle_vectors(pair.p, k + 1)
-    target_basis = pair.pbar.total.basis(k)
-    mapped = [
-        coordinates(pair.tmap(el), target_basis)
-        for el in _vectors_to_elements(pair.p.total, z, p_basis)
-    ]
-    rank_ind = induced_rank(mapped, boundary_vectors(pair.pbar, k))
+    p, pbar = pair.complex["p"], pair.complex["pbar"]
+    dim_source = betti(p, k + 1, k + 1)[k + 1]
+    dim_target = betti(pbar, k, k)[k]
+    rank_ind = induced_rank(p, k + 1, pair.tmap, pbar, k)
     ok = dim_source == dim_target == rank_ind
     return ok, {"dim_source": dim_source, "dim_target": dim_target, "induced_rank": rank_ind}

@@ -1,8 +1,12 @@
-"""Independent oracles for the exact linear algebra and the monomial core; tests only."""
+"""Independent oracles for the exact linear algebra, the monomial core and the
+ranks of the long exact sequence; tests only."""
 
 from math import gcd
 
-from dgcalc.graded import Monomial
+from dgcalc.cohomology import CochainSpace, coordinates
+from dgcalc.derivations import DgBundle, model_differential
+from dgcalc.graded import Element, Monomial
+from dgcalc.linalg import kernel_basis
 
 
 def _integer_rows(rows):
@@ -85,3 +89,61 @@ def apply_derivation(model, values, degree, a):
                 )
             prefix_parity += e * model.generators[i].degree
     return out
+
+
+def _differential(space):
+    return space.q if isinstance(space, DgBundle) else model_differential(space)
+
+
+def _total(space):
+    return space.total if isinstance(space, DgBundle) else space
+
+
+def cocycle_vectors(space, degree):
+    """Kernel basis of the outgoing differential, from a freshly built slice."""
+    cs = CochainSpace(space, degree)
+    return kernel_basis(cs.d_matrix, len(cs.basis)), cs.basis
+
+
+def boundary_vectors(space, degree):
+    """d of each monomial one degree down, each applied through the derivation
+    and expanded in the degree basis."""
+    if degree == 0:
+        return []
+    model, q = _total(space), _differential(space)
+    target = model.basis(degree)
+    return [coordinates(q(model.monomial_element(m)), target) for m in model.basis(degree - 1)]
+
+
+def induced_rank(image_vectors, boundaries):
+    """Dimension of the span of the images modulo boundaries, by dense Bareiss ranks."""
+    return bareiss_rank(image_vectors + boundaries) - bareiss_rank(boundaries)
+
+
+def _elements(model, vectors, basis):
+    return [Element(model, {m: c for m, c in zip(basis, v) if c}) for v in vectors]
+
+
+def les_node_ranks(pair, k):
+    """(i_*, T_*, beta_*) at degree k, every slice rebuilt and every rank dense."""
+    zb, base_basis = cocycle_vectors(pair.base, k)
+    upstairs = pair.p.total.basis(k)
+    included = [
+        coordinates(pair.p.include_base(el), upstairs)
+        for el in _elements(pair.base, zb, base_basis)
+    ]
+    rank_i = induced_rank(included, boundary_vectors(pair.p, k))
+    if k < 1:
+        return rank_i, 0, 0
+    zp, p_basis = cocycle_vectors(pair.p, k)
+    target = pair.pbar.total.basis(k - 1)
+    mapped = [coordinates(pair.tmap(el), target) for el in _elements(pair.p.total, zp, p_basis)]
+    rank_t = induced_rank(mapped, boundary_vectors(pair.pbar, k - 1))
+    zpb, pbar_basis = cocycle_vectors(pair.pbar, k - 1)
+    base_up = pair.base.basis(k + 1)
+    connected = [
+        coordinates(pair.connecting(el), base_up)
+        for el in _elements(pair.pbar.total, zpb, pbar_basis)
+    ]
+    rank_beta = induced_rank(connected, boundary_vectors(pair.base, k + 1))
+    return rank_i, rank_t, rank_beta

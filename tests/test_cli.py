@@ -212,6 +212,20 @@ def test_identities_seeded(capsys):
     assert "seed 3" in out
 
 
+@pytest.mark.parametrize("name", ["s3_volume.dgm", "s3_pair.dgm"])
+def test_law_without_trials_is_skipped_not_passed(name, tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    code, out, _ = run(
+        capsys, "identities", str(MODELS / name), "--trials", "2", "--report", str(report)
+    )
+    records = report.read_text().splitlines()
+    assert code == 0
+    assert "  sym0-action: skipped (no degree-0 actor)" in out.splitlines()
+    assert "sym0-action: pass" not in out
+    assert "law.sym0-action=skip" in records
+    assert "law.jacobi=pass" in records and records[-1] == "status=pass"
+
+
 def test_parser_is_built_once_and_leaks_no_defaults(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     model = str(MODELS / "nil_pair.dgm")

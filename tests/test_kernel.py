@@ -3,15 +3,18 @@
 Signs come from odd-generator bitmasks; `oracles.merge_sign` re-sums the odd
 tail per factor instead.  `Model.d`, every `Derivation` and `commutator` run
 through one kernel; `oracles.apply_derivation` expands the Leibniz rule as
-products of elements instead.
+products of elements instead.  `DgBundle.fiber_coefficients` shares the
+product's sign rule, so splitting off a generator must rebuild the element.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from dgcalc.derivations import Derivation, commutator, model_differential
+from dgcalc import presets
+from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
 from dgcalc.graded import Element, Model, Monomial, _merge_sign
 from dgcalc.sampling import random_derivation, random_element
 from oracles import apply_derivation, merge_sign
@@ -114,6 +117,46 @@ def test_product_is_associative(degrees, seed):
     model, rng = graded_model(degrees), random.Random(seed)
     a, b, c = (random_mixed(model, rng) for _ in range(3))
     assert (a * b) * c == a * (b * c)
+
+
+def random_bundle(shape, rng):
+    """A bundle of the given shape over a torus, Maurer-Cartan by construction.
+
+    On a torus every form is closed, so only F * Fbar (two-step and
+    correspondence) and F4 * F4 (flux) must vanish; the tori are small enough
+    for the latter, and Fbar is dropped when the former does not.
+    """
+    base = presets.torus(rng.randint(1, 4))
+    form = partial(random_element, base, rng=rng)
+    if shape == "line":
+        degree = rng.randint(1, 3)
+        return DgBundle.line(base, form(degree + 1), "f", degree)
+    if shape == "flux":
+        return DgBundle.flux(base, form(4), form(7))
+    f, fbar = form(2), form(2)
+    if not (f * fbar).is_zero():
+        fbar = base.zero()
+    if shape == "two_step":
+        return DgBundle.two_step(base, f, fbar, form(3))
+    return DgBundle.correspondence(base, f, fbar, form(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["line", "two_step", "correspondence", "flux"]), SEEDS)
+def test_fiber_coefficients_rebuild_the_element(shape, seed):
+    # along every generator, base ones included, so odd generators follow the
+    # one split off and the sign of moving it to the right is exercised
+    rng = random.Random(seed)
+    bundle = random_bundle(shape, rng)
+    total = bundle.total
+    el = random_mixed(total, rng)
+    for g in total.generators:
+        idx, x = total.index[g.name], total.gen(g.name)
+        rebuilt = total.zero()
+        for k, c in bundle.fiber_coefficients(el, g.name).items():
+            assert all(not m.exponents[idx] for m in c.terms), (g.name, k)
+            rebuilt = rebuilt + c * x**k
+        assert rebuilt == el, g.name
 
 
 # -- the Leibniz kernel ----------------------------------------------------------

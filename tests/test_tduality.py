@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dgcalc import presets
+from dgcalc.cohomology import CochainSpace, betti
 from dgcalc.derivations import DgBundle
 from dgcalc.graded import Element, Monomial
 from dgcalc.sampling import random_element
@@ -12,6 +13,7 @@ from dgcalc.tduality import (
     TDualityError,
     dualize,
     les_check,
+    les_node_ranks,
     pushforward,
     pushforward_chain_map,
     ses_verify,
@@ -19,6 +21,7 @@ from dgcalc.tduality import (
     tduality_iso_check,
     transport,
 )
+import oracles
 
 FROZEN_SIGN = 1  # intertwining sign of T under this package's conventions
 
@@ -303,9 +306,6 @@ def test_les_alternating_sum_vanishes():
     # ranks around the long exact sequence cancel over any closed window:
     # dim H^k(P) - dim H^{k-1}(Pbar) + dim H^{k+1}(M) alternates to zero once
     # the connecting ranks are subtracted; equivalent node-wise identities
-    from dgcalc.cohomology import betti
-    from dgcalc.tduality import les_node_ranks
-
     pair = hopf_pair()
     hi = 5
     hp = betti(pair.p, 0, hi + 1)
@@ -331,6 +331,39 @@ def test_high_degree_isomorphism(make):
         assert ok, info
 
 
+@pytest.mark.parametrize("make", ALL_PAIRS)
+def test_each_cochain_slice_is_built_once(make, monkeypatch):
+    built = []
+    init = CochainSpace.__init__
+
+    def counting(self, space, degree):
+        built.append((id(space), degree))
+        init(self, space, degree)
+
+    monkeypatch.setattr(CochainSpace, "__init__", counting)
+    pair = make()
+    les_check(pair, 0, 5)
+    tduality_iso_check(pair)
+    assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("make", ALL_PAIRS)
+def test_les_node_ranks_match_dense_oracle(make):
+    pair = make()
+    for k in range(6):
+        assert les_node_ranks(pair, k) == oracles.les_node_ranks(pair, k), k
+
+
+@pytest.mark.parametrize("windows", [[(2, 4), (0, 6)], [(0, 6), (2, 4)]])
+@pytest.mark.parametrize("make", ALL_PAIRS)
+def test_betti_on_a_shared_complex_matches_a_fresh_space(make, windows):
+    pair = make()
+    spaces = {"base": pair.base, "p": pair.p, "pbar": pair.pbar}
+    for lo, hi in windows:
+        for key, space in spaces.items():
+            assert betti(pair.complex[key], lo, hi) == betti(space, lo, hi), (key, lo, hi)
+
+
 def test_iso_check_guards_range():
     pair = t2_pair()
     with pytest.raises(TDualityError):
@@ -341,8 +374,6 @@ def test_dimension_threshold_is_sharp():
     # below the formal dimension the comparison genuinely fails: H^1(P) has the
     # two torus classes while H^0(dual) is just the constants
     pair = t2_pair()
-    from dgcalc.cohomology import betti
-
     assert betti(pair.p, 1, 1)[1] == 2
     assert betti(pair.pbar, 0, 0)[0] == 1
 
