@@ -41,6 +41,7 @@ from .symmetries import (
     e6_pairing,
     e6_six_form_action,
     e6_three_form_action,
+    form_parts,
     is_selfdual_fixed,
     is_symmetry,
     selfdual_fixed_part,
@@ -457,15 +458,9 @@ def _structured_samples(bundle, rng):
 
 def _symmetry_actors(bundle, limit=3):
     """Degree-0 structured members found among closed basis forms."""
-    base = bundle.base
     actors = []
-    keys = {
-        "two_step": (("a", 1), ("b", 2), ("abar", 1)),
-        "line": (("b", bundle.total.generator_named(bundle.fiber_names[0]).degree),),
-        "flux": (("a3", 3), ("b6", 6)),
-    }[bundle.shape]
-    for key, degree in keys:
-        for el in _closed_basis_forms(base, degree, limit=6):
+    for key, degree in form_parts(bundle, 0):
+        for el in _closed_basis_forms(bundle.base, degree, limit=6):
             candidate = symmetry(bundle, 0, **{key: el})
             if is_symmetry(candidate):
                 actors.append(candidate)

@@ -24,10 +24,10 @@ from typing import Dict, List, Optional, Tuple
 from .cohomology import validate_formal_dimension
 from .derivations import BundleError, Derivation, DgBundle
 from .graded import Element, GradedError, Model
-from .symmetries import SymElement, SymmetryError, symmetry
+from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
 
 STRUCTURAL_KEYS = ("F", "Fbar", "H", "Theta", "F4", "F7")
-SYM_KEYS = ("a", "b", "abar", "f", "c", "fbar", "h", "s2", "s5", "eta1", "c4", "d3", "a3", "b6", "eta")
+SYM_KEYS = PART_NAMES
 
 
 class ModelFileError(Exception):
@@ -445,7 +445,10 @@ def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: in
     for clause, ccol in _clauses(spec, spec_col):
         key, value, offset = _split_decl(clause, "=", "sym", line, col)
         if key == "deg":
-            degree = int(value)
+            try:
+                degree = int(value)
+            except ValueError:
+                raise ModelFileError("syntax", line, ccol + offset, f"bad degree {value!r}")
         elif key == "X":
             if value not in out.vectors:
                 raise ModelFileError("unknown-generator", line, col, f"unknown vec {value!r}")

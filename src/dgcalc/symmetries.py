@@ -7,6 +7,10 @@ user-chosen degree -1 base derivations; the Lie derivative is [d, iota] and
 the vector-field bracket is [[d, iota_X], iota_Y], so every displayed
 formula is computable inside a CDGA model.
 
+Which form parts a symmetry has in each degree, and where they sit in the
+fiber values, is one table, SHAPES; construction, decomposition, the
+membership residues and the degree-0 ansatz all read it.
+
 Derived brackets are always computed from the defining double commutator
 (-1)^{||a||} [[Q, a], b]; the displayed structured formulas live next to the
 operations and the two routes are compared whenever a display exists.
@@ -62,10 +66,6 @@ def _as_base(bundle: DgBundle, value, degree: int) -> Element:
     if not value.is_zero() and value.degree() != degree:
         raise SymmetryError(f"part must be homogeneous of degree {degree}")
     return value
-
-
-def _zero_iota(bundle: DgBundle) -> Derivation:
-    return Derivation.zero(bundle.base, -1)
 
 
 # -- structured elements ------------------------------------------------------
@@ -140,29 +140,100 @@ def _underlying(a) -> SymElement:
     return a.underlying if isinstance(a, DerivedElement) else a
 
 
-def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
-    """Structured symmetry constructor; accepted parts depend on shape and degree.
+# -- the shape table ------------------------------------------------------------
 
-    two_step: deg 0 (iota|lie, a, b, abar), -1 (iota, f, c, fbar), -2 (h)
-    line (fiber degree n): deg 0 (iota|lie, b), -1 (iota, a), lower (eta)
-    flux: deg 0 (iota|lie, a3, b6), -1 (iota, s2, s5), -2 (eta1, c4),
-          -3 (f, d3), lower (h)
-    """
-    maker = _MAKERS.get(bundle.shape)
-    if maker is None:
+LOWER = "lower"
+
+# For each shape, each degree k of a structured symmetry (LOWER: every degree
+# below the listed ones) names its form parts by fiber slot, as the triple
+# (q-slot, t-slot, q.t-slot).  The symmetry sends q to its q-slot part and t to
+# its t-slot part plus q times its q.t-slot part, so these are base forms of
+# degree |q| + k, |t| + k and |t| - |q| + k.  A Fraction c in the q.t slot is
+# no free part: it couples t to q * x * c, where x is the q-slot part.
+SHAPES = {
+    "two_step": {
+        0: ("a", "b", "abar"),
+        -1: ("f", "c", "fbar"),
+        -2: (None, "h", None),
+        LOWER: (None, None, None),
+    },
+    "line": {0: (None, "b", None), -1: (None, "a", None), LOWER: (None, "eta", None)},
+    "flux": {
+        0: ("a3", "b6", Fraction(-1, 2)),
+        -1: ("s2", "s5", Fraction(1, 2)),
+        -2: ("eta1", "c4", Fraction(-1, 2)),
+        -3: ("f", "d3", Fraction(1, 2)),
+        LOWER: (None, "h", None),
+    },
+}
+
+# the vector part: degree 0 takes a contraction iota or the base action lie
+# itself, degree -1 the contraction; decompose reads back the last one
+VECTOR_PARTS = {0: ("iota", "lie"), -1: ("iota",)}
+
+PART_NAMES = frozenset(
+    name for rows in SHAPES.values() for row in rows.values() for name in row if isinstance(name, str)
+)
+
+
+def _row(bundle: DgBundle, degree: int):
+    rows = SHAPES.get(bundle.shape)
+    if rows is None:
         raise SymmetryError(f"no structured symmetries for shape {bundle.shape}")
-    return maker(bundle, degree, {k: v for k, v in parts.items() if v is not None})
+    if degree > 0:
+        raise SymmetryError(f"{bundle.shape} symmetries live in degrees <= 0, got {degree}")
+    return rows.get(degree, rows[LOWER])
 
 
-def _take(parts: Dict, allowed):
-    extra = set(parts) - set(allowed)
+def _fibers(bundle: DgBundle) -> Tuple[Optional[str], str]:
+    """(q, t): the fiber names; a single line has no q."""
+    names = bundle.fiber_names
+    return (names[0] if len(names) > 1 else None), names[-1]
+
+
+def form_parts(bundle: DgBundle, degree: int):
+    """[(name, base degree)] of the free form parts in this degree, in slot order."""
+    q, t = _fibers(bundle)
+    dq = bundle.total.generator_named(q).degree if q else 0
+    dt = bundle.total.generator_named(t).degree
+    slots = zip(_row(bundle, degree), (dq, dt, dt - dq))
+    return [(name, d + degree) for name, d in slots if isinstance(name, str)]
+
+
+# -- construction and decomposition ---------------------------------------------
+
+
+def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
+    """Structured symmetry from its vector part and its form parts.
+
+    The form parts accepted in each degree are the names in the shape's row of
+    SHAPES, plus the vector parts of VECTOR_PARTS; a part left out is zero.
+    """
+    row = _row(bundle, degree)
+    forms = form_parts(bundle, degree)
+    parts = {k: v for k, v in parts.items() if v is not None}
+    allowed = {name for name, _ in forms}.union(VECTOR_PARTS.get(degree, ()))
+    extra = set(parts) - allowed
     if extra:
         raise SymmetryError(f"unexpected parts {sorted(extra)}; allowed {sorted(allowed)}")
+    out = {}
+    vector = None
+    if degree == 0:
+        out["iota"], out["lie"] = _base_action(bundle, parts)
+        vector = out["lie"]
+    elif degree == -1:
+        vector = out["iota"] = parts.get("iota") or Derivation.zero(bundle.base, -1)
+    for name, deg in forms:
+        out[name] = _as_base(bundle, parts.get(name), deg)
+    realized = Derivation(bundle.total, degree, _fiber_values(bundle, row, out))
+    if vector is not None:
+        realized = lift_to_total(bundle, vector) + realized
+    return SymElement(bundle, degree, out, realized)
 
 
 def _base_action(bundle: DgBundle, parts: Dict) -> Tuple[Derivation, Derivation]:
     """(iota, lie): the chosen contraction and the induced degree-0 base action."""
-    iota = parts.get("iota") or _zero_iota(bundle)
+    iota = parts.get("iota") or Derivation.zero(bundle.base, -1)
     lie = parts.get("lie")
     if lie is None:
         lie = lie_derivative(bundle.base, iota)
@@ -171,140 +242,21 @@ def _base_action(bundle: DgBundle, parts: Dict) -> Tuple[Derivation, Derivation]
     return iota, lie
 
 
-def _make_two_step(bundle: DgBundle, degree: int, parts: Dict) -> SymElement:
-    q, t = bundle.q_name, bundle.t_name
-    if degree == 0:
-        _take(parts, {"iota", "lie", "a", "b", "abar"})
-        iota, lie = _base_action(bundle, parts)
-        a = _as_base(bundle, parts.get("a"), 1)
-        b = _as_base(bundle, parts.get("b"), 2)
-        abar = _as_base(bundle, parts.get("abar"), 1)
-        realized = lift_to_total(bundle, lie) + Derivation(
-            bundle.total,
-            0,
-            {
-                q: bundle.include_base(a),
-                t: bundle.include_base(b) + bundle.total.gen(q) * bundle.include_base(abar),
-            },
-        )
-        return SymElement(
-            bundle, 0, {"iota": iota, "lie": lie, "a": a, "b": b, "abar": abar}, realized
-        )
-    if degree == -1:
-        _take(parts, {"iota", "f", "c", "fbar"})
-        iota = parts.get("iota") or _zero_iota(bundle)
-        f = _as_base(bundle, parts.get("f"), 0)
-        c = _as_base(bundle, parts.get("c"), 1)
-        fbar = _as_base(bundle, parts.get("fbar"), 0)
-        realized = lift_to_total(bundle, iota) + Derivation(
-            bundle.total,
-            -1,
-            {
-                q: bundle.include_base(f),
-                t: bundle.include_base(c) + bundle.total.gen(q) * bundle.include_base(fbar),
-            },
-        )
-        return SymElement(bundle, -1, {"iota": iota, "f": f, "c": c, "fbar": fbar}, realized)
-    if degree == -2:
-        _take(parts, {"h"})
-        h = _as_base(bundle, parts.get("h"), 0)
-        realized = Derivation(bundle.total, -2, {t: bundle.include_base(h)})
-        return SymElement(bundle, -2, {"h": h}, realized)
-    if degree < -2:
-        _take(parts, set())
-        return SymElement(bundle, degree, {}, Derivation.zero(bundle.total, degree))
-    raise SymmetryError(f"two-step symmetries live in degrees <= 0, got {degree}")
-
-
-def _make_line(bundle: DgBundle, degree: int, parts: Dict) -> SymElement:
-    t = bundle.fiber_names[0]
-    n = bundle.total.generator_named(t).degree
-    if degree == 0:
-        _take(parts, {"iota", "lie", "b"})
-        iota, lie = _base_action(bundle, parts)
-        b = _as_base(bundle, parts.get("b"), n)
-        realized = lift_to_total(bundle, lie) + Derivation(
-            bundle.total, 0, {t: bundle.include_base(b)}
-        )
-        return SymElement(bundle, 0, {"iota": iota, "lie": lie, "b": b}, realized)
-    if degree == -1:
-        _take(parts, {"iota", "a"})
-        iota = parts.get("iota") or _zero_iota(bundle)
-        a = _as_base(bundle, parts.get("a"), n - 1)
-        realized = lift_to_total(bundle, iota) + Derivation(
-            bundle.total, -1, {t: bundle.include_base(a)}
-        )
-        return SymElement(bundle, -1, {"iota": iota, "a": a}, realized)
-    if degree < -1:
-        _take(parts, {"eta"})
-        eta = _as_base(bundle, parts.get("eta"), n + degree)
-        realized = Derivation(bundle.total, degree, {t: bundle.include_base(eta)})
-        return SymElement(bundle, degree, {"eta": eta}, realized)
-    raise SymmetryError(f"line symmetries live in degrees <= 0, got {degree}")
-
-
-def _flux_fiber_value(bundle, primary: Element, coupled: Element, sign: int) -> Element:
-    return bundle.include_base(primary) + bundle.total.gen(bundle.q_name) * bundle.include_base(
-        coupled
-    ) * Fraction(sign, 2)
-
-
-def _make_flux(bundle: DgBundle, degree: int, parts: Dict) -> SymElement:
-    q, t = bundle.q_name, bundle.t_name
-    if degree == 0:
-        _take(parts, {"iota", "lie", "a3", "b6"})
-        iota, lie = _base_action(bundle, parts)
-        a3 = _as_base(bundle, parts.get("a3"), 3)
-        b6 = _as_base(bundle, parts.get("b6"), 6)
-        realized = lift_to_total(bundle, lie) + Derivation(
-            bundle.total,
-            0,
-            {q: bundle.include_base(a3), t: _flux_fiber_value(bundle, b6, a3, -1)},
-        )
-        return SymElement(bundle, 0, {"iota": iota, "lie": lie, "a3": a3, "b6": b6}, realized)
-    if degree == -1:
-        _take(parts, {"iota", "s2", "s5"})
-        iota = parts.get("iota") or _zero_iota(bundle)
-        s2 = _as_base(bundle, parts.get("s2"), 2)
-        s5 = _as_base(bundle, parts.get("s5"), 5)
-        realized = lift_to_total(bundle, iota) + Derivation(
-            bundle.total,
-            -1,
-            {q: bundle.include_base(s2), t: _flux_fiber_value(bundle, s5, s2, 1)},
-        )
-        return SymElement(bundle, -1, {"iota": iota, "s2": s2, "s5": s5}, realized)
-    if degree == -2:
-        _take(parts, {"eta1", "c4"})
-        eta1 = _as_base(bundle, parts.get("eta1"), 1)
-        c4 = _as_base(bundle, parts.get("c4"), 4)
-        realized = Derivation(
-            bundle.total,
-            -2,
-            {q: bundle.include_base(eta1), t: _flux_fiber_value(bundle, c4, eta1, -1)},
-        )
-        return SymElement(bundle, -2, {"eta1": eta1, "c4": c4}, realized)
-    if degree == -3:
-        _take(parts, {"f", "d3"})
-        f = _as_base(bundle, parts.get("f"), 0)
-        d3 = _as_base(bundle, parts.get("d3"), 3)
-        realized = Derivation(
-            bundle.total,
-            -3,
-            {q: bundle.include_base(f), t: _flux_fiber_value(bundle, d3, f, 1)},
-        )
-        return SymElement(bundle, -3, {"f": f, "d3": d3}, realized)
-    if degree < -3:
-        _take(parts, {"h"})
-        h = _as_base(bundle, parts.get("h"), 6 + degree)
-        realized = Derivation(bundle.total, degree, {t: bundle.include_base(h)})
-        return SymElement(bundle, degree, {"h": h}, realized)
-    raise SymmetryError(f"flux symmetries live in degrees <= 0, got {degree}")
-
-
-_MAKERS = {"two_step": _make_two_step, "line": _make_line, "flux": _make_flux}
-
-
-# -- decomposition -------------------------------------------------------------
+def _fiber_values(bundle: DgBundle, row, parts: Dict) -> Dict[str, Element]:
+    """The symmetry's values on q and t, from the parts named in the row."""
+    q, t = _fibers(bundle)
+    q_slot, t_slot, qt_slot = row
+    total, include = bundle.total, bundle.include_base
+    values = {}
+    if q_slot:
+        values[q] = include(parts[q_slot])
+    value = include(parts[t_slot]) if t_slot else total.zero()
+    if isinstance(qt_slot, str):
+        value = value + total.gen(q) * include(parts[qt_slot])
+    elif qt_slot:
+        value = value + total.gen(q) * include(parts[q_slot]) * qt_slot
+    values[t] = value
+    return values
 
 
 def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
@@ -340,68 +292,41 @@ def _fiber_split(bundle: DgBundle, value: Element, fiber: str):
     return bundle.restrict_to_base(zero), left
 
 
+def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
+    """(q-slot, t-slot, q.t-slot) base forms of d's fiber values; zero without a q."""
+    q, t = _fibers(bundle)
+    if q is None:
+        value = d.value(t)
+        if not bundle.is_base_valued(value):
+            raise SymmetryError("fiber value must be a base form")
+        return bundle.base.zero(), bundle.restrict_to_base(value), bundle.base.zero()
+    q_val = d.value(q)
+    if not bundle.is_base_valued(q_val):
+        raise SymmetryError("value on the odd fiber must be a base form")
+    plain, linear = _fiber_split(bundle, d.value(t), q)
+    return bundle.restrict_to_base(q_val), plain, linear
+
+
 def decompose(bundle: DgBundle, d: Derivation) -> SymElement:
     """Read the structured parts off a derivation; rejects anything outside them."""
     if d.model is not bundle.total:
         raise SymmetryError("derivation lives on a different bundle")
     base = _base_part(bundle, d)
-    if bundle.shape == "two_step":
-        q, t = bundle.q_name, bundle.t_name
-        q_val = d.value(q)
-        if not bundle.is_base_valued(q_val):
-            raise SymmetryError("value on the odd fiber must be a base form")
-        plain, linear = _fiber_split(bundle, d.value(t), q)
-        primary = bundle.restrict_to_base(q_val)
-        if d.degree == 0:
-            return symmetry(bundle, 0, lie=base, a=primary, b=plain, abar=linear)
-        if d.degree == -1:
-            return symmetry(bundle, -1, iota=base, f=primary, c=plain, fbar=linear)
-        if d.degree == -2:
-            _expect_zero(base, primary, linear)
-            return symmetry(bundle, -2, h=plain)
-        _expect_zero(base, primary, plain, linear)
-        return symmetry(bundle, d.degree)
-    if bundle.shape == "line":
-        t = bundle.fiber_names[0]
-        value = d.value(t)
-        if not bundle.is_base_valued(value):
-            raise SymmetryError("fiber value must be a base form")
-        v = bundle.restrict_to_base(value)
-        if d.degree == 0:
-            return symmetry(bundle, 0, lie=base, b=v)
-        if d.degree == -1:
-            return symmetry(bundle, -1, iota=base, a=v)
-        _expect_zero(base)
-        return symmetry(bundle, d.degree, eta=v)
-    if bundle.shape == "flux":
-        q, t = bundle.q_name, bundle.t_name
-        q_val = d.value(q)
-        if not bundle.is_base_valued(q_val):
-            raise SymmetryError("value on the odd fiber must be a base form")
-        primary = bundle.restrict_to_base(q_val)
-        plain, linear = _fiber_split(bundle, d.value(t), q)
-        sign = -1 if d.degree % 2 == 0 else 1
-        if not (linear - primary * Fraction(sign, 2)).is_zero():
+    q_slot, t_slot, qt_slot = _row(bundle, d.degree)
+    primary, plain, linear = _fiber_parts(bundle, d)
+    found = [(VECTOR_PARTS.get(d.degree, (None,))[-1], base), (q_slot, primary), (t_slot, plain)]
+    if isinstance(qt_slot, Fraction):
+        if not (linear - primary * qt_slot).is_zero():
             raise SymmetryError("fiber coupling violates the half-curvature shape")
-        if d.degree == 0:
-            return symmetry(bundle, 0, lie=base, a3=primary, b6=plain)
-        if d.degree == -1:
-            return symmetry(bundle, -1, iota=base, s2=primary, s5=plain)
-        if d.degree == -2:
-            _expect_zero(base)
-            return symmetry(bundle, -2, eta1=primary, c4=plain)
-        if d.degree == -3:
-            _expect_zero(base)
-            return symmetry(bundle, -3, f=primary, d3=plain)
-        _expect_zero(base, primary)
-        return symmetry(bundle, d.degree, h=plain)
-    raise SymmetryError(f"no structured symmetries for shape {bundle.shape}")
-
-
-def _expect_zero(*items):
-    for item in items:
-        if _nonzero(item):
+    else:
+        found.append((qt_slot, linear))
+    parts = {}
+    for name, value in found:
+        if name:
+            parts[name] = value
+        elif _nonzero(value):
             raise SymmetryError("derivation has parts outside the structured shape")
+    return symmetry(bundle, d.degree, **parts)
 
 
 # -- the differential and brackets --------------------------------------------
@@ -535,9 +460,10 @@ def sym0_action_residue(
 def symmetry_residues(a: SymElement) -> Dict[str, Element]:
     """Obstructions for a degree-0 element to commute with Q, as base forms.
 
-    For the two-step shape the keys are the three structural equations:
-    'curvature' for dA - L_X F, 'twist' for dB - L_X H + F Abar - A Fbar,
-    'dual_curvature' for dAbar + L_X Fbar.
+    One key per slot the shape's degree-0 row fills: 'curvature' (q-slot),
+    'twist' (t-slot) and, negated, 'dual_curvature' (q.t-slot).  For the
+    two-step shape these are its three structural equations: dA - L_X F,
+    dB - L_X H + F Abar - A Fbar and dAbar + L_X Fbar.
     """
     if a.degree != 0:
         raise SymmetryError("membership residues are defined for degree 0")
@@ -546,23 +472,9 @@ def symmetry_residues(a: SymElement) -> Dict[str, Element]:
     for g in bundle.base.generators:
         if not bracket.value(g.name).is_zero():
             raise SymmetryError("degree-0 bracket acted on base generators")
-    if bundle.shape == "two_step":
-        plain, linear = _fiber_split(bundle, bracket.value(bundle.t_name), bundle.q_name)
-        return {
-            "curvature": bundle.restrict_to_base(bracket.value(bundle.q_name)),
-            "twist": plain,
-            "dual_curvature": -linear,
-        }
-    if bundle.shape == "line":
-        t = bundle.fiber_names[0]
-        return {"twist": bundle.restrict_to_base(bracket.value(t))}
-    if bundle.shape == "flux":
-        plain, linear = _fiber_split(bundle, bracket.value(bundle.t_name), bundle.q_name)
-        return {
-            "curvature": bundle.restrict_to_base(bracket.value(bundle.q_name)),
-            "twist": plain,
-        }
-    raise SymmetryError(f"no residue layout for shape {bundle.shape}")
+    primary, plain, linear = _fiber_parts(bundle, bracket)
+    keys = zip(("curvature", "twist", "dual_curvature"), _row(bundle, 0), (primary, plain, -linear))
+    return {key: value for key, name, value in keys if isinstance(name, str)}
 
 
 def is_symmetry(a: SymElement) -> bool:
@@ -602,49 +514,34 @@ def _structured_parameters(bundle: DgBundle):
         for m in base.basis(g.degree - 1):
             iota = Derivation(base, -1, {g.name: base.monomial_element(m)})
             params.append(symmetry(bundle, 0, iota=iota))
-    if bundle.shape == "two_step":
-        degrees = {"a": 1, "b": 2, "abar": 1}
-    elif bundle.shape == "line":
-        degrees = {"b": bundle.total.generator_named(bundle.fiber_names[0]).degree}
-    elif bundle.shape == "flux":
-        degrees = {"a3": 3, "b6": 6}
-    else:
-        raise SymmetryError(f"no ansatz for shape {bundle.shape}")
-    for key, deg in degrees.items():
+    for key, deg in form_parts(bundle, 0):
         for m in base.basis(deg):
             params.append(symmetry(bundle, 0, **{key: base.monomial_element(m)}))
     return params
 
 
 def _structured_kernel_dim(bundle: DgBundle) -> int:
-    params = _structured_parameters(bundle)
-    if not params:
-        return 0
+    """Dimension of the derivations that the structured solutions realize.
+
+    Row i holds [Q, p_i] and then p_i itself, in coordinates, for the n
+    one-hot parameters p_i.  The solutions c of sum c_i [Q, p_i] = 0 form a
+    space of dimension n - rank(residue rows), those that also realize zero
+    one of dimension n - rank(all rows); the difference is the dimension of
+    what the solutions realize.
+    """
     total = bundle.total
     residue_bases = {g.name: total.basis(g.degree + 1) for g in total.generators}
     value_bases = {g.name: total.basis(g.degree) for g in total.generators}
-    constraint_rows = []
-    realization_rows = []
-    for p in params:
+    residues, rows = [], []
+    for p in _structured_parameters(bundle):
         bracket = commutator(bundle.q, p.realized)
-        res = []
-        val = []
+        res, val = [], []
         for g in total.generators:
             res.extend(coordinates(bracket.value(g.name), residue_bases[g.name]))
             val.extend(coordinates(p.realized.value(g.name), value_bases[g.name]))
-        constraint_rows.append(res)
-        realization_rows.append(val)
-    ncols = len(constraint_rows[0])
-    constraint = [[row[i] for row in constraint_rows] for i in range(ncols)]
-    solutions = linalg.kernel_basis(constraint, len(params))
-    realized = []
-    for sol in solutions:
-        vec = [Fraction(0)] * len(realization_rows[0])
-        for c, row in zip(sol, realization_rows):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
-        realized.append(vec)
-    return linalg.rank(realized)
+        residues.append(res)
+        rows.append(res + val)
+    return linalg.rank(rows) - linalg.rank(residues)
 
 
 # -- the symmetry isomorphism of dual pairs ------------------------------------
@@ -705,64 +602,6 @@ def courant_embed(bundle: DgBundle, iota=None, f=0, c=None, fbar=0) -> SymElemen
     if bundle.shape != "two_step":
         raise SymmetryError("the Courant translation lives on two-step bundles")
     return symmetry(bundle, -1, iota=iota, f=f, c=c, fbar=fbar)
-
-
-def courant_reference_bracket(bundle: DgBundle, a: SymElement, b: SymElement) -> SymElement:
-    """The twisted Courant-Dorfman bracket computed on the circle-bundle model.
-
-    Works entirely on the single-odd-fiber bundle E (base extended by q
-    alone), treating C + q fbar as an invariant form on E and (X, f) as the
-    invariant field iota_X + f d/dq; the two-step bundle never enters the
-    computation, which makes this an independent oracle for the embedding.
-    """
-    base = bundle.base
-    e_bundle = DgBundle.line(base, bundle.structural["F"], bundle.q_name, 1)
-    etotal = e_bundle.total
-
-    def invariant_field(s: SymElement) -> Derivation:
-        iota = s.part("iota")
-        values = {}
-        for g in base.generators:
-            v = iota.value(g.name)
-            if not v.is_zero():
-                values[g.name] = e_bundle.include_base(v)
-        fv = s.part("f")
-        if not fv.is_zero():
-            values[bundle.q_name] = e_bundle.include_base(fv)
-        return Derivation(etotal, -1, values)
-
-    def invariant_form(s: SymElement) -> Element:
-        return e_bundle.include_base(s.part("c")) + etotal.gen(
-            bundle.q_name
-        ) * e_bundle.include_base(s.part("fbar"))
-
-    a_field, b_field = invariant_field(a), invariant_field(b)
-    eta = e_bundle.include_base(bundle.structural["H"]) + etotal.gen(
-        bundle.q_name
-    ) * e_bundle.include_base(bundle.structural["Fbar"])
-    # vector-plus-function slot: the derived bracket on the circle model
-    vf = commutator(commutator(e_bundle.q, a_field), b_field)
-    # form slot: L^E_a(w_b) - b(Q_E w_a) - b(a(eta))
-    lie_a = commutator(e_bundle.q, a_field)
-    form = (
-        lie_a(invariant_form(b))
-        - b_field(e_bundle.q(invariant_form(a)))
-        - b_field(a_field(eta))
-    )
-    iota_values = {}
-    for g in base.generators:
-        v = vf.value(g.name)
-        if not v.is_zero():
-            iota_values[g.name] = e_bundle.restrict_to_base(v)
-    coeffs = e_bundle.fiber_coefficients(form, bundle.q_name)
-    return symmetry(
-        bundle,
-        -1,
-        iota=Derivation(base, -1, iota_values),
-        f=e_bundle.restrict_to_base(vf.value(bundle.q_name)),
-        c=e_bundle.restrict_to_base(coeffs.get(0, etotal.zero())),
-        fbar=e_bundle.restrict_to_base(coeffs.get(1, etotal.zero())),
-    )
 
 
 # -- the B-type structure --------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Independent oracles for the exact linear algebra, the monomial core and the
-ranks of the long exact sequence; tests only."""
+"""Independent oracles for the exact linear algebra, the monomial core, the
+ranks of the long exact sequence and the structured symmetries; tests only."""
 
+from fractions import Fraction
 from math import gcd
 
 from dgcalc.cohomology import CochainSpace, coordinates
-from dgcalc.derivations import DgBundle, model_differential
+from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
 from dgcalc.graded import Element, Monomial
-from dgcalc.linalg import kernel_basis
+from dgcalc.linalg import kernel_basis, rank
+from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
 
 
 def _integer_rows(rows):
@@ -147,3 +149,97 @@ def les_node_ranks(pair, k):
     ]
     rank_beta = induced_rank(connected, boundary_vectors(pair.base, k + 1))
     return rank_i, rank_t, rank_beta
+
+
+def structured_kernel_dim(bundle):
+    """Dimension of the degree-0 structured solutions, realized one by one.
+
+    Solves [Q, sum c_i p_i] = 0 over the one-hot parameters p_i for a kernel
+    basis, sums each solution's realized derivations as coordinate vectors and
+    takes the rank of those sums.
+    """
+    params = _structured_parameters(bundle)
+    if not params:
+        return 0
+    total = bundle.total
+    residue_bases = {g.name: total.basis(g.degree + 1) for g in total.generators}
+    value_bases = {g.name: total.basis(g.degree) for g in total.generators}
+    constraint_rows = []
+    realization_rows = []
+    for p in params:
+        bracket = commutator(bundle.q, p.realized)
+        res = []
+        val = []
+        for g in total.generators:
+            res.extend(coordinates(bracket.value(g.name), residue_bases[g.name]))
+            val.extend(coordinates(p.realized.value(g.name), value_bases[g.name]))
+        constraint_rows.append(res)
+        realization_rows.append(val)
+    ncols = len(constraint_rows[0])
+    constraint = [[row[i] for row in constraint_rows] for i in range(ncols)]
+    realized = []
+    for sol in kernel_basis(constraint, len(params)):
+        vec = [Fraction(0)] * len(realization_rows[0])
+        for c, row in zip(sol, realization_rows):
+            if c:
+                vec = [x + c * y for x, y in zip(vec, row)]
+        realized.append(vec)
+    return rank(realized)
+
+
+def courant_reference_bracket(bundle: DgBundle, a: SymElement, b: SymElement) -> SymElement:
+    """The twisted Courant-Dorfman bracket computed on the circle-bundle model.
+
+    Works entirely on the single-odd-fiber bundle E (base extended by q
+    alone), treating C + q fbar as an invariant form on E and (X, f) as the
+    invariant field iota_X + f d/dq; the two-step bundle never enters the
+    computation, which makes this an independent oracle for the embedding.
+    """
+    base = bundle.base
+    e_bundle = DgBundle.line(base, bundle.structural["F"], bundle.q_name, 1)
+    etotal = e_bundle.total
+
+    def invariant_field(s: SymElement) -> Derivation:
+        iota = s.part("iota")
+        values = {}
+        for g in base.generators:
+            v = iota.value(g.name)
+            if not v.is_zero():
+                values[g.name] = e_bundle.include_base(v)
+        fv = s.part("f")
+        if not fv.is_zero():
+            values[bundle.q_name] = e_bundle.include_base(fv)
+        return Derivation(etotal, -1, values)
+
+    def invariant_form(s: SymElement) -> Element:
+        return e_bundle.include_base(s.part("c")) + etotal.gen(
+            bundle.q_name
+        ) * e_bundle.include_base(s.part("fbar"))
+
+    a_field, b_field = invariant_field(a), invariant_field(b)
+    eta = e_bundle.include_base(bundle.structural["H"]) + etotal.gen(
+        bundle.q_name
+    ) * e_bundle.include_base(bundle.structural["Fbar"])
+    # vector-plus-function slot: the derived bracket on the circle model
+    vf = commutator(commutator(e_bundle.q, a_field), b_field)
+    # form slot: L^E_a(w_b) - b(Q_E w_a) - b(a(eta))
+    lie_a = commutator(e_bundle.q, a_field)
+    form = (
+        lie_a(invariant_form(b))
+        - b_field(e_bundle.q(invariant_form(a)))
+        - b_field(a_field(eta))
+    )
+    iota_values = {}
+    for g in base.generators:
+        v = vf.value(g.name)
+        if not v.is_zero():
+            iota_values[g.name] = e_bundle.restrict_to_base(v)
+    coeffs = e_bundle.fiber_coefficients(form, bundle.q_name)
+    return symmetry(
+        bundle,
+        -1,
+        iota=Derivation(base, -1, iota_values),
+        f=e_bundle.restrict_to_base(vf.value(bundle.q_name)),
+        c=e_bundle.restrict_to_base(coeffs.get(0, etotal.zero())),
+        fbar=e_bundle.restrict_to_base(coeffs.get(1, etotal.zero())),
+    )

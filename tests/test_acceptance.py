@@ -23,7 +23,6 @@ from dgcalc.symmetries import (
     bn_pairing,
     bn_two_form_action,
     courant_embed,
-    courant_reference_bracket,
     derived_bracket,
     derived_jacobi_residue,
     derived_leibniz_residue,
@@ -46,6 +45,7 @@ from dgcalc.tduality import (
     tduality_chain_map,
     tduality_iso_check,
 )
+from oracles import courant_reference_bracket
 
 FROZEN_CHAIN_SIGN = 1
 

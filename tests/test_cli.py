@@ -116,6 +116,15 @@ def test_validate_rejects_mc_failure(capsys):
     assert "maurer-cartan" in err
 
 
+def test_non_integer_sym_degree_is_a_syntax_error(tmp_path, capsys):
+    model = tmp_path / "sym_deg.dgm"
+    model.write_text((MODELS / "nil_pair.dgm").read_text().replace("deg = -1", "deg = one", 1))
+    code, out, err = run(capsys, "validate", str(model))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 18, col 15: syntax: bad degree 'one'\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "mc-check"])
 def test_structural_form_of_wrong_degree_is_a_degree_error(command, tmp_path, capsys):
     model = tmp_path / "mc_degree.dgm"

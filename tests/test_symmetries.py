@@ -17,7 +17,6 @@ from dgcalc.symmetries import (
     bn_pairing,
     bn_two_form_action,
     courant_embed,
-    courant_reference_bracket,
     decompose,
     derived_bracket,
     derived_jacobi_residue,
@@ -42,6 +41,7 @@ from dgcalc.symmetries import (
     vector_bracket,
 )
 from dgcalc.tduality import dualize
+from oracles import courant_reference_bracket
 
 
 # -- bundles under test -------------------------------------------------------
