@@ -238,11 +238,19 @@ class Element:
         return Element._trusted(self.model, {m: v / c for m, v in self.terms.items()})
 
     def __pow__(self, n: int):
+        """Repeated squaring; once a square vanishes, so does every higher power."""
         if n < 0:
             raise GradedError("negative powers are not defined")
         out = self.model.one()
-        for _ in range(n):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
+                if not square.terms:
+                    return square
         return out
 
     def __eq__(self, other):

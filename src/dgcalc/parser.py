@@ -442,8 +442,12 @@ def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) ->
 def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: int) -> SymElement:
     degree = None
     parts: Dict[str, object] = {}
+    seen = set()
     for clause, ccol in _clauses(spec, spec_col):
         key, value, offset = _split_decl(clause, "=", "sym", line, col)
+        if key in seen:
+            raise ModelFileError("syntax", line, ccol, f"repeated sym key {key!r}")
+        seen.add(key)
         if key == "deg":
             try:
                 degree = int(value)
@@ -451,12 +455,12 @@ def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: in
                 raise ModelFileError("syntax", line, ccol + offset, f"bad degree {value!r}")
         elif key == "X":
             if value not in out.vectors:
-                raise ModelFileError("unknown-generator", line, col, f"unknown vec {value!r}")
+                raise ModelFileError("unknown-generator", line, ccol + offset, f"unknown vec {value!r}")
             parts["iota"] = out.vectors[value]
         elif key in SYM_KEYS:
             parts[key] = parse_expression(value, out.bundle.base, line, ccol + offset)
         else:
-            raise ModelFileError("syntax", line, col, f"unknown sym key {key!r}")
+            raise ModelFileError("syntax", line, ccol, f"unknown sym key {key!r}")
     if degree is None:
         raise ModelFileError("syntax", line, col, "sym statements need deg = <int>")
     try:

@@ -1,57 +1,31 @@
 """T-dual pairs of two-step bundles and the degree -1 comparison map.
 
-The comparison map is built literally as pullback to the correspondence,
-the gauge exponential of qbar*q d/dt, and pushforward along q.  Its explicit
-action on normalized monomials is
+The paper builds the comparison map as pullback to the correspondence, the
+gauge exponential of qbar*q d/dt, and pushforward along q.  On normalized
+monomials (base generators first, then the fiber, then t) that composite is
 
     w t^j        ->  j w qbar t^{j-1}
-    w q t^l      ->  (-1)^{|w|} w t^l        (w a base form)
+    w q t^l      ->  w t^l                   (w a base form)
 
-which is inverted term by term to produce sections and the snake connecting
-map of the short exact sequence  0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.
+with sign +1 in the stored order: the fibre integral T = int e^{A ^ Ahat} of
+Bouwknegt-Evslin-Mathai in closed form.  `tmap` applies this rule to exponent
+tuples, and `section` inverts it term by term to produce sections and the
+snake connecting map of the short exact sequence
+0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import linalg
 from .cohomology import Complex, _total, betti, degree_cap, induced_rank, operator_matrix
-from .derivations import Derivation, DgBundle, exp_apply
-from .graded import Element, Model, Monomial
+from .derivations import Derivation, DgBundle
+from .graded import Element, _collect
 
 
 class TDualityError(Exception):
     pass
-
-
-def transport(el: Element, target: Model) -> Element:
-    """Rename-preserving move of an element between models sharing generators.
-
-    The shared generators must appear in the same relative order on both
-    sides, so no Koszul sign can arise.
-    """
-    source = el.model
-    mapping = []
-    for g in source.generators:
-        mapping.append(target.index.get(g.name))
-    shared = [t for t in mapping if t is not None]
-    if any(b >= a for a, b in zip(shared[1:], shared)):
-        raise TDualityError("generator order differs between models")
-    terms: Dict[Monomial, Fraction] = {}
-    for m, c in el.terms.items():
-        exps = [0] * len(target.generators)
-        for i, e in enumerate(m.exponents):
-            if not e:
-                continue
-            if mapping[i] is None:
-                raise TDualityError(
-                    f"element uses generator {source.generators[i].name!r} missing from target"
-                )
-            exps[mapping[i]] = e
-        terms[Monomial(tuple(exps))] = c
-    return Element(target, terms)
 
 
 def pushforward(bundle: DgBundle, el: Element) -> Element:
@@ -80,10 +54,11 @@ class TDualPair:
         self.p = p
         dual_fiber = "qbar" if p.q_name != "qbar" else "q"
         self.pbar = DgBundle.two_step(base, fbar, f, h, q=dual_fiber, t=p.t_name, name="dual")
+        self.dual_fiber = dual_fiber
+        self._fiber = self._check_layout()
         self.correspondence = DgBundle.correspondence(
             base, f, fbar, h, q=p.q_name, qbar=dual_fiber, t=p.t_name
         )
-        self.dual_fiber = dual_fiber
         # one cochain complex per space, shared by every cohomology check on the pair
         self.complex = {"base": Complex(base), "p": Complex(p), "pbar": Complex(self.pbar)}
         self._gauge = Derivation(
@@ -108,52 +83,67 @@ class TDualPair:
         if moved.value(corr.t_name) != twist:
             raise TDualityError("correspondence twists are not gauge equivalent")
 
+    def _check_layout(self) -> int:
+        """The index nb of the fiber; P and Pbar share one exponent layout.
+
+        Both totals list the base generators in base order, then the fiber
+        (q upstairs, qbar downstairs) at index nb and t at nb + 1, so the
+        closed-form map can move exponent tuples between them unchanged.
+        """
+        base = [(g.name, g.degree) for g in self.base.generators]
+        nb = len(base)
+        for bundle, fiber in ((self.p, self.p.q_name), (self.pbar, self.dual_fiber)):
+            layout = [(g.name, g.degree) for g in bundle.total.generators]
+            if layout != base + [(fiber, 1), (self.p.t_name, 2)]:
+                raise TDualityError(
+                    f"{bundle.name}: expected the base generators, then {fiber} : 1, "
+                    f"then {self.p.t_name} : 2"
+                )
+        return nb
+
     # -- the comparison map -------------------------------------------------
 
     def tmap(self, el: Element) -> Element:
-        """p_bar_* after the gauge exponential after pullback; degree -1."""
-        corr = self.correspondence
-        lifted = transport(el, corr.total)
-        gauged = exp_apply(self._gauge, lifted)
-        linear = corr.fiber_coefficients(gauged, self.p.q_name).get(1)
-        if linear is None:
-            return self.pbar.total.zero()
-        return transport(linear, self.pbar.total)
+        """The comparison map C(P) -> C(Pbar), degree -1, in closed form.
+
+        w q t^l -> w t^l and w t^j -> j w qbar t^{j-1} on exponent tuples; base
+        forms die.  The rule is injective on monomials, so no terms merge.
+        `tests/oracles.literal_tmap` pins it against the gauge-exponential path.
+        """
+        if el.model is not self.p.total:
+            raise TDualityError("expected an element of the bundle P")
+        i = self._fiber
+        out = {}
+        for m, c in el.terms.items():
+            exps = m.exponents
+            if exps[i]:
+                out[exps[:i] + (0,) + exps[i + 1 :]] = c
+            elif exps[i + 1]:
+                j = exps[i + 1]
+                out[exps[:i] + (1, j - 1)] = c * j
+        return _collect(self.pbar.total, out)
 
     def section(self, el: Element) -> Element:
-        """A preferred preimage of el under the comparison map."""
-        pbar = self.pbar
-        t_idx = pbar.total.index[pbar.t_name]
-        out = self.p.total.zero()
-        q_el = self.p.total.gen(self.p.q_name)
-        for k, coeff in pbar.fiber_coefficients(el, self.dual_fiber).items():
-            if k == 0:
-                # w t^l lifts to (-1)^{|w t^l|- even part: |w|} q w t^l
-                for m, c in coeff.terms.items():
-                    base_deg = sum(
-                        e * pbar.total.generators[i].degree
-                        for i, e in enumerate(m.exponents)
-                        if i != t_idx
-                    )
-                    sign = -1 if base_deg % 2 else 1
-                    lifted = transport(Element(pbar.total, {m: c}), self.p.total)
-                    out = out + sign * (q_el * lifted)
-            elif k == 1:
-                # w qbar t^i lifts to w t^{i+1} / (i+1)
-                for m, c in coeff.terms.items():
-                    exps = list(m.exponents)
-                    power = exps[t_idx] + 1
-                    exps[t_idx] = power
-                    bumped = transport(
-                        Element(pbar.total, {Monomial(tuple(exps)): c / power}), self.p.total
-                    )
-                    out = out + bumped
+        """The preferred preimage of el under the comparison map.
+
+        w qbar t^i -> w t^{i+1} / (i+1) and w t^l -> w q t^l, the inverse of
+        `tmap` term by term; the image is checked to map back onto el.
+        """
+        if el.model is not self.pbar.total:
+            raise TDualityError("expected an element of the dual bundle")
+        i = self._fiber
+        out = {}
+        for m, c in el.terms.items():
+            exps = m.exponents
+            if exps[i]:
+                power = exps[i + 1] + 1
+                out[exps[:i] + (0, power)] = c / power
             else:
-                raise TDualityError("unexpected fiber power in dual element")
-        check = self.tmap(out)
-        if check != el:
+                out[exps[:i] + (1,) + exps[i + 1 :]] = c
+        lifted = _collect(self.p.total, out)
+        if self.tmap(lifted) != el:
             raise TDualityError("section failed to invert the comparison map")
-        return out
+        return lifted
 
     def connecting(self, cocycle: Element) -> Element:
         """Snake connecting map: lift along the section and apply the upstairs field.

@@ -1,11 +1,12 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
-ranks of the long exact sequence and the structured symmetries; tests only."""
+ranks of the long exact sequence, the T-duality map and the structured
+symmetries; tests only."""
 
 from fractions import Fraction
 from math import gcd
 
 from dgcalc.cohomology import CochainSpace, coordinates
-from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
+from dgcalc.derivations import Derivation, DgBundle, commutator, exp_apply, model_differential
 from dgcalc.graded import Element, Monomial
 from dgcalc.linalg import kernel_basis, rank
 from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
@@ -149,6 +150,41 @@ def les_node_ranks(pair, k):
     ]
     rank_beta = induced_rank(connected, boundary_vectors(pair.base, k + 1))
     return rank_i, rank_t, rank_beta
+
+
+def transport(el, target):
+    """Move an element between models by generator name.
+
+    The shared generators must appear in the same relative order on both
+    sides, so no Koszul sign can arise.
+    """
+    source = el.model
+    mapping = [target.index.get(g.name) for g in source.generators]
+    shared = [t for t in mapping if t is not None]
+    if any(b >= a for a, b in zip(shared[1:], shared)):
+        raise ValueError("generator order differs between models")
+    terms = {}
+    for m, c in el.terms.items():
+        exps = [0] * len(target.generators)
+        for i, e in enumerate(m.exponents):
+            if not e:
+                continue
+            if mapping[i] is None:
+                raise ValueError(f"element uses generator {source.generators[i].name!r} missing from target")
+            exps[mapping[i]] = e
+        terms[Monomial(tuple(exps))] = c
+    return Element(target, terms)
+
+
+def literal_tmap(pair, el):
+    """T built as the paper builds it: pull back to the correspondence, apply the
+    gauge exponential of qbar*q d/dt, then integrate along q."""
+    corr = pair.correspondence
+    gauged = exp_apply(pair._gauge, transport(el, corr.total))
+    linear = corr.fiber_coefficients(gauged, pair.p.q_name).get(1)
+    if linear is None:
+        return pair.pbar.total.zero()
+    return transport(linear, pair.pbar.total)
 
 
 def structured_kernel_dim(bundle):

@@ -3,6 +3,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -123,6 +124,36 @@ def test_non_integer_sym_degree_is_a_syntax_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: line 18, col 15: syntax: bad degree 'one'\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, diagnostic",
+    [
+        ("fbar = 3", "fbar = 3, c = 2 x2", "col 51: syntax: repeated sym key 'c'"),
+        ("X = X,", "X = X, deg = -2,", "col 26: syntax: repeated sym key 'deg'"),
+        ("X = X,", "X = X, X = Y,", "col 26: syntax: repeated sym key 'X'"),
+        ("c = x2", "cc = x2", "col 33: syntax: unknown sym key 'cc'"),
+        ("X = X", "X = Z", "col 23: unknown-generator: unknown vec 'Z'"),
+    ],
+)
+def test_sym_clause_diagnostics_point_at_the_clause(old, new, diagnostic, tmp_path, capsys):
+    model = tmp_path / "sym_clause.dgm"
+    model.write_text((MODELS / "nil_pair.dgm").read_text().replace(old, new, 1))
+    code, out, err = run(capsys, "validate", str(model))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 18, {diagnostic}\n"
+
+
+@pytest.mark.parametrize("line", ["let h = b^9999999", "let h = a^200000"])
+def test_huge_power_validates_quickly(line, tmp_path, capsys):
+    model = tmp_path / "power.dgm"
+    model.write_text((MODELS / "s2_sphere.dgm").read_text() + line + "\n")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "validate", str(model))
+    assert code == 0
+    assert "validation: ok" in out
+    assert time.perf_counter() - started < 5
 
 
 @pytest.mark.parametrize("command", ["validate", "mc-check"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgcalc.graded import GradedError, Model, dimension_series, format_element
+from dgcalc.graded import Element, GradedError, Model, Monomial, dimension_series, format_element
 from dgcalc.sampling import random_element, random_inhomogeneous
 import random
 
@@ -180,3 +180,33 @@ def test_format_element_deterministic(t2):
     assert format_element(el) == "-th1 + 2*th1*th2"
     assert format_element(t2.zero()) == "0"
     assert format_element(t2.one()) == "1"
+
+
+def test_power_matches_repeated_multiplication(mixed):
+    rng = random.Random(4)
+    for _ in range(20):
+        a = random_inhomogeneous(mixed, [rng.randint(0, 3)], rng)
+        expected = mixed.one()
+        for n in range(7):
+            assert a**n == expected, n
+            expected = expected * a
+
+
+def test_power_squares_and_stops_at_zero(s2, monkeypatch):
+    products = []
+    mul = Element.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    a, b = s2.gen("a"), s2.gen("b")
+    assert a**200000 == s2.monomial_element(Monomial((200000, 0)))
+    assert len(products) <= 2 * (200000).bit_length()
+    products.clear()
+    assert (b**9999999).is_zero()
+    assert len(products) <= 2
+    assert b**0 == 1
+    with pytest.raises(GradedError):
+        a ** -1

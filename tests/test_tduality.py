@@ -1,13 +1,16 @@
 """Dual pairs, the comparison map, exact sequences, high-degree isomorphism."""
 
+import itertools
+import pathlib
 import random
 
 import pytest
 
 from dgcalc import presets
-from dgcalc.cohomology import CochainSpace, betti
+from dgcalc.cohomology import CochainSpace, betti, degree_cap
 from dgcalc.derivations import DgBundle
-from dgcalc.graded import Element, Monomial
+from dgcalc.graded import Element, GradedGenerator, Model, Monomial
+from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
 from dgcalc.tduality import (
     TDualityError,
@@ -19,10 +22,15 @@ from dgcalc.tduality import (
     ses_verify,
     tduality_chain_map,
     tduality_iso_check,
-    transport,
 )
 import oracles
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # without the dev extra only the generated-pair property test is left out
+    st = None
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 FROZEN_SIGN = 1  # intertwining sign of T under this package's conventions
 
 
@@ -221,12 +229,91 @@ def test_tmap_chain_sign_frozen():
 
 
 def test_section_inverts_tmap():
-    pair = hopf_pair()
-    rng = random.Random(32)
-    for k in range(1, 7):
-        for m in pair.pbar.total.basis(k):
-            el = pair.pbar.total.monomial_element(m)
-            assert pair.tmap(pair.section(el)) == el
+    for make in ALL_PAIRS:
+        pair = make()
+        for k in range(8):
+            for m in pair.pbar.total.basis(k):
+                el = pair.pbar.total.monomial_element(m)
+                assert pair.tmap(pair.section(el)) == el
+            # the other way round, up to the kernel of T: the base forms
+            for m in pair.p.total.basis(k + 1):
+                x = pair.p.total.monomial_element(m)
+                assert pair.p.is_base_valued(x - pair.section(pair.tmap(x)))
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*_pair.dgm")), ids=lambda p: p.stem)
+def test_tmap_matches_literal_oracle_on_model_pairs(path):
+    pair = dualize(load_path(str(path)).bundle)
+    assert _assert_tmap_matches_oracle(pair, degree_cap(pair.p))
+
+
+if st is not None:
+
+    @st.composite
+    def generated_pairs(draw):
+        """Two-step pairs over a nilmanifold base x1..xn, z with d z a 2-form in the
+        x's: F = d z, Fbar closed, H = -z Fbar; or self-dual, F = Fbar = d z + w for
+        one product w, H = -z (d z + 2 w)."""
+        n = draw(st.integers(3, 5))
+        products = list(itertools.combinations(range(1, n + 1), 2))
+        coeffs = st.sampled_from((-2, -1, 1, 2))
+
+        def two_form(m, terms):
+            return sum((c * m.gen(f"x{a}") * m.gen(f"x{b}") for (a, b), c in terms), m.zero())
+
+        def terms(size):
+            term = st.tuples(st.sampled_from(products), coeffs)
+            return draw(st.lists(term, min_size=1, max_size=size, unique_by=lambda t: t[0]))
+
+        dz = terms(3)
+        gens = [(f"x{i}", 1) for i in range(1, n + 1)] + [("z", 1)]
+        base = Model(gens, n + 1, lambda m: {"z": two_form(m, dz)}, name=f"nil{n}")
+        f, z = two_form(base, dz), base.gen("z")
+        if draw(st.booleans()):
+            w = two_form(base, [(draw(st.sampled_from(products)), 1)])
+            bundle = DgBundle.two_step(base, f + w, f + w, -(z * (f + 2 * w)))
+        else:
+            fbar = two_form(base, terms(3))
+            bundle = DgBundle.two_step(base, f, fbar, -(z * fbar))
+        return dualize(bundle)
+
+    @settings(max_examples=15, deadline=None)
+    @given(generated_pairs())
+    def test_tmap_matches_literal_oracle_on_generated_pairs(pair):
+        assert _assert_tmap_matches_oracle(pair, degree_cap(pair.p))
+        assert tduality_chain_map(pair).verify(5) == FROZEN_SIGN
+
+
+def _assert_tmap_matches_oracle(pair, cap):
+    """T equals the literal map on every basis monomial of degrees 0..cap;
+    returns how many of them have a nonzero image."""
+    nonzero = 0
+    for k in range(cap + 1):
+        for m in pair.p.total.basis(k):
+            el = pair.p.total.monomial_element(m)
+            image = pair.tmap(el)
+            assert image == oracles.literal_tmap(pair, el), (k, m)
+            nonzero += not image.is_zero()
+    return nonzero
+
+
+def test_tmap_and_section_reject_foreign_elements():
+    pair, other = hopf_pair(), hopf_pair()
+    for el in (pair.pbar.total.gen("t"), other.p.total.gen("t"), pair.base.gen("a")):
+        with pytest.raises(TDualityError):
+            pair.tmap(el)
+    for el in (pair.p.total.gen("t"), other.pbar.total.gen("t"), pair.base.gen("a")):
+        with pytest.raises(TDualityError):
+            pair.section(el)
+
+
+def test_pair_rejects_a_fiber_layout_it_cannot_map():
+    s2 = presets.sphere2()
+    zero = s2.zero()
+    fibers = [GradedGenerator("t", 2), GradedGenerator("q", 1)]
+    swapped = DgBundle(s2, fibers, {"F": zero, "Fbar": zero, "H": zero}, {}, "two_step")
+    with pytest.raises(TDualityError, match="expected the base generators"):
+        dualize(swapped)
 
 
 # -- exact sequences --------------------------------------------------------
