@@ -111,7 +111,7 @@ def cmd_validate(mf, args, report):
 
 
 def cmd_betti(mf, args, report):
-    space = mf.space
+    space = mf.bundle if mf.bundle is not None else mf.base_complex
     lo, hi = args.lo, args.hi if args.hi is not None else degree_cap(space)
     table = betti(space, lo, hi)
     print(f"betti numbers of {mf.name or '?'} for degrees {lo}..{hi}")
@@ -158,7 +158,7 @@ def cmd_mc_check(mf, args, report):
 
 
 def cmd_tdualize(mf, args, report):
-    pair = dualize(_need_bundle(mf, "two_step"))
+    pair = dualize(_need_bundle(mf, "two_step"), mf.base_complex)
     print(f"dual of {mf.name or '?'}:")
     for key in ("F", "Fbar", "H"):
         text = format_element(pair.pbar.structural[key])
@@ -170,7 +170,7 @@ def cmd_tdualize(mf, args, report):
 
 def cmd_tmap_verify(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
-    pair = dualize(bundle)
+    pair = dualize(bundle, mf.base_complex)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
     sign = tduality_chain_map(pair).verify(cap)
     report.add("cap", cap)
@@ -181,7 +181,7 @@ def cmd_tmap_verify(mf, args, report):
 
 def cmd_ses_verify(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
-    pair = dualize(bundle)
+    pair = dualize(bundle, mf.base_complex)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
     ok, rows = ses_verify(pair, cap)
     source_betti = betti(pair.complex["p"], 0, cap)
@@ -207,7 +207,7 @@ def cmd_ses_verify(mf, args, report):
 
 def cmd_iso_check(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
-    pair = dualize(bundle)
+    pair = dualize(bundle, mf.base_complex)
     k = args.k if args.k is not None else bundle.formal_dimension
     ok, info = tduality_iso_check(pair, k)
     report.add("k", k)

@@ -18,8 +18,15 @@ from .derivations import DgBundle
 from .graded import Element, GradedError, Model, Monomial
 
 BundleLike = Union[Model, DgBundle]
+# a sparse column {row: coefficient}; zero coefficients are left out
+Column = Dict[int, Fraction]
+
+ONE = Fraction(1)
 
 DEFAULT_CAP_SLACK = 6
+# a twisted class at the cap counts only if it lifts to a cocycle this many
+# degrees higher
+TWIST_LIFT = 4
 
 
 class CohomologyError(Exception):
@@ -53,32 +60,37 @@ def coordinates(el: Element, basis: List[Monomial]) -> List[Fraction]:
     return out
 
 
-def operator_matrix(space: BundleLike, op, source_basis, target_basis):
-    """Columns are op(source monomial) expanded in the target basis.
+def _column(el: Element, index: Dict[Monomial, int]) -> Column:
+    """el as {row: coefficient}, its monomials numbered by index."""
+    col = {}
+    for m, c in el.terms.items():
+        i = index.get(m)
+        if i is None:
+            raise CohomologyError(f"element leaves the span of the degree basis: {m}")
+        col[i] = c
+    return col
+
+
+def operator_matrix(space: BundleLike, op, source_basis, target_basis) -> List[Column]:
+    """One sparse column per source monomial: op of it, expanded in the target basis.
 
     The target basis must belong to whatever model op produces values in.
     """
     model = _total(space)
     index = {m: i for i, m in enumerate(target_basis)}
-    rows = [[linalg.ZERO] * len(source_basis) for _ in target_basis]
-    for j, m in enumerate(source_basis):
-        for mm, c in op(model.monomial_element(m)).terms.items():
-            i = index.get(mm)
-            if i is None:
-                raise CohomologyError(f"element leaves the span of the degree basis: {mm}")
-            rows[i][j] = c
-    return rows
+    return [_column(op(Element._trusted(model, {m: ONE})), index) for m in source_basis]
 
 
 class CochainSpace:
-    """Homogeneous degree slice of a bundle's functions with the outgoing differential."""
+    """Homogeneous degree slice of a bundle's functions with the outgoing differential,
+    stored as the sparse column of d of each basis monomial."""
 
     def __init__(self, space: BundleLike, degree: int):
         self.space = space
         self.degree = degree
         model = _total(space)
         self.basis = model.basis(degree)
-        self.d_matrix = operator_matrix(space, model.d, self.basis, model.basis(degree + 1))
+        self.columns = operator_matrix(space, model.d, self.basis, model.basis(degree + 1))
         self._rank: Optional[int] = None
 
     @property
@@ -87,20 +99,35 @@ class CochainSpace:
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = linalg.rank(self.d_matrix)
+            # the rank of d is the rank of its columns
+            self._rank = linalg.rank(self.columns)
         return self._rank
 
     def cocycles(self) -> List[Element]:
         """A basis of the kernel of d on this slice, as elements."""
         model = _total(self.space)
+        basis = self.basis
         return [
-            Element._trusted(model, {m: c for m, c in zip(self.basis, v) if c})
-            for v in linalg.kernel_basis(self.d_matrix, self.dimension)
+            Element._trusted(model, {basis[j]: c for j, c in linalg.sparse(v).items()})
+            for v in linalg.kernel_basis(_transpose(self.columns), self.dimension)
         ]
 
-    def images(self) -> List[Tuple[Fraction, ...]]:
-        """d of each basis monomial, as a vector in the basis one degree up."""
-        return list(zip(*self.d_matrix)) if self.d_matrix else [()] * self.dimension
+    def images(self) -> List[Column]:
+        """d of each basis monomial, as a sparse column in the basis one degree up."""
+        return self.columns
+
+
+def _transpose(columns: List[Column]) -> List[Column]:
+    """The nonzero rows of the matrix with these sparse columns."""
+    rows: Dict[int, Column] = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: c}
+            else:
+                row[j] = c
+    return list(rows.values())
 
 
 class Complex:
@@ -125,8 +152,8 @@ class Complex:
 def induced_rank(source: Complex, degree: int, f, target: Complex, target_degree: int) -> int:
     """Rank of the map that f, a chain map up to sign, induces from
     H^degree(source) to H^target_degree(target)."""
-    basis = target[target_degree].basis
-    images = [coordinates(f(z), basis) for z in source[degree].cocycles()]
+    index = {m: i for i, m in enumerate(target[target_degree].basis)}
+    images = [_column(f(z), index) for z in source[degree].cocycles()]
     boundaries = target[target_degree - 1].images() if target_degree > 0 else []
     return linalg.rank(boundaries + images) - target.rank(target_degree - 1)
 
@@ -161,45 +188,52 @@ def betti(space, lo: int, hi: int) -> BettiTable:
     )
 
 
-def _parity_basis(model: Model, parity: int, cap: int):
-    out = []
-    for degree in range(parity, cap + 1, 2):
-        out.extend((degree, m) for m in model.basis(degree))
-    return out
+def _twisted_images(model: Model, h: Element, top: int):
+    """d(m) + h*m, once, for every monomial m of degree <= top.
+
+    The monomials of each parity are numbered in ascending degree, so every
+    degree window is a prefix of that numbering: upto[p][w] counts the
+    parity-p monomials of degree <= w.  images[p] holds, in that order,
+    (degree k, d part, whole image) for each parity-p monomial, its image
+    numbered in the other parity.  The d part has degree k + 1 and h*m degree
+    k + 3; a part above top is left out.
+    """
+    windows: Tuple[List[Monomial], List[Monomial]] = ([], [])
+    upto: Tuple[List[int], List[int]] = ([], [])
+    for k in range(top + 1):
+        windows[k % 2].extend(model.basis(k))
+        for p in (0, 1):
+            upto[p].append(len(windows[p]))
+    index = [{m: i for i, m in enumerate(w)} for w in windows]
+    images: Tuple[list, list] = ([], [])
+    for k in range(top + 1):
+        target = index[1 - k % 2]
+        for m in model.basis(k):
+            x = Element._trusted(model, {m: ONE})
+            low = _column(model.d(x), target) if k < top else {}
+            whole = {**low, **_column(h * x, target)} if h.terms and k + 3 <= top else low
+            images[k % 2].append((k, low, whole))
+    return images, upto
 
 
-def _twisted_matrix(model: Model, h: Element, source, target, cap: int):
-    """Matrix of d + h on parity slices, discarding components above cap."""
-    index = {m: i for i, (_, m) in enumerate(target)}
-    rows = [[linalg.ZERO] * len(source) for _ in target]
-    for j, (_, m) in enumerate(source):
-        image = model.d(model.monomial_element(m)) + h * model.monomial_element(m)
-        for mm, c in image.terms.items():
-            if mm.degree(model) <= cap:
-                rows[index[mm]][j] = c
-    return rows
+def _twisted_window(images, n: int, cap: int) -> List[Column]:
+    """The first n columns of d + h with every component above cap discarded."""
+    return [
+        whole if k + 3 <= cap else low if k < cap else {} for k, low, whole in images[:n]
+    ]
 
 
-def _twisted_dims_at(model: Model, h: Element, cap: int) -> Tuple[int, int]:
-    wide = cap + 4
+def _twisted_dims_at(images, upto, cap: int) -> Tuple[int, int]:
+    wide = cap + TWIST_LIFT
     out = []
     for parity in (0, 1):
-        src_wide = _parity_basis(model, parity, wide)
-        tgt_wide = _parity_basis(model, 1 - parity, wide)
-        mat_wide = _twisted_matrix(model, h, src_wide, tgt_wide, wide)
-        cocycles = linalg.kernel_basis(mat_wide, len(src_wide))
+        source = _twisted_window(images[parity], upto[parity][wide], wide)
+        cocycles = linalg.kernel_basis(_transpose(source), len(source))
         # project the wide cocycles down to the cap window
-        keep = [i for i, (deg, _) in enumerate(src_wide) if deg <= cap]
-        projected = [[v[i] for i in keep] for v in cocycles]
-        src_cap = _parity_basis(model, 1 - parity, cap)
-        tgt_cap = _parity_basis(model, parity, cap)
-        boundary = _twisted_matrix(model, h, src_cap, tgt_cap, cap)
-        boundary_cols = [
-            [boundary[i][j] for i in range(len(tgt_cap))] for j in range(len(src_cap))
-        ]
-        b_rank = linalg.rank(boundary_cols)
-        joint = linalg.rank(projected + boundary_cols)
-        out.append(joint - b_rank)
+        keep = upto[parity][cap]
+        projected = [linalg.sparse(v[:keep]) for v in cocycles]
+        boundary = _twisted_window(images[1 - parity], upto[1 - parity][cap], cap)
+        out.append(linalg.rank(projected + boundary) - linalg.rank(boundary))
     return out[0], out[1]
 
 
@@ -207,7 +241,8 @@ def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[
     """Dimensions of the even/odd cohomology of (forms, d + h) for a closed h.
 
     Computed on the parity-collapsed complex capped in degree; classes must
-    lift past the cap to count, and caps `cap` and `cap+1` must agree.
+    lift past the cap to count, and caps `cap` and `cap+1` must agree.  The
+    images of d + h are computed once and both caps read their windows.
     """
     if h.model is not model:
         raise CohomologyError("twist must live in the given model")
@@ -217,8 +252,12 @@ def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[
         raise CohomologyError("twist form is not closed")
     if cap is None:
         cap = degree_cap(model)
-    first = _twisted_dims_at(model, h, cap)
-    second = _twisted_dims_at(model, h, cap + 1)
+    if cap < 0:
+        # both windows would be empty, and two empty windows always agree
+        raise CohomologyError(f"degree cap {cap} checks no degree")
+    images, upto = _twisted_images(model, h, cap + 1 + TWIST_LIFT)
+    first = _twisted_dims_at(images, upto, cap)
+    second = _twisted_dims_at(images, upto, cap + 1)
     if first != second:
         raise CohomologyError(
             f"twisted dimensions did not stabilize at cap {cap}: {first} vs {second}"
@@ -276,12 +315,16 @@ def circle_quasi_iso_check(base: Model, f: Element, total: Model, hi: Optional[i
     return lhs == rhs, pairs
 
 
-def validate_formal_dimension(model: Model, window: int = 4) -> None:
-    """Audit that base cohomology vanishes just above the declared dimension."""
-    fd = model.formal_dimension
-    table = betti(model, fd + 1, fd + window)
+def validate_formal_dimension(space, window: int = 4) -> Complex:
+    """Audit that base cohomology vanishes just above the declared dimension.
+
+    Returns the complex the audit built its slices on, for later readers."""
+    cx = space if isinstance(space, Complex) else Complex(space)
+    fd = _total(cx).formal_dimension
+    table = betti(cx, fd + 1, fd + window)
     for k, dim in table.as_pairs():
         if dim:
             raise GradedError(
                 f"declared formal dimension {fd} but cohomology is nonzero in degree {k}"
             )
+    return cx

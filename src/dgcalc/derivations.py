@@ -56,6 +56,16 @@ class Derivation:
         self.values = vals
 
     @classmethod
+    def _trusted(cls, model: Model, degree: int, values: Dict[str, Element]) -> "Derivation":
+        """Wrap values built here from checked derivations, so already of the
+        right degrees on known generators; zero values are dropped."""
+        d = cls.__new__(cls)
+        d.model = model
+        d.degree = degree
+        d.values = {name: v for name, v in values.items() if v.terms}
+        return d
+
+    @classmethod
     def zero(cls, model: Model, degree: int = 0) -> "Derivation":
         return cls(model, degree, {})
 
@@ -81,14 +91,14 @@ class Derivation:
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, self.model.zero()) + v
-        return Derivation(self.model, self.degree, out)
+        return Derivation._trusted(self.model, self.degree, out)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
         return self + (-1) * other
 
     def __mul__(self, c) -> "Derivation":
         c = Fraction(c)
-        return Derivation(self.model, self.degree, {k: v * c for k, v in self.values.items()})
+        return Derivation._trusted(self.model, self.degree, {k: v * c for k, v in self.values.items()})
 
     __rmul__ = __mul__
 
@@ -118,7 +128,7 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     for g in model.generators:
         first, second = d1(d2.value(g.name)), d2(d1.value(g.name))
         values[g.name] = first - second if sign == 1 else first + second
-    return Derivation(model, d1.degree + d2.degree, values)
+    return Derivation._trusted(model, d1.degree + d2.degree, values)
 
 
 class MCResult:

@@ -1,10 +1,13 @@
 """Exact rank and kernel computations for sparse rational matrices.
 
-Matrices are lists of dense rows of Fractions or ints.  One elimination serves
-every caller: each row is stored sparse as {column: int} with its denominators
+A matrix is a list of rows.  A row is either sparse, a dict {column: value},
+or a dense sequence of values; values are Fractions or ints.  The cochain complexes hand over sparse rows,
+and only a few small callers still build dense ones.  One elimination serves
+every caller: each row is stored as {column: int} with its denominators
 cleared and its content divided out, and is reduced fraction-free against the
 pivot that owns its leading column, so no rounding enters anywhere in the
-package.  Zeros are skipped on the first scan and never touched again.
+package.  The rank of a matrix is that of its transpose, so a caller holding
+columns may pass them as the rows.
 """
 
 from __future__ import annotations
@@ -13,27 +16,37 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import is_not
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
 Matrix = List[List[Fraction]]
 SparseRow = Dict[int, int]
+Row = Union[Dict[int, Fraction], Sequence[Fraction]]
 
-# Matrix assembly fills its rows with this one object, so the scan in
-# `_sparse_row` can skip its zeros by identity, in C, before testing values.
+# Kernel vectors are filled with this one zero object, and dense rows built by
+# hand may use it too, so `sparse` can skip their zeros by identity, in C,
+# before testing values.
 ZERO = Fraction(0)
 
 
-def _sparse_row(row: Sequence[Fraction]) -> SparseRow:
+def sparse(vector: Sequence[Fraction]) -> Dict[int, Fraction]:
+    """The nonzero entries of a dense vector, as {index: value}."""
+    return {j: x for j in compress(count(), map(is_not, vector, repeat(ZERO))) if (x := vector[j])}
+
+
+def _sparse_row(row: Row) -> SparseRow:
     """The row as {column: int}, a positive rational multiple with coprime entries."""
-    entries = {}
-    for j in compress(count(), map(is_not, row, repeat(ZERO))):
-        x = row[j]
-        if x:
-            entries[j] = x
+    entries = row if isinstance(row, dict) else sparse(row)
     if not entries:
-        return entries
-    den = lcm(*(x.denominator for x in entries.values()))
-    out = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+        return {}
+    den = lcm(*[x.denominator for x in entries.values()])
+    if den == 1:
+        out = {j: x.numerator for j, x in entries.items()}
+    else:
+        out = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+    if 0 in out.values():  # a mapping that kept a zero
+        out = {j: x for j, x in out.items() if x}
+        if not out:
+            return out
     return _primitive(out)
 
 
@@ -59,7 +72,7 @@ def _clear(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
     return _primitive(out) if out else out
 
 
-def _eliminate(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
+def _eliminate(rows: Sequence[Row]) -> Dict[int, SparseRow]:
     """Echelon form of the rows, as a map from pivot column to its sparse row.
 
     An incoming row is cleared at its leading column by the pivot stored
@@ -67,8 +80,8 @@ def _eliminate(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
     or vanishes.
     """
     pivots: Dict[int, SparseRow] = {}
-    for dense in rows:
-        row = _sparse_row(dense)
+    for given in rows:
+        row = _sparse_row(given)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -79,12 +92,12 @@ def _eliminate(rows: Sequence[Sequence[Fraction]]) -> Dict[int, SparseRow]:
     return pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def rank(rows: Sequence[Row]) -> int:
     """Rank over Q: the number of pivots of the sparse elimination."""
     return len(_eliminate(rows))
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
+def kernel_basis(rows: Sequence[Row], ncols: int) -> Matrix:
     """Basis vectors of the right kernel of the matrix (columns = unknowns).
 
     The pivots are back-substituted to the reduced row echelon form over Q,
@@ -103,7 +116,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> Matrix:
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * ncols
+        v = [ZERO] * ncols
         v[free] = Fraction(1)
         for c, row in pivots.items():
             x = row.get(free)

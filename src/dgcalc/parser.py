@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cohomology import validate_formal_dimension
+from .cohomology import Complex, validate_formal_dimension
 from .derivations import BundleError, Derivation, DgBundle
 from .graded import Element, GradedError, Model
 from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
@@ -66,13 +66,14 @@ def _scan(text: str, line: int, col0: int) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # decimal digits only: '²' is a digit but no numeral int() can read
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
+            if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdecimal():
                 j += 1
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
             out.append(_Token("number", text[i:j], line, col))
             i = j
@@ -93,11 +94,16 @@ def _scan(text: str, line: int, col0: int) -> List[_Token]:
     return out
 
 
+# parentheses nest at most this deep, well inside the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _ExprParser:
     def __init__(self, tokens: List[_Token], model: Model):
         self.tokens = tokens
         self.pos = 0
         self.model = model
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -148,7 +154,13 @@ class _ExprParser:
             except ZeroDivisionError:
                 raise ModelFileError("syntax", tok.line, tok.col, f"zero denominator in {tok.text!r}")
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ModelFileError(
+                    "syntax", tok.line, tok.col, f"parentheses nest deeper than {MAX_NESTING}"
+                )
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             closing = self.next()
             if closing.kind != ")":
                 raise ModelFileError("syntax", closing.line, closing.col, "expected ')'")
@@ -195,6 +207,9 @@ class ModelFile:
     def __init__(self):
         self.name = ""
         self.model: Optional[Model] = None
+        # the cochain complex of the base model, holding the slices the
+        # formal-dimension audit built, for later readers to share
+        self.base_complex: Optional[Complex] = None
         self.bundle: Optional[DgBundle] = None
         self.elements: Dict[str, Element] = {}
         self.vectors: Dict[str, Derivation] = {}
@@ -251,6 +266,8 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
         elif head == "dim":
             try:
                 formal_dim = int(rest)
+                if formal_dim < 0:
+                    raise ValueError(rest)
             except ValueError:
                 raise ModelFileError("syntax", line, col, f"bad dimension {rest!r}")
             dim_pos = (line, col)
@@ -325,10 +342,11 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
                 line, col = dline, dcol
         raise ModelFileError("d-squared", line, col, "differential does not square to zero", witness)
     out.model = base
+    out.base_complex = Complex(base)
 
     if check_dimension and formal_dim is not None:
         try:
-            validate_formal_dimension(base)
+            validate_formal_dimension(out.base_complex)
         except GradedError as e:
             raise ModelFileError("formal-dimension", dim_pos[0], dim_pos[1], str(e))
 

@@ -45,10 +45,15 @@ def pushforward(bundle: DgBundle, el: Element) -> Element:
 class TDualPair:
     """A two-step bundle, its dual, and the correspondence joining them."""
 
-    def __init__(self, p: DgBundle):
+    def __init__(self, p: DgBundle, base_complex: Optional[Complex] = None):
+        """base_complex, if given, is a complex of p's base model to share."""
         if p.shape != "two_step":
             raise TDualityError("dualization expects the two-step bundle shape")
         base = p.base
+        if base_complex is None:
+            base_complex = Complex(base)
+        elif base_complex.space is not base:
+            raise TDualityError("the base complex belongs to another model")
         f, fbar, h = p.structural["F"], p.structural["Fbar"], p.structural["H"]
         self.base = base
         self.p = p
@@ -60,7 +65,7 @@ class TDualPair:
             base, f, fbar, h, q=p.q_name, qbar=dual_fiber, t=p.t_name
         )
         # one cochain complex per space, shared by every cohomology check on the pair
-        self.complex = {"base": Complex(base), "p": Complex(p), "pbar": Complex(self.pbar)}
+        self.complex = {"base": base_complex, "p": Complex(p), "pbar": Complex(self.pbar)}
         self._gauge = Derivation(
             self.correspondence.total,
             0,
@@ -161,8 +166,8 @@ class TDualPair:
         return self.p.restrict_to_base(out)
 
 
-def dualize(p: DgBundle) -> TDualPair:
-    return TDualPair(p)
+def dualize(p: DgBundle, base_complex: Optional[Complex] = None) -> TDualPair:
+    return TDualPair(p, base_complex)
 
 
 class ChainMap:

@@ -5,6 +5,15 @@ import pytest
 from dgcalc import presets
 from dgcalc.graded import Model
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # `--hypothesis-profile=ci`: the same examples on every run, and a failure
+    # prints the blob that replays it locally
+    settings.register_profile("ci", derandomize=True, print_blob=True)
+
 
 @pytest.fixture
 def rng():

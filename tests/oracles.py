@@ -1,11 +1,11 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
-ranks of the long exact sequence, the T-duality map and the structured
-symmetries; tests only."""
+ranks of the long exact sequence, twisted cohomology, the T-duality map and
+the structured symmetries; tests only."""
 
 from fractions import Fraction
 from math import gcd
 
-from dgcalc.cohomology import CochainSpace, coordinates
+from dgcalc.cohomology import coordinates
 from dgcalc.derivations import Derivation, DgBundle, commutator, exp_apply, model_differential
 from dgcalc.graded import Element, Monomial
 from dgcalc.linalg import kernel_basis, rank
@@ -102,10 +102,18 @@ def _total(space):
     return space.total if isinstance(space, DgBundle) else space
 
 
+def dense_matrix(columns):
+    """The rows of the matrix with these dense columns."""
+    return [list(row) for row in zip(*columns)]
+
+
 def cocycle_vectors(space, degree):
-    """Kernel basis of the outgoing differential, from a freshly built slice."""
-    cs = CochainSpace(space, degree)
-    return kernel_basis(cs.d_matrix, len(cs.basis)), cs.basis
+    """Kernel basis of the outgoing differential, from its dense matrix: d of
+    each monomial applied through the derivation and expanded by `coordinates`."""
+    model, q = _total(space), _differential(space)
+    basis, target = model.basis(degree), model.basis(degree + 1)
+    columns = [coordinates(q(model.monomial_element(m)), target) for m in basis]
+    return kernel_basis(dense_matrix(columns), len(basis)), basis
 
 
 def boundary_vectors(space, degree):
@@ -150,6 +158,49 @@ def les_node_ranks(pair, k):
     ]
     rank_beta = induced_rank(connected, boundary_vectors(pair.base, k + 1))
     return rank_i, rank_t, rank_beta
+
+
+def _parity_basis(model, parity, cap):
+    out = []
+    for degree in range(parity, cap + 1, 2):
+        out.extend((degree, m) for m in model.basis(degree))
+    return out
+
+
+def _twisted_columns(model, h, source, target, cap):
+    """Dense columns of d + h on parity slices, discarding components above cap."""
+    index = {m: i for i, (_, m) in enumerate(target)}
+    columns = []
+    for _, m in source:
+        x = model.monomial_element(m)
+        column = [Fraction(0)] * len(target)
+        for mm, c in (model.d(x) + h * x).terms.items():
+            if mm.degree(model) <= cap:
+                column[index[mm]] = c
+        columns.append(column)
+    return columns
+
+
+def twisted_dims_reference(model, h, cap):
+    """(even, odd) twisted dimensions at one cap, each window rebuilt densely.
+
+    A class at the cap counts when it lifts to a cocycle of the window four
+    degrees wider; the ranks are dense Bareiss ranks.
+    """
+    wide = cap + 4
+    out = []
+    for parity in (0, 1):
+        src_wide = _parity_basis(model, parity, wide)
+        tgt_wide = _parity_basis(model, 1 - parity, wide)
+        wide_columns = _twisted_columns(model, h, src_wide, tgt_wide, wide)
+        cocycles = kernel_basis(dense_matrix(wide_columns), len(src_wide))
+        keep = [i for i, (deg, _) in enumerate(src_wide) if deg <= cap]
+        projected = [[v[i] for i in keep] for v in cocycles]
+        src_cap = _parity_basis(model, 1 - parity, cap)
+        tgt_cap = _parity_basis(model, parity, cap)
+        boundary = _twisted_columns(model, h, src_cap, tgt_cap, cap)
+        out.append(bareiss_rank(projected + boundary) - bareiss_rank(boundary))
+    return out[0], out[1]
 
 
 def transport(el, target):

@@ -244,6 +244,20 @@ def test_tmap_verify_rejects_negative_cap(capsys):
     assert "no monomial" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "-3"])
+def test_twisted_rejects_a_cap_that_checks_nothing(cap, monkeypatch, capsys):
+    model = str(MODELS / "t2_pair.dgm")
+    code, out, err = run(capsys, "twisted", model, "--cap", cap)
+    assert code == 2
+    assert "even" not in out
+    assert f"degree cap {cap} checks no degree" in err
+    monkeypatch.setenv("DGCALC_DEGREE_CAP", str(int(cap) - 1))
+    code, out, err = run(capsys, "twisted", model)
+    assert code == 2
+    assert "even" not in out
+    assert f"degree cap {int(cap) - 1} checks no degree" in err
+
+
 def test_identities_seeded(capsys):
     code, out, _ = run(
         capsys, "identities", str(MODELS / "nil_pair.dgm"), "--trials", "8", "--seed", "3"

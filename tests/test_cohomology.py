@@ -1,14 +1,18 @@
 """Betti tables, twisted cohomology, the rescaling map, periodicity."""
 
+import pathlib
 import random
+from itertools import combinations
 
 import pytest
 
-from dgcalc import presets
+from dgcalc import cli, presets
 from dgcalc.cohomology import (
     CochainSpace,
     CohomologyError,
+    Complex,
     betti,
+    coordinates,
     circle_quasi_iso_check,
     degree_cap,
     periodicity_check,
@@ -21,6 +25,14 @@ from dgcalc.derivations import Derivation, DgBundle, gauge_transform
 from dgcalc.graded import Model
 from dgcalc.linalg import rank
 from dgcalc.sampling import random_element
+from oracles import _differential, twisted_dims_reference
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # without the dev extra only the random-nilmanifold property test is left out
+    st = None
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def test_betti_s3_volume_bundle(s3):
@@ -46,20 +58,113 @@ def test_betti_torus_bundle_stabilizes_at_two(t2):
 
 def test_d_matrix_composes_to_zero(s2):
     bundle = DgBundle.line(s2, s2.zero(), "t", 2)
+    nonzero = 0
     for k in range(7):
         here = CochainSpace(bundle, k)
         there = CochainSpace(bundle, k + 1)
-        n = len(here.basis)
-        if not n or not there.d_matrix:
-            continue
-        composed = [
-            [
-                sum(there.d_matrix[i][l] * here.d_matrix[l][j] for l in range(len(there.basis)))
-                for j in range(n)
-            ]
-            for i in range(len(there.d_matrix))
-        ]
-        assert all(all(x == 0 for x in row) for row in composed)
+        for column in here.columns:
+            nonzero += len(column)
+            composed = {}
+            for l, c in column.items():
+                for i, x in there.columns[l].items():
+                    composed[i] = composed.get(i, 0) + c * x
+            assert not any(composed.values())
+    assert nonzero
+
+
+def _spaces(s2, s3, nil):
+    f = nil.gen("x1") * nil.gen("x2") + nil.gen("x3") * nil.gen("x4")
+    h = -2 * (nil.gen("z") * nil.gen("x3") * nil.gen("x4"))
+    return [
+        s2,
+        nil,
+        DgBundle.line(s3, s3.gen("c"), "t", 2),
+        DgBundle.two_step(s2, s2.gen("a"), s2.zero(), s2.zero()),
+        DgBundle.two_step(nil, f, f, h),
+    ]
+
+
+def test_columns_are_the_coordinates_of_d(s2, s3, nil):
+    for space in _spaces(s2, s3, nil):
+        model, q = space.total if isinstance(space, DgBundle) else space, _differential(space)
+        for k in range(degree_cap(space) + 1):
+            cs = CochainSpace(space, k)
+            target = model.basis(k + 1)
+            assert len(cs.columns) == len(cs.basis)
+            for m, column in zip(cs.basis, cs.columns):
+                dense = [column.get(i, 0) for i in range(len(target))]
+                assert dense == coordinates(q(model.monomial_element(m)), target)
+                assert all(column.values())
+            assert cs.images() is cs.columns
+
+
+def _assert_twisted_matches_reference(model, h, top_cap):
+    """At every cap 0..top_cap: the reference's answer where it is stable, else an error."""
+    reference = [twisted_dims_reference(model, h, cap) for cap in range(top_cap + 2)]
+    for cap, (here, above) in enumerate(zip(reference, reference[1:])):
+        if here == above:
+            assert twisted_betti(model, h, cap=cap) == here
+        else:
+            with pytest.raises(CohomologyError, match="did not stabilize"):
+                twisted_betti(model, h, cap=cap)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_twisted_matches_dense_reference_on_tori(n):
+    t = presets.torus(n)
+    vol = t.gen("th1") * t.gen("th2") * t.gen("th3") if n >= 3 else t.zero()
+    for h in (t.zero(), vol):
+        _assert_twisted_matches_reference(t, h, degree_cap(t) + 1)
+
+
+def test_twisted_matches_dense_reference_with_polynomial_generator(s2, s3):
+    _assert_twisted_matches_reference(s2, s2.zero(), degree_cap(s2) + 1)
+    _assert_twisted_matches_reference(s3, s3.gen("c"), degree_cap(s3) + 1)
+
+
+if st is not None:
+
+    @st.composite
+    def nilmanifolds_with_twist(draw):
+        """A 2-step nilmanifold x1..xn, z1..zm with dz a sum of x products, and
+        a closed 3-form: triple products of x plus d of a random 2-form."""
+        n, m = draw(st.integers(3, 4)), draw(st.integers(1, 2))
+        xs = [f"x{i}" for i in range(1, n + 1)]
+        coeff = st.sampled_from([-2, -1, 1, 2])
+        dz = {
+            f"z{j}": draw(st.lists(st.tuples(coeff, st.sampled_from(list(combinations(xs, 2)))),
+                                   min_size=1, max_size=3))
+            for j in range(1, m + 1)
+        }
+        model = Model(
+            [(x, 1) for x in xs] + [(z, 1) for z in dz],
+            formal_dimension=n + m,
+            differential=lambda mm: {
+                z: sum((c * mm.gen(a) * mm.gen(b) for c, (a, b) in terms), mm.zero())
+                for z, terms in dz.items()
+            },
+            name="nil",
+        )
+        h = model.zero()
+        for c, (a, b, e) in draw(st.lists(st.tuples(coeff, st.sampled_from(list(combinations(xs, 3)))),
+                                          max_size=2)):
+            h = h + c * model.gen(a) * model.gen(b) * model.gen(e)
+        names = st.sampled_from(list(model.index))
+        for c, a, b in draw(st.lists(st.tuples(coeff, names, names), max_size=2)):
+            h = h + c * model.d(model.gen(a) * model.gen(b))
+        return model, h
+
+    @settings(max_examples=12, deadline=None)
+    @given(nilmanifolds_with_twist())
+    def test_twisted_matches_dense_reference_on_random_nilmanifolds(case):
+        model, h = case
+        _assert_twisted_matches_reference(model, h, degree_cap(model) + 1)
+
+
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_twisted_rejects_a_cap_that_checks_nothing(t2, cap):
+    with pytest.raises(CohomologyError, match=f"degree cap {cap} checks no degree"):
+        twisted_betti(t2, t2.zero(), cap=cap)
 
 
 def test_twisted_s3_volume_vanishes(s3):
@@ -219,6 +324,39 @@ def test_validate_formal_dimension(nil, s2):
     bad = Model([("c", 3)], formal_dimension=1, name="bad")
     with pytest.raises(Exception):
         validate_formal_dimension(bad)
+
+
+def test_validate_formal_dimension_returns_its_complex(nil):
+    cx = Complex(nil)
+    assert validate_formal_dimension(cx) is cx
+    assert validate_formal_dimension(nil).space is nil
+
+
+def _count_slice_builds(monkeypatch):
+    """Record every CochainSpace build by (space, degree); the spaces are kept
+    so their ids stay unique."""
+    builds = []
+    original = CochainSpace.__init__
+
+    def counting(self, space, degree):
+        builds.append((space, degree))
+        original(self, space, degree)
+
+    monkeypatch.setattr(CochainSpace, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "s2_sphere.dgm"],
+    ["betti", "s2_sphere.dgm", "--lo", "2", "--hi", "5"],
+    ["ses-verify", "hopf_pair.dgm"],
+    ["iso-check", "hopf_pair.dgm"],
+])
+def test_no_slice_is_built_twice(argv, monkeypatch, capsys):
+    builds = _count_slice_builds(monkeypatch)
+    assert cli.main([argv[0], str(MODELS / argv[1])] + argv[2:]) == 0
+    keys = [(id(space), degree) for space, degree in builds]
+    assert builds and len(keys) == len(set(keys))
 
 
 def test_degree_cap_env_override(s2, monkeypatch):

@@ -15,6 +15,7 @@ from dgcalc.derivations import (
     maurer_cartan_check,
     model_differential,
 )
+from dgcalc.graded import Model
 from dgcalc.sampling import random_derivation, random_element
 
 
@@ -48,6 +49,30 @@ def test_bracket_with_fiber_scaling_reproduces_differential(s2):
 def test_commutator_degree_and_ambient_checks(t2, s2):
     with pytest.raises(DerivationError):
         commutator(Derivation.zero(t2, 0), Derivation.zero(s2, 0))
+
+
+def test_constructor_rejects_bad_values(s2):
+    with pytest.raises(DerivationError, match="must be homogeneous of degree 2"):
+        Derivation(s2, 0, {"a": s2.gen("b")})
+    with pytest.raises(DerivationError, match="must be homogeneous"):
+        Derivation(s2, 0, {"a": s2.gen("a") + s2.gen("a") * s2.gen("a")})
+    with pytest.raises(DerivationError, match="unknown generator 'x'"):
+        Derivation(s2, 0, {"x": s2.gen("a")})
+    with pytest.raises(DerivationError, match="ambient model"):
+        Derivation(Model([("a", 2)]), 0, {"a": s2.gen("a")})
+
+
+def test_internal_results_match_the_checked_constructor(mixed):
+    # sums, multiples and commutators skip the degree checks; rebuilding them
+    # through the checked constructor must give the same derivation, zeros dropped
+    rng = random.Random(12)
+    for _ in range(15):
+        da, db = rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1])
+        a, b = random_derivation(mixed, da, rng), random_derivation(mixed, db, rng)
+        for out in (commutator(a, b), a + a, a - a, a * 3, a * 0):
+            assert Derivation(mixed, out.degree, out.values) == out
+            assert all(not v.is_zero() for v in out.values.values())
+    assert (a - a).is_zero() and (a * 0).is_zero()
 
 
 def test_jacobi_identity_randomized(mixed):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgcalc.linalg import ZERO, kernel_basis, rank
+from dgcalc.linalg import ZERO, kernel_basis, rank, sparse
 from oracles import bareiss_rank
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -54,6 +54,18 @@ def test_rank_matches_bareiss(case):
     assert rank(rows) == bareiss_rank(rows)
 
 
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_sparse_rows_and_columns_match_dense_rows(case):
+    rows, ncols = case
+    expected_rank, expected_kernel = rank(rows), kernel_basis(rows, ncols)
+    columns = [dict(enumerate(col)) for col in zip(*rows)]  # zeros kept
+    for form in ([sparse(row) for row in rows], [dict(enumerate(row)) for row in rows]):
+        assert rank(form) == expected_rank
+        assert kernel_basis(form, ncols) == expected_kernel
+    assert rank(columns) == expected_rank
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_rank_and_kernel_match_sympy(case):
@@ -78,6 +90,8 @@ def test_kernel_vectors_are_annihilated(case):
 
 
 def test_empty_and_zero_matrices():
+    assert sparse([0, ZERO, Fraction(0), 3, Fraction(1, 2)]) == {3: 3, 4: Fraction(1, 2)}
+    assert rank([{}, {0: 0}, {1: ZERO}]) == 0
     assert rank([]) == 0 and rank([[], []]) == 0
     assert rank([[0, Fraction(0), ZERO]] * 3) == 0
     identity = [[Fraction(int(i == j)) for i in range(3)] for j in range(3)]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dgcalc import presets
-from dgcalc.cohomology import CochainSpace, betti, degree_cap
+from dgcalc.cohomology import CochainSpace, Complex, betti, degree_cap
 from dgcalc.derivations import DgBundle
 from dgcalc.graded import Element, GradedGenerator, Model, Monomial
 from dgcalc.parser import load_path
@@ -314,6 +314,15 @@ def test_pair_rejects_a_fiber_layout_it_cannot_map():
     swapped = DgBundle(s2, fibers, {"F": zero, "Fbar": zero, "H": zero}, {}, "two_step")
     with pytest.raises(TDualityError, match="expected the base generators"):
         dualize(swapped)
+
+
+def test_pair_shares_a_given_base_complex_of_its_own_base():
+    mf = load_path(str(MODELS / "hopf_pair.dgm"))
+    pair = dualize(mf.bundle, mf.base_complex)
+    assert pair.complex["base"] is mf.base_complex
+    assert dualize(mf.bundle).complex["base"] is not mf.base_complex
+    with pytest.raises(TDualityError, match="another model"):
+        dualize(mf.bundle, Complex(presets.sphere2()))
 
 
 # -- exact sequences --------------------------------------------------------
