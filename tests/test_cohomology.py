@@ -332,9 +332,14 @@ def test_validate_formal_dimension_returns_its_complex(nil):
     assert validate_formal_dimension(nil).space is nil
 
 
-def _count_slice_builds(monkeypatch):
-    """Record every CochainSpace build by (space, degree); the spaces are kept
-    so their ids stay unique."""
+@pytest.mark.parametrize("argv", [
+    ["betti", "s2_sphere.dgm"],
+    ["betti", "s2_sphere.dgm", "--lo", "2", "--hi", "5"],
+    ["ses-verify", "hopf_pair.dgm"],
+    ["iso-check", "hopf_pair.dgm"],
+])
+def test_no_slice_is_built_twice(argv, monkeypatch, capsys):
+    # every build by (space, degree); keeping the spaces keeps their ids unique
     builds = []
     original = CochainSpace.__init__
 
@@ -343,17 +348,6 @@ def _count_slice_builds(monkeypatch):
         original(self, space, degree)
 
     monkeypatch.setattr(CochainSpace, "__init__", counting)
-    return builds
-
-
-@pytest.mark.parametrize("argv", [
-    ["betti", "s2_sphere.dgm"],
-    ["betti", "s2_sphere.dgm", "--lo", "2", "--hi", "5"],
-    ["ses-verify", "hopf_pair.dgm"],
-    ["iso-check", "hopf_pair.dgm"],
-])
-def test_no_slice_is_built_twice(argv, monkeypatch, capsys):
-    builds = _count_slice_builds(monkeypatch)
     assert cli.main([argv[0], str(MODELS / argv[1])] + argv[2:]) == 0
     keys = [(id(space), degree) for space, degree in builds]
     assert builds and len(keys) == len(set(keys))

@@ -113,9 +113,10 @@ def test_mutated_models_parse_or_are_a_diagnostic(data):
 
 
 @pytest.mark.parametrize("expr, col, message", [
-    ("a^²", 11, "unexpected character '²'"),
-    ("² a", 9, "unexpected character '²'"),
-    ("(" * 2000 + "a" + ")" * 2000, 109, "parentheses nest deeper than 100"),
+    pytest.param("a^²", 11, "unexpected character '²'", id="superscript-exponent"),
+    pytest.param("² a", 9, "unexpected character '²'", id="superscript-factor"),
+    pytest.param("(" * 2000 + "a" + ")" * 2000, 109, "parentheses nest deeper than 100",
+                 id="deep-nesting"),
 ])
 def test_found_inputs_are_positioned_diagnostics(expr, col, message):
     with pytest.raises(ModelFileError) as err:
