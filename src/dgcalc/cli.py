@@ -115,7 +115,7 @@ def cmd_betti(mf, args, report):
     lo, hi = args.lo, args.hi if args.hi is not None else degree_cap(space)
     table = betti(space, lo, hi)
     print(f"betti numbers of {mf.name or '?'} for degrees {lo}..{hi}")
-    for k, dim in table.as_pairs():
+    for k, dim in table.items():
         print(f"  H^{k} = {dim}")
         report.add(f"betti.{k}", dim)
     return True
@@ -372,7 +372,12 @@ def cmd_bn_check(mf, args, report):
         [
             (("bracket-display", "pairing-display"), args.trials, displays),
             (("involution",), args.trials, involution),
-            (("action-displays",), max(1, args.trials // 4), actions),
+            (
+                ("action-displays",),
+                max(1, args.trials // 4) if ones or twos else 0,
+                actions,
+                "no closed 1- or 2-form on the base",
+            ),
         ],
         report,
     )
@@ -405,7 +410,12 @@ def cmd_e6_check(mf, args, report):
         f"flux-structure checks on {mf.name or '?'} ({args.trials} trials, seed {args.seed})",
         [
             (("bracket-display", "pairing-display"), args.trials, displays),
-            (("action-displays",), max(1, args.trials // 4), actions),
+            (
+                ("action-displays",),
+                max(1, args.trials // 4) if threes or sixes else 0,
+                actions,
+                "no closed 3- or 6-form on the base",
+            ),
         ],
         report,
     )

@@ -50,16 +50,6 @@ def degree_cap(space: BundleLike) -> int:
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 
-def coordinates(el: Element, basis: List[Monomial]) -> List[Fraction]:
-    index = {m: i for i, m in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
-    for m, c in el.terms.items():
-        if m not in index:
-            raise CohomologyError(f"element leaves the span of the degree basis: {m}")
-        out[index[m]] = c
-    return out
-
-
 def _column(el: Element, index: Dict[Monomial, int]) -> Column:
     """el as {row: coefficient}, its monomials numbered by index."""
     col = {}
@@ -108,13 +98,9 @@ class CochainSpace:
         model = _total(self.space)
         basis = self.basis
         return [
-            Element._trusted(model, {basis[j]: c for j, c in linalg.sparse(v).items()})
+            Element._trusted(model, {basis[j]: c for j, c in v.items()})
             for v in linalg.kernel_basis(_transpose(self.columns), self.dimension)
         ]
-
-    def images(self) -> List[Column]:
-        """d of each basis monomial, as a sparse column in the basis one degree up."""
-        return self.columns
 
 
 def _transpose(columns: List[Column]) -> List[Column]:
@@ -154,38 +140,17 @@ def induced_rank(source: Complex, degree: int, f, target: Complex, target_degree
     H^degree(source) to H^target_degree(target)."""
     index = {m: i for i, m in enumerate(target[target_degree].basis)}
     images = [_column(f(z), index) for z in source[degree].cocycles()]
-    boundaries = target[target_degree - 1].images() if target_degree > 0 else []
-    return linalg.rank(boundaries + images) - target.rank(target_degree - 1)
+    boundaries = target[target_degree - 1].columns if target_degree > 0 else []
+    return linalg.rank_gain(boundaries, images)
 
 
-class BettiTable:
-    def __init__(self, lo: int, hi: int, dims: Dict[int, int]):
-        self.lo = lo
-        self.hi = hi
-        self.dims = dict(dims)
-
-    def __getitem__(self, degree: int) -> int:
-        return self.dims[degree]
-
-    def __eq__(self, other):
-        return isinstance(other, BettiTable) and self.dims == other.dims
-
-    def as_pairs(self):
-        return sorted(self.dims.items())
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}: {v}" for k, v in self.as_pairs())
-        return f"BettiTable({inner})"
-
-
-def betti(space, lo: int, hi: int) -> BettiTable:
-    """Exact cohomology dimensions of a space, or its complex, for lo <= degree <= hi."""
+def betti(space, lo: int, hi: int) -> Dict[int, int]:
+    """Exact cohomology dimensions {degree: dim} of a space, or its complex, for
+    lo <= degree <= hi, in ascending degree."""
     if lo < 0 or hi < lo:
         raise CohomologyError("need hi >= lo >= 0")
     cx = space if isinstance(space, Complex) else Complex(space)
-    return BettiTable(
-        lo, hi, {k: cx[k].dimension - cx.rank(k) - cx.rank(k - 1) for k in range(lo, hi + 1)}
-    )
+    return {k: cx[k].dimension - cx.rank(k) - cx.rank(k - 1) for k in range(lo, hi + 1)}
 
 
 def _twisted_images(model: Model, h: Element, top: int):
@@ -231,9 +196,9 @@ def _twisted_dims_at(images, upto, cap: int) -> Tuple[int, int]:
         cocycles = linalg.kernel_basis(_transpose(source), len(source))
         # project the wide cocycles down to the cap window
         keep = upto[parity][cap]
-        projected = [linalg.sparse(v[:keep]) for v in cocycles]
+        projected = [{j: c for j, c in v.items() if j < keep} for v in cocycles]
         boundary = _twisted_window(images[1 - parity], upto[1 - parity][cap], cap)
-        out.append(linalg.rank(projected + boundary) - linalg.rank(boundary))
+        out.append(linalg.rank_gain(boundary, projected))
     return out[0], out[1]
 
 
@@ -322,7 +287,7 @@ def validate_formal_dimension(space, window: int = 4) -> Complex:
     cx = space if isinstance(space, Complex) else Complex(space)
     fd = _total(cx).formal_dimension
     table = betti(cx, fd + 1, fd + window)
-    for k, dim in table.as_pairs():
+    for k, dim in table.items():
         if dim:
             raise GradedError(
                 f"declared formal dimension {fd} but cohomology is nonzero in degree {k}"

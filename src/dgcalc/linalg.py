@@ -1,49 +1,35 @@
 """Exact rank and kernel computations for sparse rational matrices.
 
-A matrix is a list of rows.  A row is either sparse, a dict {column: value},
-or a dense sequence of values; values are Fractions or ints.  The cochain complexes hand over sparse rows,
-and only a few small callers still build dense ones.  One elimination serves
-every caller: each row is stored as {column: int} with its denominators
-cleared and its content divided out, and is reduced fraction-free against the
-pivot that owns its leading column, so no rounding enters anywhere in the
-package.  The rank of a matrix is that of its transpose, so a caller holding
-columns may pass them as the rows.
+A matrix is a list of rows, and a row is a dict {column: value} with Fraction
+or int values.  One elimination serves every caller: each row is stored as
+{column: int} with its denominators cleared and its content divided out, and
+is reduced fraction-free against the pivot that owns its leading column, so no
+rounding enters anywhere in the package.  The rank of a matrix is that of its
+transpose, so a caller holding columns may pass them as the rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import is_not
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-Matrix = List[List[Fraction]]
+Row = Dict[int, Fraction]
 SparseRow = Dict[int, int]
-Row = Union[Dict[int, Fraction], Sequence[Fraction]]
 
-# Kernel vectors are filled with this one zero object, and dense rows built by
-# hand may use it too, so `sparse` can skip their zeros by identity, in C,
-# before testing values.
-ZERO = Fraction(0)
-
-
-def sparse(vector: Sequence[Fraction]) -> Dict[int, Fraction]:
-    """The nonzero entries of a dense vector, as {index: value}."""
-    return {j: x for j in compress(count(), map(is_not, vector, repeat(ZERO))) if (x := vector[j])}
+ONE = Fraction(1)
 
 
 def _sparse_row(row: Row) -> SparseRow:
     """The row as {column: int}, a positive rational multiple with coprime entries."""
-    entries = row if isinstance(row, dict) else sparse(row)
-    if not entries:
+    if not row:
         return {}
-    den = lcm(*[x.denominator for x in entries.values()])
+    den = lcm(*[x.denominator for x in row.values()])
     if den == 1:
-        out = {j: x.numerator for j, x in entries.items()}
+        out = {j: x.numerator for j, x in row.items()}
     else:
-        out = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
-    if 0 in out.values():  # a mapping that kept a zero
+        out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    if 0 in out.values():  # a mapping that kept a zero; its lead would never clear
         out = {j: x for j, x in out.items() if x}
         if not out:
             return out
@@ -72,14 +58,17 @@ def _clear(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
     return _primitive(out) if out else out
 
 
-def _eliminate(rows: Sequence[Row]) -> Dict[int, SparseRow]:
+def _eliminate(
+    rows: Sequence[Row], pivots: Optional[Dict[int, SparseRow]] = None
+) -> Dict[int, SparseRow]:
     """Echelon form of the rows, as a map from pivot column to its sparse row.
 
     An incoming row is cleared at its leading column by the pivot stored
     there, until it leads in a free column (and becomes that column's pivot)
-    or vanishes.
+    or vanishes.  Given pivots, the rows are added to that echelon form.
     """
-    pivots: Dict[int, SparseRow] = {}
+    if pivots is None:
+        pivots = {}
     for given in rows:
         row = _sparse_row(given)
         while row:
@@ -97,12 +86,21 @@ def rank(rows: Sequence[Row]) -> int:
     return len(_eliminate(rows))
 
 
-def kernel_basis(rows: Sequence[Row], ncols: int) -> Matrix:
-    """Basis vectors of the right kernel of the matrix (columns = unknowns).
+def rank_gain(base: Sequence[Row], extra: Sequence[Row]) -> int:
+    """rank(base + extra) - rank(base), from one elimination that the extra
+    rows continue from the base's pivots."""
+    pivots = _eliminate(base)
+    before = len(pivots)
+    return len(_eliminate(extra, pivots)) - before
+
+
+def kernel_basis(rows: Sequence[Row], ncols: int) -> List[Row]:
+    """Basis vectors {column: value} of the right kernel of the matrix
+    (columns = unknowns).
 
     The pivots are back-substituted to the reduced row echelon form over Q,
-    which is unique; each free column c gives the vector with 1 at c, minus
-    the reduced rows' entries at c on the pivot columns, and 0 elsewhere.
+    which is unique; each free column c gives the vector with 1 at c and
+    minus the reduced rows' entries at c on the pivot columns.
     """
     pivots = _eliminate(rows)
     # right to left: the pivot rows past c are already reduced, so clearing
@@ -112,15 +110,11 @@ def kernel_basis(rows: Sequence[Row], ncols: int) -> Matrix:
         for p in [j for j in row if j != c and j in pivots]:
             row = _clear(row, pivots[p], p)
         pivots[c] = row
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [ZERO] * ncols
-        v[free] = Fraction(1)
-        for c, row in pivots.items():
-            x = row.get(free)
-            if x:
-                v[c] = Fraction(-x, row[c])
-        basis.append(v)
-    return basis
+    basis = {free: {free: ONE} for free in range(ncols) if free not in pivots}
+    # every entry of a reduced row but its lead sits in a free column
+    for c, row in pivots.items():
+        lead = row[c]
+        for free, x in row.items():
+            if free != c:
+                basis[free][c] = Fraction(-x, lead)
+    return list(basis.values())

@@ -215,10 +215,6 @@ class ModelFile:
         self.vectors: Dict[str, Derivation] = {}
         self.symmetries: Dict[str, SymElement] = {}
 
-    @property
-    def space(self):
-        return self.bundle if self.bundle is not None else self.model
-
 
 def _split_decl(text: str, sep: str, kind: str, line: int, col: int) -> Tuple[str, str, int]:
     """(left, right, offset of right in text) of stripped text; errors point at col."""
@@ -238,7 +234,7 @@ def _clauses(spec: str, col: int):
         col += len(clause) + 1
 
 
-def parse_model(text: str, validate: bool = True, check_dimension: bool = True) -> ModelFile:
+def parse_model(text: str, validate: bool = True) -> ModelFile:
     """Parse a .dgm document and run the load-time checks.
 
     validate=False keeps a bundle that fails Maurer-Cartan, with its candidate
@@ -344,7 +340,7 @@ def parse_model(text: str, validate: bool = True, check_dimension: bool = True) 
     out.model = base
     out.base_complex = Complex(base)
 
-    if check_dimension and formal_dim is not None:
+    if formal_dim is not None:
         try:
             validate_formal_dimension(out.base_complex)
         except GradedError as e:

@@ -19,12 +19,12 @@ operations and the two routes are compared whenever a display exists.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from . import linalg
-from .cohomology import coordinates
+from .cohomology import ONE, Column, _column
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model
+from .graded import Element, Model, Monomial
 
 
 class SymmetryError(Exception):
@@ -484,6 +484,28 @@ def is_symmetry(a: SymElement) -> bool:
 # -- the full degree-0 kernel vs the structured family -----------------------
 
 
+def _value_index(total: Model, shifts: Iterable[int]) -> Dict[str, Dict[Monomial, int]]:
+    """One numbering of the pairs (generator g, monomial of degree |g| + s) over
+    the shifts s, as {g: {monomial: row}}.  A value's degree tells its shift, so
+    derivations of different degrees never share a row."""
+    index, n = {}, 0
+    for g in total.generators:
+        rows = index[g.name] = {}
+        for s in shifts:
+            for m in total.basis(g.degree + s):
+                rows[m] = n
+                n += 1
+    return index
+
+
+def _value_column(d: Derivation, index: Dict[str, Dict[Monomial, int]]) -> Column:
+    """The values of d on every generator as one sparse column, numbered by index."""
+    col = {}
+    for name, value in d.values.items():
+        col.update(_column(value, index[name]))
+    return col
+
+
 def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     """(structured solutions realized, full kernel of [Q, .] on degree-0 fields).
 
@@ -492,18 +514,15 @@ def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     the base); the identity runner reports both.
     """
     total = bundle.total
-    unknowns = [(g.name, m) for g in total.generators for m in total.basis(g.degree)]
-    residue_bases = {g.name: total.basis(g.degree + 1) for g in total.generators}
+    index = _value_index(total, (1,))
     columns = []
-    for name, m in unknowns:
-        probe = Derivation(total, 0, {name: total.monomial_element(m)})
-        bracket = commutator(bundle.q, probe)
-        col = []
-        for g in total.generators:
-            col.extend(coordinates(bracket.value(g.name), residue_bases[g.name]))
-        columns.append(col)
+    for g in total.generators:
+        for m in total.basis(g.degree):
+            # one unknown: the probe sends g to m, so has degree 0 by construction
+            probe = Derivation._trusted(total, 0, {g.name: Element._trusted(total, {m: ONE})})
+            columns.append(_value_column(commutator(bundle.q, probe), index))
     # the rank of the constraint matrix is the rank of its columns
-    return _structured_kernel_dim(bundle), len(unknowns) - linalg.rank(columns)
+    return _structured_kernel_dim(bundle), len(columns) - linalg.rank(columns)
 
 
 def _structured_parameters(bundle: DgBundle):
@@ -523,25 +542,19 @@ def _structured_parameters(bundle: DgBundle):
 def _structured_kernel_dim(bundle: DgBundle) -> int:
     """Dimension of the derivations that the structured solutions realize.
 
-    Row i holds [Q, p_i] and then p_i itself, in coordinates, for the n
-    one-hot parameters p_i.  The solutions c of sum c_i [Q, p_i] = 0 form a
-    space of dimension n - rank(residue rows), those that also realize zero
-    one of dimension n - rank(all rows); the difference is the dimension of
-    what the solutions realize.
+    Column i holds [Q, p_i] and then p_i itself, for the n one-hot
+    parameters p_i.  The solutions c of sum c_i [Q, p_i] = 0 form a space of
+    dimension n - rank(residue columns), those that also realize zero one of
+    dimension n - rank(all columns); the difference is the dimension of what
+    the solutions realize.
     """
-    total = bundle.total
-    residue_bases = {g.name: total.basis(g.degree + 1) for g in total.generators}
-    value_bases = {g.name: total.basis(g.degree) for g in total.generators}
-    residues, rows = [], []
+    index = _value_index(bundle.total, (1, 0))
+    residues, columns = [], []
     for p in _structured_parameters(bundle):
-        bracket = commutator(bundle.q, p.realized)
-        res, val = [], []
-        for g in total.generators:
-            res.extend(coordinates(bracket.value(g.name), residue_bases[g.name]))
-            val.extend(coordinates(p.realized.value(g.name), value_bases[g.name]))
-        residues.append(res)
-        rows.append(res + val)
-    return linalg.rank(rows) - linalg.rank(residues)
+        residue = _value_column(commutator(bundle.q, p.realized), index)
+        residues.append(residue)
+        columns.append({**residue, **_value_column(p.realized, index)})
+    return linalg.rank(columns) - linalg.rank(residues)
 
 
 # -- the symmetry isomorphism of dual pairs ------------------------------------

@@ -5,11 +5,27 @@ the structured symmetries; tests only."""
 from fractions import Fraction
 from math import gcd
 
-from dgcalc.cohomology import coordinates
 from dgcalc.derivations import Derivation, DgBundle, commutator, exp_apply, model_differential
 from dgcalc.graded import Element, Monomial
-from dgcalc.linalg import kernel_basis, rank
+from dgcalc.linalg import kernel_basis
 from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
+
+
+def coordinates(el, basis):
+    """Dense coordinate vector of el in the given basis."""
+    index = {m: i for i, m in enumerate(basis)}
+    out = [Fraction(0)] * len(basis)
+    for m, c in el.terms.items():
+        out[index[m]] = c
+    return out
+
+
+def dense_kernel(rows, ncols):
+    """`kernel_basis` of dense rows, with each kernel vector written out densely."""
+    sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    return [
+        [v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel_basis(sparse_rows, ncols)
+    ]
 
 
 def _integer_rows(rows):
@@ -113,7 +129,7 @@ def cocycle_vectors(space, degree):
     model, q = _total(space), _differential(space)
     basis, target = model.basis(degree), model.basis(degree + 1)
     columns = [coordinates(q(model.monomial_element(m)), target) for m in basis]
-    return kernel_basis(dense_matrix(columns), len(basis)), basis
+    return dense_kernel(dense_matrix(columns), len(basis)), basis
 
 
 def boundary_vectors(space, degree):
@@ -193,7 +209,7 @@ def twisted_dims_reference(model, h, cap):
         src_wide = _parity_basis(model, parity, wide)
         tgt_wide = _parity_basis(model, 1 - parity, wide)
         wide_columns = _twisted_columns(model, h, src_wide, tgt_wide, wide)
-        cocycles = kernel_basis(dense_matrix(wide_columns), len(src_wide))
+        cocycles = dense_kernel(dense_matrix(wide_columns), len(src_wide))
         keep = [i for i, (deg, _) in enumerate(src_wide) if deg <= cap]
         projected = [[v[i] for i in keep] for v in cocycles]
         src_cap = _parity_basis(model, 1 - parity, cap)
@@ -265,13 +281,31 @@ def structured_kernel_dim(bundle):
     ncols = len(constraint_rows[0])
     constraint = [[row[i] for row in constraint_rows] for i in range(ncols)]
     realized = []
-    for sol in kernel_basis(constraint, len(params)):
+    for sol in dense_kernel(constraint, len(params)):
         vec = [Fraction(0)] * len(realization_rows[0])
         for c, row in zip(sol, realization_rows):
             if c:
                 vec = [x + c * y for x, y in zip(vec, row)]
         realized.append(vec)
-    return rank(realized)
+    return bareiss_rank(realized)
+
+
+def sym0_kernel_dim(bundle):
+    """Dimension of the kernel of [Q, .] on degree-0 derivations, one checked
+    probe per unknown (a generator sent to one monomial of its degree), each
+    bracket expanded densely, ranked by Bareiss."""
+    total = bundle.total
+    residue_bases = {g.name: total.basis(g.degree + 1) for g in total.generators}
+    columns = []
+    for g in total.generators:
+        for m in total.basis(g.degree):
+            probe = Derivation(total, 0, {g.name: total.monomial_element(m)})
+            bracket = commutator(bundle.q, probe)
+            column = []
+            for h in total.generators:
+                column.extend(coordinates(bracket.value(h.name), residue_bases[h.name]))
+            columns.append(column)
+    return len(columns) - bareiss_rank(columns)
 
 
 def courant_reference_bracket(bundle: DgBundle, a: SymElement, b: SymElement) -> SymElement:

@@ -203,6 +203,31 @@ def test_bn_and_e6_checks(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, text, why", [
+    (
+        "bn-check",
+        "model s3sd; dim 3; gen c : 3; fiber q : 1; fiber t : 2; H = c\n",
+        "no closed 1- or 2-form on the base",
+    ),
+    (
+        "e6-check",
+        "model s4flux\ndim 4\ngen a : 4\ngen b : 7\nd b = a^2\n"
+        "fiber q : 3\nfiber t : 6\nF4 = a\nF7 = -1/2 b\n",
+        "no closed 3- or 6-form on the base",
+    ),
+])
+def test_action_displays_skip_without_closed_actors(command, text, why, tmp_path, capsys):
+    path, report = tmp_path / "model.dgm", tmp_path / "report.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, command, str(path), "--trials", "4", "--report", str(report))
+    assert code == 0
+    assert f"  action-displays: skipped ({why})" in out
+    assert "  bracket-display: pass" in out
+    records = report.read_text().splitlines()
+    assert "law.action-displays=skip" in records
+    assert records[-1] == "status=pass"
+
+
 def test_failing_law_reports_its_witness(monkeypatch, tmp_path, capsys):
     def broken_pairing(a, b):
         raise SymmetryError("pairing display disagrees")

@@ -12,7 +12,6 @@ from dgcalc.cohomology import (
     CohomologyError,
     Complex,
     betti,
-    coordinates,
     circle_quasi_iso_check,
     degree_cap,
     periodicity_check,
@@ -23,9 +22,8 @@ from dgcalc.cohomology import (
 )
 from dgcalc.derivations import Derivation, DgBundle, gauge_transform
 from dgcalc.graded import Model
-from dgcalc.linalg import rank
 from dgcalc.sampling import random_element
-from oracles import _differential, twisted_dims_reference
+from oracles import _differential, bareiss_rank, coordinates, twisted_dims_reference
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -38,7 +36,7 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 def test_betti_s3_volume_bundle(s3):
     bundle = DgBundle.line(s3, s3.gen("c"), "t", 2)
     table = betti(bundle, 0, 6)
-    assert table.as_pairs() == [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)]
+    assert list(table.items()) == [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)]
 
 
 def test_betti_point_with_polynomial_fiber():
@@ -53,7 +51,7 @@ def test_betti_torus_bundle_stabilizes_at_two(t2):
     bundle = DgBundle.line(t2, t2.zero(), "t", 2)
     table = betti(bundle, 0, 8)
     assert all(table[j] == 2 for j in range(3, 9))
-    assert table.as_pairs()[:3] == [(0, 1), (1, 2), (2, 2)]
+    assert list(table.items())[:3] == [(0, 1), (1, 2), (2, 2)]
 
 
 def test_d_matrix_composes_to_zero(s2):
@@ -95,7 +93,6 @@ def test_columns_are_the_coordinates_of_d(s2, s3, nil):
                 dense = [column.get(i, 0) for i in range(len(target))]
                 assert dense == coordinates(q(model.monomial_element(m)), target)
                 assert all(column.values())
-            assert cs.images() is cs.columns
 
 
 def _assert_twisted_matches_reference(model, h, top_cap):
@@ -195,12 +192,12 @@ def test_twisted_product_with_volume_twist():
         differential=lambda mm: {"b": mm.gen("a") * mm.gen("a")},
         name="S2xS3",
     )
-    assert betti(m, 0, 5).as_pairs() == [(0, 1), (1, 0), (2, 1), (3, 1), (4, 0), (5, 1)]
+    assert list(betti(m, 0, 5).items()) == [(0, 1), (1, 0), (2, 1), (3, 1), (4, 0), (5, 1)]
     assert twisted_betti(m, m.gen("c")) == (0, 0)
     assert twisted_betti(m, m.zero()) == (2, 2)
     bundle = DgBundle.line(m, m.gen("c"), "t", 2)
     high = betti(bundle, 6, 9)
-    assert all(dim == 0 for _, dim in high.as_pairs())
+    assert not any(high.values())
 
 
 def test_twisted_requires_closed_form(s2):
@@ -314,7 +311,7 @@ def test_betti_gauge_invariance(nil):
             img = moved(bundle.total.monomial_element(m))
             prev_cols.append([img.terms.get(mm, 0) for mm in basis_k])
         prev = [[prev_cols[j][i] for j in range(len(prev_cols))] for i in range(len(basis_k))]
-        dim = len(basis_k) - rank(mat) - rank(prev)
+        dim = len(basis_k) - bareiss_rank(mat) - bareiss_rank(prev)
         assert dim == plain[k]
 
 

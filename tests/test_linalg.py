@@ -1,29 +1,51 @@
-"""Sparse exact elimination against independent oracles: dense Bareiss and sympy."""
+"""Sparse exact elimination against independent oracles: dense Bareiss and sympy.
+
+The matrices are drawn dense, handed to `linalg` as sparse rows
+{column: value}, and the sparse kernel vectors are written out densely to be
+compared with the oracles'.
+"""
 
 from fractions import Fraction
 
 import pytest
 
-from dgcalc.linalg import ZERO, kernel_basis, rank, sparse
+from dgcalc.linalg import kernel_basis, rank, rank_gain
 from oracles import bareiss_rank
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-# about half the entries are zeros: ints, fresh Fractions or the shared
-# assembly zero; the rest are small ints and rationals with large denominators
+# about half the entries are zeros, ints or Fractions; the rest are small ints
+# and rationals with large denominators
 ENTRIES = st.one_of(
-    st.sampled_from([0, Fraction(0), ZERO]),
+    st.sampled_from([0, Fraction(0)]),
     st.integers(-3, 3),
     st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12),
 )
 
 
+def sparse(rows):
+    """The dense rows as sparse rows, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def kept(rows):
+    """The dense rows as mappings that keep their zeros."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def dense_kernel(rows, ncols):
+    """The kernel of the dense rows, each sparse vector written out densely."""
+    return [[v.get(j, 0) for j in range(ncols)] for v in kernel_basis(sparse(rows), ncols)]
+
+
 @st.composite
-def matrices(draw):
-    """(rows, ncols): random sparse rows, some of low rank, some with zero columns."""
-    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+def matrices(draw, ncols=None):
+    """(rows, ncols): random dense rows, some of low rank, some with zero columns."""
+    nrows = draw(st.integers(0, 7))
+    if ncols is None:
+        ncols = draw(st.integers(0, 7))
     if draw(st.booleans()):
         rows = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
     else:  # a product through at most 4 inner columns, so often rank-deficient
@@ -51,18 +73,35 @@ def _sympy_matrix(sympy, rows, ncols):
 @given(matrices())
 def test_rank_matches_bareiss(case):
     rows, _ = case
-    assert rank(rows) == bareiss_rank(rows)
+    assert rank(sparse(rows)) == bareiss_rank(rows)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(base, extra): two random dense matrices with the same number of columns."""
+    base, ncols = draw(matrices())
+    extra, _ = draw(matrices(ncols))
+    return base, extra
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_rank_gain_matches_two_ranks(case):
+    base, extra = case
+    gain = rank_gain(sparse(base), sparse(extra))
+    assert gain == rank(sparse(base + extra)) - rank(sparse(base))
+    assert gain == bareiss_rank(base + extra) - bareiss_rank(base)
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_sparse_rows_and_columns_match_dense_rows(case):
     rows, ncols = case
-    expected_rank, expected_kernel = rank(rows), kernel_basis(rows, ncols)
-    columns = [dict(enumerate(col)) for col in zip(*rows)]  # zeros kept
-    for form in ([sparse(row) for row in rows], [dict(enumerate(row)) for row in rows]):
+    expected_rank, expected_kernel = bareiss_rank(rows), kernel_basis(sparse(rows), ncols)
+    for form in (sparse(rows), kept(rows)):
         assert rank(form) == expected_rank
         assert kernel_basis(form, ncols) == expected_kernel
+    columns = [dict(enumerate(col)) for col in zip(*rows)]  # zeros kept
     assert rank(columns) == expected_rank
 
 
@@ -72,42 +111,46 @@ def test_rank_and_kernel_match_sympy(case):
     sympy = pytest.importorskip("sympy")
     rows, ncols = case
     m = _sympy_matrix(sympy, rows, ncols)
-    assert rank(rows) == m.rank()
+    assert rank(sparse(rows)) == m.rank()
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
-    assert kernel_basis(rows, ncols) == expected
+    assert dense_kernel(rows, ncols) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_kernel_vectors_are_annihilated(case):
     rows, ncols = case
-    basis = kernel_basis(rows, ncols)
-    assert len(basis) == ncols - rank(rows)
+    basis = kernel_basis(sparse(rows), ncols)
+    assert len(basis) == ncols - bareiss_rank(rows)
     for v in basis:
-        assert all(isinstance(x, Fraction) for x in v)
+        assert all(isinstance(x, Fraction) and x for x in v.values())
+        assert all(0 <= j < ncols for j in v)
         for row in rows:
-            assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+            assert sum(Fraction(row[j]) * x for j, x in v.items()) == 0
 
 
 def test_empty_and_zero_matrices():
-    assert sparse([0, ZERO, Fraction(0), 3, Fraction(1, 2)]) == {3: 3, 4: Fraction(1, 2)}
-    assert rank([{}, {0: 0}, {1: ZERO}]) == 0
-    assert rank([]) == 0 and rank([[], []]) == 0
-    assert rank([[0, Fraction(0), ZERO]] * 3) == 0
-    identity = [[Fraction(int(i == j)) for i in range(3)] for j in range(3)]
+    assert rank([{}, {0: 0}, {1: Fraction(0)}]) == 0
+    assert rank([]) == 0 and rank([{}, {}]) == 0
+    assert rank_gain([], []) == 0 and rank_gain([{0: 1}], [{0: 2}, {}]) == 0
+    identity = [{i: Fraction(1)} for i in range(3)]
     assert kernel_basis([], 3) == identity
-    assert kernel_basis([[0, 0, 0]], 3) == identity
-    assert kernel_basis([[], []], 0) == []
+    assert kernel_basis([{0: 0, 1: 0, 2: 0}], 3) == identity
+    assert kernel_basis([{}, {}], 0) == []
 
 
 def test_kernel_is_the_reduced_echelon_basis():
     # x0 + 2 x1 + 3 x3 = 0, x2 - x3/2 = 0: free columns 1 and 3
     rows = [[2, 4, 1, Fraction(11, 2)], [1, 2, 0, 3]]
-    assert rank(rows) == 2
-    assert kernel_basis(rows, 4) == [
+    assert rank(sparse(rows)) == 2
+    assert dense_kernel(rows, 4) == [
         [Fraction(-2), Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1)],
     ]
+    assert kernel_basis(sparse(rows), 4) == [
+        {0: Fraction(-2), 1: Fraction(1)},
+        {0: Fraction(-3), 2: Fraction(1, 2), 3: Fraction(1)},
+    ]
     # the first pivot row meets both later pivot columns
     rows = [[1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
-    assert kernel_basis(rows, 4) == [[Fraction(2), Fraction(-1), Fraction(-1), Fraction(1)]]
+    assert dense_kernel(rows, 4) == [[Fraction(2), Fraction(-1), Fraction(-1), Fraction(1)]]

@@ -85,7 +85,7 @@ d p = x y z
 d k = p p
 """
     with pytest.raises(ModelFileError) as err:
-        parse_model(text, check_dimension=False)
+        parse_model(text)
     assert err.value.kind == "d-squared"
     assert err.value.line == 6  # the d k statement
     assert "k" in err.value.witness

@@ -6,7 +6,9 @@ a shape has parts in, and both must refuse anything outside the shape.  The
 part lists below are written out independently of the library's table.  The
 dimension of the degree-0 structured solutions is pinned against
 `oracles.structured_kernel_dim`, which solves for a kernel basis and realizes
-each solution.
+each solution, and the full degree-0 kernel of [Q, .] against
+`oracles.sym0_kernel_dim`, which brackets one checked probe per unknown and
+ranks the dense brackets by Bareiss.
 """
 
 import importlib.util
@@ -20,8 +22,8 @@ from dgcalc import presets
 from dgcalc.derivations import Derivation, DgBundle
 from dgcalc.parser import load_path, parse_model
 from dgcalc.sampling import random_contraction, random_element
-from dgcalc.symmetries import SymmetryError, _structured_kernel_dim, decompose, symmetry
-from oracles import structured_kernel_dim
+from dgcalc.symmetries import SymmetryError, decompose, sym0_dimensions, symmetry
+from oracles import structured_kernel_dim, sym0_kernel_dim
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -157,20 +159,23 @@ def _benchmark_inputs():
     return module
 
 
+def _assert_degree_zero_counts(bundle):
+    """Both numbers of sym0_dimensions: the structured solutions and the full kernel."""
+    assert sym0_dimensions(bundle) == (structured_kernel_dim(bundle), sym0_kernel_dim(bundle))
+
+
 @pytest.mark.parametrize("name", BUNDLE_MODELS)
 def test_structured_kernel_dim_matches_oracle_on_models(name):
-    bundle = load_path(str(ROOT / "models" / f"{name}.dgm")).bundle
-    assert _structured_kernel_dim(bundle) == structured_kernel_dim(bundle)
+    _assert_degree_zero_counts(load_path(str(ROOT / "models" / f"{name}.dgm")).bundle)
 
 
 @pytest.mark.parametrize("n,variant,selfdual", [
     (3, 0, False), (3, 1, True), (4, 2, False), (4, 3, True), (5, 0, False), (5, 5, True),
 ])
 def test_structured_kernel_dim_matches_oracle_on_generated_pairs(n, variant, selfdual):
-    bundle = parse_model(_benchmark_inputs().pair(n, variant, selfdual)).bundle
-    assert _structured_kernel_dim(bundle) == structured_kernel_dim(bundle)
+    _assert_degree_zero_counts(parse_model(_benchmark_inputs().pair(n, variant, selfdual)).bundle)
 
 
 @pytest.mark.parametrize("key", sorted(BUNDLES))
 def test_structured_kernel_dim_matches_oracle_on_fixtures(key):
-    assert _structured_kernel_dim(BUNDLES[key]) == structured_kernel_dim(BUNDLES[key])
+    _assert_degree_zero_counts(BUNDLES[key])
