@@ -111,7 +111,7 @@ def cmd_validate(mf, args, report):
 
 
 def cmd_betti(mf, args, report):
-    space = mf.bundle if mf.bundle is not None else mf.base_complex
+    space = mf.bundle if mf.bundle is not None else mf.model
     lo, hi = args.lo, args.hi if args.hi is not None else degree_cap(space)
     table = betti(space, lo, hi)
     print(f"betti numbers of {mf.name or '?'} for degrees {lo}..{hi}")
@@ -158,7 +158,7 @@ def cmd_mc_check(mf, args, report):
 
 
 def cmd_tdualize(mf, args, report):
-    pair = dualize(_need_bundle(mf, "two_step"), mf.base_complex)
+    pair = dualize(_need_bundle(mf, "two_step"))
     print(f"dual of {mf.name or '?'}:")
     for key in ("F", "Fbar", "H"):
         text = format_element(pair.pbar.structural[key])
@@ -170,7 +170,7 @@ def cmd_tdualize(mf, args, report):
 
 def cmd_tmap_verify(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
-    pair = dualize(bundle, mf.base_complex)
+    pair = dualize(bundle)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
     sign = tduality_chain_map(pair).verify(cap)
     report.add("cap", cap)
@@ -181,11 +181,11 @@ def cmd_tmap_verify(mf, args, report):
 
 def cmd_ses_verify(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
-    pair = dualize(bundle, mf.base_complex)
+    pair = dualize(bundle)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
     ok, rows = ses_verify(pair, cap)
-    source_betti = betti(pair.complex["p"], 0, cap)
-    target_betti = betti(pair.complex["pbar"], 0, cap)
+    source_betti = betti(pair.p, 0, cap)
+    target_betti = betti(pair.pbar, 0, cap)
     print(f"short exact sequence check through degree {cap}")
     print("  k   dim C^k(P)  ker T  base  im T  dim C^(k-1)(dual)  H^k(P)  H^(k-1)(dual)  ok")
     for row in rows:
@@ -207,7 +207,7 @@ def cmd_ses_verify(mf, args, report):
 
 def cmd_iso_check(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
-    pair = dualize(bundle, mf.base_complex)
+    pair = dualize(bundle)
     k = args.k if args.k is not None else bundle.formal_dimension
     ok, info = tduality_iso_check(pair, k)
     report.add("k", k)
@@ -217,7 +217,7 @@ def cmd_iso_check(mf, args, report):
         f"H^{k + 1}(P) vs H^{k}(dual): dims {info['dim_source']}/{info['dim_target']}, "
         f"induced rank {info['induced_rank']}: {'pass' if ok else 'fail'}"
     )
-    periodic = k + 1 <= bundle.formal_dimension or periodicity_check(pair.complex["p"], k + 1, 1)
+    periodic = k + 1 <= bundle.formal_dimension or periodicity_check(pair.p, k + 1, 1)
     report.add("periodicity", periodic)
     return ok
 

@@ -9,7 +9,6 @@ consecutive caps must agree before a result is returned.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -33,20 +32,12 @@ class CohomologyError(Exception):
     pass
 
 
-def _total(space) -> Model:
-    """The model whose functions a space, or the complex of one, is made of."""
-    if isinstance(space, Complex):
-        space = space.space
+def _total(space: BundleLike) -> Model:
+    """The model whose functions a space is made of."""
     return space.total if isinstance(space, DgBundle) else space
 
 
 def degree_cap(space: BundleLike) -> int:
-    env = os.environ.get("DGCALC_DEGREE_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise CohomologyError(f"DGCALC_DEGREE_CAP must be an integer, got {env!r}")
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 
@@ -117,17 +108,17 @@ def _transpose(columns: List[Column]) -> List[Column]:
 
 
 class Complex:
-    """The cochain complex of one space: each degree slice is built on first use
-    and shared by every later reader."""
+    """The cochain complex of one model: each degree slice is built on first use
+    and shared by every later reader.  complex_of gives the model's one complex."""
 
-    def __init__(self, space: BundleLike):
-        self.space = space
+    def __init__(self, model: Model):
+        self.model = model
         self._slices: Dict[int, CochainSpace] = {}
 
     def __getitem__(self, degree: int) -> CochainSpace:
         cs = self._slices.get(degree)
         if cs is None:
-            cs = self._slices[degree] = CochainSpace(self.space, degree)
+            cs = self._slices[degree] = CochainSpace(self.model, degree)
         return cs
 
     def rank(self, degree: int) -> int:
@@ -135,21 +126,33 @@ class Complex:
         return self[degree].rank() if degree >= 0 else 0
 
 
-def induced_rank(source: Complex, degree: int, f, target: Complex, target_degree: int) -> int:
+def complex_of(space: BundleLike) -> Complex:
+    """The one cochain complex of a space's total model, kept on the model, so
+    a bundle and its total model share it."""
+    model = _total(space)
+    if model._complex is None:
+        model._complex = Complex(model)
+    return model._complex
+
+
+def induced_rank(
+    source: BundleLike, degree: int, f, target: BundleLike, target_degree: int
+) -> int:
     """Rank of the map that f, a chain map up to sign, induces from
     H^degree(source) to H^target_degree(target)."""
-    index = {m: i for i, m in enumerate(target[target_degree].basis)}
-    images = [_column(f(z), index) for z in source[degree].cocycles()]
-    boundaries = target[target_degree - 1].columns if target_degree > 0 else []
+    src, tgt = complex_of(source), complex_of(target)
+    index = {m: i for i, m in enumerate(tgt[target_degree].basis)}
+    images = [_column(f(z), index) for z in src[degree].cocycles()]
+    boundaries = tgt[target_degree - 1].columns if target_degree > 0 else []
     return linalg.rank_gain(boundaries, images)
 
 
-def betti(space, lo: int, hi: int) -> Dict[int, int]:
-    """Exact cohomology dimensions {degree: dim} of a space, or its complex, for
-    lo <= degree <= hi, in ascending degree."""
+def betti(space: BundleLike, lo: int, hi: int) -> Dict[int, int]:
+    """Exact cohomology dimensions {degree: dim} of a space for lo <= degree <= hi,
+    in ascending degree."""
     if lo < 0 or hi < lo:
         raise CohomologyError("need hi >= lo >= 0")
-    cx = space if isinstance(space, Complex) else Complex(space)
+    cx = complex_of(space)
     return {k: cx[k].dimension - cx.rank(k) - cx.rank(k - 1) for k in range(lo, hi + 1)}
 
 
@@ -255,7 +258,7 @@ def twist_operator(model: Model, h: Element):
     return op
 
 
-def periodicity_check(space, j: int, l: int) -> bool:
+def periodicity_check(space: BundleLike, j: int, l: int) -> bool:
     """Betti dimension agreement between degrees j and j + 2l (for j past the base)."""
     if j <= _total(space).formal_dimension:
         raise CohomologyError("periodicity applies above the formal dimension")
@@ -280,16 +283,11 @@ def circle_quasi_iso_check(base: Model, f: Element, total: Model, hi: Optional[i
     return lhs == rhs, pairs
 
 
-def validate_formal_dimension(space, window: int = 4) -> Complex:
-    """Audit that base cohomology vanishes just above the declared dimension.
-
-    Returns the complex the audit built its slices on, for later readers."""
-    cx = space if isinstance(space, Complex) else Complex(space)
-    fd = _total(cx).formal_dimension
-    table = betti(cx, fd + 1, fd + window)
-    for k, dim in table.items():
+def validate_formal_dimension(space: BundleLike, window: int = 4) -> None:
+    """Audit that base cohomology vanishes just above the declared dimension."""
+    fd = _total(space).formal_dimension
+    for k, dim in betti(space, fd + 1, fd + window).items():
         if dim:
             raise GradedError(
                 f"declared formal dimension {fd} but cohomology is nonzero in degree {k}"
             )
-    return cx

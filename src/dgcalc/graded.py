@@ -289,11 +289,6 @@ class Element:
             comps.setdefault(m.degree(self.model), {})[m] = c
         return {d: Element(self.model, t) for d, t in sorted(comps.items())}
 
-    def component(self, degree: int) -> "Element":
-        return Element(
-            self.model, {m: c for m, c in self.terms.items() if m.degree(self.model) == degree}
-        )
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (t[0].degree(self.model), t[0].exponents))
 
@@ -330,6 +325,8 @@ class Model:
         # exponent vector is the sum of the bits it selects
         self.odd_bits = tuple(1 << i if g.is_odd else 0 for i, g in enumerate(gens))
         self._bases: dict = {}
+        # the model's cochain complex, built on first use by cohomology.complex_of
+        self._complex = None
         self.formal_dimension = formal_dimension
         self.name = name
         if differential is None:

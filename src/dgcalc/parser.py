@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .cohomology import Complex, validate_formal_dimension
+from .cohomology import validate_formal_dimension
 from .derivations import BundleError, Derivation, DgBundle
 from .graded import Element, GradedError, Model
 from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
@@ -207,9 +207,6 @@ class ModelFile:
     def __init__(self):
         self.name = ""
         self.model: Optional[Model] = None
-        # the cochain complex of the base model, holding the slices the
-        # formal-dimension audit built, for later readers to share
-        self.base_complex: Optional[Complex] = None
         self.bundle: Optional[DgBundle] = None
         self.elements: Dict[str, Element] = {}
         self.vectors: Dict[str, Derivation] = {}
@@ -338,11 +335,10 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
                 line, col = dline, dcol
         raise ModelFileError("d-squared", line, col, "differential does not square to zero", witness)
     out.model = base
-    out.base_complex = Complex(base)
 
     if formal_dim is not None:
         try:
-            validate_formal_dimension(out.base_complex)
+            validate_formal_dimension(base)
         except GradedError as e:
             raise ModelFileError("formal-dimension", dim_pos[0], dim_pos[1], str(e))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import Complex, _total, betti, degree_cap, induced_rank, operator_matrix
+from .cohomology import _total, betti, degree_cap, induced_rank, operator_matrix
 from .derivations import Derivation, DgBundle
 from .graded import Element, _collect
 
@@ -45,15 +45,10 @@ def pushforward(bundle: DgBundle, el: Element) -> Element:
 class TDualPair:
     """A two-step bundle, its dual, and the correspondence joining them."""
 
-    def __init__(self, p: DgBundle, base_complex: Optional[Complex] = None):
-        """base_complex, if given, is a complex of p's base model to share."""
+    def __init__(self, p: DgBundle):
         if p.shape != "two_step":
             raise TDualityError("dualization expects the two-step bundle shape")
         base = p.base
-        if base_complex is None:
-            base_complex = Complex(base)
-        elif base_complex.space is not base:
-            raise TDualityError("the base complex belongs to another model")
         f, fbar, h = p.structural["F"], p.structural["Fbar"], p.structural["H"]
         self.base = base
         self.p = p
@@ -64,8 +59,6 @@ class TDualPair:
         self.correspondence = DgBundle.correspondence(
             base, f, fbar, h, q=p.q_name, qbar=dual_fiber, t=p.t_name
         )
-        # one cochain complex per space, shared by every cohomology check on the pair
-        self.complex = {"base": base_complex, "p": Complex(p), "pbar": Complex(self.pbar)}
         self._gauge = Derivation(
             self.correspondence.total,
             0,
@@ -166,8 +159,8 @@ class TDualPair:
         return self.p.restrict_to_base(out)
 
 
-def dualize(p: DgBundle, base_complex: Optional[Complex] = None) -> TDualPair:
-    return TDualPair(p, base_complex)
+def dualize(p: DgBundle) -> TDualPair:
+    return TDualPair(p)
 
 
 class ChainMap:
@@ -265,19 +258,18 @@ def les_node_ranks(pair: TDualPair, degree: int):
     beta_*: H^{k-1}(Pbar) -> H^{k+1}(base).
     """
     k = degree
-    base, p, pbar = (pair.complex[key] for key in ("base", "p", "pbar"))
-    rank_i = induced_rank(base, k, pair.p.include_base, p, k)
+    rank_i = induced_rank(pair.base, k, pair.p.include_base, pair.p, k)
     if k < 1:
         return rank_i, 0, 0
-    rank_t = induced_rank(p, k, pair.tmap, pbar, k - 1)
-    rank_beta = induced_rank(pbar, k - 1, pair.connecting, base, k + 1)
+    rank_t = induced_rank(pair.p, k, pair.tmap, pair.pbar, k - 1)
+    rank_beta = induced_rank(pair.pbar, k - 1, pair.connecting, pair.base, k + 1)
     return rank_i, rank_t, rank_beta
 
 
 def les_check(pair: TDualPair, lo: int, hi: int) -> Tuple[bool, List[Tuple]]:
     """Exactness bookkeeping for the long exact sequence on a degree window."""
     hp, hpb, hm = (
-        betti(pair.complex[key], max(lo - 1, 0), hi + 1) for key in ("p", "pbar", "base")
+        betti(space, max(lo - 1, 0), hi + 1) for space in (pair.p, pair.pbar, pair.base)
     )
     node_ranks = {k: les_node_ranks(pair, k) for k in range(lo, hi + 2)}
     rows = []
@@ -302,9 +294,8 @@ def tduality_iso_check(pair: TDualPair, k: Optional[int] = None):
         k = pair.base.formal_dimension
     if k < pair.base.formal_dimension:
         raise TDualityError("isomorphism range starts at the formal dimension")
-    p, pbar = pair.complex["p"], pair.complex["pbar"]
-    dim_source = betti(p, k + 1, k + 1)[k + 1]
-    dim_target = betti(pbar, k, k)[k]
-    rank_ind = induced_rank(p, k + 1, pair.tmap, pbar, k)
+    dim_source = betti(pair.p, k + 1, k + 1)[k + 1]
+    dim_target = betti(pair.pbar, k, k)[k]
+    rank_ind = induced_rank(pair.p, k + 1, pair.tmap, pair.pbar, k)
     ok = dim_source == dim_target == rank_ind
     return ok, {"dim_source": dim_source, "dim_target": dim_target, "induced_rank": rank_ind}

@@ -270,17 +270,11 @@ def test_tmap_verify_rejects_negative_cap(capsys):
 
 
 @pytest.mark.parametrize("cap", ["-1", "-3"])
-def test_twisted_rejects_a_cap_that_checks_nothing(cap, monkeypatch, capsys):
-    model = str(MODELS / "t2_pair.dgm")
-    code, out, err = run(capsys, "twisted", model, "--cap", cap)
+def test_twisted_rejects_a_cap_that_checks_nothing(cap, capsys):
+    code, out, err = run(capsys, "twisted", str(MODELS / "t2_pair.dgm"), "--cap", cap)
     assert code == 2
     assert "even" not in out
     assert f"degree cap {cap} checks no degree" in err
-    monkeypatch.setenv("DGCALC_DEGREE_CAP", str(int(cap) - 1))
-    code, out, err = run(capsys, "twisted", model)
-    assert code == 2
-    assert "even" not in out
-    assert f"degree cap {int(cap) - 1} checks no degree" in err
 
 
 def test_identities_seeded(capsys):
@@ -335,27 +329,43 @@ def test_twisted_with_named_form(capsys):
     assert "even: 10" in out and "odd:  10" in out
 
 
+SWEEP_ARGS = {
+    "validate": [],
+    "betti": [],
+    "twisted": [],
+    "mc-check": [],
+    "tdualize": [],
+    "tmap-verify": [],
+    "ses-verify": [],
+    "iso-check": [],
+    "sym": [],
+    "derived-bracket": ["--a", "u", "--b", "v"],
+    "bn-check": ["--trials", "1"],
+    "e6-check": ["--trials", "1"],
+    "identities": ["--trials", "1"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS.glob("*.dgm")), ids=lambda p: p.stem)
+def test_every_command_on_every_model_exits_cleanly(model, capsys):
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(commands) == sorted(SWEEP_ARGS)
+    for command, extra in SWEEP_ARGS.items():
+        code, _, err = run(capsys, command, str(model), *extra)
+        assert code in (0, 1, 2), command
+        assert code != 2 or err.startswith("error: "), (command, err)
+
+
 def test_missing_file_is_clean_error(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.dgm")
     assert code == 2
     assert "error:" in err
 
 
-def test_degree_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("DGCALC_DEGREE_CAP", "4")
-    code, out, _ = run(capsys, "betti", str(MODELS / "s3_volume.dgm"))
-    assert code == 0
-    assert "H^4" in out and "H^5" not in out
-
-
-@pytest.mark.parametrize("case", ["degree-cap", "zero-denominator", "not-utf8"])
-def test_bad_input_is_a_positioned_diagnostic(case, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("case", ["zero-denominator", "not-utf8"])
+def test_bad_input_is_a_positioned_diagnostic(case, tmp_path, capsys):
     model = tmp_path / "model.dgm"
-    model.write_bytes((MODELS / "s3_volume.dgm").read_bytes())
-    if case == "degree-cap":
-        monkeypatch.setenv("DGCALC_DEGREE_CAP", "abc")
-        expected = "DGCALC_DEGREE_CAP"
-    elif case == "zero-denominator":
+    if case == "zero-denominator":
         model.write_text("model z\ndim 2\ngen a : 2; gen b : 3\nd b = 1/0 a^2\n")
         expected = "line 4"
     else:

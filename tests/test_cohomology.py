@@ -10,9 +10,9 @@ from dgcalc import cli, presets
 from dgcalc.cohomology import (
     CochainSpace,
     CohomologyError,
-    Complex,
     betti,
     circle_quasi_iso_check,
+    complex_of,
     degree_cap,
     periodicity_check,
     rescale_to_twisted,
@@ -115,6 +115,7 @@ def test_twisted_matches_dense_reference_on_tori(n):
 
 
 def test_twisted_matches_dense_reference_with_polynomial_generator(s2, s3):
+    assert degree_cap(s2) == 10  # 2 x formal dimension + 6
     _assert_twisted_matches_reference(s2, s2.zero(), degree_cap(s2) + 1)
     _assert_twisted_matches_reference(s3, s3.gen("c"), degree_cap(s3) + 1)
 
@@ -323,10 +324,19 @@ def test_validate_formal_dimension(nil, s2):
         validate_formal_dimension(bad)
 
 
-def test_validate_formal_dimension_returns_its_complex(nil):
-    cx = Complex(nil)
-    assert validate_formal_dimension(cx) is cx
-    assert validate_formal_dimension(nil).space is nil
+def test_validate_formal_dimension_returns_its_complex(nil, monkeypatch):
+    # the audit returns nothing and leaves its slices on the model's one complex
+    assert validate_formal_dimension(nil) is None
+
+    def no_rebuild(self, space, degree):
+        raise AssertionError(f"slice {degree} built again")
+
+    monkeypatch.setattr(CochainSpace, "__init__", no_rebuild)
+    fd = nil.formal_dimension
+    cx = complex_of(nil)
+    assert cx is complex_of(nil) and cx.model is nil
+    assert all(cx[k].degree == k for k in range(fd + 1, fd + 5))
+    assert betti(nil, fd + 1, fd + 4) == {k: 0 for k in range(fd + 1, fd + 5)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,9 +358,3 @@ def test_no_slice_is_built_twice(argv, monkeypatch, capsys):
     assert cli.main([argv[0], str(MODELS / argv[1])] + argv[2:]) == 0
     keys = [(id(space), degree) for space, degree in builds]
     assert builds and len(keys) == len(set(keys))
-
-
-def test_degree_cap_env_override(s2, monkeypatch):
-    assert degree_cap(s2) == 10
-    monkeypatch.setenv("DGCALC_DEGREE_CAP", "14")
-    assert degree_cap(s2) == 14

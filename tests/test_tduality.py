@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dgcalc import presets
-from dgcalc.cohomology import CochainSpace, Complex, betti, degree_cap
+from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
 from dgcalc.derivations import DgBundle
 from dgcalc.graded import Element, GradedGenerator, Model, Monomial
 from dgcalc.parser import load_path
@@ -316,13 +316,37 @@ def test_pair_rejects_a_fiber_layout_it_cannot_map():
         dualize(swapped)
 
 
-def test_pair_shares_a_given_base_complex_of_its_own_base():
+def _count_builds(monkeypatch):
+    """Record the (model, degree) of every CochainSpace built from now on; the
+    list keeps each model alive, so its id stays unique."""
+    built = []
+    init = CochainSpace.__init__
+
+    def counting(self, space, degree):
+        built.append((oracles._total(space), degree))
+        init(self, space, degree)
+
+    monkeypatch.setattr(CochainSpace, "__init__", counting)
+    return built
+
+
+def _built_once(built):
+    """Something was built, and no (model, degree) twice."""
+    keys = [(id(model), degree) for model, degree in built]
+    return bool(keys) and len(keys) == len(set(keys))
+
+
+def test_pair_shares_a_given_base_complex_of_its_own_base(monkeypatch):
+    # the load-time audit builds the base slices fd..fd+4 on the model's own complex
     mf = load_path(str(MODELS / "hopf_pair.dgm"))
-    pair = dualize(mf.bundle, mf.base_complex)
-    assert pair.complex["base"] is mf.base_complex
-    assert dualize(mf.bundle).complex["base"] is not mf.base_complex
-    with pytest.raises(TDualityError, match="another model"):
-        dualize(mf.bundle, Complex(presets.sphere2()))
+    fd = mf.model.formal_dimension
+    built = _count_builds(monkeypatch)
+    for k in range(fd + 1, fd + 5):
+        complex_of(mf.model)[k]
+    assert built == []
+    les_check(dualize(mf.bundle), 0, fd + 3)
+    assert _built_once(built)
+    assert not [k for model, k in built if model is mf.model and k in range(fd, fd + 5)]
 
 
 # -- exact sequences --------------------------------------------------------
@@ -426,18 +450,11 @@ def test_high_degree_isomorphism(make):
 
 @pytest.mark.parametrize("make", ALL_PAIRS)
 def test_each_cochain_slice_is_built_once(make, monkeypatch):
-    built = []
-    init = CochainSpace.__init__
-
-    def counting(self, space, degree):
-        built.append((id(space), degree))
-        init(self, space, degree)
-
-    monkeypatch.setattr(CochainSpace, "__init__", counting)
+    built = _count_builds(monkeypatch)
     pair = make()
     les_check(pair, 0, 5)
     tduality_iso_check(pair)
-    assert built and len(built) == len(set(built))
+    assert _built_once(built)
 
 
 @pytest.mark.parametrize("make", ALL_PAIRS)
@@ -447,6 +464,32 @@ def test_les_node_ranks_match_dense_oracle(make):
         assert les_node_ranks(pair, k) == oracles.les_node_ranks(pair, k), k
 
 
+@pytest.mark.parametrize("make", ALL_PAIRS)
+def test_betti_and_les_build_each_model_slice_once(make, monkeypatch):
+    built = _count_builds(monkeypatch)
+    pair = make()
+    betti(pair.p, 0, 4)
+    betti(pair.p.total, 2, 6)
+    les_check(pair, 0, 5)
+    assert _built_once(built)
+
+
+def _fresh_betti(space, lo, hi):
+    """Betti numbers from Bareiss ranks of newly built slices that no complex holds."""
+    slices = {k: CochainSpace(space, k) for k in range(max(lo - 1, 0), hi + 1)}
+    model = oracles._total(space)
+
+    def rank(k):
+        if k < 0:
+            return 0
+        width = len(model.basis(k + 1))
+        return oracles.bareiss_rank(
+            [[col.get(i, 0) for i in range(width)] for col in slices[k].columns]
+        )
+
+    return {k: len(slices[k].basis) - rank(k) - rank(k - 1) for k in range(lo, hi + 1)}
+
+
 @pytest.mark.parametrize("windows", [[(2, 4), (0, 6)], [(0, 6), (2, 4)]])
 @pytest.mark.parametrize("make", ALL_PAIRS)
 def test_betti_on_a_shared_complex_matches_a_fresh_space(make, windows):
@@ -454,7 +497,7 @@ def test_betti_on_a_shared_complex_matches_a_fresh_space(make, windows):
     spaces = {"base": pair.base, "p": pair.p, "pbar": pair.pbar}
     for lo, hi in windows:
         for key, space in spaces.items():
-            assert betti(pair.complex[key], lo, hi) == betti(space, lo, hi), (key, lo, hi)
+            assert betti(space, lo, hi) == _fresh_betti(space, lo, hi), (key, lo, hi)
 
 
 def test_iso_check_guards_range():
