@@ -1,6 +1,6 @@
 """dgcalc: exact-arithmetic calculus on shifted-line bundles over CDGA models."""
 
-from .graded import Element, GradedError, GradedGenerator, Model, Monomial, format_element
+from .graded import Element, GradedError, GradedGenerator, Model, format_element
 from .derivations import (
     BundleError,
     Derivation,
@@ -18,7 +18,6 @@ __all__ = [
     "GradedError",
     "GradedGenerator",
     "Model",
-    "Monomial",
     "format_element",
     "BundleError",
     "Derivation",

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import Element, GradedError, Model, Monomial
+from .graded import Element, GradedError, Model
 
 BundleLike = Union[Model, DgBundle]
 # a sparse column {row: coefficient}; zero coefficients are left out
@@ -41,7 +41,7 @@ def degree_cap(space: BundleLike) -> int:
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 
-def _column(el: Element, index: Dict[Monomial, int]) -> Column:
+def _column(el: Element, index: Dict[tuple, int]) -> Column:
     """el as {row: coefficient}, its monomials numbered by index."""
     col = {}
     for m, c in el.terms.items():
@@ -166,7 +166,7 @@ def _twisted_images(model: Model, h: Element, top: int):
     numbered in the other parity.  The d part has degree k + 1 and h*m degree
     k + 3; a part above top is left out.
     """
-    windows: Tuple[List[Monomial], List[Monomial]] = ([], [])
+    windows: Tuple[List[tuple], List[tuple]] = ([], [])
     upto: Tuple[List[int], List[int]] = ([], [])
     for k in range(top + 1):
         windows[k % 2].extend(model.basis(k))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
-from .graded import Element, GradedError, GradedGenerator, Model, Monomial, _odd_mask, format_element, leibniz
+from .graded import Element, GradedError, GradedGenerator, Model, _odd_mask, format_element, leibniz
 
 
 class DerivationError(Exception):
@@ -265,9 +265,7 @@ class DgBundle:
         if el.model is not self.base:
             raise BundleError("expected an element of the base model")
         pad = len(self.fiber_names)
-        return Element(
-            self.total, {Monomial(m.exponents + (0,) * pad): c for m, c in el.terms.items()}
-        )
+        return Element(self.total, {m + (0,) * pad: c for m, c in el.terms.items()})
 
     def restrict_to_base(self, el: Element) -> Element:
         if el.model is not self.total:
@@ -275,14 +273,14 @@ class DgBundle:
         nbase = len(self.base.generators)
         terms = {}
         for m, c in el.terms.items():
-            if any(m.exponents[nbase:]):
+            if any(m[nbase:]):
                 raise BundleError("element has fiber-dependent terms")
-            terms[Monomial(m.exponents[:nbase])] = c
+            terms[m[:nbase]] = c
         return Element(self.base, terms)
 
     def is_base_valued(self, el: Element) -> bool:
         nbase = len(self.base.generators)
-        return all(not any(m.exponents[nbase:]) for m in el.terms)
+        return all(not any(m[nbase:]) for m in el.terms)
 
     def fiber_coefficients(self, el: Element, fiber: str):
         """Decompose el = sum_k c_k * fiber^k with the fiber power on the right.
@@ -296,14 +294,12 @@ class DgBundle:
         idx = self.total.index[fiber]
         bits = self.total.odd_bits
         odd = bits[idx]
-        out: Dict[int, Dict[Monomial, Fraction]] = {}
+        out: Dict[int, Dict[tuple, Fraction]] = {}
         for m, c in el.terms.items():
-            k = m.exponents[idx]
-            stripped = list(m.exponents)
-            stripped[idx] = 0
-            if odd and k and (_odd_mask(bits, m.exponents) >> (idx + 1)).bit_count() & 1:
+            k = m[idx]
+            if odd and k and (_odd_mask(bits, m) >> (idx + 1)).bit_count() & 1:
                 c = -c
-            out.setdefault(k, {})[Monomial(tuple(stripped))] = c
+            out.setdefault(k, {})[m[:idx] + (0,) + m[idx + 1 :]] = c
         return {k: Element(self.total, t) for k, t in sorted(out.items())}
 
     def structural_total(self, key: str) -> Element:

@@ -1,11 +1,14 @@
 """Free graded-commutative algebras over exact rationals.
 
-Monomials are kept in a normal form: generator powers in declaration order,
-odd generators with exponent at most one.  Reordering a product into normal
-form accumulates the transposition sign (-1)^{|a||b|}; every other sign in
-the package derives from this one convention.  Only odd generators move signs,
-so a product's sign is read off the odd-generator bitmasks of its factors by
-popcounts, and `d` and every derivation apply through one Leibniz kernel.
+A monomial is its exponent tuple: one power per generator in declaration
+order, odd generators with exponent at most one.  `Element.terms` maps these
+tuples to nonzero `Fraction`s, and tuples compare lexicographically, which
+fixes the printing order (degree, exponents).  Reordering a product into
+normal form accumulates the transposition sign (-1)^{|a||b|}; every other
+sign in the package derives from this one convention.  Only odd generators
+move signs, so a product's sign is read off the odd-generator bitmasks of its
+factors by popcounts, and `d` and every derivation apply through one Leibniz
+kernel.
 """
 
 from __future__ import annotations
@@ -43,31 +46,9 @@ class GradedGenerator:
         return f"GradedGenerator({self.name!r}, {self.degree})"
 
 
-class Monomial:
-    """Exponent vector over a model's generators, aligned with declaration order."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: Sequence[int]):
-        self.exponents = tuple(exponents)
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __lt__(self, other):
-        return self.exponents < other.exponents
-
-    def degree(self, model: "Model") -> int:
-        return sum(map(mul, self.exponents, model.degrees))
-
-    def is_unit(self) -> bool:
-        return not any(self.exponents)
-
-    def __repr__(self):
-        return f"Monomial{self.exponents}"
+def monomial_degree(model: "Model", exponents: Sequence[int]) -> int:
+    """The total degree of the monomial with these exponents."""
+    return sum(map(mul, exponents, model.degrees))
 
 
 def _odd_mask(bits: Sequence[int], exponents: Sequence[int]) -> int:
@@ -97,7 +78,7 @@ def _merge_sign(model: "Model", left: Sequence[int], right: Sequence[int]):
 
 def _collect(model: "Model", acc: dict) -> "Element":
     """The element of exponent-keyed Fraction sums, zeros dropped."""
-    return Element._trusted(model, {Monomial(k): c for k, c in acc.items() if c})
+    return Element._trusted(model, {k: c for k, c in acc.items() if c})
 
 
 def leibniz(model: "Model", values: Mapping[str, "Element"], degree: int, a: "Element"):
@@ -112,8 +93,7 @@ def leibniz(model: "Model", values: Mapping[str, "Element"], degree: int, a: "El
     flip = degree % 2
     table: dict = {}  # generator index -> the terms of its value with their odd masks
     out: dict = {}
-    for m, coeff in a.terms.items():
-        exps = m.exponents
+    for exps, coeff in a.terms.items():
         mask = _odd_mask(bits, exps)
         for i, e in enumerate(exps):
             if not e:
@@ -122,7 +102,7 @@ def leibniz(model: "Model", values: Mapping[str, "Element"], degree: int, a: "El
             if value is None:
                 v = values.get(gens[i].name)
                 value = table[i] = () if v is None else [
-                    (mv.exponents, _odd_mask(bits, mv.exponents), cv) for mv, cv in v.terms.items()
+                    (mv, _odd_mask(bits, mv), cv) for mv, cv in v.terms.items()
                 ]
             if not value:
                 continue
@@ -148,11 +128,12 @@ def leibniz(model: "Model", values: Mapping[str, "Element"], degree: int, a: "El
 
 
 class Element:
-    """Rational linear combination of normalized monomials of one model."""
+    """Rational linear combination of normalized monomials of one model,
+    as {exponent tuple: nonzero Fraction}."""
 
     __slots__ = ("model", "terms")
 
-    def __init__(self, model: "Model", terms: Mapping[Monomial, Rational]):
+    def __init__(self, model: "Model", terms: Mapping[tuple, Rational]):
         self.model = model
         clean = {}
         for m, c in terms.items():
@@ -211,10 +192,9 @@ class Element:
         if other.model is not self.model:
             raise GradedError("ambient model mismatch")
         bits = self.model.odd_bits
-        right = [(m.exponents, _odd_mask(bits, m.exponents), c) for m, c in other.terms.items()]
+        right = [(b, _odd_mask(bits, b), c) for b, c in other.terms.items()]
         out: dict = {}
-        for ma, ca in self.terms.items():
-            a = ma.exponents
+        for a, ca in self.terms.items():
             amask = _odd_mask(bits, a)
             for b, bmask, cb in right:
                 if amask & bmask:
@@ -262,11 +242,10 @@ class Element:
             return NotImplemented
         if not c:
             return not self.terms
-        u = Monomial((0,) * len(self.model.generators))
-        return self.terms == {u: c}
+        return self.terms == {(0,) * len(self.model.generators): c}
 
     def __hash__(self):
-        return hash((id(self.model), tuple(sorted(self.terms.items(), key=lambda t: t[0].exponents))))
+        return hash((id(self.model), frozenset(self.terms.items())))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -275,22 +254,22 @@ class Element:
 
     def degree(self) -> Optional[int]:
         """The common degree of all terms, None for 0 or inhomogeneous elements."""
-        degs = {m.degree(self.model) for m in self.terms}
+        degs = {monomial_degree(self.model, m) for m in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
 
     def is_homogeneous(self) -> bool:
-        return len({m.degree(self.model) for m in self.terms}) <= 1
+        return len({monomial_degree(self.model, m) for m in self.terms}) <= 1
 
     def homogeneous_components(self) -> dict:
         comps: dict = {}
         for m, c in self.terms.items():
-            comps.setdefault(m.degree(self.model), {})[m] = c
+            comps.setdefault(monomial_degree(self.model, m), {})[m] = c
         return {d: Element(self.model, t) for d, t in sorted(comps.items())}
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0].degree(self.model), t[0].exponents))
+        return sorted(self.terms.items(), key=lambda t: (monomial_degree(self.model, t[0]), t[0]))
 
     def __repr__(self):
         return f"<{format_element(self)}>"
@@ -361,7 +340,7 @@ class Model:
             raise GradedError(f"unknown generator {name!r}")
         exps = [0] * len(self.generators)
         exps[self.index[name]] = 1
-        return Element(self, {Monomial(exps): Fraction(1)})
+        return Element(self, {tuple(exps): Fraction(1)})
 
     def zero(self) -> Element:
         return Element._trusted(self, {})
@@ -373,9 +352,9 @@ class Model:
         c = Fraction(c)
         if not c:
             return self.zero()
-        return Element(self, {Monomial((0,) * len(self.generators)): c})
+        return Element(self, {(0,) * len(self.generators): c})
 
-    def monomial_element(self, m: Monomial, coeff: Rational = 1) -> Element:
+    def monomial_element(self, m: tuple, coeff: Rational = 1) -> Element:
         return Element(self, {m: Fraction(coeff)})
 
     # -- degree-wise bases --------------------------------------------------
@@ -385,13 +364,13 @@ class Model:
         exponent order.  Finite because every generator has degree >= 1.
 
         The generators are fixed at construction, so each degree is built
-        once; every call returns a fresh list."""
+        once and every call returns the same tuple."""
         if degree < 0:
-            return []
+            return ()
         cached = self._bases.get(degree)
         if cached is None:
-            cached = self._bases[degree] = tuple(self._build_basis(degree))
-        return list(cached)
+            cached = self._bases[degree] = self._build_basis(degree)
+        return cached
 
     def _build_basis(self, degree: int):
         # reach[i]: the most degree generators i.. can add (unbounded once one
@@ -412,7 +391,7 @@ class Model:
                     if left <= bound:
                         longer.append((acc + (e,), left))
             prefixes = longer
-        return [Monomial(acc) for acc, _ in prefixes]
+        return tuple(acc for acc, _ in prefixes)
 
     def dimension(self, degree: int) -> int:
         return len(self.basis(degree))
@@ -430,13 +409,9 @@ class Model:
         return f"Model({self.name or '?'}; {gens}; dim {self.formal_dimension})"
 
 
-def format_rational(c: Fraction) -> str:
-    return str(c)
-
-
-def format_monomial(model: Model, m: Monomial) -> str:
+def format_monomial(model: Model, m: Sequence[int]) -> str:
     parts = []
-    for g, e in zip(model.generators, m.exponents):
+    for g, e in zip(model.generators, m):
         if e == 1:
             parts.append(g.name)
         elif e > 1:
@@ -452,30 +427,14 @@ def format_element(a: Element) -> str:
     for m, c in a.sorted_terms():
         mono = format_monomial(a.model, m)
         if not mono:
-            body = format_rational(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{format_rational(abs(c))}*{mono}"
+            body = f"{abs(c)}*{mono}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks)
 
-
-def dimension_series(model: Model, top: int):
-    """Coefficients of the Hilbert series prod (1+x^d) * prod 1/(1-x^d) up to x^top.
-
-    Independent counting oracle for Model.basis.
-    """
-    coeffs = [Fraction(0)] * (top + 1)
-    coeffs[0] = Fraction(1)
-    for g in model.generators:
-        if g.is_odd:
-            for n in range(top, g.degree - 1, -1):
-                coeffs[n] += coeffs[n - g.degree]
-        else:
-            for n in range(g.degree, top + 1):
-                coeffs[n] += coeffs[n - g.degree]
-    return [int(c) for c in coeffs]

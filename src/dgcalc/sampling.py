@@ -20,13 +20,6 @@ def random_element(model: Model, degree: int, rng: random.Random, density: float
     return Element(model, terms)
 
 
-def random_inhomogeneous(model: Model, degrees, rng: random.Random) -> Element:
-    out = model.zero()
-    for d in degrees:
-        out = out + random_element(model, d, rng)
-    return out
-
-
 def random_derivation(model: Model, degree: int, rng: random.Random, density: float = 0.5) -> Derivation:
     """Random derivation of the given degree; values on a sparse set of generators."""
     values = {}

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from . import linalg
 from .cohomology import ONE, Column, _column
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model, Monomial
+from .graded import Element, Model
 
 
 class SymmetryError(Exception):
@@ -484,7 +484,7 @@ def is_symmetry(a: SymElement) -> bool:
 # -- the full degree-0 kernel vs the structured family -----------------------
 
 
-def _value_index(total: Model, shifts: Iterable[int]) -> Dict[str, Dict[Monomial, int]]:
+def _value_index(total: Model, shifts: Iterable[int]) -> Dict[str, Dict[tuple, int]]:
     """One numbering of the pairs (generator g, monomial of degree |g| + s) over
     the shifts s, as {g: {monomial: row}}.  A value's degree tells its shift, so
     derivations of different degrees never share a row."""
@@ -498,7 +498,7 @@ def _value_index(total: Model, shifts: Iterable[int]) -> Dict[str, Dict[Monomial
     return index
 
 
-def _value_column(d: Derivation, index: Dict[str, Dict[Monomial, int]]) -> Column:
+def _value_column(d: Derivation, index: Dict[str, Dict[tuple, int]]) -> Column:
     """The values of d on every generator as one sparse column, numbered by index."""
     col = {}
     for name, value in d.values.items():

@@ -112,8 +112,7 @@ class TDualPair:
             raise TDualityError("expected an element of the bundle P")
         i = self._fiber
         out = {}
-        for m, c in el.terms.items():
-            exps = m.exponents
+        for exps, c in el.terms.items():
             if exps[i]:
                 out[exps[:i] + (0,) + exps[i + 1 :]] = c
             elif exps[i + 1]:
@@ -131,8 +130,7 @@ class TDualPair:
             raise TDualityError("expected an element of the dual bundle")
         i = self._fiber
         out = {}
-        for m, c in el.terms.items():
-            exps = m.exponents
+        for exps, c in el.terms.items():
             if exps[i]:
                 power = exps[i + 1] + 1
                 out[exps[:i] + (0, power)] = c / power

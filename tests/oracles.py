@@ -1,13 +1,15 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
-ranks of the long exact sequence, twisted cohomology, the T-duality map and
-the structured symmetries; tests only."""
+basis sizes, the ranks of the long exact sequence, twisted cohomology, the
+T-duality map and the structured symmetries, and a sampler of inhomogeneous
+elements; tests only."""
 
 from fractions import Fraction
 from math import gcd
 
 from dgcalc.derivations import Derivation, DgBundle, commutator, exp_apply, model_differential
-from dgcalc.graded import Element, Monomial
+from dgcalc.graded import Element, monomial_degree
 from dgcalc.linalg import kernel_basis
+from dgcalc.sampling import random_element
 from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
 
 
@@ -96,17 +98,42 @@ def apply_derivation(model, values, degree, a):
     out = model.zero()
     for m, coeff in a.terms.items():
         prefix_parity = 0
-        for i, e in enumerate(m.exponents):
+        for i, e in enumerate(m):
             if e and model.generators[i].name in values:
-                front = m.exponents[:i] + (0,) * (n - i)
-                rest = (0,) * i + (e - 1,) + m.exponents[i + 1 :]
+                front = m[:i] + (0,) * (n - i)
+                rest = (0,) * i + (e - 1,) + m[i + 1 :]
                 sign = -1 if degree % 2 and prefix_parity % 2 else 1
                 out = out + (
-                    model.monomial_element(Monomial(front), sign * coeff * e)
+                    model.monomial_element(front, sign * coeff * e)
                     * values[model.generators[i].name]
-                    * model.monomial_element(Monomial(rest))
+                    * model.monomial_element(rest)
                 )
             prefix_parity += e * model.generators[i].degree
+    return out
+
+
+def dimension_series(model, top):
+    """Coefficients of the Hilbert series prod (1+x^d) * prod 1/(1-x^d) up to x^top.
+
+    Independent counting oracle for Model.basis.
+    """
+    coeffs = [Fraction(0)] * (top + 1)
+    coeffs[0] = Fraction(1)
+    for g in model.generators:
+        if g.is_odd:
+            for n in range(top, g.degree - 1, -1):
+                coeffs[n] += coeffs[n - g.degree]
+        else:
+            for n in range(g.degree, top + 1):
+                coeffs[n] += coeffs[n - g.degree]
+    return [int(c) for c in coeffs]
+
+
+def random_inhomogeneous(model, degrees, rng):
+    """The sum of one `random_element` of each listed degree."""
+    out = model.zero()
+    for d in degrees:
+        out = out + random_element(model, d, rng)
     return out
 
 
@@ -191,7 +218,7 @@ def _twisted_columns(model, h, source, target, cap):
         x = model.monomial_element(m)
         column = [Fraction(0)] * len(target)
         for mm, c in (model.d(x) + h * x).terms.items():
-            if mm.degree(model) <= cap:
+            if monomial_degree(model, mm) <= cap:
                 column[index[mm]] = c
         columns.append(column)
     return columns
@@ -233,13 +260,13 @@ def transport(el, target):
     terms = {}
     for m, c in el.terms.items():
         exps = [0] * len(target.generators)
-        for i, e in enumerate(m.exponents):
+        for i, e in enumerate(m):
             if not e:
                 continue
             if mapping[i] is None:
                 raise ValueError(f"element uses generator {source.generators[i].name!r} missing from target")
             exps[mapping[i]] = e
-        terms[Monomial(tuple(exps))] = c
+        terms[tuple(exps)] = c
     return Element(target, terms)
 
 

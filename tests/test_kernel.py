@@ -15,7 +15,7 @@ import pytest
 
 from dgcalc import presets
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
-from dgcalc.graded import Element, Model, Monomial, _merge_sign
+from dgcalc.graded import Element, Model, _merge_sign
 from dgcalc.sampling import random_derivation, random_element
 from oracles import apply_derivation, merge_sign
 
@@ -49,7 +49,7 @@ def dg_model(degrees, rng):
         return Model(
             gens[:k],
             differential=lambda m: {
-                name: Element(m, {Monomial(e[:k]): c for e, c in terms.items()})
+                name: Element(m, {e[:k]: c for e, c in terms.items()})
                 for name, terms in diff.items()
             },
         )
@@ -60,13 +60,13 @@ def dg_model(degrees, rng):
         terms = {
             m: Fraction(rng.randint(-2, 2))
             for m in before.basis(deg + 1)
-            if all(e == 0 or i in closed for i, e in enumerate(m.exponents)) and rng.random() < 0.5
+            if all(e == 0 or i in closed for i, e in enumerate(m)) and rng.random() < 0.5
         }
         value = Element(before, terms)
         if rng.random() < 0.5:
             value = value + before.d(random_element(before, deg, rng))
         if not value.is_zero():
-            diff[name] = {m.exponents + (0,) * (n - k): c for m, c in value.terms.items()}
+            diff[name] = {m + (0,) * (n - k): c for m, c in value.terms.items()}
     return prefix(n)
 
 
@@ -81,6 +81,15 @@ def random_mixed(model, rng):
 def assert_coefficients_are_fractions(el):
     for c in el.terms.values():
         assert type(c) is Fraction and c != 0, el.terms
+
+
+def assert_keys_are_exponent_tuples(el):
+    """Every monomial is a plain tuple with one entry per generator, odd ones at most 1."""
+    gens = el.model.generators
+    for m in el.terms:
+        assert type(m) is tuple and len(m) == len(gens), m
+        assert all(type(e) is int and e >= 0 for e in m), m
+        assert all(e <= 1 for g, e in zip(gens, m) if g.is_odd), m
 
 
 # -- signs ---------------------------------------------------------------------
@@ -154,7 +163,7 @@ def test_fiber_coefficients_rebuild_the_element(shape, seed):
         idx, x = total.index[g.name], total.gen(g.name)
         rebuilt = total.zero()
         for k, c in bundle.fiber_coefficients(el, g.name).items():
-            assert all(not m.exponents[idx] for m in c.terms), (g.name, k)
+            assert all(not m[idx] for m in c.terms), (g.name, k)
             rebuilt = rebuilt + c * x**k
         assert rebuilt == el, g.name
 
@@ -201,7 +210,21 @@ def test_commutator_on_generators(degrees, seed, deg1, deg2):
         assert bracket.value(g.name) == d1(d2(x)) - sign * d2(d1(x))
 
 
-# -- coefficients stay nonzero Fractions ---------------------------------------------
+# -- monomials stay exponent tuples, coefficients nonzero Fractions --------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(DEGREES, SEEDS, st.integers(-2, 2), st.integers(-2, 2))
+def test_every_kernel_result_is_keyed_by_exponent_tuples(degrees, seed, deg1, deg2):
+    rng = random.Random(seed)
+    model = dg_model(degrees, rng)
+    a, b = random_mixed(model, rng), random_mixed(model, rng)
+    d1, d2 = random_derivation(model, deg1, rng), random_derivation(model, deg2, rng)
+    bracket = commutator(d1, d2)
+    results = [a * b, model.d(a), d1(a), bracket(a), *bracket.values.values()]
+    for el in results:
+        assert_keys_are_exponent_tuples(el)
+        assert_coefficients_are_fractions(el)
 
 
 def test_every_operation_keeps_nonzero_fraction_coefficients(mixed):
@@ -217,6 +240,7 @@ def test_every_operation_keeps_nonzero_fraction_coefficients(mixed):
     ]
     results += list(commutator(d1, d2).values.values())
     for el in results:
+        assert_keys_are_exponent_tuples(el)
         assert_coefficients_are_fractions(el)
     assert (a * 0).terms == {} and (a - a).terms == {} and (x * y + y * x).terms == {}
 

@@ -7,7 +7,7 @@ import pytest
 from dgcalc.derivations import DgBundle, maurer_cartan_check
 from dgcalc.graded import Model, format_element
 from dgcalc.parser import ModelFileError, parse_expression, parse_model
-from dgcalc.sampling import random_inhomogeneous
+from oracles import random_inhomogeneous
 
 
 def test_sphere_model_from_text():
