@@ -233,31 +233,6 @@ def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[
     return first
 
 
-def rescale_to_twisted(bundle: DgBundle, el: Element) -> Element:
-    """Send w * t^k to k! * w; intertwines d + H dt with d + H wedge for k >= 1."""
-    if bundle.shape != "line":
-        raise CohomologyError("rescaling applies to single-fiber bundles")
-    fiber = bundle.fiber_names[0]
-    if _total(bundle).generator_named(fiber).is_odd:
-        raise CohomologyError("rescaling needs an even fiber")
-    out = bundle.base.zero()
-    fact = [Fraction(1)]
-    for k, coeff in bundle.fiber_coefficients(el, fiber).items():
-        while len(fact) <= k:
-            fact.append(fact[-1] * len(fact))
-        out = out + bundle.restrict_to_base(coeff) * fact[k]
-    return out
-
-
-def twist_operator(model: Model, h: Element):
-    """The parity differential d + h wedge acting on base elements."""
-
-    def op(el: Element) -> Element:
-        return model.d(el) + h * el
-
-    return op
-
-
 def periodicity_check(space: BundleLike, j: int, l: int) -> bool:
     """Betti dimension agreement between degrees j and j + 2l (for j past the base)."""
     if j <= _total(space).formal_dimension:
@@ -273,6 +248,7 @@ def circle_quasi_iso_check(base: Model, f: Element, total: Model, hi: Optional[i
 
     Returns (ok, per-degree pairs).  The comparison map adjoins the odd fiber
     structurally; the user asserts that `total` models the same bundle.
+    Acceptance criterion 4 (the Hopf quasi-isomorphism) pins it.
     """
     if hi is None:
         hi = max(degree_cap(base), degree_cap(total))

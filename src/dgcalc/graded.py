@@ -259,15 +259,6 @@ class Element:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return len({monomial_degree(self.model, m) for m in self.terms}) <= 1
-
-    def homogeneous_components(self) -> dict:
-        comps: dict = {}
-        for m, c in self.terms.items():
-            comps.setdefault(monomial_degree(self.model, m), {})[m] = c
-        return {d: Element(self.model, t) for d, t in sorted(comps.items())}
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (monomial_degree(self.model, t[0]), t[0]))
 

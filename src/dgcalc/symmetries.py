@@ -9,7 +9,8 @@ formula is computable inside a CDGA model.
 
 Which form parts a symmetry has in each degree, and where they sit in the
 fiber values, is one table, SHAPES; construction, decomposition, the
-membership residues and the degree-0 ansatz all read it.
+membership residues and the degree-0 ansatz all read it.  Decomposition reads
+the parts off exponent tuples and keeps the derivation it was given.
 
 Derived brackets are always computed from the defining double commutator
 (-1)^{||a||} [[Q, a], b]; the displayed structured formulas live next to the
@@ -19,12 +20,12 @@ operations and the two routes are compared whenever a display exists.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import linalg
 from .cohomology import ONE, Column, _column
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model
+from .graded import Element, Model, monomial_degree
 
 
 class SymmetryError(Exception):
@@ -85,10 +86,6 @@ class SymElement:
         self.parts = parts
         self.realized = realized
 
-    @property
-    def shifted_degree(self) -> int:
-        return self.degree + 1
-
     def part(self, key: str):
         return self.parts[key]
 
@@ -115,29 +112,10 @@ class SymElement:
         return f"SymElement(deg {self.degree}; parts: {keys or 'zero'})"
 
 
-class DerivedElement:
-    """A negative-degree symmetry viewed in the shifted complex."""
-
-    __slots__ = ("underlying",)
-
-    def __init__(self, underlying: SymElement):
-        if underlying.degree > -1:
-            raise SymmetryError("derived elements shift strictly negative degrees")
-        self.underlying = underlying
-
-    @property
-    def shifted_degree(self) -> int:
-        return self.underlying.degree + 1
-
-
 def _nonzero(v) -> bool:
     if isinstance(v, (Derivation, Element)):
         return not v.is_zero()
     return bool(v)
-
-
-def _underlying(a) -> SymElement:
-    return a.underlying if isinstance(a, DerivedElement) else a
 
 
 # -- the shape table ------------------------------------------------------------
@@ -259,60 +237,54 @@ def _fiber_values(bundle: DgBundle, row, parts: Dict) -> Dict[str, Element]:
     return values
 
 
+def _base_form(bundle: DgBundle, value: Element, error: str) -> Element:
+    """A total-model value with zero fiber exponents, read as a base form."""
+    nb = len(bundle.base.generators)
+    if any(any(m[nb:]) for m in value.terms):
+        raise SymmetryError(error)
+    return Element._trusted(bundle.base, {m[:nb]: c for m, c in value.terms.items()})
+
+
 def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
     values = {}
     for g in bundle.base.generators:
-        v = d.value(g.name)
-        if not v.is_zero():
-            if not bundle.is_base_valued(v):
-                raise SymmetryError(f"value on base generator {g.name} leaves the base forms")
-            values[g.name] = bundle.restrict_to_base(v)
-    return Derivation(bundle.base, d.degree, values)
-
-
-def _fiber_split(bundle: DgBundle, value: Element, fiber: str):
-    """Split value = plain + fiber * linear with the odd fiber on the LEFT.
-
-    fiber_coefficients strips the fiber from the right of each normalized
-    monomial, so the left-convention part differs by (-1)^degree on each
-    homogeneous component.
-    """
-    coeffs = bundle.fiber_coefficients(value, fiber)
-    if any(k > 1 for k in coeffs):
-        raise SymmetryError("fiber value is not linear in the odd fiber")
-    zero = coeffs.get(0, bundle.total.zero())
-    one = coeffs.get(1, bundle.total.zero())
-    for part in (zero, one):
-        if not bundle.is_base_valued(part):
-            raise SymmetryError("fiber value depends on the even fiber")
-    right = bundle.restrict_to_base(one)
-    left = bundle.base.zero()
-    for deg, comp in right.homogeneous_components().items():
-        left = left + (comp if deg % 2 == 0 else -comp)
-    return bundle.restrict_to_base(zero), left
+        error = f"value on base generator {g.name} leaves the base forms"
+        values[g.name] = _base_form(bundle, d.value(g.name), error)
+    return Derivation._trusted(bundle.base, d.degree, values)
 
 
 def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
-    """(q-slot, t-slot, q.t-slot) base forms of d's fiber values; zero without a q."""
+    """(q-slot, t-slot, q.t-slot) base forms of d's fiber values; zero without a q.
+
+    A term w*q of the value on t goes to the q.t slot with sign (-1)^|w|: moving
+    the odd q left past w costs that sign.
+    """
     q, t = _fibers(bundle)
+    base = bundle.base
     if q is None:
-        value = d.value(t)
-        if not bundle.is_base_valued(value):
-            raise SymmetryError("fiber value must be a base form")
-        return bundle.base.zero(), bundle.restrict_to_base(value), bundle.base.zero()
-    q_val = d.value(q)
-    if not bundle.is_base_valued(q_val):
-        raise SymmetryError("value on the odd fiber must be a base form")
-    plain, linear = _fiber_split(bundle, d.value(t), q)
-    return bundle.restrict_to_base(q_val), plain, linear
+        value = _base_form(bundle, d.value(t), "fiber value must be a base form")
+        return base.zero(), value, base.zero()
+    q_value = _base_form(bundle, d.value(q), "value on the odd fiber must be a base form")
+    nb = len(base.generators)
+    plain, linear = {}, {}
+    for m, c in d.value(t).terms.items():
+        if m[nb + 1]:
+            raise SymmetryError("fiber value depends on the even fiber")
+        w = m[:nb]
+        if not m[nb]:
+            plain[w] = c
+        else:
+            linear[w] = -c if monomial_degree(base, w) % 2 else c
+    return q_value, Element._trusted(base, plain), Element._trusted(base, linear)
 
 
 def decompose(bundle: DgBundle, d: Derivation) -> SymElement:
-    """Read the structured parts off a derivation; rejects anything outside them."""
+    """Read the structured parts off a derivation, which stays the realized one;
+    rejects anything outside the parts."""
     if d.model is not bundle.total:
         raise SymmetryError("derivation lives on a different bundle")
-    base = _base_part(bundle, d)
     q_slot, t_slot, qt_slot = _row(bundle, d.degree)
+    base = _base_part(bundle, d)
     primary, plain, linear = _fiber_parts(bundle, d)
     found = [(VECTOR_PARTS.get(d.degree, (None,))[-1], base), (q_slot, primary), (t_slot, plain)]
     if isinstance(qt_slot, Fraction):
@@ -320,20 +292,22 @@ def decompose(bundle: DgBundle, d: Derivation) -> SymElement:
             raise SymmetryError("fiber coupling violates the half-curvature shape")
     else:
         found.append((qt_slot, linear))
-    parts = {}
+    # a raw derivation carries the base action, not a contraction
+    parts = {"iota": Derivation.zero(bundle.base, -1)} if d.degree == 0 else {}
     for name, value in found:
         if name:
             parts[name] = value
         elif _nonzero(value):
             raise SymmetryError("derivation has parts outside the structured shape")
-    return symmetry(bundle, d.degree, **parts)
+    return SymElement(bundle, d.degree, parts, d)
 
 
 # -- the differential and brackets --------------------------------------------
 
 
 def sym_differential(a: SymElement) -> SymElement:
-    """[Q, a] in structured form; defined for strictly negative degrees."""
+    """[Q, a] in structured form, for strictly negative degrees; acceptance
+    criteria 7 (oracle equivalence) and 8 (duality isomorphism) pin it."""
     if a.degree >= 0:
         raise SymmetryError("the symmetry differential applies to negative degrees")
     return decompose(a.bundle, commutator(a.bundle.q, a.realized))
@@ -346,16 +320,12 @@ def sym_bracket(a: SymElement, b: SymElement) -> SymElement:
     return decompose(a.bundle, commutator(a.realized, b.realized))
 
 
-def derived_bracket(a, b) -> SymElement:
+def derived_bracket(a: SymElement, b: SymElement) -> SymElement:
     """(-1)^{||a||} [[Q, a], b], with the structured display checked when present."""
-    ua, ub = _underlying(a), _underlying(b)
-    if ua.bundle is not ub.bundle:
+    if a.bundle is not b.bundle:
         raise SymmetryError("symmetries of different bundles")
-    bundle = ua.bundle
-    sign = -1 if (ua.degree + 1) % 2 else 1
-    generic = commutator(commutator(bundle.q, ua.realized), ub.realized) * sign
-    result = decompose(bundle, generic)
-    display = _structured_derived(ua, ub)
+    result = decompose(a.bundle, _raw_bracket(a.bundle.q, a.realized, b.realized))
+    display = _structured_derived(a, b)
     if display is not None and display != result:
         raise SymmetryError("structured derived bracket disagrees with the double commutator")
     return result
@@ -484,17 +454,15 @@ def is_symmetry(a: SymElement) -> bool:
 # -- the full degree-0 kernel vs the structured family -----------------------
 
 
-def _value_index(total: Model, shifts: Iterable[int]) -> Dict[str, Dict[tuple, int]]:
-    """One numbering of the pairs (generator g, monomial of degree |g| + s) over
-    the shifts s, as {g: {monomial: row}}.  A value's degree tells its shift, so
-    derivations of different degrees never share a row."""
+def _value_index(total: Model, shift: int) -> Dict[str, Dict[tuple, int]]:
+    """One numbering of the pairs (generator g, monomial of degree |g| + shift),
+    as {g: {monomial: row}}: the rows of the values of a derivation of that degree."""
     index, n = {}, 0
     for g in total.generators:
         rows = index[g.name] = {}
-        for s in shifts:
-            for m in total.basis(g.degree + s):
-                rows[m] = n
-                n += 1
+        for m in total.basis(g.degree + shift):
+            rows[m] = n
+            n += 1
     return index
 
 
@@ -514,7 +482,7 @@ def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     the base); the identity runner reports both.
     """
     total = bundle.total
-    index = _value_index(total, (1,))
+    index = _value_index(total, 1)
     columns = []
     for g in total.generators:
         for m in total.basis(g.degree):
@@ -542,26 +510,23 @@ def _structured_parameters(bundle: DgBundle):
 def _structured_kernel_dim(bundle: DgBundle) -> int:
     """Dimension of the derivations that the structured solutions realize.
 
-    Column i holds [Q, p_i] and then p_i itself, for the n one-hot
-    parameters p_i.  The solutions c of sum c_i [Q, p_i] = 0 form a space of
-    dimension n - rank(residue columns), those that also realize zero one of
-    dimension n - rank(all columns); the difference is the dimension of what
-    the solutions realize.
+    For the n one-hot parameters p_i, the solutions c of sum c_i [Q, p_i] = 0
+    form a space of dimension n - rank([Q, p_i]).  Every c with sum c_i p_i = 0
+    is among them, so what they realize has dimension rank(p_i) - rank([Q, p_i]).
     """
-    index = _value_index(bundle.total, (1, 0))
-    residues, columns = [], []
-    for p in _structured_parameters(bundle):
-        residue = _value_column(commutator(bundle.q, p.realized), index)
-        residues.append(residue)
-        columns.append({**residue, **_value_column(p.realized, index)})
-    return linalg.rank(columns) - linalg.rank(residues)
+    realized, residues = _value_index(bundle.total, 0), _value_index(bundle.total, 1)
+    params = [p.realized for p in _structured_parameters(bundle)]
+    columns = [_value_column(p, realized) for p in params]
+    images = [_value_column(commutator(bundle.q, p), residues) for p in params]
+    return linalg.rank(columns) - linalg.rank(images)
 
 
 # -- the symmetry isomorphism of dual pairs ------------------------------------
 
 
 def dual_symmetry(pair, a: SymElement) -> SymElement:
-    """Carry a symmetry of P to the dual bundle: swaps fiber data with signs."""
+    """Carry a symmetry of P to the dual bundle: swaps fiber data with signs;
+    acceptance criterion 8 (duality isomorphism) pins it."""
     if a.bundle is not pair.p:
         raise SymmetryError("expected a symmetry of the primal bundle")
     return _phi_parts(pair.pbar, a)
@@ -611,7 +576,8 @@ def is_selfdual_fixed(a: SymElement) -> bool:
 
 
 def courant_embed(bundle: DgBundle, iota=None, f=0, c=None, fbar=0) -> SymElement:
-    """Invariant-section data (X, f, C, fbar) as a degree -1 symmetry."""
+    """Invariant-section data (X, f, C, fbar) as a degree -1 symmetry;
+    acceptance criterion 8 (duality isomorphism) pins it."""
     if bundle.shape != "two_step":
         raise SymmetryError("the Courant translation lives on two-step bundles")
     return symmetry(bundle, -1, iota=iota, f=f, c=c, fbar=fbar)
@@ -700,11 +666,6 @@ def e6_element(bundle: DgBundle, iota=None, s2=None, s5=None) -> SymElement:
     if bundle.shape != "flux":
         raise SymmetryError("expected the degree 3/6 flux bundle")
     return symmetry(bundle, -1, iota=iota, s2=s2, s5=s5)
-
-
-def e6_bracket(a: SymElement, b: SymElement) -> SymElement:
-    """Derived bracket of flux triples; the display check runs inside derived_bracket."""
-    return derived_bracket(a, b)
 
 
 def e6_pairing(a: SymElement, b: SymElement) -> Tuple[Element, Element]:

@@ -194,12 +194,6 @@ def tduality_chain_map(pair: TDualPair) -> ChainMap:
     return ChainMap(pair.p, pair.pbar, -1, pair.tmap)
 
 
-def pushforward_chain_map(bundle: DgBundle) -> ChainMap:
-    """p_* for an odd line bundle, wrapped with its intertwining check."""
-    fiber_degree = bundle.total.generator_named(bundle.fiber_names[0]).degree
-    return ChainMap(bundle, bundle.base, -fiber_degree, lambda el: pushforward(bundle, el))
-
-
 class SesRow:
     __slots__ = ("degree", "dim_p", "dim_kernel", "dim_base", "rank_t", "dim_target", "ok")
 
@@ -227,6 +221,8 @@ def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[S
     """
     if cap is None:
         cap = degree_cap(pair.p)
+    if cap < 0:
+        raise TDualityError(f"degree cap {cap} checks no degree")
     rows = []
     ok = True
     for k in range(cap + 1):
@@ -266,6 +262,8 @@ def les_node_ranks(pair: TDualPair, degree: int):
 
 def les_check(pair: TDualPair, lo: int, hi: int) -> Tuple[bool, List[Tuple]]:
     """Exactness bookkeeping for the long exact sequence on a degree window."""
+    if not 0 <= lo <= hi:
+        raise TDualityError(f"degree window {lo}..{hi} needs 0 <= lo <= hi")
     hp, hpb, hm = (
         betti(space, max(lo - 1, 0), hi + 1) for space in (pair.p, pair.pbar, pair.base)
     )

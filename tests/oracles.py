@@ -1,6 +1,7 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
 basis sizes, the ranks of the long exact sequence, twisted cohomology, the
-T-duality map and the structured symmetries, and a sampler of inhomogeneous
+T-duality map and the structured symmetries, the rescaling and pushforward
+maps whose chain identities the tests check, and a sampler of inhomogeneous
 elements; tests only."""
 
 from fractions import Fraction
@@ -11,6 +12,7 @@ from dgcalc.graded import Element, monomial_degree
 from dgcalc.linalg import kernel_basis
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
+from dgcalc.tduality import ChainMap, pushforward
 
 
 def coordinates(el, basis):
@@ -246,6 +248,31 @@ def twisted_dims_reference(model, h, cap):
     return out[0], out[1]
 
 
+def rescale_to_twisted(bundle, el):
+    """Send w * t^k to k! * w; intertwines d + H dt with d + H wedge for k >= 1."""
+    if bundle.shape != "line":
+        raise ValueError("rescaling applies to single-fiber bundles")
+    fiber = bundle.fiber_names[0]
+    if bundle.total.generator_named(fiber).is_odd:
+        raise ValueError("rescaling needs an even fiber")
+    out = bundle.base.zero()
+    fact = [Fraction(1)]
+    for k, coeff in bundle.fiber_coefficients(el, fiber).items():
+        while len(fact) <= k:
+            fact.append(fact[-1] * len(fact))
+        out = out + bundle.restrict_to_base(coeff) * fact[k]
+    return out
+
+
+def twist_operator(model, h):
+    """The parity differential d + h wedge acting on base elements."""
+
+    def op(el):
+        return model.d(el) + h * el
+
+    return op
+
+
 def transport(el, target):
     """Move an element between models by generator name.
 
@@ -279,6 +306,12 @@ def literal_tmap(pair, el):
     if linear is None:
         return pair.pbar.total.zero()
     return transport(linear, pair.pbar.total)
+
+
+def pushforward_chain_map(bundle):
+    """p_* for an odd line bundle, wrapped with its intertwining check."""
+    fiber_degree = bundle.total.generator_named(bundle.fiber_names[0]).degree
+    return ChainMap(bundle, bundle.base, -fiber_degree, lambda el: pushforward(bundle, el))
 
 
 def structured_kernel_dim(bundle):

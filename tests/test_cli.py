@@ -263,10 +263,12 @@ def test_law_suites_reject_vacuous_trial_counts(command, model, trials, capsys):
 
 
 def test_tmap_verify_rejects_negative_cap(capsys):
-    code, out, err = run(capsys, "tmap-verify", str(MODELS / "t2_pair.dgm"), "--cap", "-3")
-    assert code == 2
-    assert "sign" not in out
-    assert "no monomial" in err
+    cases = (("tmap-verify", "checks no monomial"), ("ses-verify", "checks no degree"))
+    for command, message in cases:
+        code, out, err = run(capsys, command, str(MODELS / "t2_pair.dgm"), "--cap", "-3")
+        assert code == 2
+        assert out == ""
+        assert f"degree cap -3 {message}" in err
 
 
 @pytest.mark.parametrize("cap", ["-1", "-3"])

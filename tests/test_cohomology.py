@@ -15,15 +15,20 @@ from dgcalc.cohomology import (
     complex_of,
     degree_cap,
     periodicity_check,
-    rescale_to_twisted,
-    twist_operator,
     twisted_betti,
     validate_formal_dimension,
 )
 from dgcalc.derivations import Derivation, DgBundle, gauge_transform
 from dgcalc.graded import Model
 from dgcalc.sampling import random_element
-from oracles import _differential, bareiss_rank, coordinates, twisted_dims_reference
+from oracles import (
+    _differential,
+    bareiss_rank,
+    coordinates,
+    rescale_to_twisted,
+    twist_operator,
+    twisted_dims_reference,
+)
 
 try:
     from hypothesis import given, settings, strategies as st

@@ -144,15 +144,13 @@ def test_associativity_distributivity_randomized(mixed):
         assert a * (b + c) == a * b + a * c
 
 
-def test_homogeneous_components(t2):
+def test_inhomogeneous_element_has_no_degree(t2):
     th1, th2 = t2.gen("th1"), t2.gen("th2")
     el = th1 + 3 * (th1 * th2)
-    assert not el.is_homogeneous()
-    comps = el.homogeneous_components()
-    assert set(comps) == {1, 2}
-    assert comps[1] == th1
-    assert comps[2] == 3 * (th1 * th2)
+    assert th1.degree() == 1
+    assert (3 * (th1 * th2)).degree() == 2
     assert el.degree() is None
+    assert t2.zero().degree() is None
 
 
 def test_leibniz_rule_for_d(mixed):

@@ -90,11 +90,13 @@ def test_symmetry_decompose_round_trip(key, k, seed):
         assert x.parts[name] == value
     again = decompose(bundle, x.realized)
     assert again == x
-    assert again.realized == x.realized
+    # decomposing reads the parts and keeps the derivation it was given
+    assert again.realized is x.realized
     assert set(again.parts) == set(x.parts)
     # a raw derivation only carries the induced base action, not the contraction
     for name in set(x.parts) - ({"iota"} if k == 0 else set()):
         assert again.parts[name] == x.parts[name]
+    assert symmetry(bundle, k, **again.parts).realized == x.realized
 
 
 OTHER_SHAPES_PARTS = ("a", "b", "abar", "f", "c", "fbar", "h", "eta", "a3", "b6", "s2", "s5", "eta1", "c4", "d3")

@@ -9,7 +9,6 @@ from dgcalc import presets
 from dgcalc.derivations import Derivation, DgBundle, commutator
 from dgcalc.sampling import random_contraction, random_element
 from dgcalc.symmetries import (
-    DerivedElement,
     SymmetryError,
     bn_bracket,
     bn_element,
@@ -22,7 +21,6 @@ from dgcalc.symmetries import (
     derived_jacobi_residue,
     derived_leibniz_residue,
     dual_symmetry,
-    e6_bracket,
     e6_element,
     e6_pairing,
     e6_six_form_action,
@@ -144,14 +142,6 @@ def test_degree_guards(ts):
         symmetry(ts, 1)
     with pytest.raises(SymmetryError):
         sym_differential(symmetry(ts, 0))
-
-
-def test_shifted_degree_wrapper(ts, rng):
-    a = rand_ts1(ts, rng)
-    wrapped = DerivedElement(a)
-    assert wrapped.shifted_degree == 0
-    with pytest.raises(SymmetryError):
-        DerivedElement(symmetry(ts, 0))
 
 
 # -- differential displays ------------------------------------------------------
@@ -720,15 +710,15 @@ def test_bn_fixed_set_closed_under_derived_bracket(selfdual, rng):
 # -- flux structure ---------------------------------------------------------------------
 
 
-def test_e6_bracket_displays(t7_flux, s4_flux, rng):
+def test_flux_derived_bracket_displays(t7_flux, s4_flux, rng):
     for bundle in (t7_flux, s4_flux):
         for _ in range(5):
             a, b = rand_flux1(bundle, rng), rand_flux1(bundle, rng)
-            e6_bracket(a, b)
+            derived_bracket(a, b)
             e6_pairing(a, b)
 
 
-def test_e6_bracket_pure_forms():
+def test_flux_derived_bracket_pure_forms():
     # with X = Y = 0 and no flux, only d(sigma2) ^ tau2 survives in the 5-slot
     t7 = presets.torus(7)
     bundle = DgBundle.flux(t7, t7.zero(), t7.zero())
@@ -737,7 +727,7 @@ def test_e6_bracket_pure_forms():
     t2v = random_element(t7, 2, rng)
     a = e6_element(bundle, s2=s2v, s5=random_element(t7, 5, rng))
     b = e6_element(bundle, s2=t2v, s5=random_element(t7, 5, rng))
-    out = e6_bracket(a, b)
+    out = derived_bracket(a, b)
     assert out.part("s2").is_zero()
     assert out.part("s5") == t7.d(s2v) * t2v
     assert out.part("iota").is_zero()
@@ -788,7 +778,7 @@ def test_flux_zero_s2_torus_check():
     iota = Derivation(t7, -1, {"th1": t7.one()})
     a = e6_element(bundle, iota=iota, s2=g("th5") * g("th6"))
     b = e6_element(bundle, s2=g("th6") * g("th7"))
-    out = e6_bracket(a, b)
+    out = derived_bracket(a, b)
     f4 = bundle.structural["F4"]
     expected_s5 = -(iota(f4) * (g("th6") * g("th7")) * (-1)) * (-1)
     # iota_X F4 ^ tau2 is the only survivor

@@ -18,7 +18,6 @@ from dgcalc.tduality import (
     les_check,
     les_node_ranks,
     pushforward,
-    pushforward_chain_map,
     ses_verify,
     tduality_chain_map,
     tduality_iso_check,
@@ -139,7 +138,7 @@ def test_pushforward_strips_fiber(s2):
 def test_pushforward_is_chain_map(s2, nil):
     for base, theta in ((s2, s2.gen("a")), (nil, nil.gen("x1") * nil.gen("x3"))):
         bundle = DgBundle.line(base, theta, "q", 1)
-        assert pushforward_chain_map(bundle).verify(7) == 1
+        assert oracles.pushforward_chain_map(bundle).verify(7) == 1
 
 
 def test_pushforward_randomized_chain_identity(s2):
@@ -362,6 +361,12 @@ def test_ses_exactness(make):
         assert row.rank_t == row.dim_target
 
 
+@pytest.mark.parametrize("cap", [-1, -3])
+def test_ses_verify_rejects_a_cap_that_checks_nothing(cap):
+    with pytest.raises(TDualityError, match=f"degree cap {cap} checks no degree"):
+        ses_verify(t2_pair(), cap)
+
+
 def test_connecting_on_unit_cocycle():
     pair = hopf_pair()
     one = pair.pbar.total.one()
@@ -417,6 +422,12 @@ def test_les_rank_bookkeeping(make):
     pair = make()
     ok, rows = les_check(pair, 0, 5)
     assert ok, rows
+
+
+@pytest.mark.parametrize("lo,hi", [(3, 1), (-2, -1), (-1, 2)])
+def test_les_check_rejects_a_window_that_checks_nothing(lo, hi):
+    with pytest.raises(TDualityError, match=f"degree window {lo}..{hi} needs 0 <= lo <= hi"):
+        les_check(t2_pair(), lo, hi)
 
 
 def test_les_alternating_sum_vanishes():
