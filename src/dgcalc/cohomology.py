@@ -10,17 +10,16 @@ consecutive caps must agree before a result is returned.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import Element, GradedError, Model
+from .graded import ONE, Element, GradedError, Model, leibniz
 
 BundleLike = Union[Model, DgBundle]
 # a sparse column {row: coefficient}; zero coefficients are left out
 Column = Dict[int, Fraction]
-
-ONE = Fraction(1)
 
 DEFAULT_CAP_SLACK = 6
 # a twisted class at the cap counts only if it lifts to a cocycle this many
@@ -52,14 +51,12 @@ def _column(el: Element, index: Dict[tuple, int]) -> Column:
     return col
 
 
-def operator_matrix(space: BundleLike, op, source_basis, target_basis) -> List[Column]:
-    """One sparse column per source monomial: op of it, expanded in the target basis.
-
-    The target basis must belong to whatever model op produces values in.
-    """
-    model = _total(space)
-    index = {m: i for i, m in enumerate(target_basis)}
-    return [_column(op(Element._trusted(model, {m: ONE})), index) for m in source_basis]
+def operator_matrix(model: Model, table, source_basis, index: Dict[tuple, int]) -> List[Column]:
+    """One sparse column per source monomial: the derivation with this
+    `value_table` applied to it, numbered by index, all in one Leibniz pass."""
+    outs: List[dict] = [{} for _ in source_basis]
+    leibniz(model, table, zip(source_basis, repeat(ONE)), outs)
+    return [{index[m]: c for m, c in out.items() if c} for out in outs]
 
 
 class CochainSpace:
@@ -71,7 +68,8 @@ class CochainSpace:
         self.degree = degree
         model = _total(space)
         self.basis = model.basis(degree)
-        self.columns = operator_matrix(space, model.d, self.basis, model.basis(degree + 1))
+        target = {m: i for i, m in enumerate(model.basis(degree + 1))}
+        self.columns = operator_matrix(model, model.d_table(), self.basis, target)
         self._rank: Optional[int] = None
 
     @property
@@ -174,12 +172,16 @@ def _twisted_images(model: Model, h: Element, top: int):
             upto[p].append(len(windows[p]))
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
+    table = model.d_table()
     for k in range(top + 1):
         target = index[1 - k % 2]
-        for m in model.basis(k):
-            x = Element._trusted(model, {m: ONE})
-            low = _column(model.d(x), target) if k < top else {}
-            whole = {**low, **_column(h * x, target)} if h.terms and k + 3 <= top else low
+        basis = model.basis(k)
+        lows = operator_matrix(model, table, basis, target) if k < top else [{}] * len(basis)
+        for m, low in zip(basis, lows):
+            if h.terms and k + 3 <= top:
+                whole = {**low, **_column(h * Element._trusted(model, {m: ONE}), target)}
+            else:
+                whole = low
             images[k % 2].append((k, low, whole))
     return images, upto
 

@@ -12,7 +12,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
-from .graded import Element, GradedError, GradedGenerator, Model, _odd_mask, format_element, leibniz
+from .graded import (
+    Element,
+    GradedError,
+    GradedGenerator,
+    Model,
+    _odd_mask,
+    apply_table,
+    format_element,
+    value_table,
+)
 
 
 class DerivationError(Exception):
@@ -34,7 +43,7 @@ class BundleError(Exception):
 class Derivation:
     """A graded derivation of a model's function algebra."""
 
-    __slots__ = ("model", "degree", "values")
+    __slots__ = ("model", "degree", "values", "_table")
 
     def __init__(self, model: Model, degree: int, values: Mapping[str, Element]):
         self.model = model
@@ -54,6 +63,7 @@ class Derivation:
                 )
             vals[name] = v
         self.values = vals
+        self._table = None
 
     @classmethod
     def _trusted(cls, model: Model, degree: int, values: Dict[str, Element]) -> "Derivation":
@@ -63,6 +73,7 @@ class Derivation:
         d.model = model
         d.degree = degree
         d.values = {name: v for name, v in values.items() if v.terms}
+        d._table = None
         return d
 
     @classmethod
@@ -106,7 +117,13 @@ class Derivation:
         """Apply by the graded Leibniz rule, one monomial factor at a time."""
         if a.model is not self.model:
             raise DerivationError("element of a different model")
-        return leibniz(self.model, self.values, self.degree, a)
+        return apply_table(self.model, self.table(), a)
+
+    def table(self):
+        """The `value_table` of this derivation, built on first use."""
+        if self._table is None:
+            self._table = value_table(self.model, self.values, self.degree)
+        return self._table
 
     def __repr__(self):
         parts = ", ".join(f"{k} -> {format_element(v)}" for k, v in sorted(self.values.items()))

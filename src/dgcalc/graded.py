@@ -7,18 +7,21 @@ fixes the printing order (degree, exponents).  Reordering a product into
 normal form accumulates the transposition sign (-1)^{|a||b|}; every other
 sign in the package derives from this one convention.  Only odd generators
 move signs, so a product's sign is read off the odd-generator bitmasks of its
-factors by popcounts, and `d` and every derivation apply through one Leibniz
-kernel.
+factors by popcounts.  `d`, every derivation and every cochain slice apply
+through one Leibniz loop, which reads a value table that each model and
+derivation builds once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
+
+ONE = Fraction(1)
 
 
 class GradedError(Exception):
@@ -81,49 +84,68 @@ def _collect(model: "Model", acc: dict) -> "Element":
     return Element._trusted(model, {k: c for k, c in acc.items() if c})
 
 
-def leibniz(model: "Model", values: Mapping[str, "Element"], degree: int, a: "Element"):
-    """D(a) for the derivation of the given degree with D(x) = values[x] on generators.
+def value_table(model: "Model", values: Mapping[str, "Element"], degree: int):
+    """The values of a derivation on generators, laid out for `leibniz`.
+
+    (degree mod 2, entries) with one entry (i, below, above, terms) per
+    generator i with a nonzero value, in generator order: below and above
+    select the odd bits before and after bit i, and terms are the value's
+    (exponents, odd mask, (coefficient, -coefficient)).  Models and
+    derivations are fixed once built, so each keeps its table.
+    """
+    bits = model.odd_bits
+    entries = []
+    for i, g in enumerate(model.generators):
+        v = values.get(g.name)
+        if v is not None:
+            terms = tuple((m, _odd_mask(bits, m), (c, -c)) for m, c in v.terms.items())
+            entries.append((i, (1 << i) - 1, -1 << (i + 1), terms))
+    return degree % 2, tuple(entries)
+
+
+def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict]) -> None:
+    """Add coeff * D(m) into out for each (m, coeff) of pairs and out of outs,
+    where D is the derivation with this `value_table`.
 
     D(x_1 ... x_k) = sum_i (-1)^{|D|(|x_1| + ... + |x_{i-1}|)} x_1 ... D(x_i) ... x_k,
     with e x^{e-1} D(x) for an even power x^e.  Each term of D(x_i) is merged
-    with the front and then with the rest of the monomial, straight into one sum.
+    with the front and then with the rest of the monomial, straight into out.
+    Applying D to an element passes one shared out; a cochain slice passes
+    one out per basis monomial, each with coefficient ONE, which multiplies
+    nothing.  Zero sums are left in out.
     """
+    flip, entries = table
+    if not entries:
+        return
     bits = model.odd_bits
-    gens = model.generators
-    flip = degree % 2
-    table: dict = {}  # generator index -> the terms of its value with their odd masks
-    out: dict = {}
-    for exps, coeff in a.terms.items():
+    for (exps, coeff), out in zip(pairs, outs):
         mask = _odd_mask(bits, exps)
-        for i, e in enumerate(exps):
+        for i, below, above, value in entries:
+            e = exps[i]
             if not e:
                 continue
-            value = table.get(i)
-            if value is None:
-                v = values.get(gens[i].name)
-                value = table[i] = () if v is None else [
-                    (mv, _odd_mask(bits, mv), cv) for mv, cv in v.terms.items()
-                ]
-            if not value:
-                continue
-            front = mask & ((1 << i) - 1)
-            rest = mask >> (i + 1) << (i + 1)
+            front = mask & below
+            rest = mask & above
             others = front | rest
             lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
             c = coeff if e == 1 else coeff * e
-            if flip and front.bit_count() & 1:
-                c = -c
-            for vexps, vmask, vc in value:
+            negate = flip & front.bit_count() & 1  # 1 when (-1)^{|D| |front|} is -1
+            for vexps, vmask, signed in value:
                 if vmask & others:
                     continue
-                term = c * vc
-                if vmask and (_parity(front, vmask) ^ _parity(vmask, rest)):
-                    term = -term
+                sign = negate ^ _parity(front, vmask) ^ _parity(vmask, rest) if vmask else negate
+                term = signed[sign] if c is ONE else c * signed[sign]
                 key = tuple(map(add, lowered, vexps))
                 if key in out:
                     out[key] += term
                 else:
                     out[key] = term
+
+
+def apply_table(model: "Model", table, a: "Element") -> "Element":
+    """The derivation with this `value_table` applied to the element a."""
+    out: dict = {}
+    leibniz(model, table, a.terms.items(), repeat(out))
     return _collect(model, out)
 
 
@@ -295,6 +317,9 @@ class Model:
         # exponent vector is the sum of the bits it selects
         self.odd_bits = tuple(1 << i if g.is_odd else 0 for i, g in enumerate(gens))
         self._bases: dict = {}
+        # per start index, {degree: exponent tuples of generators start..}
+        self._suffixes = [{} for _ in range(len(gens) + 1)]
+        self._d_table = None
         # the model's cochain complex, built on first use by cohomology.complex_of
         self._complex = None
         self.formal_dimension = formal_dimension
@@ -360,29 +385,27 @@ class Model:
             return ()
         cached = self._bases.get(degree)
         if cached is None:
-            cached = self._bases[degree] = self._build_basis(degree)
+            cached = self._bases[degree] = self._suffix(0, degree)
         return cached
 
-    def _build_basis(self, degree: int):
-        # reach[i]: the most degree generators i.. can add (unbounded once one
-        # is even); a prefix that cannot reach the degree is dropped at once
-        reach = [0]
-        for g in reversed(self.generators):
-            reach.append(reach[-1] + g.degree if g.is_odd else float("inf"))
-        reach.reverse()
-        # extend exponent prefixes one generator at a time, smallest first, so
-        # the monomials come out in lexicographic order
-        prefixes = [((), degree)] if degree <= reach[0] else []
-        for g, bound in zip(self.generators, reach[1:]):
-            longer = []
-            for acc, remaining in prefixes:
-                top = remaining // g.degree
-                for e in range(min(top, 1) + 1 if g.is_odd else top + 1):
-                    left = remaining - e * g.degree
-                    if left <= bound:
-                        longer.append((acc + (e,), left))
-            prefixes = longer
-        return tuple(acc for acc, _ in prefixes)
+    def _suffix(self, start: int, degree: int):
+        """The exponent tuples of generators start.. of the given total degree, in
+        lexicographic order, each built once from the shorter ones it extends."""
+        level = self._suffixes[start]
+        cached = level.get(degree)
+        if cached is None:
+            if start == len(self.degrees):
+                cached = ((),) if degree == 0 else ()
+            else:
+                g = self.degrees[start]
+                top = min(degree // g, 1) if g % 2 else degree // g
+                out = []
+                for e in range(top + 1):
+                    head = (e,)
+                    out += [head + tail for tail in self._suffix(start + 1, degree - e * g)]
+                cached = tuple(out)
+            level[degree] = cached
+        return cached
 
     def dimension(self, degree: int) -> int:
         return len(self.basis(degree))
@@ -393,7 +416,13 @@ class Model:
         """Extend the declared differential by the graded Leibniz rule."""
         if a.model is not self:
             raise GradedError("element of a different model")
-        return leibniz(self, self.differential, 1, a)
+        return apply_table(self, self.d_table(), a)
+
+    def d_table(self):
+        """The differential's `value_table`, built on first use."""
+        if self._d_table is None:
+            self._d_table = value_table(self, self.differential, 1)
+        return self._d_table
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

@@ -19,6 +19,7 @@ Every statement failure carries its line and column.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
@@ -96,6 +97,40 @@ def _scan(text: str, line: int, col0: int) -> List[_Token]:
 
 # parentheses nest at most this deep, well inside the interpreter's recursion limit
 MAX_NESTING = 100
+# a power may expand to at most this many terms: (a + c)^255 over even a, c
+# takes about 0.2 s on a 2-vCPU VM, and the time grows with the square of
+# the term count
+MAX_POWER_TERMS = 256
+
+
+def _capped_comb(n: int, k: int) -> int:
+    """C(n, k), or a number past MAX_POWER_TERMS as soon as it is one."""
+    if k < 0 or k > n:
+        return 0
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i  # C(n - k + i, i), growing with i
+        if out > MAX_POWER_TERMS:
+            break
+    return out
+
+
+def _power_terms(value: Element, n: int) -> int:
+    """How many terms value**n can have, counted until past MAX_POWER_TERMS.
+
+    A term with an odd generator squares to zero, so each term of the power
+    takes j distinct such terms and n - j of the others, repeats allowed."""
+    bits = value.model.odd_bits
+    odd = sum(1 for m in value.terms if any(compress(bits, m)))
+    even = len(value.terms) - odd
+    total = 0
+    for j in range(min(n, odd) + 1):
+        evens = _capped_comb(n - j + even - 1, n - j) if even else int(j == n)
+        total += _capped_comb(odd, j) * evens
+        if total > MAX_POWER_TERMS:
+            break
+    return total
 
 
 class _ExprParser:
@@ -179,7 +214,12 @@ class _ExprParser:
             tok = self.next()
             if tok.kind != "number" or "/" in tok.text:
                 raise ModelFileError("syntax", tok.line, tok.col, "exponent must be a natural number")
-            return value ** int(tok.text)
+            n = int(tok.text)
+            if _power_terms(value, n) > MAX_POWER_TERMS:
+                raise ModelFileError(
+                    "syntax", tok.line, tok.col, f"power expands past {MAX_POWER_TERMS} terms"
+                )
+            return value**n
         return value
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import _total, betti, degree_cap, induced_rank, operator_matrix
+from .cohomology import ONE, _column, _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle
 from .graded import Element, _collect
 
@@ -208,9 +208,12 @@ class SesRow:
 
 
 def tmap_matrix(pair: TDualPair, degree: int):
-    source = pair.p.total.basis(degree)
+    model = pair.p.total
+    source = model.basis(degree)
     target = pair.pbar.total.basis(degree - 1)
-    return operator_matrix(pair.p, pair.tmap, source, target), source, target
+    index = {m: i for i, m in enumerate(target)}
+    columns = [_column(pair.tmap(Element._trusted(model, {m: ONE})), index) for m in source]
+    return columns, source, target
 
 
 def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[SesRow]]:

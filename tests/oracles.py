@@ -1,10 +1,11 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
-basis sizes, the ranks of the long exact sequence, twisted cohomology, the
-T-duality map and the structured symmetries, the rescaling and pushforward
-maps whose chain identities the tests check, and a sampler of inhomogeneous
-elements; tests only."""
+bases and their sizes, the ranks of the long exact sequence, twisted
+cohomology, the T-duality map and the structured symmetries, the rescaling
+and pushforward maps whose chain identities the tests check, and a sampler
+of inhomogeneous elements; tests only."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from dgcalc.derivations import Derivation, DgBundle, commutator, exp_apply, model_differential
@@ -129,6 +130,13 @@ def dimension_series(model, top):
             for n in range(g.degree, top + 1):
                 coeffs[n] += coeffs[n - g.degree]
     return [int(c) for c in coeffs]
+
+
+def brute_basis(model, k):
+    """Every exponent tuple of degree k, odd exponents at most 1, sorted: the
+    whole box of exponents filtered, an independent oracle for Model.basis."""
+    ranges = [range(2 if g.is_odd else k // g.degree + 1) for g in model.generators]
+    return sorted(m for m in product(*ranges) if monomial_degree(model, m) == k)
 
 
 def random_inhomogeneous(model, degrees, rng):

@@ -9,6 +9,7 @@ import pytest
 
 from dgcalc import cli
 from dgcalc.cli import main
+from dgcalc.parser import MAX_POWER_TERMS
 from dgcalc.symmetries import SymmetryError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -154,6 +155,29 @@ def test_huge_power_validates_quickly(line, tmp_path, capsys):
     assert code == 0
     assert "validation: ok" in out
     assert time.perf_counter() - started < 5
+
+
+TWO_SPHERES = """model two_spheres
+dim 4
+gen a : 2
+gen b : 3
+gen c : 2
+gen e : 3
+d b = a^2
+d e = c^2
+"""
+
+
+def test_huge_power_of_a_sum_is_a_positioned_diagnostic(tmp_path, capsys):
+    # (a + c)^2000 would expand to 2001 terms; the bound stops it before any product
+    model = tmp_path / "power.dgm"
+    model.write_text(TWO_SPHERES + "let h = (a + c)^2000\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(model))
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 9, col 17: syntax: power expands past {MAX_POWER_TERMS} terms\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "mc-check"])

@@ -1,10 +1,13 @@
 """The monomial core and the Leibniz kernel against independent oracles.
 
 Signs come from odd-generator bitmasks; `oracles.merge_sign` re-sums the odd
-tail per factor instead.  `Model.d`, every `Derivation` and `commutator` run
-through one kernel; `oracles.apply_derivation` expands the Leibniz rule as
-products of elements instead.  `DgBundle.fiber_coefficients` shares the
-product's sign rule, so splitting off a generator must rebuild the element.
+tail per factor instead.  `Model.d`, every `Derivation`, `commutator` and
+every cochain slice run through one Leibniz loop over cached value tables;
+`oracles.apply_derivation` expands the Leibniz rule as products of elements
+instead, and `oracles.brute_basis` filters the whole exponent box where
+`Model.basis` extends memoized suffixes.  `DgBundle.fiber_coefficients`
+shares the product's sign rule, so splitting off a generator must rebuild
+the element.
 """
 
 import random
@@ -14,10 +17,11 @@ from functools import partial
 import pytest
 
 from dgcalc import presets
+from dgcalc.cohomology import _twisted_images, complex_of
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
 from dgcalc.graded import Element, Model, _merge_sign
 from dgcalc.sampling import random_derivation, random_element
-from oracles import apply_derivation, merge_sign
+from oracles import apply_derivation, brute_basis, coordinates, merge_sign
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -208,6 +212,132 @@ def test_commutator_on_generators(degrees, seed, deg1, deg2):
     for g in model.generators:
         x = model.gen(g.name)
         assert bracket.value(g.name) == d1(d2(x)) - sign * d2(d1(x))
+
+
+# -- cochain slices, bases and the cached value tables -----------------------------
+
+
+def with_contractible_pair(model):
+    """model tensor the free model on u (degree 3) and t (degree 2) with d t = u,
+    so a slice of degree 4 or more holds t^e with e > 1 and d(t^e) = e t^(e-1) u."""
+    gens = [(g.name, g.degree) for g in model.generators] + [("u", 3), ("t", 2)]
+
+    def differential(m):
+        out = {
+            name: Element(m, {e + (0, 0): c for e, c in v.terms.items()})
+            for name, v in model.differential.items()
+        }
+        out["t"] = m.gen("u")
+        return out
+
+    return Model(gens, differential=differential)
+
+
+def dense(column, size):
+    return [column.get(i, Fraction(0)) for i in range(size)]
+
+
+def oracle_column(model, m, target):
+    d_m = apply_derivation(model, model.differential, 1, model.monomial_element(m))
+    return coordinates(d_m, target)
+
+
+SLICE_DEGREES = st.lists(st.sampled_from([1, 3, 2, 4]), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SLICE_DEGREES, SEEDS, st.booleans())
+def test_every_slice_is_the_oracle_differential(degrees, seed, zero_differential):
+    # d = 0 leaves the value table empty; otherwise the contractible pair makes
+    # sure some even generator with a value occurs squared
+    if zero_differential:
+        model = graded_model(degrees)
+    else:
+        model = with_contractible_pair(dg_model(degrees, random.Random(seed)))
+    cx = complex_of(model)
+    for k in range(8):
+        target = model.basis(k + 1)
+        columns = cx[k].columns
+        assert len(columns) == len(model.basis(k))
+        for m, column in zip(model.basis(k), columns):
+            assert all(c for c in column.values()), (k, m)
+            assert dense(column, len(target)) == oracle_column(model, m, target), (k, m)
+    if zero_differential:
+        assert all(not column for k in range(8) for column in cx[k].columns)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SLICE_DEGREES, SEEDS)
+def test_twisted_images_d_part_is_the_oracle_differential(degrees, seed):
+    model = with_contractible_pair(dg_model(degrees, random.Random(seed)))
+    top = 7
+    windows = ([], [])
+    for k in range(top + 1):
+        windows[k % 2].extend(model.basis(k))
+    images, upto = _twisted_images(model, model.zero(), top)
+    for parity in (0, 1):
+        assert len(images[parity]) == upto[parity][top] == len(windows[parity])
+        target = windows[1 - parity]
+        for m, (k, low, whole) in zip(windows[parity], images[parity]):
+            want = oracle_column(model, m, target) if k < top else [Fraction(0)] * len(target)
+            assert dense(low, len(target)) == want, (k, m)
+            assert whole == low  # no twist
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=5))
+def test_basis_is_the_brute_force_basis(degrees):
+    model = graded_model(degrees)
+    for k in range(13):
+        assert model.basis(k) == tuple(brute_basis(model, k)), k
+    assert all(model.basis(k) is model.basis(k) for k in range(13))
+
+
+def test_models_with_equal_generators_keep_separate_tables():
+    gens = [("x", 1), ("y", 1), ("z", 1), ("t", 2)]
+    one = Model(gens, differential=lambda m: {"z": m.gen("x") * m.gen("y")})
+    two = Model(
+        gens,
+        differential=lambda m: {
+            "z": 2 * m.gen("y") * m.gen("x"),
+            "t": m.gen("x") * m.gen("y") * m.gen("z"),
+        },
+    )
+    zero = Model(gens)
+    models = (two, zero, one)  # built in one order, read in another
+    for model in models:
+        assert model.d_table() is model.d_table()
+    assert len({id(model.d_table()) for model in models}) == 3
+    assert zero.d_table()[1] == ()
+    for model in (one, zero, two):
+        cx = complex_of(model)
+        for k in range(5):
+            target = model.basis(k + 1)
+            for m, column in zip(model.basis(k), cx[k].columns):
+                assert dense(column, len(target)) == oracle_column(model, m, target)
+        z, t = model.gen("z"), model.gen("t")
+        for el in (z, t**3 * z, t * model.gen("x")):
+            assert model.d(el) == apply_derivation(model, model.differential, 1, el)
+
+
+def test_derivations_keep_separate_tables(mixed):
+    x, y, r = mixed.gen("x"), mixed.gen("y"), mixed.gen("r")
+    first = Derivation(mixed, 0, {"x": x * 2})
+    second = Derivation(mixed, 0, {"x": x * 3})
+    trusted = Derivation._trusted(mixed, 0, {"x": x * 2})
+    scaled = first * 5
+    summed = first + second
+    lowering = Derivation(mixed, -1, {"y": mixed.one()})
+    bracket = commutator(lowering, random_derivation(mixed, 1, random.Random(3)))
+    derivations = [first, second, trusted, scaled, summed, bracket]
+    el = random_mixed(mixed, random.Random(4)) + x * y * r
+    for d in derivations:  # apply each before reading the tables
+        assert d(el) == apply_derivation(mixed, d.values, d.degree, el)
+    tables = [d.table() for d in derivations]
+    assert len({id(table) for table in tables}) == len(derivations)
+    assert all(d.table() is table for d, table in zip(derivations, tables))
+    assert trusted.table() == first.table() and trusted == first
+    assert second(x) == 3 * x and first(x) == 2 * x and scaled(x) == 10 * x
 
 
 # -- monomials stay exponent tuples, coefficients nonzero Fractions --------------------

@@ -6,7 +6,7 @@ import pytest
 
 from dgcalc.derivations import DgBundle, maurer_cartan_check
 from dgcalc.graded import Model, format_element
-from dgcalc.parser import ModelFileError, parse_expression, parse_model
+from dgcalc.parser import MAX_POWER_TERMS, ModelFileError, parse_expression, parse_model
 from oracles import random_inhomogeneous
 
 
@@ -276,3 +276,34 @@ def test_bundled_models_load(name):
     root = pathlib.Path(__file__).resolve().parent.parent / "models"
     mf = parse_model((root / f"{name}.dgm").read_text())
     assert mf.model is not None
+
+
+POWER_MODEL = "gen a : 2\ngen c : 2\ngen x : 1\ngen y : 1\ngen u : 1\ngen v : 1\n"
+
+
+@pytest.mark.parametrize("expr, terms", [
+    ("(a + c)^255", MAX_POWER_TERMS),
+    ("(1 + a + c)^21", 253),
+    # odd terms square to zero, so they count once each: x y + u v squares to 2 x y u v
+    ("(x*y + u*v)^2", 1),
+    ("(x*y + u*v)^3", 0),
+    ("(x*y + a)^100000", 2),
+    ("(x + y)^99999999", 0),
+    ("(a + x*y + u)^9999999", 4),
+])
+def test_powers_within_the_term_bound_expand(expr, terms):
+    mf = parse_model(POWER_MODEL + f"let h = {expr}\n")
+    assert len(mf.elements["h"].terms) == terms
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("(a + c)^256", 17),
+    ("(1 + a + c)^22", 21),
+    ("((a + c)^15)^15", 22),
+    ("(a + c + x)^9999999", 21),
+])
+def test_powers_past_the_term_bound_are_positioned_diagnostics(expr, col):
+    with pytest.raises(ModelFileError) as err:
+        parse_model(POWER_MODEL + f"let h = {expr}\n")
+    assert (err.value.kind, err.value.line, err.value.col) == ("syntax", 7, col)
+    assert err.value.message == f"power expands past {MAX_POWER_TERMS} terms"

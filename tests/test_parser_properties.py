@@ -1,11 +1,12 @@
 """Any text, and any byte-mutated model file, ends in a diagnostic, never a traceback.
 
 `parse_model` may raise only `ModelFileError`, and `dgcalc validate` exits 0,
-1 or 2.  The strategies cut every number literal to two digits and every
-exponent literal to one: `(a + c)^n` over even generators expands to n + 1
-terms, and a declared dimension in the millions makes the formal-dimension
-audit build enormous bases.  Both are slow on purpose, not faults, and
-would only stall the search.
+1 or 2.  The strategies cut every exponent literal to four digits and every
+other number literal to two: a power that would expand past
+`parser.MAX_POWER_TERMS` terms is a diagnostic, so long exponents are cheap,
+but a declared dimension in the millions makes the formal-dimension audit
+build enormous bases, which is slow on purpose, not a fault, and would only
+stall the search.
 """
 
 import contextlib
@@ -35,9 +36,10 @@ TOKENS = [
 
 
 def _bounded(text: str) -> str:
-    """Exponent literals cut to one digit, every other number to two."""
-    text = re.sub(r"(\^\s*)(\d+)", lambda m: m.group(1) + m.group(2)[:1], text)
-    return re.sub(r"\d{3,}", lambda m: m.group(0)[:2], text)
+    """Exponent literals cut to four digits, every other number to two."""
+    return re.sub(
+        r"(\^\s*)?(\d+)", lambda m: (m.group(1) or "") + m.group(2)[: 4 if m.group(1) else 2], text
+    )
 
 
 EXPRESSION_TOKENS = [
