@@ -20,6 +20,7 @@ from .cohomology import (
     twisted_betti,
 )
 from .derivations import (
+    BUNDLE_SHAPES,
     Derivation,
     commutator,
     maurer_cartan_check,
@@ -81,12 +82,11 @@ class Report:
 
 def _need_bundle(mf, shape=None):
     """The model's bundle; it must exist and, if shape is given, have that shape."""
-    wanted = {
-        None: "a bundle",
-        "two_step": "a two-step bundle (fibers q:1, t:2)",
-        "flux": "a flux bundle (fibers q:3, t:6)",
-    }[shape]
     if mf.bundle is None or shape not in (None, mf.bundle.shape):
+        wanted = "a bundle"
+        if shape:
+            fibers = ", ".join(f"{name}:{degree}" for name, degree, _ in BUNDLE_SHAPES[shape][0])
+            wanted = f"a {shape.replace('_', '-')} bundle (fibers {fibers})"
         raise ModelFileError("shape", 0, 1, f"this command needs {wanted}")
     return mf.bundle
 

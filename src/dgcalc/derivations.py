@@ -228,37 +228,71 @@ def exp_apply(v: Derivation, a: Element, cap: int = 8) -> Element:
     raise DerivationError(f"derivation not nilpotent on element within {cap} steps")
 
 
+# For each shape: its fibers in order as (default name, degree, the structural
+# form Q sends the fiber to), where the line's degree None is the caller's;
+# then the coupling (form, factor) that adds q * form * factor to Q(t), with q
+# the first fiber and t the last.
+BUNDLE_SHAPES = {
+    "line": ((("t", None, "Theta"),), None),
+    "two_step": ((("q", 1, "F"), ("t", 2, "H")), ("Fbar", 1)),
+    "correspondence": ((("q", 1, "F"), ("qbar", 1, "Fbar"), ("t", 2, "H")), ("Fbar", 1)),
+    "flux": ((("q", 3, "F4"), ("t", 6, "F7")), ("F4", Fraction(1, 2))),
+}
+
+
+def form_degrees(shape: str, degree: Optional[int] = None) -> Dict[str, int]:
+    """{form: the degree Q needs it in} over a shape's structural forms, in
+    table order; degree is the line's fiber degree."""
+    fibers, coupling = BUNDLE_SHAPES[shape]
+    degrees = [degree if d is None else d for _, d, _ in fibers]
+    out = {form: d + 1 for (_, _, form), d in zip(fibers, degrees)}
+    if coupling:
+        out[coupling[0]] = degrees[-1] - degrees[0] + 1
+    return out
+
+
 class DgBundle:
     """A base model extended by shifted-line fibers with its homological field.
 
-    Shapes:
+    Shapes, one row each of BUNDLE_SHAPES:
       line:           one fiber t of degree n,    Q = d + Theta dt
       two_step:       q (deg 1), t (deg 2),       Q = d + F dq + (H + q Fbar) dt
       correspondence: q, qbar (deg 1), t (deg 2), Q = d + F dq + Fbar dqbar + (H + q Fbar) dt
       flux:           q (deg 3), t (deg 6),       Q = d + F4 dq + (F7 + q F4/2) dt
+
+    `names` renames the fibers in table order (a fiber's name is also the
+    attribute q_name, qbar_name or t_name after its default), `degree` is the
+    line's fiber degree, and a structural form left out is zero.
     """
 
-    def __init__(self, base: Model, fiber_gens, structural, fiber_values, shape, name=""):
+    def __init__(self, base: Model, shape, structural, names=(), degree=None, name=""):
+        fibers, coupling = BUNDLE_SHAPES[shape]
         self.base = base
         self.shape = shape
-        self.fiber_names = tuple(g.name for g in fiber_gens)
-        if shape != "line":
-            self.q_name, self.t_name = self.fiber_names[0], self.fiber_names[-1]
-        if shape == "correspondence":
-            self.qbar_name = self.fiber_names[1]
-        self.structural = dict(structural)
+        self.fiber_names = tuple(names) or tuple(default for default, _, _ in fibers)
+        for (default, _, _), fiber in zip(fibers, self.fiber_names):
+            setattr(self, default + "_name", fiber)
+        self.structural = {
+            form: structural.get(form, base.zero()) for form in form_degrees(shape, degree)
+        }
         self.name = name or (base.name + "-bundle")
-        gens = list(base.generators) + list(fiber_gens)
+        gens = list(base.generators) + [
+            GradedGenerator(fiber, degree if d is None else d)
+            for fiber, (_, d, _) in zip(self.fiber_names, fibers)
+        ]
 
         # assemble Q's values on a throwaway algebra, then rebuild them on a model
         # with the differential installed; d*d = 0 there is the Maurer-Cartan equation
         algebra = Model(gens, formal_dimension=base.formal_dimension)
         self.total = algebra
         values = {g: self.include_base(el) for g, el in base.differential.items()}
-        for fname, build in fiber_values.items():
-            v = build(self)
-            if not v.is_zero():
-                values[fname] = v
+        for fiber, (_, _, form) in zip(self.fiber_names, fibers):
+            values[fiber] = self.structural_total(form)
+        if coupling:
+            form, factor = coupling
+            q, t = self.fiber_names[0], self.fiber_names[-1]
+            values[t] = values[t] + algebra.gen(q) * self.structural_total(form) * factor
+        values = {g: v for g, v in values.items() if not v.is_zero()}
         try:
             self.total = Model(
                 gens,
@@ -334,30 +368,13 @@ class DgBundle:
     @classmethod
     def line(cls, base: Model, theta: Element, fiber: str = "t", degree: int = 2, name=""):
         """R[n]-extension by a single fiber with Q(fiber) = theta."""
-        return cls(
-            base,
-            [GradedGenerator(fiber, degree)],
-            {"Theta": theta},
-            {fiber: lambda b: b.include_base(theta)},
-            "line",
-            name,
-        )
+        return cls(base, "line", {"Theta": theta}, (fiber,), degree, name)
 
     @classmethod
     def two_step(
         cls, base: Model, f: Element, fbar: Element, h: Element, q: str = "q", t: str = "t", name=""
     ):
-        return cls(
-            base,
-            [GradedGenerator(q, 1), GradedGenerator(t, 2)],
-            {"F": f, "Fbar": fbar, "H": h},
-            {
-                q: lambda b: b.include_base(f),
-                t: lambda b: b.include_base(h) + b.total.gen(q) * b.include_base(fbar),
-            },
-            "two_step",
-            name,
-        )
+        return cls(base, "two_step", {"F": f, "Fbar": fbar, "H": h}, (q, t), name=name)
 
     @classmethod
     def correspondence(
@@ -371,31 +388,8 @@ class DgBundle:
         t: str = "t",
         name="",
     ):
-        return cls(
-            base,
-            [GradedGenerator(q, 1), GradedGenerator(qbar, 1), GradedGenerator(t, 2)],
-            {"F": f, "Fbar": fbar, "H": h},
-            {
-                q: lambda b: b.include_base(f),
-                qbar: lambda b: b.include_base(fbar),
-                t: lambda b: b.include_base(h) + b.total.gen(q) * b.include_base(fbar),
-            },
-            "correspondence",
-            name,
-        )
+        return cls(base, "correspondence", {"F": f, "Fbar": fbar, "H": h}, (q, qbar, t), name=name)
 
     @classmethod
     def flux(cls, base: Model, f4: Element, f7: Element, q: str = "q", t: str = "t", name=""):
-        return cls(
-            base,
-            [GradedGenerator(q, 3), GradedGenerator(t, 6)],
-            {"F4": f4, "F7": f7},
-            {
-                q: lambda b: b.include_base(f4),
-                t: lambda b: b.include_base(f7)
-                + b.total.gen(q) * b.include_base(f4) * Fraction(1, 2),
-            },
-            "flux",
-            name,
-        )
-
+        return cls(base, "flux", {"F4": f4, "F7": f7}, (q, t), name=name)

@@ -70,15 +70,6 @@ def _parity(left_mask: int, right_mask: int) -> int:
     return parity & 1
 
 
-def _merge_sign(model: "Model", left: Sequence[int], right: Sequence[int]):
-    """Normal form of (left monomial)*(right monomial): (sign, exponents) or None if zero."""
-    bits = model.odd_bits
-    left_mask, right_mask = _odd_mask(bits, left), _odd_mask(bits, right)
-    if left_mask & right_mask:
-        return None
-    return -1 if _parity(left_mask, right_mask) else 1, tuple(map(add, left, right))
-
-
 def _collect(model: "Model", acc: dict) -> "Element":
     """The element of exponent-keyed Fraction sums, zeros dropped."""
     return Element._trusted(model, {k: c for k, c in acc.items() if c})

@@ -13,7 +13,8 @@ starts a comment.  Statements:
 
 Expressions: sums of rational-coefficient products of generator powers;
 '*' or juxtaposition multiplies, '^' takes powers, parentheses group.
-Every statement failure carries its line and column.
+Every statement failure carries its line and column; declaring a name, form,
+model or dimension a second time is one, reported at the repeat.
 """
 
 from __future__ import annotations
@@ -23,11 +24,17 @@ from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
-from .derivations import BundleError, Derivation, DgBundle
+from .derivations import BUNDLE_SHAPES, BundleError, Derivation, DgBundle, form_degrees
 from .graded import Element, GradedError, Model
 from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
 
-STRUCTURAL_KEYS = ("F", "Fbar", "H", "Theta", "F4", "F7")
+# the shapes a file can declare, tried in this order (only dualize builds a
+# correspondence), and the key a file may write for a form its shape names
+# otherwise: a line's Theta may be given as F; a line's forms do not depend on
+# its degree, so any degree lists them
+FILE_SHAPES = ("two_step", "flux", "line")
+ALIASES = {"F": "Theta"}
+STRUCTURAL_KEYS = frozenset(ALIASES).union(*(form_degrees(s, 1) for s in FILE_SHAPES))
 SYM_KEYS = PART_NAMES
 
 
@@ -281,22 +288,26 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
     header_name = ""
     formal_dim: Optional[int] = None
     dim_pos = (0, 1)
-    gen_decls: List[Tuple[str, int, int, int]] = []
-    # expression statements keep (text, line, statement column, text column)
+    # every declaration is keyed by its name: generators keep (degree, line,
+    # column), expression statements (text, line, statement column, text column)
+    gen_decls: Dict[str, Tuple[int, int, int]] = {}
+    fiber_decls: Dict[str, Tuple[int, int, int]] = {}
     diff_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    fiber_decls: List[Tuple[str, int, int, int]] = []
     structural_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    let_decls: List[Tuple[str, str, int, int, int]] = []
-    vec_decls: List[Tuple[str, str, int, int, int]] = []
-    sym_decls: List[Tuple[str, str, int, int, int]] = []
+    let_decls: Dict[str, Tuple[str, int, int, int]] = {}
+    vec_decls: Dict[str, Tuple[str, int, int, int]] = {}
+    sym_decls: Dict[str, Tuple[str, int, int, int]] = {}
+    header: Dict[str, str] = {}
 
     for line, col, stmt in _statements(text):
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
         rest_col = col + len(stmt) - len(rest)  # stmt and rest are stripped
         if head == "model":
+            _declare(header, head, rest, "model statement", line, col)
             header_name = rest
         elif head == "dim":
+            _declare(header, head, rest, "dim statement", line, col)
             try:
                 formal_dim = int(rest)
                 if formal_dim < 0:
@@ -311,22 +322,20 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
             except ValueError:
                 raise ModelFileError("syntax", line, col, f"bad degree {degree_text!r}")
             target = gen_decls if head == "gen" else fiber_decls
-            target.append((name, degree, line, col))
+            _declare(target, name, (degree, line, col), f"{head} {name!r}", line, col)
         elif head == "d":
             name, expr, offset = _split_decl(rest, "=", "differential", line, col)
-            diff_decls[name] = (expr, line, col, rest_col + offset)
-        elif head == "let":
-            name, expr, offset = _split_decl(rest, "=", "let", line, col)
-            let_decls.append((name, expr, line, col, rest_col + offset))
-        elif head == "vec":
-            name, spec, offset = _split_decl(rest, ":", "vec", line, col)
-            vec_decls.append((name, spec, line, col, rest_col + offset))
-        elif head == "sym":
-            name, spec, offset = _split_decl(rest, ":", "sym", line, col)
-            sym_decls.append((name, spec, line, col, rest_col + offset))
+            decl = (expr, line, col, rest_col + offset)
+            _declare(diff_decls, name, decl, f"d {name!r}", line, col)
+        elif head in ("let", "vec", "sym"):
+            name, expr, offset = _split_decl(rest, "=" if head == "let" else ":", head, line, col)
+            target = {"let": let_decls, "vec": vec_decls, "sym": sym_decls}[head]
+            decl = (expr, line, col, rest_col + offset)
+            _declare(target, name, decl, f"{head} {name!r}", line, col)
         elif stmt.split("=", 1)[0].strip() in STRUCTURAL_KEYS:
             key, expr, offset = _split_decl(stmt, "=", "structural", line, col)
-            structural_decls[key] = (expr, line, col, col + offset)
+            decl = (expr, line, col, col + offset)
+            _declare(structural_decls, key, decl, f"structural form {key!r}", line, col)
         else:
             raise ModelFileError("syntax", line, col, f"unrecognized statement {stmt!r}")
 
@@ -334,10 +343,11 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
     out.name = header_name
 
     # base model: two passes so differential expressions can mention any generator
+    gens = [(name, degree) for name, (degree, _, _) in gen_decls.items()]
     try:
-        algebra = Model([(n, d) for n, d, _, _ in gen_decls], formal_dimension=formal_dim or 0)
+        algebra = Model(gens, formal_dimension=formal_dim or 0)
     except GradedError as e:
-        line, col = (gen_decls[0][2], gen_decls[0][3]) if gen_decls else (0, 1)
+        _, line, col = next(iter(gen_decls.values()), (0, 0, 1))
         raise ModelFileError("syntax", line, col, str(e))
     diff_values: Dict[str, Element] = {}
     for name, (expr, line, col, ecol) in diff_decls.items():
@@ -362,7 +372,7 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
 
     try:
         base = Model(
-            [(n, d) for n, d, _, _ in gen_decls],
+            gens,
             formal_dimension=formal_dim or 0,
             differential=rebuild,
             name=header_name,
@@ -382,10 +392,10 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
         except GradedError as e:
             raise ModelFileError("formal-dimension", dim_pos[0], dim_pos[1], str(e))
 
-    # bundle assembly
-    fline, fcol = (fiber_decls[0][2], fiber_decls[0][3]) if fiber_decls else (0, 1)
+    # bundle assembly, reported at the first fiber, or the first form if there is none
     mc_failed = False
     if fiber_decls or structural_decls:
+        fline, fcol = next(iter(fiber_decls.values() or structural_decls.values()))[1:3]
         try:
             out.bundle = _build_bundle(base, fiber_decls, structural_decls, fline, fcol)
         except BundleError as e:
@@ -396,84 +406,79 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
             out.bundle, mc_failed = e.bundle, True
 
     scope = out.bundle.base if out.bundle else base
-    for name, expr, line, _, ecol in let_decls:
+    for name, (expr, line, _, ecol) in let_decls.items():
         out.elements[name] = parse_expression(expr, scope, line, ecol)
-    for name, spec, line, col, ecol in vec_decls:
+    for name, (spec, line, col, ecol) in vec_decls.items():
         out.vectors[name] = _build_vector(scope, spec, line, col, ecol)
-    for name, spec, line, col, ecol in sym_decls:
+    for name, (spec, line, col, ecol) in sym_decls.items():
         if out.bundle is None or mc_failed:
             raise ModelFileError("shape", line, col, "sym declarations need a validated bundle")
         out.symmetries[name] = _build_symmetry(out, spec, line, col, ecol)
     return out
 
 
+def _declare(decls: dict, key, value, what: str, line: int, col: int):
+    """Record a declaration; a second one of the same key is an error there."""
+    if key in decls:
+        raise ModelFileError("syntax", line, col, f"repeated {what}")
+    decls[key] = value
+
+
 def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
+    """The first shape of FILE_SHAPES with as many fibers as declared and every
+    declared form among its own; its fiber and form degrees are checked."""
     structural: Dict[str, Element] = {}
     for key, (expr, line, _, ecol) in structural_decls.items():
         structural[key] = parse_expression(expr, base, line, ecol)
-    fibers = {name: degree for name, degree, _, _ in fiber_decls}
-    names = list(fibers)
-    keys = set(structural)
-    try:
-        if keys <= {"F", "Fbar", "H"} and len(fibers) == 2:
-            q, t = names
-            if fibers[q] != 1 or fibers[t] != 2:
+    fibers = {name: degree for name, (degree, _, _) in fiber_decls.items()}
+    declared = list(fibers.values())
+    for shape in FILE_SHAPES:
+        rows = BUNDLE_SHAPES[shape][0]
+        if len(rows) != len(declared):
+            continue
+        wants = form_degrees(shape, declared[0])
+        forms = {key: key if key in wants else ALIASES.get(key) for key in structural}
+        if not set(forms.values()) <= set(wants):
+            continue
+        seen: Dict[str, str] = {}
+        for key, form in forms.items():  # in file order, so a repeat is met where it repeats
+            if form in seen:
+                _, line, col, _ = structural_decls[key]
                 raise ModelFileError(
-                    "shape", fline, fcol, "two-step bundles need fibers of degree 1 and 2"
+                    "syntax", line, col, f"repeated structural form {form!r} ({seen[form]} and {key})"
                 )
-            _check_degrees(structural, structural_decls, {"F": 2, "Fbar": 2, "H": 3})
-            return DgBundle.two_step(
-                base,
-                structural.get("F", base.zero()),
-                structural.get("Fbar", base.zero()),
-                structural.get("H", base.zero()),
-                q=q,
-                t=t,
-                name=base.name,
+            seen[form] = key
+        degrees = [d for _, d, _ in rows]
+        if None not in degrees and degrees != declared:
+            raise ModelFileError(
+                "shape",
+                fline,
+                fcol,
+                f"{shape.replace('_', '-')} bundles need fibers of degree "
+                + " and ".join(map(str, degrees)),
             )
-        if keys <= {"F4", "F7"} and len(fibers) == 2:
-            q, t = names
-            if fibers[q] != 3 or fibers[t] != 6:
-                raise ModelFileError(
-                    "shape", fline, fcol, "flux bundles need fibers of degree 3 and 6"
-                )
-            _check_degrees(structural, structural_decls, {"F4": 4, "F7": 7})
-            return DgBundle.flux(
-                base,
-                structural.get("F4", base.zero()),
-                structural.get("F7", base.zero()),
-                q=q,
-                t=t,
-                name=base.name,
-            )
-        if len(fibers) == 1 and keys <= {"Theta", "F"}:
-            (fiber, degree), = fibers.items()
-            _check_degrees(structural, structural_decls, {"Theta": degree + 1, "F": degree + 1})
-            theta = structural.get("Theta", structural.get("F", base.zero()))
-            return DgBundle.line(base, theta, fiber=fiber, degree=degree, name=base.name)
-    except GradedError as e:
-        raise ModelFileError("degree-mismatch", fline, fcol, str(e))
+        try:
+            for key in sorted(structural):
+                value, form = structural[key], forms[key]
+                expr, line, col, _ = structural_decls[key]
+                if not value.is_zero() and value.degree() != wants[form]:
+                    raise ModelFileError(
+                        "degree-mismatch",
+                        line,
+                        col,
+                        f"{key} must have degree {wants[form]}, got {value.degree()}",
+                        witness=expr,
+                    )
+            values = {forms[key]: value for key, value in structural.items()}
+            return DgBundle(base, shape, values, fibers, declared[0], base.name)
+        except GradedError as e:
+            raise ModelFileError("degree-mismatch", fline, fcol, str(e))
     raise ModelFileError(
         "shape",
         fline,
         fcol,
-        f"cannot infer a bundle shape from fibers {sorted(fibers.items())} and forms {sorted(keys)}",
+        f"cannot infer a bundle shape from fibers {sorted(fibers.items())} and forms {sorted(structural)}",
     )
-
-
-def _check_degrees(structural, structural_decls, wants):
-    """Each nonzero structural form has the degree its shape asks for."""
-    for key, want in wants.items():
-        value = structural.get(key)
-        if value is not None and not value.is_zero() and value.degree() != want:
-            expr, line, col, _ = structural_decls[key]
-            raise ModelFileError(
-                "degree-mismatch",
-                line,
-                col,
-                f"{key} must have degree {want}, got {value.degree()}",
-                witness=expr,
-            )
 
 
 def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) -> Derivation:

@@ -55,7 +55,9 @@ class TDualPair:
         dual_fiber = "qbar" if p.q_name != "qbar" else "q"
         self.pbar = DgBundle.two_step(base, fbar, f, h, q=dual_fiber, t=p.t_name, name="dual")
         self.dual_fiber = dual_fiber
-        self._fiber = self._check_layout()
+        # both totals list the base generators, then the fiber (q upstairs, qbar
+        # downstairs), then t, so the closed-form map moves exponent tuples as is
+        self._fiber = len(base.generators)
         self.correspondence = DgBundle.correspondence(
             base, f, fbar, h, q=p.q_name, qbar=dual_fiber, t=p.t_name
         )
@@ -80,24 +82,6 @@ class TDualPair:
         )
         if moved.value(corr.t_name) != twist:
             raise TDualityError("correspondence twists are not gauge equivalent")
-
-    def _check_layout(self) -> int:
-        """The index nb of the fiber; P and Pbar share one exponent layout.
-
-        Both totals list the base generators in base order, then the fiber
-        (q upstairs, qbar downstairs) at index nb and t at nb + 1, so the
-        closed-form map can move exponent tuples between them unchanged.
-        """
-        base = [(g.name, g.degree) for g in self.base.generators]
-        nb = len(base)
-        for bundle, fiber in ((self.p, self.p.q_name), (self.pbar, self.dual_fiber)):
-            layout = [(g.name, g.degree) for g in bundle.total.generators]
-            if layout != base + [(fiber, 1), (self.p.t_name, 2)]:
-                raise TDualityError(
-                    f"{bundle.name}: expected the base generators, then {fiber} : 1, "
-                    f"then {self.p.t_name} : 2"
-                )
-        return nb
 
     # -- the comparison map -------------------------------------------------
 

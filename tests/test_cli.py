@@ -211,6 +211,25 @@ def test_shape_mismatch_is_usage_error(capsys):
     assert "two-step" in err
 
 
+@pytest.mark.parametrize("command, model, wanted", [
+    ("ses-verify", "s3_volume", "a two-step bundle (fibers q:1, t:2)"),
+    ("e6-check", "t2_pair", "a flux bundle (fibers q:3, t:6)"),
+    ("sym", "s2_sphere", "a bundle"),
+])
+def test_shape_mismatch_names_the_bundle_it_needs(command, model, wanted, capsys):
+    code, _, err = run(capsys, command, str(MODELS / f"{model}.dgm"))
+    assert code == 2
+    assert err == f"error: shape: this command needs {wanted}\n"
+
+
+def test_repeated_declaration_exits_2_at_the_repeat(tmp_path, capsys):
+    bad = tmp_path / "repeat.dgm"
+    bad.write_text("gen x1 : 1; gen x2 : 1; gen z : 1\nd z = x1 x2\nd z = 0\n")
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert err == "error: line 3, col 1: syntax: repeated d 'z'\n"
+
+
 def test_derived_bracket_command(capsys):
     code, out, _ = run(
         capsys, "derived-bracket", str(MODELS / "nil_pair.dgm"), "--a", "u", "--b", "v"

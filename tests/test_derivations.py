@@ -1,10 +1,15 @@
 """Derivations: commutators, Maurer-Cartan checks, gauge transformations."""
 
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
+from dgcalc import presets
 from dgcalc.derivations import (
+    BUNDLE_SHAPES,
     BundleError,
     Derivation,
     DerivationError,
@@ -15,7 +20,7 @@ from dgcalc.derivations import (
     maurer_cartan_check,
     model_differential,
 )
-from dgcalc.graded import Model
+from dgcalc.graded import Element, Model
 from dgcalc.sampling import random_derivation, random_element
 
 
@@ -262,3 +267,66 @@ def test_homologous_shift_closed_a_keeps_f(t2):
 def test_homologous_shift_zero_is_identity(s3):
     bundle = DgBundle.two_step(s3, s3.zero(), s3.zero(), s3.gen("c"))
     assert homologous_shift(bundle.q, Derivation.zero(bundle.total, 0)) == bundle.q
+
+
+# -- the bundle-shape table -------------------------------------------------------
+
+# per shape: the constructor with renamed fibers, the fibers it must append as
+# (name, degree), and Q on each fiber as the DgBundle docstring writes it, from
+# the forms f and the fiber generators g
+BUNDLE_CASES = {
+    "line": (
+        lambda base, f: DgBundle.line(base, f["Theta"], fiber="s", degree=3),
+        [("s", 3)],
+        lambda f, g: {"s": f["Theta"]},
+    ),
+    "two_step": (
+        lambda base, f: DgBundle.two_step(base, f["F"], f["Fbar"], f["H"], q="u", t="v"),
+        [("u", 1), ("v", 2)],
+        lambda f, g: {"u": f["F"], "v": f["H"] + g("u") * f["Fbar"]},
+    ),
+    "correspondence": (
+        lambda base, f: DgBundle.correspondence(
+            base, f["F"], f["Fbar"], f["H"], q="u", qbar="w", t="v"
+        ),
+        [("u", 1), ("w", 1), ("v", 2)],
+        lambda f, g: {"u": f["F"], "w": f["Fbar"], "v": f["H"] + g("u") * f["Fbar"]},
+    ),
+    "flux": (
+        lambda base, f: DgBundle.flux(base, f["F4"], f["F7"], q="u", t="v"),
+        [("u", 3), ("v", 6)],
+        lambda f, g: {"u": f["F4"], "v": f["F7"] + g("u") * f["F4"] * Fraction(1, 2)},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BUNDLE_SHAPES))
+def test_each_shape_appends_its_fibers_and_field_as_the_table_says(shape):
+    base = presets.torus(7)
+    th = [base.gen(f"th{i}") for i in range(1, 8)]
+    # closed forms with F Fbar = F4 F4 = 0, so every shape is Maurer-Cartan
+    forms = {
+        "Theta": th[0] * th[1] * th[2] * th[3],
+        "F": th[0] * th[1],
+        "Fbar": th[0] * th[2] - th[1] * th[0],
+        "H": th[3] * th[4] * th[5],
+        "F4": th[0] * th[1] * th[2] * th[3],
+        "F7": reduce(mul, th),
+    }
+    build, fibers, field = BUNDLE_CASES[shape]
+    bundle = build(base, forms)
+    assert bundle.shape == shape
+    assert bundle.fiber_names == tuple(name for name, _ in fibers)
+    table = [3 if degree is None else degree for _, degree, _ in BUNDLE_SHAPES[shape][0]]
+    assert [degree for _, degree in fibers] == table
+    layout = [(g.name, g.degree) for g in bundle.total.generators]
+    assert layout == [(g.name, g.degree) for g in base.generators] + fibers
+
+    def lift(el):  # padded by hand, not by include_base
+        return Element(bundle.total, {m + (0,) * len(fibers): c for m, c in el.terms.items()})
+
+    lifted = {key: lift(form) for key, form in forms.items()}
+    expected = field(lifted, bundle.total.gen)
+    assert {name: bundle.q.value(name) for name, _ in fibers} == expected
+    assert all(not value.is_zero() for value in expected.values())
+    assert maurer_cartan_check(bundle.q)

@@ -181,8 +181,11 @@ H = -(z x3 x4)
     ],
 )
 def test_expression_diagnostics_point_into_the_expression(statement, bad):
-    # a repeated d or structural statement replaces the one in the base text
-    text = EXPR_BASE + statement + "\n"
+    # a d or structural statement replaces the base text's declaration of its name
+    key = statement.split("=", 1)[0].split()
+    lines = EXPR_BASE.splitlines(keepends=True)
+    text = "".join(decl for decl in lines if decl.split("=", 1)[0].split() != key)
+    text += statement + "\n"
     line = text.count("\n")
     with pytest.raises(ModelFileError) as err:
         parse_model(text)
@@ -307,3 +310,78 @@ def test_powers_past_the_term_bound_are_positioned_diagnostics(expr, col):
         parse_model(POWER_MODEL + f"let h = {expr}\n")
     assert (err.value.kind, err.value.line, err.value.col) == ("syntax", 7, col)
     assert err.value.message == f"power expands past {MAX_POWER_TERMS} terms"
+
+
+# -- repeated declarations and bundle shapes --------------------------------------
+
+REPEAT_BASE = "model r\ngen x1 : 1; gen x2 : 1; gen x3 : 1; gen x4 : 1; gen z : 1\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param("d z = x1 x2\nd z = 0", "repeated d 'z'", id="d"),
+    pytest.param("fiber q : 1\nfiber t : 2\nF = x1 x2\nF = x3 x4", "repeated structural form 'F'",
+                 id="structural"),
+    pytest.param("fiber q : 1\nfiber q : 2", "repeated fiber 'q'", id="fiber"),
+    pytest.param("let w = x1\nlet w = x2", "repeated let 'w'", id="let"),
+    pytest.param("vec X : x1 = 1\nvec X : x2 = 1", "repeated vec 'X'", id="vec"),
+    pytest.param("fiber q : 1\nfiber t : 2\nsym u : deg = -1, f = 1\nsym u : deg = -1, c = x1",
+                 "repeated sym 'u'", id="sym"),
+    pytest.param("fiber s : 1\nTheta = x1 x2\nF = x3 x4",
+                 "repeated structural form 'Theta' (Theta and F)", id="theta-then-f"),
+    pytest.param("fiber s : 1\nF = x3 x4\nTheta = x1 x2",
+                 "repeated structural form 'Theta' (F and Theta)", id="f-then-theta"),
+    pytest.param("gen x3 : 1", "repeated gen 'x3'", id="gen"),
+    pytest.param("dim 4\ndim 5", "repeated dim statement", id="dim"),
+    pytest.param("model other", "repeated model statement", id="model"),
+])
+def test_a_repeated_declaration_is_a_syntax_error_at_the_repeat(body, message):
+    *first, repeat = body.split("\n")
+    text = REPEAT_BASE + "".join(f"{stmt}\n" for stmt in first) + f"  {repeat}\n"
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert err.value.kind == "syntax"
+        assert (err.value.line, err.value.col) == (text.count("\n"), 3)
+        assert err.value.message == message
+
+
+def test_a_form_without_fibers_is_reported_at_the_first_form():
+    text = "model v\ndim 3\ngen c : 3\n  Theta = c\nH = c\n"
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text)
+    assert err.value.kind == "shape"
+    assert (err.value.line, err.value.col) == (4, 3)
+    assert err.value.message == "cannot infer a bundle shape from fibers [] and forms ['H', 'Theta']"
+
+
+@pytest.mark.parametrize("fibers, form, message", [
+    ("fiber q : 1\nfiber t : 3", "F = a", "two-step bundles need fibers of degree 1 and 2"),
+    ("fiber q : 3\nfiber t : 2", "F4 = a^2", "flux bundles need fibers of degree 3 and 6"),
+    ("fiber q : 1\nfiber s : 1\nfiber t : 2", "F = a",
+     "cannot infer a bundle shape from fibers [('q', 1), ('s', 1), ('t', 2)] and forms ['F']"),
+])
+def test_shape_diagnostics_are_reported_at_the_first_fiber(fibers, form, message):
+    text = "model s2\ndim 2\ngen a : 2\ngen b : 3\nd b = a^2\n  " + fibers + "\n" + form + "\n"
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert err.value.kind == "shape"
+        assert (err.value.line, err.value.col) == (6, 3)
+        assert err.value.message == message
+
+
+def test_a_line_declared_with_f_stores_theta():
+    mf = parse_model("model vol\ndim 3\ngen c : 3\nfiber t : 2\nF = c\n")
+    assert mf.bundle.shape == "line"
+    assert mf.bundle.structural == {"Theta": mf.model.gen("c")}
+    with pytest.raises(ModelFileError) as err:
+        parse_model("model vol\ndim 3\ngen c : 3\nfiber t : 3\nF = c\n")
+    assert err.value.kind == "degree-mismatch"
+    assert err.value.message == "F must have degree 4, got 3"
+
+
+def test_fibers_without_forms_are_tried_as_two_step_first():
+    mf = parse_model("model t2\ndim 2\ngen th1 : 1; gen th2 : 1\nfiber q : 1\nfiber t : 2\n")
+    assert mf.bundle.shape == "two_step"
+    assert all(form.is_zero() for form in mf.bundle.structural.values())
+    assert sorted(mf.bundle.structural) == ["F", "Fbar", "H"]

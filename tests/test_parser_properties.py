@@ -1,7 +1,8 @@
 """Any text, and any byte-mutated model file, ends in a diagnostic, never a traceback.
 
 `parse_model` may raise only `ModelFileError`, and `dgcalc validate` exits 0,
-1 or 2.  The strategies cut every exponent literal to four digits and every
+1 or 2; a list of valid bundle statements loads or fails at a line.  The
+strategies cut every exponent literal to four digits and every
 other number literal to two: a power that would expand past
 `parser.MAX_POWER_TERMS` terms is a diagnostic, so long exponents are cheap,
 but a declared dimension in the millions makes the formal-dimension audit
@@ -98,6 +99,28 @@ def _validate_exit_code(data: bytes) -> int:
             return cli.main(["validate", path])
     finally:
         os.unlink(path)
+
+
+# statements each valid on its own; together they may repeat a name, miss a
+# fiber, mix shapes or fail Maurer-Cartan
+BUNDLE_STATEMENTS = [
+    "gen x1 : 1", "gen x2 : 1", "gen y : 2", "gen c : 3", "gen w : 4", "gen z : 1",
+    "d z = x1 x2", "d z = 0", "fiber q : 1", "fiber t : 2", "fiber q : 3", "fiber t : 6",
+    "fiber s : 1", "F = x1 x2", "F = 0", "Fbar = y", "H = c", "H = z y", "Theta = c", "Theta = 0",
+    "F4 = w", "F7 = w c", "F7 = 0", "let e = x1 y", "vec X : x1 = 1", "sym u : deg = -1, f = 1",
+    "sym v : deg = 0, b = 0", "sym h : deg = -2, h = 1",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(BUNDLE_STATEMENTS), max_size=8))
+def test_bundle_files_load_or_are_positioned_diagnostics(statements):
+    text = "".join(f"{stmt}\n" for stmt in statements)
+    for validate in (True, False):
+        try:
+            parse_model(text, validate=validate)
+        except ModelFileError as err:
+            assert err.line >= 1, err
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from dgcalc import presets
 from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
 from dgcalc.derivations import DgBundle
-from dgcalc.graded import Element, GradedGenerator, Model
+from dgcalc.graded import Element, Model
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
 from dgcalc.tduality import (
@@ -304,15 +304,6 @@ def test_tmap_and_section_reject_foreign_elements():
     for el in (pair.p.total.gen("t"), other.pbar.total.gen("t"), pair.base.gen("a")):
         with pytest.raises(TDualityError):
             pair.section(el)
-
-
-def test_pair_rejects_a_fiber_layout_it_cannot_map():
-    s2 = presets.sphere2()
-    zero = s2.zero()
-    fibers = [GradedGenerator("t", 2), GradedGenerator("q", 1)]
-    swapped = DgBundle(s2, fibers, {"F": zero, "Fbar": zero, "H": zero}, {}, "two_step")
-    with pytest.raises(TDualityError, match="expected the base generators"):
-        dualize(swapped)
 
 
 def _count_builds(monkeypatch):
