@@ -19,6 +19,7 @@ from .graded import (
     Model,
     _odd_mask,
     apply_table,
+    apply_values,
     format_element,
     value_table,
 )
@@ -136,16 +137,14 @@ def model_differential(model: Model) -> Derivation:
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
-    """[D1, D2] = D1 D2 - (-1)^{|D1||D2|} D2 D1, evaluated on generators."""
+    """[D1, D2] = D1 D2 - (-1)^{|D1||D2|} D2 D1, evaluated on generators in one
+    Leibniz pass per side: D1 over D2's values, then D2 over D1's, pre-signed."""
     if d1.model is not d2.model:
         raise DerivationError("ambient mismatch")
-    model = d1.model
-    sign = -1 if (d1.degree % 2 and d2.degree % 2) else 1
-    values = {}
-    for g in model.generators:
-        first, second = d1(d2.value(g.name)), d2(d1.value(g.name))
-        values[g.name] = first - second if sign == 1 else first + second
-    return Derivation._trusted(model, d1.degree + d2.degree, values)
+    negate = not (d1.degree % 2 and d2.degree % 2)
+    passes = [(d1.table(), d2.values, False), (d2.table(), d1.values, negate)]
+    values = apply_values(d1.model, passes)
+    return Derivation._trusted(d1.model, d1.degree + d2.degree, values)
 
 
 class MCResult:
@@ -170,11 +169,9 @@ def maurer_cartan_check(d: Derivation) -> MCResult:
     """[D, D]/2 = D*D must vanish on every generator; reports the first residue."""
     if d.degree != 1:
         raise DerivationError("Maurer-Cartan check applies to degree-1 derivations")
-    for g in d.model.generators:
-        residue = d(d(d.model.gen(g.name)))
-        if not residue.is_zero():
-            return MCResult(g.name, residue)
-    return MCResult()
+    # D(g) is g's value, so D*D on every generator is D applied to the values
+    residues = apply_values(d.model, [(d.table(), d.values, False)])
+    return MCResult(*next(iter(residues.items()), ()))
 
 
 def adjoint_orbit(v: Derivation, q: Derivation, cap: int = 8):

@@ -140,6 +140,20 @@ def apply_table(model: "Model", table, a: "Element") -> "Element":
     return _collect(model, out)
 
 
+def apply_values(model: "Model", passes) -> dict:
+    """{g: the sum of D(v), or -D(v) when negate, over the passes (table,
+    values, negate) whose values give g a value v}, where D is the derivation
+    with that `value_table`; one Leibniz pass each.  Nonzero sums only, in
+    generator order."""
+    outs: dict = {}
+    for table, values, negate in passes:
+        targets = [(outs.setdefault(g, {}), v.terms) for g, v in values.items()]
+        pairs = ((m, -c if negate else c) for _, terms in targets for m, c in terms.items())
+        leibniz(model, table, pairs, [out for out, terms in targets for _ in terms])
+    sums = ((g.name, _collect(model, outs[g.name])) for g in model.generators if g.name in outs)
+    return {g: v for g, v in sums if v.terms}
+
+
 class Element:
     """Rational linear combination of normalized monomials of one model,
     as {exponent tuple: nonzero Fraction}."""
@@ -332,10 +346,11 @@ class Model:
                         f"d({gname}) must be homogeneous of degree {want}, got {val.degree()}"
                     )
                 self.differential[gname] = val
-        for g in self.generators:
-            dd = self.d(self.d(self.gen(g.name)))
-            if not dd.is_zero():
-                raise GradedError(f"d*d != 0 on generator {g.name!r}: residue {format_element(dd)}")
+        # d(g) is g's value, so d*d on every generator is d applied to the values
+        dd = apply_values(self, [(self.d_table(), self.differential, False)])
+        if dd:
+            name, residue = next(iter(dd.items()))
+            raise GradedError(f"d*d != 0 on generator {name!r}: residue {format_element(residue)}")
 
     # -- basic elements ---------------------------------------------------
 

@@ -321,7 +321,9 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
                 degree = int(degree_text)
             except ValueError:
                 raise ModelFileError("syntax", line, col, f"bad degree {degree_text!r}")
-            target = gen_decls if head == "gen" else fiber_decls
+            target, other = (gen_decls, fiber_decls) if head == "gen" else (fiber_decls, gen_decls)
+            if name in other:
+                raise ModelFileError("syntax", line, col, f"repeated generator name {name!r}")
             _declare(target, name, (degree, line, col), f"{head} {name!r}", line, col)
         elif head == "d":
             name, expr, offset = _split_decl(rest, "=", "differential", line, col)
@@ -425,13 +427,16 @@ def _declare(decls: dict, key, value, what: str, line: int, col: int):
 
 
 def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
-    """The first shape of FILE_SHAPES with as many fibers as declared and every
-    declared form among its own; its fiber and form degrees are checked."""
+    """The first shape of FILE_SHAPES with as many fibers as declared, every
+    declared form among its own and the declared fiber degrees; its form
+    degrees are checked.  With no such shape, the first that fits but for its
+    fiber degrees names them."""
     structural: Dict[str, Element] = {}
     for key, (expr, line, _, ecol) in structural_decls.items():
         structural[key] = parse_expression(expr, base, line, ecol)
     fibers = {name: degree for name, (degree, _, _) in fiber_decls.items()}
     declared = list(fibers.values())
+    mismatch = None
     for shape in FILE_SHAPES:
         rows = BUNDLE_SHAPES[shape][0]
         if len(rows) != len(declared):
@@ -450,13 +455,14 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
             seen[form] = key
         degrees = [d for _, d, _ in rows]
         if None not in degrees and degrees != declared:
-            raise ModelFileError(
+            mismatch = mismatch or ModelFileError(
                 "shape",
                 fline,
                 fcol,
                 f"{shape.replace('_', '-')} bundles need fibers of degree "
                 + " and ".join(map(str, degrees)),
             )
+            continue
         try:
             for key in sorted(structural):
                 value, form = structural[key], forms[key]
@@ -473,7 +479,7 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
             return DgBundle(base, shape, values, fibers, declared[0], base.name)
         except GradedError as e:
             raise ModelFileError("degree-mismatch", fline, fcol, str(e))
-    raise ModelFileError(
+    raise mismatch or ModelFileError(
         "shape",
         fline,
         fcol,

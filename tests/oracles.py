@@ -1,14 +1,21 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
-bases and their sizes, the ranks of the long exact sequence, twisted
-cohomology, the T-duality map and the structured symmetries, the rescaling
-and pushforward maps whose chain identities the tests check, and a sampler
-of inhomogeneous elements; tests only."""
+commutator of derivations, the bases and their sizes, the ranks of the long
+exact sequence, twisted cohomology, the T-duality map and the structured
+symmetries, the rescaling and pushforward maps whose chain identities the
+tests check, and a sampler of inhomogeneous elements; tests only."""
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from dgcalc.derivations import Derivation, DgBundle, commutator, exp_apply, model_differential
+from dgcalc.derivations import (
+    Derivation,
+    DerivationError,
+    DgBundle,
+    commutator,
+    exp_apply,
+    model_differential,
+)
 from dgcalc.graded import Element, monomial_degree
 from dgcalc.linalg import kernel_basis
 from dgcalc.sampling import random_element
@@ -113,6 +120,20 @@ def apply_derivation(model, values, degree, a):
                 )
             prefix_parity += e * model.generators[i].degree
     return out
+
+
+def literal_commutator(d1, d2):
+    """[D1, D2] = D1 D2 - (-1)^{|D1||D2|} D2 D1 generator by generator: both
+    sides applied to each generator's values separately, then subtracted."""
+    if d1.model is not d2.model:
+        raise DerivationError("ambient mismatch")
+    model = d1.model
+    sign = -1 if (d1.degree % 2 and d2.degree % 2) else 1
+    values = {}
+    for g in model.generators:
+        first, second = d1(d2.value(g.name)), d2(d1.value(g.name))
+        values[g.name] = first - second if sign == 1 else first + second
+    return Derivation._trusted(model, d1.degree + d2.degree, values)
 
 
 def dimension_series(model, top):

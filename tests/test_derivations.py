@@ -1,5 +1,6 @@
 """Derivations: commutators, Maurer-Cartan checks, gauge transformations."""
 
+import pathlib
 import random
 from fractions import Fraction
 from functools import reduce
@@ -21,7 +22,22 @@ from dgcalc.derivations import (
     model_differential,
 )
 from dgcalc.graded import Element, Model
+from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
+from oracles import literal_commutator
+
+try:
+    from hypothesis import HealthCheck, example, given, settings, strategies as st
+except ImportError:  # without the dev extra the property tests below are left out
+    st = None
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+# the bundle of every model file that declares one; mc_fail's keeps its failing field
+BUNDLES = {
+    path.stem: mf.bundle
+    for path in sorted(MODELS.glob("*.dgm"))
+    if (mf := load_path(path, validate=False)).bundle is not None
+}
 
 
 def weighted(model, name, el):
@@ -330,3 +346,52 @@ def test_each_shape_appends_its_fibers_and_field_as_the_table_says(shape):
     assert {name: bundle.q.value(name) for name, _ in fibers} == expected
     assert all(not value.is_zero() for value in expected.values())
     assert maurer_cartan_check(bundle.q)
+
+
+# -- the two-pass commutator against the generator-by-generator loop --------------
+
+
+def test_mc_check_reports_the_first_literal_residue():
+    q = load_path(MODELS / "mc_fail.dgm", validate=False).bundle.q
+    literal = [(g.name, q(q(q.model.gen(g.name)))) for g in q.model.generators]
+    witness, residue = next((name, r) for name, r in literal if not r.is_zero())
+    result = maurer_cartan_check(q)
+    assert not result
+    assert (result.witness, result.residue) == (witness, residue)
+
+
+if st is not None:
+
+    # the `mixed` model is never changed, so one instance serves every example
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        degrees=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        densities=st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.3, 1.0])),
+        same=st.booleans(),
+    )
+    @example(seed=0, degrees=(1, -1), densities=(1.0, 1.0), same=False)
+    @example(seed=1, degrees=(1, 1), densities=(0.3, 0.3), same=True)
+    @example(seed=2, degrees=(-1, 0), densities=(0.0, 1.0), same=False)
+    def test_commutator_matches_the_literal_loop(mixed, seed, degrees, densities, same):
+        rng = random.Random(seed)
+        d1 = random_derivation(mixed, degrees[0], rng, densities[0])
+        d2 = d1 if same else random_derivation(mixed, degrees[1], rng, densities[1])
+        # a zero value given to the checked constructor is dropped, like a missing one
+        zeros = Derivation(mixed, d2.degree, {"r": mixed.zero(), **d2.values})
+        for a, b in ((d1, d2), (d2, d1), (d1, zeros), (zeros, d1)):
+            got = commutator(a, b)
+            assert got == literal_commutator(a, b)
+            assert got.degree == a.degree + b.degree
+            assert all(value.terms for value in got.values.values())
+
+    @pytest.mark.parametrize("name", sorted(BUNDLES))
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_commutator_with_each_bundle_field_matches_the_literal_loop(name, seed):
+        q = BUNDLES[name].q
+        field = random_derivation(q.model, -1, random.Random(seed))
+        for a, b in ((q, field), (field, q), (q, q), (field, field)):
+            assert commutator(a, b) == literal_commutator(a, b)

@@ -116,6 +116,16 @@ def test_d_squared_rejected_at_load():
         )
 
 
+def test_d_squared_names_the_first_generator_in_declaration_order():
+    # d(dx) = xy and d(dy) = y^2: x is reported although y's value comes first
+    with pytest.raises(GradedError) as err:
+        Model(
+            [("x", 1), ("y", 2)],
+            differential=lambda m: {"y": m.gen("x") * m.gen("y"), "x": m.gen("y")},
+        )
+    assert str(err.value) == "d*d != 0 on generator 'x': residue x*y"
+
+
 def test_d_squared_on_basis_through_cap(mixed):
     for degree in range(9):
         for mono in mixed.basis(degree):

@@ -331,6 +331,9 @@ REPEAT_BASE = "model r\ngen x1 : 1; gen x2 : 1; gen x3 : 1; gen x4 : 1; gen z : 
     pytest.param("fiber s : 1\nF = x3 x4\nTheta = x1 x2",
                  "repeated structural form 'Theta' (F and Theta)", id="f-then-theta"),
     pytest.param("gen x3 : 1", "repeated gen 'x3'", id="gen"),
+    pytest.param("fiber s : 1\nfiber x3 : 2", "repeated generator name 'x3'",
+                 id="fiber-reuses-gen"),
+    pytest.param("fiber s : 1\ngen s : 2", "repeated generator name 's'", id="gen-reuses-fiber"),
     pytest.param("dim 4\ndim 5", "repeated dim statement", id="dim"),
     pytest.param("model other", "repeated model statement", id="model"),
 ])
@@ -385,3 +388,15 @@ def test_fibers_without_forms_are_tried_as_two_step_first():
     assert mf.bundle.shape == "two_step"
     assert all(form.is_zero() for form in mf.bundle.structural.values())
     assert sorted(mf.bundle.structural) == ["F", "Fbar", "H"]
+
+
+def test_fibers_without_forms_take_the_shape_their_degrees_match():
+    mf = parse_model("model f\ngen x : 1\nfiber q : 3\nfiber t : 6\n")
+    assert mf.bundle.shape == "flux"
+    assert mf.bundle.structural == {"F4": mf.model.zero(), "F7": mf.model.zero()}
+    # no shape has these degrees, so the first that fits by count names its own
+    with pytest.raises(ModelFileError) as err:
+        parse_model("model f\ngen x : 1\nfiber q : 1\nfiber t : 3\n")
+    assert err.value.kind == "shape"
+    assert (err.value.line, err.value.col) == (3, 1)
+    assert err.value.message == "two-step bundles need fibers of degree 1 and 2"
