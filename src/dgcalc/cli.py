@@ -97,8 +97,9 @@ def cmd_validate(mf, args, report):
     report.add("formal_dimension", model.formal_dimension)
     print(f"model {mf.name or '?'}: {len(model.generators)} generators, "
           f"formal dimension {model.formal_dimension}")
+    differential = model.differential
     for g in model.generators:
-        d_val = model.differential.get(g.name, model.zero())
+        d_val = differential.get(g.name, model.zero())
         print(f"  gen {g.name} : {g.degree}   d -> {format_element(d_val)}")
     if mf.bundle is not None:
         report.add("shape", mf.bundle.shape)

@@ -61,15 +61,15 @@ def operator_matrix(model: Model, table, source_basis, index: Dict[tuple, int]) 
 
 class CochainSpace:
     """Homogeneous degree slice of a bundle's functions with the outgoing differential,
-    stored as the sparse column of d of each basis monomial."""
+    stored as the sparse column of d of each basis monomial.  It keeps no
+    reference to the space, so the model can hold its slices."""
 
     def __init__(self, space: BundleLike, degree: int):
-        self.space = space
         self.degree = degree
         model = _total(space)
         self.basis = model.basis(degree)
         target = {m: i for i, m in enumerate(model.basis(degree + 1))}
-        self.columns = operator_matrix(model, model.d_table(), self.basis, target)
+        self.columns = operator_matrix(model, model.d_table, self.basis, target)
         self._rank: Optional[int] = None
 
     @property
@@ -82,9 +82,8 @@ class CochainSpace:
             self._rank = linalg.rank(self.columns)
         return self._rank
 
-    def cocycles(self) -> List[Element]:
-        """A basis of the kernel of d on this slice, as elements."""
-        model = _total(self.space)
+    def cocycles(self, model: Model) -> List[Element]:
+        """A basis of the kernel of d on this slice, as elements of its model."""
         basis = self.basis
         return [
             Element._trusted(model, {basis[j]: c for j, c in v.items()})
@@ -106,17 +105,18 @@ def _transpose(columns: List[Column]) -> List[Column]:
 
 
 class Complex:
-    """The cochain complex of one model: each degree slice is built on first use
-    and shared by every later reader.  complex_of gives the model's one complex."""
+    """The cochain complex of one model, as a view of the slices the model
+    keeps: each degree slice is built on first use and shared by every later
+    reader, through any view of the same model."""
 
     def __init__(self, model: Model):
         self.model = model
-        self._slices: Dict[int, CochainSpace] = {}
 
     def __getitem__(self, degree: int) -> CochainSpace:
-        cs = self._slices.get(degree)
+        slices = self.model._slices
+        cs = slices.get(degree)
         if cs is None:
-            cs = self._slices[degree] = CochainSpace(self.model, degree)
+            cs = slices[degree] = CochainSpace(self.model, degree)
         return cs
 
     def rank(self, degree: int) -> int:
@@ -125,12 +125,9 @@ class Complex:
 
 
 def complex_of(space: BundleLike) -> Complex:
-    """The one cochain complex of a space's total model, kept on the model, so
-    a bundle and its total model share it."""
-    model = _total(space)
-    if model._complex is None:
-        model._complex = Complex(model)
-    return model._complex
+    """The cochain complex of a space's total model, so a bundle and its total
+    model share their slices."""
+    return Complex(_total(space))
 
 
 def induced_rank(
@@ -140,7 +137,7 @@ def induced_rank(
     H^degree(source) to H^target_degree(target)."""
     src, tgt = complex_of(source), complex_of(target)
     index = {m: i for i, m in enumerate(tgt[target_degree].basis)}
-    images = [_column(f(z), index) for z in src[degree].cocycles()]
+    images = [_column(f(z), index) for z in src[degree].cocycles(src.model)]
     boundaries = tgt[target_degree - 1].columns if target_degree > 0 else []
     return linalg.rank_gain(boundaries, images)
 
@@ -172,7 +169,7 @@ def _twisted_images(model: Model, h: Element, top: int):
             upto[p].append(len(windows[p]))
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
-    table = model.d_table()
+    table = model.d_table
     for k in range(top + 1):
         target = index[1 - k % 2]
         basis = model.basis(k)

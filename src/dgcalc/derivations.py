@@ -37,8 +37,10 @@ class BundleError(Exception):
     extended algebra) and `result` the failing MCResult; otherwise both are None.
     """
 
-    bundle = None
-    result = None
+    def __init__(self, message: str, bundle=None, result=None):
+        super().__init__(message)
+        self.bundle = bundle
+        self.result = result
 
 
 class Derivation:
@@ -132,8 +134,11 @@ class Derivation:
 
 
 def model_differential(model: Model) -> Derivation:
-    """The declared differential of a model, as a degree-1 derivation."""
-    return Derivation(model, 1, dict(model.differential))
+    """The declared differential of a model, as a degree-1 derivation that
+    applies through the model's own value table."""
+    d = Derivation._trusted(model, 1, model.differential)
+    d._table = model.d_table
+    return d
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
@@ -278,33 +283,33 @@ class DgBundle:
             for fiber, (_, d, _) in zip(self.fiber_names, fibers)
         ]
 
-        # assemble Q's values on a throwaway algebra, then rebuild them on a model
-        # with the differential installed; d*d = 0 there is the Maurer-Cartan equation
-        algebra = Model(gens, formal_dimension=base.formal_dimension)
-        self.total = algebra
-        values = {g: self.include_base(el) for g, el in base.differential.items()}
-        for fiber, (_, _, form) in zip(self.fiber_names, fibers):
-            values[fiber] = self.structural_total(form)
-        if coupling:
-            form, factor = coupling
-            q, t = self.fiber_names[0], self.fiber_names[-1]
-            values[t] = values[t] + algebra.gen(q) * self.structural_total(form) * factor
-        values = {g: v for g, v in values.items() if not v.is_zero()}
+        # Q's values are assembled on the model being built, whose d they are,
+        # and that model is the total one from the start, as include_base needs;
+        # d*d = 0 there is the Maurer-Cartan equation
+        def field(total: Model) -> Dict[str, Element]:
+            self.total = total
+            values = {g: self.include_base(el) for g, el in base.differential.items()}
+            for fiber, (_, _, form) in zip(self.fiber_names, fibers):
+                values[fiber] = self.structural_total(form)
+            if coupling:
+                form, factor = coupling
+                q, t = self.fiber_names[0], self.fiber_names[-1]
+                values[t] = values[t] + total.gen(q) * self.structural_total(form) * factor
+            return values
+
+        dimension = base.formal_dimension
         try:
-            self.total = Model(
-                gens,
-                formal_dimension=base.formal_dimension,
-                differential=lambda m: {g: Element(m, v.terms) for g, v in values.items()},
-                name=self.name,
-            )
+            Model(gens, formal_dimension=dimension, differential=field, name=self.name)
         except GradedError as e:
-            err = BundleError(f"Maurer-Cartan failure: {e}")
+            # no local names the error raised below, so no frame cycle keeps it alive
+            bundle = result = None
             try:  # a candidate field of the right degrees is kept for inspection
-                self.q = Derivation(algebra, 1, values)
-                err.bundle, err.result = self, maurer_cartan_check(self.q)
+                values = field(Model(gens, formal_dimension=dimension))
+                self.q = Derivation(self.total, 1, values)
+                bundle, result = self, maurer_cartan_check(self.q)
             except DerivationError:
                 pass
-            raise err from e
+            raise BundleError(f"Maurer-Cartan failure: {e}", bundle, result) from e
         self.q = model_differential(self.total)
 
     # -- element transport -------------------------------------------------

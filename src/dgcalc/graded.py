@@ -297,7 +297,10 @@ class Model:
     """A finitely generated CDGA over the rationals standing in for a form algebra.
 
     The differential is declared on generators and extends by the graded
-    Leibniz rule; d*d = 0 is checked on every generator at construction.
+    Leibniz rule; d*d = 0 is checked on every generator at construction.  d
+    is kept as its `value_table` alone, and the bases and cochain slices as
+    exponent tuples and sparse columns, so nothing a model holds refers back
+    to it and reference counting frees it once its last user is gone.
     """
 
     def __init__(
@@ -324,16 +327,13 @@ class Model:
         self._bases: dict = {}
         # per start index, {degree: exponent tuples of generators start..}
         self._suffixes = [{} for _ in range(len(gens) + 1)]
-        self._d_table = None
-        # the model's cochain complex, built on first use by cohomology.complex_of
-        self._complex = None
+        # the cochain slices {degree: CochainSpace}, built on first use through
+        # cohomology.complex_of; none of them refers back to the model
+        self._slices: dict = {}
         self.formal_dimension = formal_dimension
         self.name = name
-        if differential is None:
-            diff = {}
-        else:
-            diff = dict(differential(self))
-        self.differential = {}
+        diff = {} if differential is None else dict(differential(self))
+        values = {}
         for gname, val in diff.items():
             if gname not in self.index:
                 raise GradedError(f"differential assigned to unknown generator {gname!r}")
@@ -345,9 +345,10 @@ class Model:
                     raise GradedError(
                         f"d({gname}) must be homogeneous of degree {want}, got {val.degree()}"
                     )
-                self.differential[gname] = val
+                values[gname] = val
+        self.d_table = value_table(self, values, 1)
         # d(g) is g's value, so d*d on every generator is d applied to the values
-        dd = apply_values(self, [(self.d_table(), self.differential, False)])
+        dd = apply_values(self, [(self.d_table, values, False)])
         if dd:
             name, residue = next(iter(dd.items()))
             raise GradedError(f"d*d != 0 on generator {name!r}: residue {format_element(residue)}")
@@ -422,13 +423,16 @@ class Model:
         """Extend the declared differential by the graded Leibniz rule."""
         if a.model is not self:
             raise GradedError("element of a different model")
-        return apply_table(self, self.d_table(), a)
+        return apply_table(self, self.d_table, a)
 
-    def d_table(self):
-        """The differential's `value_table`, built on first use."""
-        if self._d_table is None:
-            self._d_table = value_table(self, self.differential, 1)
-        return self._d_table
+    @property
+    def differential(self) -> dict:
+        """{generator name: d of it} over the generators with a nonzero d, in
+        declaration order; a fresh view rebuilt from `d_table`."""
+        return {
+            self.generators[i].name: Element._trusted(self, {m: c for m, _, (c, _) in terms})
+            for i, _, _, terms in self.d_table[1]
+        }
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

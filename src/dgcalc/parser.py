@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
 from .derivations import BUNDLE_SHAPES, BundleError, Derivation, DgBundle, form_degrees
-from .graded import Element, GradedError, Model
+from .graded import Element, GradedError, GradedGenerator, Model
 from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
 
 # the shapes a file can declare, tried in this order (only dualize builds a
@@ -321,6 +321,10 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
                 degree = int(degree_text)
             except ValueError:
                 raise ModelFileError("syntax", line, col, f"bad degree {degree_text!r}")
+            try:
+                GradedGenerator(name, degree)
+            except GradedError as e:
+                raise ModelFileError("syntax", line, col, str(e))
             target, other = (gen_decls, fiber_decls) if head == "gen" else (fiber_decls, gen_decls)
             if name in other:
                 raise ModelFileError("syntax", line, col, f"repeated generator name {name!r}")
@@ -344,42 +348,30 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
     out = ModelFile()
     out.name = header_name
 
-    # base model: two passes so differential expressions can mention any generator
+    # the base model, whose d statements are parsed on it as it is built, so
+    # they can mention any generator
+    def differential(model: Model) -> Dict[str, Element]:
+        values = {}
+        for name, (expr, line, col, ecol) in diff_decls.items():
+            if name not in model.index:
+                raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
+            value = values[name] = parse_expression(expr, model, line, ecol)
+            want = model.generator_named(name).degree + 1
+            if not value.is_zero() and value.degree() != want:
+                raise ModelFileError(
+                    "degree-mismatch",
+                    line,
+                    col,
+                    f"d({name}) must have degree {want}, got {value.degree()}",
+                    witness=expr,
+                )
+        return values
+
     gens = [(name, degree) for name, (degree, _, _) in gen_decls.items()]
     try:
-        algebra = Model(gens, formal_dimension=formal_dim or 0)
+        base = Model(gens, formal_dim or 0, differential, header_name)
     except GradedError as e:
-        _, line, col = next(iter(gen_decls.values()), (0, 0, 1))
-        raise ModelFileError("syntax", line, col, str(e))
-    diff_values: Dict[str, Element] = {}
-    for name, (expr, line, col, ecol) in diff_decls.items():
-        if name not in algebra.index:
-            raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
-        value = parse_expression(expr, algebra, line, ecol)
-        want = algebra.generator_named(name).degree + 1
-        if not value.is_zero() and value.degree() != want:
-            raise ModelFileError(
-                "degree-mismatch",
-                line,
-                col,
-                f"d({name}) must have degree {want}, got {value.degree()}",
-                witness=expr,
-            )
-        diff_values[name] = value
-
-    def rebuild(model: Model) -> Dict[str, Element]:
-        return {
-            name: Element(model, dict(v.terms)) for name, v in diff_values.items() if not v.is_zero()
-        }
-
-    try:
-        base = Model(
-            gens,
-            formal_dimension=formal_dim or 0,
-            differential=rebuild,
-            name=header_name,
-        )
-    except GradedError as e:
+        # every generator and value was checked above, so this is d*d != 0
         witness = str(e)
         line, col = dim_pos
         for name, (_, dline, dcol, _) in diff_decls.items():
@@ -463,22 +455,19 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
                 + " and ".join(map(str, degrees)),
             )
             continue
-        try:
-            for key in sorted(structural):
-                value, form = structural[key], forms[key]
-                expr, line, col, _ = structural_decls[key]
-                if not value.is_zero() and value.degree() != wants[form]:
-                    raise ModelFileError(
-                        "degree-mismatch",
-                        line,
-                        col,
-                        f"{key} must have degree {wants[form]}, got {value.degree()}",
-                        witness=expr,
-                    )
-            values = {forms[key]: value for key, value in structural.items()}
-            return DgBundle(base, shape, values, fibers, declared[0], base.name)
-        except GradedError as e:
-            raise ModelFileError("degree-mismatch", fline, fcol, str(e))
+        for key in sorted(structural):
+            value, form = structural[key], forms[key]
+            expr, line, col, _ = structural_decls[key]
+            if not value.is_zero() and value.degree() != wants[form]:
+                raise ModelFileError(
+                    "degree-mismatch",
+                    line,
+                    col,
+                    f"{key} must have degree {wants[form]}, got {value.degree()}",
+                    witness=expr,
+                )
+        values = {forms[key]: value for key, value in structural.items()}
+        return DgBundle(base, shape, values, fibers, declared[0], base.name)
     raise mismatch or ModelFileError(
         "shape",
         fline,

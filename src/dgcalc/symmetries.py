@@ -482,15 +482,14 @@ def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     the base); the identity runner reports both.
     """
     total = bundle.total
-    index = _value_index(total, 1)
-    columns = []
-    for g in total.generators:
-        for m in total.basis(g.degree):
-            # one unknown: the probe sends g to m, so has degree 0 by construction
-            probe = Derivation._trusted(total, 0, {g.name: Element._trusted(total, {m: ONE})})
-            columns.append(_value_column(commutator(bundle.q, probe), index))
-    # the rank of the constraint matrix is the rank of its columns
-    return _structured_kernel_dim(bundle), len(columns) - linalg.rank(columns)
+    # one probe per unknown, sending g to m, so of degree 0 by construction
+    probes = [
+        Derivation._trusted(total, 0, {g.name: Element._trusted(total, {m: ONE})})
+        for g in total.generators
+        for m in total.basis(g.degree)
+    ]
+    structured = [p.realized for p in _structured_parameters(bundle)]
+    return _realized_kernel_dim(bundle, structured), _realized_kernel_dim(bundle, probes)
 
 
 def _structured_parameters(bundle: DgBundle):
@@ -507,17 +506,17 @@ def _structured_parameters(bundle: DgBundle):
     return params
 
 
-def _structured_kernel_dim(bundle: DgBundle) -> int:
-    """Dimension of the derivations that the structured solutions realize.
+def _realized_kernel_dim(bundle: DgBundle, fields) -> int:
+    """Dimension of the kernel of [Q, .] within the span of these degree-0 fields.
 
-    For the n one-hot parameters p_i, the solutions c of sum c_i [Q, p_i] = 0
-    form a space of dimension n - rank([Q, p_i]).  Every c with sum c_i p_i = 0
-    is among them, so what they realize has dimension rank(p_i) - rank([Q, p_i]).
+    The solutions c of sum c_i [Q, p_i] = 0 form a space of dimension
+    n - rank([Q, p_i]), and every c with sum c_i p_i = 0 is among them, so
+    what they realize has dimension rank(p_i) - rank([Q, p_i]).  One-hot
+    probes have rank n, which gives the full kernel.
     """
     realized, residues = _value_index(bundle.total, 0), _value_index(bundle.total, 1)
-    params = [p.realized for p in _structured_parameters(bundle)]
-    columns = [_value_column(p, realized) for p in params]
-    images = [_value_column(commutator(bundle.q, p), residues) for p in params]
+    columns = [_value_column(p, realized) for p in fields]
+    images = [_value_column(commutator(bundle.q, p), residues) for p in fields]
     return linalg.rank(columns) - linalg.rank(images)
 
 

@@ -313,9 +313,16 @@ def test_models_with_equal_generators_keep_separate_tables():
     zero = Model(gens)
     models = (two, zero, one)  # built in one order, read in another
     for model in models:
-        assert model.d_table() is model.d_table()
-    assert len({id(model.d_table()) for model in models}) == 3
-    assert zero.d_table()[1] == ()
+        assert model.d_table is model.d_table
+        assert model_differential(model).table() is model.d_table
+    assert len({id(model.d_table) for model in models}) == 3
+    assert zero.d_table[1] == ()
+    assert one.differential == {"z": one.gen("x") * one.gen("y")}
+    assert two.differential == {
+        "z": -2 * two.gen("x") * two.gen("y"),
+        "t": two.gen("x") * two.gen("y") * two.gen("z"),
+    }
+    assert zero.differential == {}
     for model in (one, zero, two):
         cx = complex_of(model)
         for k in range(5):

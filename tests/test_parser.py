@@ -400,3 +400,17 @@ def test_fibers_without_forms_take_the_shape_their_degrees_match():
     assert err.value.kind == "shape"
     assert (err.value.line, err.value.col) == (3, 1)
     assert err.value.message == "two-step bundles need fibers of degree 1 and 2"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("gen x : 1\ngen y : 0\n", (2, 1), "generator 'y' must have degree >= 1, got 0"),
+    ("gen x : 1\n  gen 1y : 2\n", (2, 3), "bad generator name '1y'"),
+    ("gen x : 1\ngen y : 1\nfiber q : 1\n  fiber t : -2\nF = x y\n", (4, 3),
+     "generator 't' must have degree >= 1, got -2"),
+    ("gen x : 1\nfiber q : 1\nfiber _t : 2\nfiber 2s : 1\n", (4, 1), "bad generator name '2s'"),
+])
+def test_a_bad_generator_is_reported_at_its_own_statement(text, where, message):
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert str(err.value) == "line {}, col {}: syntax: {}".format(*where, message)
