@@ -81,6 +81,28 @@ def test_ses_verify_golden(capsys):
     assert out == (GOLDEN / "ses_t2.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("ses-verify",), "half_ses_verify.txt"),
+        (("tmap-verify",), "half_tmap_verify.txt"),
+        (("iso-check",), "half_iso_check.txt"),
+        (("identities", "--trials", "3", "--seed", "0"), "half_identities.txt"),
+        (("derived-bracket", "--a", "u", "--b", "v"), "half_derived_bracket.txt"),
+    ],
+)
+def test_fractional_pair_reports_golden(argv, golden, tmp_path, capsys):
+    """nil_pair with d z = 1/2 x1 x2 and F = 1/2 x1 x2 puts non-unit
+    denominators through every Leibniz pass; the goldens are its reports."""
+    report = tmp_path / "report.txt"
+    command, *flags = argv
+    code, _, _ = run(
+        capsys, command, str(ROOT / "tests" / "nil_pair_half.dgm"), *flags, "--report", str(report)
+    )
+    assert code == 0
+    assert report.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_mc_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "mc-check", str(MODELS / "nil_pair.dgm"))
     assert code == 0 and "pass" in out
