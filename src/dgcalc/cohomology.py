@@ -15,11 +15,14 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import ONE, Element, GradedError, Model, leibniz
+from .graded import Element, GradedError, Model, leibniz
 
 BundleLike = Union[Model, DgBundle]
-# a sparse column {row: coefficient}; zero coefficients are left out
-Column = Dict[int, Fraction]
+# a sparse column {row: coefficient}; zero coefficients are left out.  The
+# coefficients are ints where they come straight from the Leibniz kernel with
+# denominator 1 (the slices of a model whose d has integer coefficients), and
+# Fractions otherwise; linalg takes either.
+Column = Dict[int, Union[int, Fraction]]
 
 DEFAULT_CAP_SLACK = 6
 # a twisted class at the cap counts only if it lifts to a cocycle this many
@@ -53,10 +56,15 @@ def _column(el: Element, index: Dict[tuple, int]) -> Column:
 
 def operator_matrix(model: Model, table, source_basis, index: Dict[tuple, int]) -> List[Column]:
     """One sparse column per source monomial: the derivation with this
-    `value_table` applied to it, numbered by index, all in one Leibniz pass."""
+    `value_table` applied to it, numbered by index, all in one Leibniz pass.
+    The kernel's integer sums are the columns when the table's denominator
+    is 1, and become Fractions over it otherwise."""
     outs: List[dict] = [{} for _ in source_basis]
-    leibniz(model, table, zip(source_basis, repeat(ONE)), outs)
-    return [{index[m]: c for m, c in out.items() if c} for out in outs]
+    leibniz(model, table, zip(source_basis, repeat(1)), outs)
+    den = table[2]
+    if den == 1:
+        return [{index[m]: n for m, n in out.items() if n} for out in outs]
+    return [{index[m]: Fraction(n, den) for m, n in out.items() if n} for out in outs]
 
 
 class CochainSpace:
@@ -170,13 +178,14 @@ def _twisted_images(model: Model, h: Element, top: int):
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
     table = model.d_table
+    one = Fraction(1)
     for k in range(top + 1):
         target = index[1 - k % 2]
         basis = model.basis(k)
         lows = operator_matrix(model, table, basis, target) if k < top else [{}] * len(basis)
         for m, low in zip(basis, lows):
             if h.terms and k + 3 <= top:
-                whole = {**low, **_column(h * Element._trusted(model, {m: ONE}), target)}
+                whole = {**low, **_column(h * Element._trusted(model, {m: one}), target)}
             else:
                 whole = low
             images[k % 2].append((k, low, whole))

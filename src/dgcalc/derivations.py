@@ -1,8 +1,8 @@
 """Graded derivations and shifted-line bundles over CDGA models.
 
-A derivation is stored by its values on generators and extends to all
-elements by D(ab) = D(a) b + (-1)^{|D||a|} a D(b); derivations act from the
-left throughout.  A DgBundle is a base model extended by fiber generators
+A derivation is stored by its values on generators, or by their integer
+value table, and extends to all elements by D(ab) = D(a) b + (-1)^{|D||a|} a D(b);
+derivations act from the left throughout.  A DgBundle is a base model extended by fiber generators
 whose induced degree-1 field satisfies the Maurer-Cartan equation (this is
 exactly d*d = 0 for the extended model, so it is checked at construction).
 """
@@ -20,7 +20,9 @@ from .graded import (
     _odd_mask,
     apply_table,
     apply_values,
+    combine_tables,
     format_element,
+    table_values,
     value_table,
 )
 
@@ -44,9 +46,16 @@ class BundleError(Exception):
 
 
 class Derivation:
-    """A graded derivation of a model's function algebra."""
+    """A graded derivation of a model's function algebra.
 
-    __slots__ = ("model", "degree", "values", "_table")
+    It is known by its values on generators, or by their `value_table`, and
+    builds the other on first use: a derivation given by values builds its
+    table when first applied, and one built from a table (a bracket, a sum or
+    a multiple) builds `values` from it when first read, so brackets of
+    brackets compute on the tables' integers alone.
+    """
+
+    __slots__ = ("model", "degree", "_values", "_table")
 
     def __init__(self, model: Model, degree: int, values: Mapping[str, Element]):
         self.model = model
@@ -65,7 +74,7 @@ class Derivation:
                     f"value on {name} must be homogeneous of degree {want}, got {v.degree()}"
                 )
             vals[name] = v
-        self.values = vals
+        self._values = vals
         self._table = None
 
     @classmethod
@@ -75,20 +84,38 @@ class Derivation:
         d = cls.__new__(cls)
         d.model = model
         d.degree = degree
-        d.values = {name: v for name, v in values.items() if v.terms}
+        d._values = {name: v for name, v in values.items() if v.terms}
         d._table = None
+        return d
+
+    @classmethod
+    def _of_table(cls, model: Model, degree: int, table) -> "Derivation":
+        """The derivation with this `value_table` of the given degree."""
+        d = cls.__new__(cls)
+        d.model = model
+        d.degree = degree
+        d._values = None
+        d._table = table
         return d
 
     @classmethod
     def zero(cls, model: Model, degree: int = 0) -> "Derivation":
         return cls(model, degree, {})
 
+    @property
+    def values(self) -> Dict[str, Element]:
+        """{generator name: nonzero value}; built from the table on first read
+        when the derivation was built from one, in generator order."""
+        if self._values is None:
+            self._values = table_values(self.model, self._table)
+        return self._values
+
     def value(self, name: str) -> Element:
         value = self.values.get(name)
         return self.model.zero() if value is None else value
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not (self._table[1] if self._values is None else self._values)
 
     def __eq__(self, other):
         # equality on generators decides equality (the algebra is free)
@@ -100,19 +127,21 @@ class Derivation:
         )
 
     def __add__(self, other: "Derivation") -> "Derivation":
-        if other.model is not self.model or other.degree != self.degree:
-            raise DerivationError("can only add derivations of equal degree and model")
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = out.get(k, self.model.zero()) + v
-        return Derivation._trusted(self.model, self.degree, out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Derivation") -> "Derivation":
-        return self + (-1) * other
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Derivation", sign: int) -> "Derivation":
+        """self + sign * other, summed on the tables' numerators."""
+        if other.model is not self.model or other.degree != self.degree:
+            raise DerivationError("can only add derivations of equal degree and model")
+        table = combine_tables(self.model, [(self.table(), 1), (other.table(), sign)], self.degree)
+        return Derivation._of_table(self.model, self.degree, table)
 
     def __mul__(self, c) -> "Derivation":
-        c = Fraction(c)
-        return Derivation._trusted(self.model, self.degree, {k: v * c for k, v in self.values.items()})
+        table = combine_tables(self.model, [(self.table(), Fraction(c))], self.degree)
+        return Derivation._of_table(self.model, self.degree, table)
 
     __rmul__ = __mul__
 
@@ -125,7 +154,7 @@ class Derivation:
     def table(self):
         """The `value_table` of this derivation, built on first use."""
         if self._table is None:
-            self._table = value_table(self.model, self.values, self.degree)
+            self._table = value_table(self.model, self._values, self.degree)
         return self._table
 
     def __repr__(self):
@@ -136,20 +165,20 @@ class Derivation:
 def model_differential(model: Model) -> Derivation:
     """The declared differential of a model, as a degree-1 derivation that
     applies through the model's own value table."""
-    d = Derivation._trusted(model, 1, model.differential)
-    d._table = model.d_table
-    return d
+    return Derivation._of_table(model, 1, model.d_table)
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     """[D1, D2] = D1 D2 - (-1)^{|D1||D2|} D2 D1, evaluated on generators in one
-    Leibniz pass per side: D1 over D2's values, then D2 over D1's, pre-signed."""
+    Leibniz pass per side: D1 over D2's values, then D2 over D1's, pre-signed.
+    The bracket keeps the integer table the passes built."""
     if d1.model is not d2.model:
         raise DerivationError("ambient mismatch")
     negate = not (d1.degree % 2 and d2.degree % 2)
-    passes = [(d1.table(), d2.values, False), (d2.table(), d1.values, negate)]
-    values = apply_values(d1.model, passes)
-    return Derivation._trusted(d1.model, d1.degree + d2.degree, values)
+    t1, t2 = d1.table(), d2.table()
+    degree = d1.degree + d2.degree
+    table = apply_values(d1.model, [(t1, t2, False), (t2, t1, negate)], degree)
+    return Derivation._of_table(d1.model, degree, table)
 
 
 class MCResult:
@@ -175,7 +204,8 @@ def maurer_cartan_check(d: Derivation) -> MCResult:
     if d.degree != 1:
         raise DerivationError("Maurer-Cartan check applies to degree-1 derivations")
     # D(g) is g's value, so D*D on every generator is D applied to the values
-    residues = apply_values(d.model, [(d.table(), d.values, False)])
+    table = d.table()
+    residues = table_values(d.model, apply_values(d.model, [(table, table, False)], 2))
     return MCResult(*next(iter(residues.items()), ()))
 
 

@@ -10,18 +10,26 @@ move signs, so a product's sign is read off the odd-generator bitmasks of its
 factors by popcounts.  `d`, every derivation and every cochain slice apply
 through one Leibniz loop, which reads a value table that each model and
 derivation builds once.
+
+The kernel computes on integers.  A value table holds each value's
+coefficients as integer numerators over one positive denominator shared by
+the whole table, the smallest such (its numerators and it have no common
+factor).  An element entering the loop has its denominators cleared once, the
+loop multiplies and adds plain ints, and each result term becomes a
+`Fraction` once, when it leaves as an `Element`.  A bracket of derivations is
+itself a table built from the integer sums, so nested brackets never pass
+through `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
+from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
-
-ONE = Fraction(1)
 
 
 class GradedError(Exception):
@@ -75,37 +83,100 @@ def _collect(model: "Model", acc: dict) -> "Element":
     return Element._trusted(model, {k: c for k, c in acc.items() if c})
 
 
+def _over(model: "Model", acc: dict, den: int) -> "Element":
+    """The element of exponent-keyed integer numerators over den, zeros dropped:
+    the one place where the kernel's ints become Fractions."""
+    if den == 1:
+        return Element._trusted(model, {k: Fraction(n) for k, n in acc.items() if n})
+    return Element._trusted(model, {k: Fraction(n, den) for k, n in acc.items() if n})
+
+
+def _numerators(terms: Mapping[tuple, Fraction]):
+    """(den, [(exponents, n)]) with each coefficient n / den, den the least
+    common denominator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return 1, [(m, c.numerator) for m, c in terms.items()]
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+
+
+def _table(model: "Model", sums: Mapping[int, Mapping[tuple, int]], degree: int, den: int):
+    """The value table of the given degree sending generator i to the sum of
+    n / den over sums[i], zeros dropped and the common factor divided out."""
+    rows = []
+    for i in sorted(sums):
+        terms = [(m, n) for m, n in sums[i].items() if n]
+        if terms:
+            rows.append((i, terms))
+    if den != 1:
+        common = gcd(den, *[n for _, terms in rows for _, n in terms])
+        if common != 1:
+            den //= common
+            rows = [(i, [(m, n // common) for m, n in terms]) for i, terms in rows]
+    bits = model.odd_bits
+    entries = tuple(
+        (i, (1 << i) - 1, -1 << (i + 1), tuple((m, _odd_mask(bits, m), (n, -n)) for m, n in terms))
+        for i, terms in rows
+    )
+    return degree % 2, entries, den
+
+
 def value_table(model: "Model", values: Mapping[str, "Element"], degree: int):
     """The values of a derivation on generators, laid out for `leibniz`.
 
-    (degree mod 2, entries) with one entry (i, below, above, terms) per
+    (degree mod 2, entries, den) with one entry (i, below, above, terms) per
     generator i with a nonzero value, in generator order: below and above
     select the odd bits before and after bit i, and terms are the value's
-    (exponents, odd mask, (coefficient, -coefficient)).  Models and
-    derivations are fixed once built, so each keeps its table.
+    (exponents, odd mask, (n, -n)), its coefficient being the int n over the
+    table's one denominator den.  Models and derivations are fixed once
+    built, so each keeps its table.
     """
-    bits = model.odd_bits
-    entries = []
-    for i, g in enumerate(model.generators):
-        v = values.get(g.name)
-        if v is not None:
-            terms = tuple((m, _odd_mask(bits, m), (c, -c)) for m, c in v.terms.items())
-            entries.append((i, (1 << i) - 1, -1 << (i + 1), terms))
-    return degree % 2, tuple(entries)
+    den = lcm(*[c.denominator for v in values.values() for c in v.terms.values()])
+    sums = {
+        model.index[g]: {m: c.numerator * (den // c.denominator) for m, c in v.terms.items()}
+        for g, v in values.items()
+    }
+    return _table(model, sums, degree, den)
+
+
+def combine_tables(model: "Model", parts, degree: int):
+    """The value table of the given degree of sum c * D over the parts (table
+    of D, rational c), summed on the numerators over one common denominator."""
+    den = lcm(*[table[2] * c.denominator for table, c in parts])
+    sums: dict = {}
+    for (_, entries, table_den), c in parts:
+        scale = den // (table_den * c.denominator) * c.numerator
+        for i, _, _, terms in entries:
+            out = sums.setdefault(i, {})
+            for m, _, (n, _) in terms:
+                out[m] = out.get(m, 0) + scale * n
+    return _table(model, sums, degree, den)
+
+
+def table_values(model: "Model", table) -> dict:
+    """{generator name: its value} over the generators a value table gives a
+    value, in generator order; fresh Elements built from the table."""
+    names = model.generators
+    den = table[2]
+    return {
+        names[i].name: _over(model, {m: n for m, _, (n, _) in terms}, den)
+        for i, _, _, terms in table[1]
+    }
 
 
 def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict]) -> None:
     """Add coeff * D(m) into out for each (m, coeff) of pairs and out of outs,
-    where D is the derivation with this `value_table`.
+    where D is the derivation with this `value_table`, scaled by its
+    denominator: coeff is an int, and so is every sum left in out.
 
     D(x_1 ... x_k) = sum_i (-1)^{|D|(|x_1| + ... + |x_{i-1}|)} x_1 ... D(x_i) ... x_k,
     with e x^{e-1} D(x) for an even power x^e.  Each term of D(x_i) is merged
     with the front and then with the rest of the monomial, straight into out.
     Applying D to an element passes one shared out; a cochain slice passes
-    one out per basis monomial, each with coefficient ONE, which multiplies
-    nothing.  Zero sums are left in out.
+    one out per basis monomial, each with coefficient 1.  Zero sums are left
+    in out.
     """
-    flip, entries = table
+    flip, entries, _ = table
     if not entries:
         return
     bits = model.odd_bits
@@ -125,7 +196,7 @@ def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict])
                 if vmask & others:
                     continue
                 sign = negate ^ _parity(front, vmask) ^ _parity(vmask, rest) if vmask else negate
-                term = signed[sign] if c is ONE else c * signed[sign]
+                term = c * signed[sign]
                 key = tuple(map(add, lowered, vexps))
                 if key in out:
                     out[key] += term
@@ -134,24 +205,29 @@ def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict])
 
 
 def apply_table(model: "Model", table, a: "Element") -> "Element":
-    """The derivation with this `value_table` applied to the element a."""
+    """The derivation with this `value_table` applied to the element a: a's
+    denominators cleared once, one Leibniz pass, one Fraction per result term."""
+    den, pairs = _numerators(a.terms)
     out: dict = {}
-    leibniz(model, table, a.terms.items(), repeat(out))
-    return _collect(model, out)
+    leibniz(model, table, pairs, repeat(out))
+    return _over(model, out, den * table[2])
 
 
-def apply_values(model: "Model", passes) -> dict:
-    """{g: the sum of D(v), or -D(v) when negate, over the passes (table,
-    values, negate) whose values give g a value v}, where D is the derivation
-    with that `value_table`; one Leibniz pass each.  Nonzero sums only, in
-    generator order."""
-    outs: dict = {}
+def apply_values(model: "Model", passes, degree: int):
+    """The value table of the given degree sending each generator g to the
+    sum of D(v), or -D(v) when negate, over the passes (table, values,
+    negate) whose value table `values` gives g a value v, where D is the
+    derivation with `table`; one Leibniz pass each.  Each pass's sums are
+    over the product of its two denominators, so every pass is scaled onto
+    their least common multiple before the passes share their sums."""
+    den = lcm(*[table[2] * values[2] for table, values, _ in passes])
+    sums: dict = {}
     for table, values, negate in passes:
-        targets = [(outs.setdefault(g, {}), v.terms) for g, v in values.items()]
-        pairs = ((m, -c if negate else c) for _, terms in targets for m, c in terms.items())
+        scale = den // (table[2] * values[2])
+        targets = [(sums.setdefault(i, {}), terms) for i, _, _, terms in values[1]]
+        pairs = ((m, scale * signed[negate]) for _, terms in targets for m, _, signed in terms)
         leibniz(model, table, pairs, [out for out, terms in targets for _ in terms])
-    sums = ((g.name, _collect(model, outs[g.name])) for g in model.generators if g.name in outs)
-    return {g: v for g, v in sums if v.terms}
+    return _table(model, sums, degree, den)
 
 
 class Element:
@@ -348,9 +424,9 @@ class Model:
                 values[gname] = val
         self.d_table = value_table(self, values, 1)
         # d(g) is g's value, so d*d on every generator is d applied to the values
-        dd = apply_values(self, [(self.d_table, values, False)])
-        if dd:
-            name, residue = next(iter(dd.items()))
+        dd = apply_values(self, [(self.d_table, self.d_table, False)], 2)
+        if dd[1]:
+            name, residue = next(iter(table_values(self, dd).items()))
             raise GradedError(f"d*d != 0 on generator {name!r}: residue {format_element(residue)}")
 
     # -- basic elements ---------------------------------------------------
@@ -429,10 +505,7 @@ class Model:
     def differential(self) -> dict:
         """{generator name: d of it} over the generators with a nonzero d, in
         declaration order; a fresh view rebuilt from `d_table`."""
-        return {
-            self.generators[i].name: Element._trusted(self, {m: c for m, _, (c, _) in terms})
-            for i, _, _, terms in self.d_table[1]
-        }
+        return table_values(self, self.d_table)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

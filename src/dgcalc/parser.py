@@ -177,16 +177,22 @@ class _ExprParser:
         return value
 
     def term(self) -> Element:
+        """Factors multiplied left to right; a product of n and m terms expands
+        to n * m term products, which may not pass MAX_POWER_TERMS."""
         value = self.factor()
         while True:
             tok = self.peek()
             if tok.kind == "*":
                 self.next()
-                value = value * self.factor()
-            elif tok.kind in ("ident", "number", "("):
-                value = value * self.factor()
-            else:
+            elif tok.kind not in ("ident", "number", "("):
                 return value
+            start = self.peek()
+            rhs = self.factor()
+            if len(value.terms) * len(rhs.terms) > MAX_POWER_TERMS:
+                raise ModelFileError(
+                    "syntax", start.line, start.col, f"product expands past {MAX_POWER_TERMS} terms"
+                )
+            value = value * rhs
 
     def factor(self) -> Element:
         tok = self.next()

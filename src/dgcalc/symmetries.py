@@ -20,10 +20,10 @@ operations and the two routes are compared whenever a display exists.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import ONE, Column, _column
+from .cohomology import Column
 from .derivations import Derivation, DgBundle, commutator, model_differential
 from .graded import Element, Model, monomial_degree
 
@@ -203,9 +203,10 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
         vector = out["iota"] = parts.get("iota") or Derivation.zero(bundle.base, -1)
     for name, deg in forms:
         out[name] = _as_base(bundle, parts.get(name), deg)
-    realized = Derivation(bundle.total, degree, _fiber_values(bundle, row, out))
-    if vector is not None:
-        realized = lift_to_total(bundle, vector) + realized
+    # the vector part acts on the base generators and the form parts on the
+    # fibers, so the realized values are the union of the two
+    values = lift_to_total(bundle, vector).values if vector is not None else {}
+    realized = Derivation(bundle.total, degree, {**values, **_fiber_values(bundle, row, out)})
     return SymElement(bundle, degree, out, realized)
 
 
@@ -454,24 +455,25 @@ def is_symmetry(a: SymElement) -> bool:
 # -- the full degree-0 kernel vs the structured family -----------------------
 
 
-def _value_index(total: Model, shift: int) -> Dict[str, Dict[tuple, int]]:
+def _value_index(total: Model, shift: int) -> List[Dict[tuple, int]]:
     """One numbering of the pairs (generator g, monomial of degree |g| + shift),
-    as {g: {monomial: row}}: the rows of the values of a derivation of that degree."""
-    index, n = {}, 0
+    as one {monomial: row} per generator in generator order: the rows of the
+    values of a derivation of that degree."""
+    index, n = [], 0
     for g in total.generators:
-        rows = index[g.name] = {}
+        rows = {}
         for m in total.basis(g.degree + shift):
             rows[m] = n
             n += 1
+        index.append(rows)
     return index
 
 
-def _value_column(d: Derivation, index: Dict[str, Dict[tuple, int]]) -> Column:
-    """The values of d on every generator as one sparse column, numbered by index."""
-    col = {}
-    for name, value in d.values.items():
-        col.update(_column(value, index[name]))
-    return col
+def _value_column(d: Derivation, index: List[Dict[tuple, int]]) -> Column:
+    """The values of d on every generator as one sparse column, numbered by
+    index: the integer numerators of d's value table, so the values scaled
+    by its denominator, which leaves every rank unchanged."""
+    return {index[i][m]: n for i, _, _, terms in d.table()[1] for m, _, (n, _) in terms}
 
 
 def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
@@ -482,9 +484,10 @@ def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     the base); the identity runner reports both.
     """
     total = bundle.total
+    one = Fraction(1)
     # one probe per unknown, sending g to m, so of degree 0 by construction
     probes = [
-        Derivation._trusted(total, 0, {g.name: Element._trusted(total, {m: ONE})})
+        Derivation._trusted(total, 0, {g.name: Element._trusted(total, {m: one})})
         for g in total.generators
         for m in total.basis(g.degree)
     ]

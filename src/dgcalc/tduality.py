@@ -16,10 +16,11 @@ snake connecting map of the short exact sequence
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import ONE, _column, _total, betti, degree_cap, induced_rank
+from .cohomology import _column, _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle
 from .graded import Element, _collect
 
@@ -196,7 +197,8 @@ def tmap_matrix(pair: TDualPair, degree: int):
     source = model.basis(degree)
     target = pair.pbar.total.basis(degree - 1)
     index = {m: i for i, m in enumerate(target)}
-    columns = [_column(pair.tmap(Element._trusted(model, {m: ONE})), index) for m in source]
+    one = Fraction(1)
+    columns = [_column(pair.tmap(Element._trusted(model, {m: one})), index) for m in source]
     return columns, source, target
 
 

@@ -202,6 +202,19 @@ def test_huge_power_of_a_sum_is_a_positioned_diagnostic(tmp_path, capsys):
     assert err == f"error: line 9, col 17: syntax: power expands past {MAX_POWER_TERMS} terms\n"
 
 
+def test_product_of_large_powers_is_a_positioned_diagnostic(tmp_path, capsys):
+    # each power stays within the bound, but their product would expand to
+    # 256 * 256 term products; more factors took proportionally longer
+    model = tmp_path / "product.dgm"
+    model.write_text(TWO_SPHERES + "let h = (a + c)^255 * (a + c)^255 * (a + c)^255\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(model))
+    assert time.perf_counter() - started < 2
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 9, col 23: syntax: product expands past {MAX_POWER_TERMS} terms\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "mc-check"])
 def test_structural_form_of_wrong_degree_is_a_degree_error(command, tmp_path, capsys):
     model = tmp_path / "mc_degree.dgm"

@@ -2,9 +2,9 @@
 
 Signs come from odd-generator bitmasks; `oracles.merge_sign` re-sums the odd
 tail per factor instead.  `Model.d`, every `Derivation`, `commutator` and
-every cochain slice run through one Leibniz loop over cached value tables;
-`oracles.apply_derivation` expands the Leibniz rule as products of elements
-instead, and `oracles.brute_basis` filters the whole exponent box where
+every cochain slice run through one Leibniz loop over cached value tables of
+integer numerators over one denominator; `oracles.apply_derivation` expands
+the Leibniz rule as products of Fraction elements instead, and `oracles.brute_basis` filters the whole exponent box where
 `Model.basis` extends memoized suffixes.  `DgBundle.fiber_coefficients`
 shares the product's sign rule, so splitting off a generator must rebuild
 the element.
@@ -13,15 +13,16 @@ the element.
 import random
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 
 from dgcalc import presets
 from dgcalc.cohomology import _twisted_images, complex_of
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
-from dgcalc.graded import Element, Model
+from dgcalc.graded import Element, Model, apply_values, table_values
 from dgcalc.sampling import random_derivation, random_element
-from oracles import apply_derivation, brute_basis, coordinates, merge_sign
+from oracles import apply_derivation, brute_basis, coordinates, literal_commutator, merge_sign
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -402,3 +403,139 @@ def test_zero_value_derivation_and_zero_element(mixed):
     assert zero(mixed.gen("x")).terms == {}
     assert mixed.d(mixed.zero()).terms == {}
     assert_coefficients_are_fractions(mixed.d(mixed.gen("r") * mixed.gen("p") ** 2))
+
+
+# -- the integer kernel on non-unit denominators ---------------------------------------
+
+DENOMINATORS = st.sampled_from([2, 3, 6])
+
+
+def fractional_element(model, degree, rng, den):
+    """A random element of the degree with coefficients k / den, k in -3..3."""
+    return Element(
+        model,
+        {m: Fraction(rng.randint(-3, 3), den) for m in model.basis(degree) if rng.random() < 0.6},
+    )
+
+
+def fractional_mixed(model, rng, den):
+    return sum((fractional_element(model, k, rng, den) for k in rng.sample(range(5), 2)), model.zero())
+
+
+def fractional_derivation(model, degree, rng, den):
+    values = {
+        g.name: fractional_element(model, g.degree + degree, rng, den)
+        for g in model.generators
+        if rng.random() < 0.6
+    }
+    return Derivation(model, degree, values)
+
+
+def halved(model):
+    """The model with d replaced by d / 2, which still squares to zero."""
+    gens = [(g.name, g.degree) for g in model.generators]
+    return Model(
+        gens,
+        differential=lambda m: {
+            name: Element(m, {e: c / 2 for e, c in v.terms.items()})
+            for name, v in model.differential.items()
+        },
+    )
+
+
+def assert_table_is_reduced(table, den=None):
+    """The table's denominator divides den, if given, and no factor of it
+    divides every numerator."""
+    _, entries, table_den = table
+    assert table_den > 0 and (den is None or den % table_den == 0), (table_den, den)
+    numerators = [n for _, _, _, terms in entries for _, _, (n, _) in terms]
+    assert all(numerators), numerators
+    assert gcd(table_den, *numerators) == 1, (table_den, numerators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DEGREES, SEEDS, st.integers(-2, 2), DENOMINATORS, DENOMINATORS)
+def test_fractional_derivations_are_the_oracle(degrees, seed, degree, den, element_den):
+    rng = random.Random(seed)
+    model = halved(dg_model(degrees, rng))
+    d = fractional_derivation(model, degree, rng, den)
+    a = fractional_mixed(model, rng, element_den)
+    assert_table_is_reduced(d.table(), den)
+    assert_table_is_reduced(model.d_table)
+    results = [d(a), model.d(a)]
+    assert results[0] == apply_derivation(model, d.values, degree, a)
+    assert results[1] == apply_derivation(model, model.differential, 1, a)
+    for el in results:
+        assert_coefficients_are_fractions(el)
+
+
+@settings(max_examples=30, deadline=None)
+@given(SLICE_DEGREES, SEEDS)
+def test_slices_of_a_halved_differential_are_the_oracle(degrees, seed):
+    # the contractible pair makes d t = u / 2, so the table's denominator is even
+    model = halved(with_contractible_pair(dg_model(degrees, random.Random(seed))))
+    assert model.d_table[2] % 2 == 0
+    cx = complex_of(model)
+    for k in range(7):
+        target = model.basis(k + 1)
+        for m, column in zip(model.basis(k), cx[k].columns):
+            assert all(type(c) is Fraction and c for c in column.values()), (k, m)
+            assert dense(column, len(target)) == oracle_column(model, m, target), (k, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DEGREES, SEEDS, st.integers(-2, 1), st.integers(-2, 1), DENOMINATORS, DENOMINATORS)
+def test_brackets_of_tables_with_different_denominators(degrees, seed, deg1, deg2, den1, den2):
+    rng = random.Random(seed)
+    model = halved(dg_model(degrees, rng))
+    d1 = fractional_derivation(model, deg1, rng, den1)
+    d2 = fractional_derivation(model, deg2, rng, den2)
+    d3 = fractional_derivation(model, deg1, rng, 6 // den1)
+    bracket = commutator(d1, d2)
+    assert_table_is_reduced(bracket.table(), den1 * den2)
+    assert bracket == literal_commutator(d1, d2)
+    # nested brackets, sums and multiples compute on the tables alone
+    nested = commutator(commutator(model_differential(model), bracket), d3)
+    want = literal_commutator(literal_commutator(model_differential(model), bracket), d3)
+    assert nested == want
+    combined = (d1 + d3) * Fraction(2, 3) - d3
+    for g in model.generators:
+        assert combined.value(g.name) == (d1.value(g.name) + d3.value(g.name)) * Fraction(2, 3) - d3.value(g.name)
+    assert (d1 - d1).is_zero() and (d1 * 0).is_zero()
+    # two passes over denominators 2 * 3 and 6 * 1 (or the like) share their sums
+    passes = [(d1.table(), d2.table(), False), (d3.table(), d2.table(), True)]
+    shared = table_values(model, apply_values(model, passes, deg1 + deg2))
+    sums = {g: d1(v) - d3(v) for g, v in d2.values.items()}
+    assert shared == {g: v for g, v in sums.items() if not v.is_zero()}
+    a = fractional_mixed(model, rng, 6)
+    assert nested(a) == apply_derivation(model, want.values, nested.degree, a)
+    for d in (bracket, nested, combined):
+        for el in d.values.values():
+            assert_keys_are_exponent_tuples(el)
+            assert_coefficients_are_fractions(el)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, DENOMINATORS)
+def test_the_flux_coupling_through_the_integer_kernel(seed, den):
+    # Q(t) = F7 + q F4/2: F4 with odd integer numerators puts the 1/2 into Q's table
+    rng = random.Random(seed)
+    base = presets.torus(rng.randint(1, 4))
+    f4 = Element(base, {m: Fraction(2 * rng.randint(-2, 2) + 1) for m in base.basis(4)})
+    bundle = DgBundle.flux(base, f4, random_element(base, 7, rng))
+    total, q = bundle.total, bundle.q
+    assert q.value("t") == bundle.structural_total("F7") + total.gen("q") * bundle.structural_total("F4") / 2
+    if f4.terms:
+        assert total.d_table[2] % 2 == 0
+    a = fractional_mixed(total, rng, den)
+    assert q(a) == apply_derivation(total, q.values, 1, a)
+    d = fractional_derivation(total, -1, rng, den)
+    bracket = commutator(q, d)
+    assert bracket == literal_commutator(q, d)
+    cx = complex_of(total)
+    for k in range(6):
+        target = total.basis(k + 1)
+        for m, column in zip(total.basis(k), cx[k].columns):
+            assert dense(column, len(target)) == oracle_column(total, m, target), (k, m)
+    for el in [q(a), *bracket.values.values(), *q.values.values()]:
+        assert_coefficients_are_fractions(el)

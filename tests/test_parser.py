@@ -312,6 +312,31 @@ def test_powers_past_the_term_bound_are_positioned_diagnostics(expr, col):
     assert err.value.message == f"power expands past {MAX_POWER_TERMS} terms"
 
 
+@pytest.mark.parametrize("expr, terms", [
+    ("(a + c)^15 (a + c)^15", 31),
+    ("x * (a + c)^255", MAX_POWER_TERMS),
+    ("2 (a + c)^255 * 1/2", MAX_POWER_TERMS),
+    ("(x + y)(u + v)(a + c)", 8),
+])
+def test_products_within_the_term_bound_expand(expr, terms):
+    mf = parse_model(POWER_MODEL + f"let h = {expr}\n")
+    assert len(mf.elements["h"].terms) == terms
+
+
+@pytest.mark.parametrize("expr, col", [
+    ("(a + c)^255 * (a + c)^255", 23),
+    ("(a + c)^15 (a + c)^16", 20),
+    ("(1 + x) * (a + c)^255", 19),
+    ("(a + c)^128 * x * (a + c)", 27),
+])
+def test_products_past_the_term_bound_are_positioned_diagnostics(expr, col):
+    # n and m terms expand to n * m products, bounded like a power's terms
+    with pytest.raises(ModelFileError) as err:
+        parse_model(POWER_MODEL + f"let h = {expr}\n")
+    assert (err.value.kind, err.value.line, err.value.col) == ("syntax", 7, col)
+    assert err.value.message == f"product expands past {MAX_POWER_TERMS} terms"
+
+
 # -- repeated declarations and bundle shapes --------------------------------------
 
 REPEAT_BASE = "model r\ngen x1 : 1; gen x2 : 1; gen x3 : 1; gen x4 : 1; gen z : 1\n"

@@ -12,6 +12,7 @@ from dgcalc.derivations import DgBundle
 from dgcalc.graded import Element, Model
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
+from dgcalc.symmetries import sym0_dimensions
 from dgcalc.tduality import (
     TDualityError,
     dualize,
@@ -281,6 +282,25 @@ if st is not None:
     def test_tmap_matches_literal_oracle_on_generated_pairs(pair):
         assert _assert_tmap_matches_oracle(pair, degree_cap(pair.p))
         assert tduality_chain_map(pair).verify(5) == FROZEN_SIGN
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(generated_pairs())
+    def test_generated_dual_pairs_have_equal_structured_symmetry_counts(pair):
+        assert sym0_dimensions(pair.p)[0] == sym0_dimensions(pair.pbar)[0]
+
+
+# structured degree-0 symmetry counts of the model pairs; the full kernels of
+# [Q, .] differ between the two sides (t2_pair 10 vs 12, nil_pair 30 vs 27)
+STRUCTURED_SYM0 = {"t2_pair": 5, "hopf_pair": 1, "s3_pair": 0, "nil_pair": 16}
+
+
+@pytest.mark.parametrize("name, count", sorted(STRUCTURED_SYM0.items()))
+def test_dual_pairs_have_equal_structured_symmetry_counts(name, count):
+    """The symmetry algebras of a T-dual pair are isomorphic: the structured
+    degree-0 symmetries of P and of its dual have one dimension."""
+    pair = dualize(load_path(str(MODELS / f"{name}.dgm")).bundle)
+    assert sym0_dimensions(pair.p)[0] == sym0_dimensions(pair.pbar)[0] == count
 
 
 def _assert_tmap_matches_oracle(pair, cap):
