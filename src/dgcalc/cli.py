@@ -27,7 +27,7 @@ from .derivations import (
 )
 from .graded import format_element
 from .parser import ModelFileError, load_path
-from .sampling import random_contraction, random_derivation, random_element
+from .sampling import random_contraction, random_derivation, random_element, random_symmetry
 from .symmetries import (
     SymmetryError,
     bn_bracket,
@@ -38,7 +38,6 @@ from .symmetries import (
     derived_bracket,
     derived_jacobi_residue,
     derived_leibniz_residue,
-    e6_element,
     e6_pairing,
     e6_six_form_action,
     e6_three_form_action,
@@ -319,21 +318,36 @@ def _run_laws(title, laws, report):
     return ok
 
 
+def _action_row(bundle, actions, draw, trials):
+    """The action-displays row of _run_laws: every (degree, action) acts with
+    the closed basis forms of its degree on one target draw() per trial."""
+    forms = [(act, el) for deg, act in actions for el in _closed_basis_forms(bundle.base, deg)]
+
+    def trial(_):
+        target = draw()
+
+        def check():
+            for act, el in forms:
+                act(bundle, el, target)
+
+        return (check,)
+
+    why = f"no closed {actions[0][0]}- or {actions[1][0]}-form on the base"
+    return ("action-displays",), max(1, trials // 4) if forms else 0, trial, why
+
+
 def cmd_bn_check(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
     if bundle.structural["F"] != bundle.structural["Fbar"]:
         raise ModelFileError("shape", 0, 1, "bn-check needs a self-dual bundle (F = Fbar)")
     rng = random.Random(args.seed)
-    base = bundle.base
-    ones = _closed_basis_forms(base, 1)
-    twos = _closed_basis_forms(base, 2)
 
     def triple():
         return bn_element(
             bundle,
-            iota=random_contraction(base, rng),
+            iota=random_contraction(bundle.base, rng),
             f=rng.randint(-2, 2),
-            c=random_element(base, 1, rng),
+            c=random_element(bundle.base, 1, rng),
         )
 
     def displays(_):
@@ -346,7 +360,7 @@ def cmd_bn_check(mf, args, report):
         return bracket, lambda: bn_pairing(a, b)
 
     def involution(_):
-        x = _random_minus_one(bundle, rng)
+        x = random_symmetry(bundle, -1, rng)
 
         def check():
             if selfdual_phi(selfdual_phi(x)) != x:
@@ -356,28 +370,14 @@ def cmd_bn_check(mf, args, report):
 
         return (check,)
 
-    def actions(_):
-        t = triple()
-
-        def check():
-            for one in ones:
-                bn_one_form_action(bundle, one, t)
-            for two in twos:
-                bn_two_form_action(bundle, two, t)
-
-        return (check,)
-
     report.add("seed", args.seed)
     return _run_laws(
         f"B-structure checks on {mf.name or '?'} ({args.trials} trials, seed {args.seed})",
         [
             (("bracket-display", "pairing-display"), args.trials, displays),
             (("involution",), args.trials, involution),
-            (
-                ("action-displays",),
-                max(1, args.trials // 4) if ones or twos else 0,
-                actions,
-                "no closed 1- or 2-form on the base",
+            _action_row(
+                bundle, ((1, bn_one_form_action), (2, bn_two_form_action)), triple, args.trials
             ),
         ],
         report,
@@ -387,84 +387,30 @@ def cmd_bn_check(mf, args, report):
 def cmd_e6_check(mf, args, report):
     bundle = _need_bundle(mf, "flux")
     rng = random.Random(args.seed)
-    base = bundle.base
-    threes = _closed_basis_forms(base, 3)
-    sixes = _closed_basis_forms(base, 6)
+    draw = functools.partial(random_symmetry, bundle, -1, rng)
 
     def displays(_):
-        a, b = _random_minus_one(bundle, rng), _random_minus_one(bundle, rng)
+        a, b = draw(), draw()
         return lambda: derived_bracket(a, b), lambda: e6_pairing(a, b)
-
-    def actions(_):
-        t = _random_minus_one(bundle, rng)
-
-        def check():
-            for el in threes:
-                e6_three_form_action(bundle, el, t)
-            for el in sixes:
-                e6_six_form_action(bundle, el, t)
-
-        return (check,)
 
     report.add("seed", args.seed)
     return _run_laws(
         f"flux-structure checks on {mf.name or '?'} ({args.trials} trials, seed {args.seed})",
         [
             (("bracket-display", "pairing-display"), args.trials, displays),
-            (
-                ("action-displays",),
-                max(1, args.trials // 4) if threes or sixes else 0,
-                actions,
-                "no closed 3- or 6-form on the base",
+            _action_row(
+                bundle, ((3, e6_three_form_action), (6, e6_six_form_action)), draw, args.trials
             ),
         ],
         report,
     )
 
 
-def _random_minus_one(bundle, rng):
-    """A random degree -1 structured symmetry of a two-step or flux bundle."""
-    base = bundle.base
-    if bundle.shape == "flux":
-        return e6_element(
-            bundle,
-            iota=random_contraction(base, rng),
-            s2=random_element(base, 2, rng),
-            s5=random_element(base, 5, rng),
-        )
-    return symmetry(
-        bundle,
-        -1,
-        iota=random_contraction(base, rng),
-        f=rng.randint(-2, 2),
-        c=random_element(base, 1, rng),
-        fbar=rng.randint(-2, 2),
-    )
-
-
 def _structured_samples(bundle, rng):
-    base = bundle.base
-    if bundle.shape == "two_step":
-        return [_random_minus_one(bundle, rng), symmetry(bundle, -2, h=rng.randint(-2, 2))]
-    if bundle.shape == "flux":
-        return [
-            _random_minus_one(bundle, rng),
-            symmetry(
-                bundle,
-                -2,
-                eta1=random_element(base, 1, rng),
-                c4=random_element(base, 4, rng),
-            ),
-        ]
-    n = bundle.total.generator_named(bundle.fiber_names[0]).degree
-    out = [
-        symmetry(
-            bundle, -1, iota=random_contraction(base, rng), a=random_element(base, n - 1, rng)
-        )
-    ]
-    for k in range(2, n + 1):
-        out.append(symmetry(bundle, -k, eta=random_element(base, n - k, rng)))
-    return out
+    """One random structured symmetry in each of degrees -1 and -2, or -1 down
+    to -n on a line of fiber degree n."""
+    low = bundle.total.generator_named(bundle.fiber_names[0]).degree if bundle.shape == "line" else 2
+    return [random_symmetry(bundle, -k, rng) for k in range(1, low + 1)]
 
 
 def _symmetry_actors(bundle, limit=3):

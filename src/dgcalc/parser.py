@@ -108,6 +108,9 @@ MAX_NESTING = 100
 # takes about 0.2 s on a 2-vCPU VM, and the time grows with the square of
 # the term count
 MAX_POWER_TERMS = 256
+# all powers of one expression together may expand to at most this many terms,
+# so the time a line takes no longer grows with the number of powers on it
+MAX_EXPRESSION_TERMS = 4 * MAX_POWER_TERMS
 
 
 def _capped_comb(n: int, k: int) -> int:
@@ -146,6 +149,7 @@ class _ExprParser:
         self.pos = 0
         self.model = model
         self.depth = 0
+        self.power_terms = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -178,27 +182,30 @@ class _ExprParser:
 
     def term(self) -> Element:
         """Factors multiplied left to right; a product of n and m terms expands
-        to n * m term products, which may not pass MAX_POWER_TERMS."""
-        value = self.factor()
+        to n * m term products, which may not pass MAX_POWER_TERMS.  The right
+        factor's term count is predicted before its power expands."""
+        value = None
         while True:
+            start = self.peek()
+            rhs, n, terms = self.factor()
+            if value is not None and len(value.terms) * terms > MAX_POWER_TERMS:
+                raise ModelFileError(
+                    "syntax", start.line, start.col, f"product expands past {MAX_POWER_TERMS} terms"
+                )
+            rhs = rhs if n == 1 else rhs**n
+            value = rhs if value is None else value * rhs
             tok = self.peek()
             if tok.kind == "*":
                 self.next()
             elif tok.kind not in ("ident", "number", "("):
                 return value
-            start = self.peek()
-            rhs = self.factor()
-            if len(value.terms) * len(rhs.terms) > MAX_POWER_TERMS:
-                raise ModelFileError(
-                    "syntax", start.line, start.col, f"product expands past {MAX_POWER_TERMS} terms"
-                )
-            value = value * rhs
 
-    def factor(self) -> Element:
+    def factor(self) -> Tuple[Element, int, int]:
+        """(value, n, terms): a factor, its exponent, not yet applied, and value**n's term count."""
         tok = self.next()
         if tok.kind == "number":
             try:
-                return self.model.scalar(Fraction(tok.text))
+                return self.model.scalar(Fraction(tok.text)), 1, 1
             except ZeroDivisionError:
                 raise ModelFileError("syntax", tok.line, tok.col, f"zero denominator in {tok.text!r}")
         if tok.kind == "(":
@@ -212,28 +219,34 @@ class _ExprParser:
             closing = self.next()
             if closing.kind != ")":
                 raise ModelFileError("syntax", closing.line, closing.col, "expected ')'")
-            return self._power(inner)
+            return self._exponent(inner)
         if tok.kind == "ident":
             if tok.text not in self.model.index:
                 raise ModelFileError(
                     "unknown-generator", tok.line, tok.col, f"unknown generator {tok.text!r}"
                 )
-            return self._power(self.model.gen(tok.text))
+            return self._exponent(self.model.gen(tok.text))
         raise ModelFileError("syntax", tok.line, tok.col, f"expected a factor, got {tok.text!r}")
 
-    def _power(self, value: Element) -> Element:
-        if self.peek().kind == "^":
-            self.next()
-            tok = self.next()
-            if tok.kind != "number" or "/" in tok.text:
-                raise ModelFileError("syntax", tok.line, tok.col, "exponent must be a natural number")
-            n = int(tok.text)
-            if _power_terms(value, n) > MAX_POWER_TERMS:
-                raise ModelFileError(
-                    "syntax", tok.line, tok.col, f"power expands past {MAX_POWER_TERMS} terms"
-                )
-            return value**n
-        return value
+    def _exponent(self, value: Element) -> Tuple[Element, int, int]:
+        """factor()'s triple for value and the exponent after it, 1 if none; a
+        power's predicted term count is charged to MAX_EXPRESSION_TERMS."""
+        if self.peek().kind != "^":
+            return value, 1, len(value.terms)
+        self.next()
+        tok = self.next()
+        if tok.kind != "number" or "/" in tok.text:
+            raise ModelFileError("syntax", tok.line, tok.col, "exponent must be a natural number")
+        n = int(tok.text)
+        terms = _power_terms(value, n)
+        self.power_terms += terms
+        if terms > MAX_POWER_TERMS:
+            message = f"power expands past {MAX_POWER_TERMS} terms"
+        elif self.power_terms > MAX_EXPRESSION_TERMS:
+            message = f"powers of one expression expand past {MAX_EXPRESSION_TERMS} terms"
+        else:
+            return value, n, terms
+        raise ModelFileError("syntax", tok.line, tok.col, message)
 
 
 def parse_expression(text: str, model: Model, line: int = 0, col: int = 1) -> Element:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .derivations import Derivation
+from .derivations import Derivation, DgBundle
 from .graded import Element, Model
+from .symmetries import SymElement, form_parts, symmetry
 
 
 def random_element(model: Model, degree: int, rng: random.Random, density: float = 0.6) -> Element:
@@ -45,3 +46,12 @@ def random_contraction(model: Model, rng: random.Random) -> Derivation:
             if c:
                 values[g.name] = model.scalar(c)
     return Derivation(model, -1, values)
+
+
+def random_symmetry(bundle: DgBundle, degree: int, rng: random.Random) -> SymElement:
+    """A random contraction in degree -1, then one value per form part of
+    symmetries.SHAPES: an integer in -2..2 for a degree-0 part."""
+    parts = {"iota": random_contraction(bundle.base, rng)} if degree == -1 else {}
+    for name, deg in form_parts(bundle, degree):
+        parts[name] = rng.randint(-2, 2) if deg == 0 else random_element(bundle.base, deg, rng)
+    return symmetry(bundle, degree, **parts)

@@ -634,30 +634,30 @@ def bn_pairing(a: SymElement, b: SymElement) -> Element:
     return value
 
 
+def _form_action(bundle: DgBundle, degree: int, form: Element, target: SymElement,
+                 parts: Dict, display) -> SymElement:
+    """Bracket target with the closed form's degree-0 actor (parts); check it equals display()."""
+    if not bundle.base.d(form).is_zero():
+        raise SymmetryError(f"the acting {degree}-form must be closed")
+    moved = sym_bracket(symmetry(bundle, 0, **parts), target)
+    if moved != display():
+        raise SymmetryError(f"{degree}-form action display disagrees with the bracket")
+    return moved
+
+
 def bn_one_form_action(bundle: DgBundle, one_form: Element, target: SymElement) -> SymElement:
     """Action of a closed 1-form A: (X, f, C) -> (0, -iota_X A, 2 A f)."""
-    if not bundle.base.d(one_form).is_zero():
-        raise SymmetryError("the acting 1-form must be closed")
-    actor = symmetry(bundle, 0, a=one_form, abar=-one_form)
-    moved = sym_bracket(actor, target)
-    display = bn_element(
+    parts = {"a": one_form, "abar": -one_form}
+    return _form_action(bundle, 1, one_form, target, parts, lambda: bn_element(
         bundle, f=-target.part("iota")(one_form), c=2 * (one_form * target.part("f"))
-    )
-    if moved != display:
-        raise SymmetryError("1-form action display disagrees with the bracket")
-    return moved
+    ))
 
 
 def bn_two_form_action(bundle: DgBundle, two_form: Element, target: SymElement) -> SymElement:
     """Action of a closed 2-form B: (X, f, C) -> (0, 0, -iota_X B)."""
-    if not bundle.base.d(two_form).is_zero():
-        raise SymmetryError("the acting 2-form must be closed")
-    actor = symmetry(bundle, 0, b=two_form)
-    moved = sym_bracket(actor, target)
-    display = bn_element(bundle, c=-target.part("iota")(two_form))
-    if moved != display:
-        raise SymmetryError("2-form action display disagrees with the bracket")
-    return moved
+    return _form_action(bundle, 2, two_form, target, {"b": two_form}, lambda: bn_element(
+        bundle, c=-target.part("iota")(two_form)
+    ))
 
 
 # -- the flux (degree 3/6) structure ---------------------------------------------
@@ -686,23 +686,13 @@ def e6_pairing(a: SymElement, b: SymElement) -> Tuple[Element, Element]:
 
 def e6_three_form_action(bundle: DgBundle, a3: Element, target: SymElement) -> SymElement:
     """Action of a closed 3-form: (X, s2, s5) -> (0, -iota_X a3, a3 ^ s2)."""
-    if not bundle.base.d(a3).is_zero():
-        raise SymmetryError("the acting 3-form must be closed")
-    actor = symmetry(bundle, 0, a3=a3)
-    moved = sym_bracket(actor, target)
-    display = e6_element(bundle, s2=-target.part("iota")(a3), s5=a3 * target.part("s2"))
-    if moved != display:
-        raise SymmetryError("3-form action display disagrees with the bracket")
-    return moved
+    return _form_action(bundle, 3, a3, target, {"a3": a3}, lambda: e6_element(
+        bundle, s2=-target.part("iota")(a3), s5=a3 * target.part("s2")
+    ))
 
 
 def e6_six_form_action(bundle: DgBundle, b6: Element, target: SymElement) -> SymElement:
     """Action of a closed 6-form: (X, s2, s5) -> (0, 0, -iota_X b6)."""
-    if not bundle.base.d(b6).is_zero():
-        raise SymmetryError("the acting 6-form must be closed")
-    actor = symmetry(bundle, 0, b6=b6)
-    moved = sym_bracket(actor, target)
-    display = e6_element(bundle, s5=-target.part("iota")(b6))
-    if moved != display:
-        raise SymmetryError("6-form action display disagrees with the bracket")
-    return moved
+    return _form_action(bundle, 6, b6, target, {"b6": b6}, lambda: e6_element(
+        bundle, s5=-target.part("iota")(b6)
+    ))

@@ -167,9 +167,10 @@ class ChainMap:
                 x = self._source_model.monomial_element(m)
                 lhs = self.action(self._source_q(x))
                 rhs = self._target_q(self.action(x))
-                for sign in list(candidates):
-                    if lhs != sign * rhs:
-                        candidates.discard(sign)
+                if 1 in candidates and lhs != rhs:
+                    candidates.discard(1)
+                if -1 in candidates and lhs != -rhs:
+                    candidates.discard(-1)
                 if not candidates:
                     raise TDualityError(f"not a chain map up to sign (degree {k})")
         return 1 if 1 in candidates else -1

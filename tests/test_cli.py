@@ -1,6 +1,7 @@
 """Command surface: exit codes, reports, golden outputs."""
 
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,10 @@ import pytest
 
 from dgcalc import cli
 from dgcalc.cli import main
-from dgcalc.parser import MAX_POWER_TERMS
+from dgcalc.derivations import Derivation
+from dgcalc.graded import format_element
+from dgcalc.parser import MAX_POWER_TERMS, load_path
+from dgcalc.sampling import random_symmetry
 from dgcalc.symmetries import SymmetryError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -304,6 +308,36 @@ def test_action_displays_skip_without_closed_actors(command, text, why, tmp_path
     records = report.read_text().splitlines()
     assert "law.action-displays=skip" in records
     assert records[-1] == "status=pass"
+
+
+# the two-step and flux models, whose structured draws tests/golden pins
+DRAW_MODELS = ["bn_selfdual", "e6_flux", "hopf_pair", "nil_pair", "s3_pair", "t2_pair", "t7_flux"]
+
+
+def _draw_text(x):
+    def part(value):
+        if isinstance(value, Derivation):
+            body = (f"{g} -> {format_element(v)}" for g, v in sorted(value.values.items()))
+            return "{" + ", ".join(body) + "}"
+        return format_element(value)
+
+    return f"  deg {x.degree}: " + ", ".join(f"{k} = {part(v)}" for k, v in sorted(x.parts.items()))
+
+
+def test_structured_draws_match_golden():
+    """random_symmetry in degree -1 and the samples of the identity suite draw
+    the recorded parts, and leave the RNG where the recorded draws left it."""
+    lines = []
+    for name in DRAW_MODELS:
+        bundle = load_path(str(MODELS / f"{name}.dgm")).bundle
+        for seed in range(4):
+            rng = random.Random(seed)
+            lines.append(f"{name} seed {seed}")
+            lines.append(_draw_text(random_symmetry(bundle, -1, rng)))
+            lines.append(f"  rng {rng.random()!r}")
+            lines.extend(_draw_text(x) for x in cli._structured_samples(bundle, rng))
+            lines.append(f"  rng {rng.random()!r}")
+    assert "\n".join(lines) + "\n" == (GOLDEN / "structured_draws.txt").read_text()
 
 
 def test_failing_law_reports_its_witness(monkeypatch, tmp_path, capsys):

@@ -1,12 +1,20 @@
 """Model files: expression grammar, diagnostics, validation pipeline."""
 
+import importlib
+import pathlib
 import random
 
 import pytest
 
 from dgcalc.derivations import DgBundle, maurer_cartan_check
 from dgcalc.graded import Model, format_element
-from dgcalc.parser import MAX_POWER_TERMS, ModelFileError, parse_expression, parse_model
+from dgcalc.parser import (
+    MAX_EXPRESSION_TERMS,
+    MAX_POWER_TERMS,
+    ModelFileError,
+    parse_expression,
+    parse_model,
+)
 from oracles import random_inhomogeneous
 
 
@@ -315,6 +323,7 @@ def test_powers_past_the_term_bound_are_positioned_diagnostics(expr, col):
 @pytest.mark.parametrize("expr, terms", [
     ("(a + c)^15 (a + c)^15", 31),
     ("x * (a + c)^255", MAX_POWER_TERMS),
+    ("x (a + c)^255", MAX_POWER_TERMS),
     ("2 (a + c)^255 * 1/2", MAX_POWER_TERMS),
     ("(x + y)(u + v)(a + c)", 8),
 ])
@@ -335,6 +344,39 @@ def test_products_past_the_term_bound_are_positioned_diagnostics(expr, col):
         parse_model(POWER_MODEL + f"let h = {expr}\n")
     assert (err.value.kind, err.value.line, err.value.col) == ("syntax", 7, col)
     assert err.value.message == f"product expands past {MAX_POWER_TERMS} terms"
+
+
+def test_powers_of_one_expression_share_a_term_budget():
+    # each (a + c)^255 predicts 256 terms, so the fifth copy passes the budget
+    copies = MAX_EXPRESSION_TERMS // MAX_POWER_TERMS + 1
+    assert copies == 5
+    line = "let h = " + " + ".join(["(a + c)^255"] * 20)
+    with pytest.raises(ModelFileError) as err:
+        parse_model(POWER_MODEL + line + "\n")
+    assert (err.value.kind, err.value.line) == ("syntax", 7)
+    carets = [i for i, ch in enumerate(line) if ch == "^"]
+    assert err.value.col == carets[copies - 1] + 2  # the 1-based column of its exponent
+    assert err.value.message == f"powers of one expression expand past {MAX_EXPRESSION_TERMS} terms"
+    # a^2 predicts one term: up to the budget powers expand, and each
+    # expression has its own budget
+    fits = " + ".join(["a^2"] * MAX_EXPRESSION_TERMS)
+    mf = parse_model(POWER_MODEL + f"let h = {fits}\nlet k = {fits}\n")
+    assert mf.elements["h"] == mf.elements["k"] == MAX_EXPRESSION_TERMS * mf.model.gen("a") ** 2
+
+
+def test_every_shipped_and_benchmark_model_loads(monkeypatch):
+    """The power and product bounds reject none of the repository's models
+    nor any model text the benchmark can generate."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    texts = [path.read_text() for path in sorted(root.glob("models/*.dgm"))]
+    texts += [path.read_text() for path in sorted(root.glob("tests/*.dgm"))]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    generated = {job.text for name in workloads.WORKLOADS for job in workloads.universe(name)}
+    texts += sorted(generated - {None})
+    assert len(texts) > 50
+    for text in texts:
+        assert parse_model(text, validate=False).model is not None
 
 
 # -- repeated declarations and bundle shapes --------------------------------------

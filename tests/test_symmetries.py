@@ -7,6 +7,7 @@ import pytest
 
 from dgcalc import presets
 from dgcalc.derivations import Derivation, DgBundle, commutator
+from dgcalc.graded import Model
 from dgcalc.sampling import random_contraction, random_element
 from dgcalc.symmetries import (
     SymmetryError,
@@ -698,6 +699,25 @@ def test_bn_actions(selfdual, rng):
         moved = bn_two_form_action(selfdual, two_form, t)
         assert moved.part("f").is_zero()
         assert moved.part("c") == -t.part("iota")(two_form)
+
+
+def test_form_actions_reject_open_forms(nil, selfdual, rng):
+    g = nil.gen
+    # a 7-dimensional nilmanifold carries a non-closed 6-form, z x3 .. x7
+    gens = [(f"x{i}", 1) for i in range(1, 8)] + [("z", 1)]
+    nil8 = Model(gens, 8, lambda m: {"z": m.gen("x1") * m.gen("x2")})
+    flux = DgBundle.flux(nil8, nil8.zero(), nil8.zero())
+    h = nil8.gen
+    cases = [
+        (bn_one_form_action, selfdual, g("z"), 1),
+        (bn_two_form_action, selfdual, g("z") * g("x3"), 2),
+        (e6_three_form_action, flux, h("z") * h("x3") * h("x4"), 3),
+        (e6_six_form_action, flux, h("z") * h("x3") * h("x4") * h("x5") * h("x6") * h("x7"), 6),
+    ]
+    for action, bundle, form, degree in cases:
+        target = rand_bn(bundle, rng) if bundle is selfdual else rand_flux1(bundle, rng)
+        with pytest.raises(SymmetryError, match=f"^the acting {degree}-form must be closed$"):
+            action(bundle, form, target)
 
 
 def test_bn_fixed_set_closed_under_derived_bracket(selfdual, rng):

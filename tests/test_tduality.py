@@ -9,11 +9,13 @@ import pytest
 from dgcalc import presets
 from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
 from dgcalc.derivations import DgBundle
-from dgcalc.graded import Element, Model
+from dgcalc.cli import main
+from dgcalc.graded import Element, Model, format_element
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import sym0_dimensions
 from dgcalc.tduality import (
+    ChainMap,
     TDualityError,
     dualize,
     les_check,
@@ -26,7 +28,7 @@ from dgcalc.tduality import (
 import oracles
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import HealthCheck, given, settings, strategies as st
 except ImportError:  # without the dev extra only the generated-pair property test is left out
     st = None
 
@@ -228,6 +230,23 @@ def test_tmap_chain_sign_frozen():
         assert tduality_chain_map(make()).verify(6) == FROZEN_SIGN
 
 
+def test_chain_map_sign_minus_one_and_first_failing_degree():
+    pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
+
+    def map_of(scale):
+        # x -> scale(|x|) T(x) on homogeneous x; T(0) = 0 needs no degree
+        return ChainMap(pair.p, pair.pbar, -1, lambda x: scale(x.degree() or 0) * pair.tmap(x))
+
+    # (-1)^{|x|} T(x) anticommutes with Q where T commutes
+    assert map_of(lambda k: (-1) ** k).verify(6) == -1
+    # doubling T from degree 3 on first breaks a square at some x of degree 2
+    # with Q T(x) != 0, where the map sends Q x to 2 T(Q x) = 2 Q T(x)
+    total, dual_q = pair.p.total, pair.pbar.total.d
+    assert any(not dual_q(pair.tmap(total.monomial_element(m))).is_zero() for m in total.basis(2))
+    with pytest.raises(TDualityError, match=r"^not a chain map up to sign \(degree 2\)$"):
+        map_of(lambda k: 2 if k >= 3 else 1).verify(6)
+
+
 def test_section_inverts_tmap():
     for make in ALL_PAIRS:
         pair = make()
@@ -301,6 +320,58 @@ def test_dual_pairs_have_equal_structured_symmetry_counts(name, count):
     degree-0 symmetries of P and of its dual have one dimension."""
     pair = dualize(load_path(str(MODELS / f"{name}.dgm")).bundle)
     assert sym0_dimensions(pair.p)[0] == sym0_dimensions(pair.pbar)[0] == count
+
+
+def _dgm(bundle):
+    """The .dgm text of a two-step bundle: its base with d, its fibers and
+    its three structural forms, with no let, vec or sym lines."""
+    base, total = bundle.base, bundle.total
+    lines = [f"model {base.name}", f"dim {base.formal_dimension}"]
+    lines += [f"gen {g.name} : {g.degree}" for g in base.generators]
+    lines += [f"d {g} = {format_element(v)}" for g, v in base.differential.items()]
+    lines += [f"fiber {f} : {total.generator_named(f).degree}" for f in bundle.fiber_names]
+    lines += [f"{key} = {format_element(value)}" for key, value in bundle.structural.items()]
+    return "\n".join(lines) + "\n"
+
+
+def _structured_sym0_through_cli(source, pair, tmp_path):
+    """sym0.structured of `sym --report` on the source file and on the dual
+    bundle written next to it, which must parse back exactly."""
+    dual = tmp_path / "dual.dgm"
+    dual.write_text(_dgm(pair.pbar))
+    parsed = load_path(str(dual)).bundle
+    for key, swapped in (("F", "Fbar"), ("Fbar", "F"), ("H", "H")):
+        text = format_element(pair.pbar.structural[key])
+        assert text == format_element(pair.p.structural[swapped])
+        assert format_element(parsed.structural[key]) == text
+    assert _dgm(parsed) == dual.read_text()
+    counts = []
+    for path in (source, dual):
+        report = tmp_path / "report.txt"
+        assert main(["sym", str(path), "--report", str(report)]) == 0
+        records = report.read_text().splitlines()
+        counts.append(next(r for r in records if r.startswith("sym0.structured=")))
+    return counts
+
+
+@pytest.mark.parametrize("name, count", sorted(STRUCTURED_SYM0.items()))
+def test_cli_sym_counts_agree_across_the_model_pairs(name, count, tmp_path):
+    source = MODELS / f"{name}.dgm"
+    pair = dualize(load_path(str(source)).bundle)
+    assert _structured_sym0_through_cli(source, pair, tmp_path) == [f"sym0.structured={count}"] * 2
+
+
+if st is not None:
+
+    @settings(
+        max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(pair=generated_pairs())
+    def test_cli_sym_counts_agree_across_generated_pairs(pair, tmp_path):
+        source = tmp_path / "source.dgm"
+        source.write_text(_dgm(pair.p))
+        primal, dual = _structured_sym0_through_cli(source, pair, tmp_path)
+        assert primal == dual
 
 
 def _assert_tmap_matches_oracle(pair, cap):
