@@ -172,7 +172,12 @@ def cmd_tmap_verify(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
     pair = dualize(bundle)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
-    sign = tduality_chain_map(pair).verify(cap)
+    signs = tduality_chain_map(pair).signs(cap)
+    if len(signs) == 2:
+        raise TDualityError(
+            f"degree cap {cap} does not fix the sign: both sides vanish through degree {cap}"
+        )
+    sign = signs.pop()
     report.add("cap", cap)
     report.add("sign", sign)
     print(f"comparison map intertwines through degree {cap}: sign {sign:+d}")

@@ -1,8 +1,9 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
 commutator of derivations, the bases and their sizes, the ranks of the long
-exact sequence, twisted cohomology, the T-duality map and the structured
-symmetries, the rescaling and pushforward maps whose chain identities the
-tests check, and a sampler of inhomogeneous elements; tests only."""
+exact sequence, twisted cohomology, the T-duality map, the chain-map sign
+check and the structured symmetries, the rescaling and pushforward maps whose
+chain identities the tests check, and a sampler of inhomogeneous elements;
+tests only."""
 
 from fractions import Fraction
 from itertools import product
@@ -20,7 +21,7 @@ from dgcalc.graded import Element, monomial_degree
 from dgcalc.linalg import kernel_basis
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
-from dgcalc.tduality import ChainMap, pushforward
+from dgcalc.tduality import ChainMap, TDualityError
 
 
 def coordinates(el, basis):
@@ -335,6 +336,40 @@ def literal_tmap(pair, el):
     if linear is None:
         return pair.pbar.total.zero()
     return transport(linear, pair.pbar.total)
+
+
+def literal_chain_signs(chain_map, cap):
+    """The signs s with action(Q x) = s * Q(action x), checked one monomial at a
+    time on Elements: the surviving set through the cap, or the first degree
+    where no sign survives."""
+    source, target = _total(chain_map.source), _total(chain_map.target)
+    candidates = {1, -1}
+    for k in range(cap + 1):
+        for m in source.basis(k):
+            x = source.monomial_element(m)
+            lhs = chain_map.action(source.d(x))
+            rhs = target.d(chain_map.action(x))
+            if lhs != rhs:
+                candidates.discard(1)
+            if lhs != -rhs:
+                candidates.discard(-1)
+            if not candidates:
+                return k
+    return candidates
+
+
+def pushforward(bundle: DgBundle, el: Element) -> Element:
+    """Integration along an odd line fiber: w q -> w, fiberless terms -> 0."""
+    if bundle.shape != "line":
+        raise TDualityError("pushforward expects a single-fiber bundle")
+    fiber = bundle.fiber_names[0]
+    if not bundle.total.generator_named(fiber).is_odd:
+        raise TDualityError("pushforward integrates an odd fiber")
+    coeffs = bundle.fiber_coefficients(el, fiber)
+    linear = coeffs.get(1)
+    if linear is None:
+        return bundle.base.zero()
+    return bundle.restrict_to_base(linear)
 
 
 def pushforward_chain_map(bundle):

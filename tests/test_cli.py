@@ -244,6 +244,16 @@ def test_tmap_verify_sign(capsys):
     assert "sign +1" in out
 
 
+def test_tmap_verify_needs_a_cap_that_fixes_the_sign(capsys):
+    # on t2_pair every monomial through degree 2 has T(Q x) = Qbar(T x) = 0
+    code, out, err = run(capsys, "tmap-verify", str(MODELS / "t2_pair.dgm"), "--cap", "2")
+    assert (code, out) == (2, "")
+    assert "degree cap 2 does not fix the sign: both sides vanish through degree 2" in err
+    code, out, _ = run(capsys, "tmap-verify", str(MODELS / "t2_pair.dgm"), "--cap", "3")
+    assert code == 0
+    assert "sign +1" in out
+
+
 def test_shape_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "ses-verify", str(MODELS / "s3_volume.dgm"))
     assert code == 2

@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,6 @@ from dgcalc.tduality import (
     dualize,
     les_check,
     les_node_ranks,
-    pushforward,
     ses_verify,
     tduality_chain_map,
     tduality_iso_check,
@@ -33,6 +33,8 @@ except ImportError:  # without the dev extra only the generated-pair property te
     st = None
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+# every model pair, and nil_pair with a fractional d on both sides
+PAIR_FILES = sorted(MODELS.glob("*_pair.dgm")) + [MODELS.parent / "tests" / "nil_pair_half.dgm"]
 FROZEN_SIGN = 1  # intertwining sign of T under this package's conventions
 
 
@@ -134,14 +136,16 @@ def test_double_dual_agrees_up_to_renaming():
 def test_pushforward_strips_fiber(s2):
     bundle = DgBundle.line(s2, s2.gen("a"), "q", 1)
     w = s2.gen("b")
-    assert pushforward(bundle, bundle.include_base(w) * bundle.total.gen("q")) == w
-    assert pushforward(bundle, bundle.include_base(w)).is_zero()
+    assert oracles.pushforward(bundle, bundle.include_base(w) * bundle.total.gen("q")) == w
+    assert oracles.pushforward(bundle, bundle.include_base(w)).is_zero()
 
 
 def test_pushforward_is_chain_map(s2, nil):
     for base, theta in ((s2, s2.gen("a")), (nil, nil.gen("x1") * nil.gen("x3"))):
         bundle = DgBundle.line(base, theta, "q", 1)
-        assert oracles.pushforward_chain_map(bundle).verify(7) == 1
+        chain = oracles.pushforward_chain_map(bundle)
+        assert chain.verify(7) == 1
+        _assert_signs_match_oracle(chain, 7)
 
 
 def test_pushforward_randomized_chain_identity(s2):
@@ -150,7 +154,8 @@ def test_pushforward_randomized_chain_identity(s2):
     for _ in range(15):
         w = random_element(s2, rng.randint(0, 4), rng)
         el = bundle.include_base(w) * bundle.total.gen("q")
-        assert pushforward(bundle, bundle.q(el)) == s2.d(pushforward(bundle, el))
+        pushed = oracles.pushforward(bundle, el)
+        assert oracles.pushforward(bundle, bundle.q(el)) == s2.d(pushed)
 
 
 def test_dual_pair_pushforward_relations(nil):
@@ -161,10 +166,10 @@ def test_dual_pair_pushforward_relations(nil):
     h = -(nil.gen("z") * nil.gen("x3") * nil.gen("x4"))
     e_bundle = DgBundle.line(nil, f, "q", 1)
     twist = e_bundle.include_base(h) + e_bundle.total.gen("q") * e_bundle.include_base(fbar)
-    assert pushforward(e_bundle, twist) == fbar
+    assert oracles.pushforward(e_bundle, twist) == fbar
     ebar_bundle = DgBundle.line(nil, fbar, "qbar", 1)
     mirror = ebar_bundle.include_base(h) + ebar_bundle.total.gen("qbar") * ebar_bundle.include_base(f)
-    assert pushforward(ebar_bundle, mirror) == f
+    assert oracles.pushforward(ebar_bundle, mirror) == f
 
 
 def test_pushforward_degree_and_kernel_counts(s3):
@@ -173,7 +178,7 @@ def test_pushforward_degree_and_kernel_counts(s3):
         images = set()
         killed = 0
         for m in bundle.total.basis(k):
-            out = pushforward(bundle, bundle.total.monomial_element(m))
+            out = oracles.pushforward(bundle, bundle.total.monomial_element(m))
             if out.is_zero():
                 killed += 1
             else:
@@ -230,21 +235,21 @@ def test_tmap_chain_sign_frozen():
         assert tduality_chain_map(make()).verify(6) == FROZEN_SIGN
 
 
+def _scaled_tmap(pair, scale):
+    """x -> scale(|x|) T(x) on homogeneous x; T(0) = 0 needs no degree."""
+    return ChainMap(pair.p, pair.pbar, -1, lambda x: scale(x.degree() or 0) * pair.tmap(x))
+
+
 def test_chain_map_sign_minus_one_and_first_failing_degree():
     pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
-
-    def map_of(scale):
-        # x -> scale(|x|) T(x) on homogeneous x; T(0) = 0 needs no degree
-        return ChainMap(pair.p, pair.pbar, -1, lambda x: scale(x.degree() or 0) * pair.tmap(x))
-
     # (-1)^{|x|} T(x) anticommutes with Q where T commutes
-    assert map_of(lambda k: (-1) ** k).verify(6) == -1
+    assert _scaled_tmap(pair, lambda k: (-1) ** k).verify(6) == -1
     # doubling T from degree 3 on first breaks a square at some x of degree 2
     # with Q T(x) != 0, where the map sends Q x to 2 T(Q x) = 2 Q T(x)
     total, dual_q = pair.p.total, pair.pbar.total.d
     assert any(not dual_q(pair.tmap(total.monomial_element(m))).is_zero() for m in total.basis(2))
     with pytest.raises(TDualityError, match=r"^not a chain map up to sign \(degree 2\)$"):
-        map_of(lambda k: 2 if k >= 3 else 1).verify(6)
+        _scaled_tmap(pair, lambda k: 2 if k >= 3 else 1).verify(6)
 
 
 def test_section_inverts_tmap():
@@ -264,6 +269,51 @@ def test_section_inverts_tmap():
 def test_tmap_matches_literal_oracle_on_model_pairs(path):
     pair = dualize(load_path(str(path)).bundle)
     assert _assert_tmap_matches_oracle(pair, degree_cap(pair.p))
+
+
+# -- the slice check against the per-monomial loop -------------------------
+
+
+def _signs_or_degree(chain_map, cap):
+    """signs(cap), or the degree that its error names."""
+    try:
+        return chain_map.signs(cap)
+    except TDualityError as err:
+        match = re.fullmatch(r"not a chain map up to sign \(degree (\d+)\)", str(err))
+        assert match, str(err)
+        return int(match.group(1))
+
+
+def _assert_signs_match_oracle(chain_map, cap):
+    assert _signs_or_degree(chain_map, cap) == oracles.literal_chain_signs(chain_map, cap)
+
+
+def _pair_chain_maps(pair):
+    """T, T rescaled and regraded, T broken from degree 3 on, and the base
+    inclusion: the maps whose signs the slice check must find as the loop does."""
+    return [
+        tduality_chain_map(pair),
+        ChainMap(pair.p, pair.pbar, -1, lambda x: pair.tmap(x) / 3),
+        _scaled_tmap(pair, lambda k: (-1) ** k),
+        _scaled_tmap(pair, lambda k: 2 if k >= 3 else 1),
+        ChainMap(pair.base, pair.p, 0, pair.p.include_base),
+    ]
+
+
+@pytest.mark.parametrize("path", PAIR_FILES, ids=lambda p: p.stem)
+def test_chain_signs_match_the_per_monomial_loop_on_model_pairs(path):
+    pair = dualize(load_path(str(path)).bundle)
+    for chain in _pair_chain_maps(pair):
+        _assert_signs_match_oracle(chain, degree_cap(pair.p))
+
+
+def test_ses_verify_fails_an_inclusion_that_anticommutes(monkeypatch):
+    # nil_pair's base d is nonzero, so (-1)^{|x|} i(x) leaves only the sign -1
+    pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
+    assert ses_verify(pair, 6)[0]
+    include = pair.p.include_base
+    monkeypatch.setattr(pair.p, "include_base", lambda x: (-1) ** (x.degree() or 0) * include(x))
+    assert not ses_verify(pair, 6)[0]
 
 
 if st is not None:
@@ -302,6 +352,12 @@ if st is not None:
         assert _assert_tmap_matches_oracle(pair, degree_cap(pair.p))
         assert tduality_chain_map(pair).verify(5) == FROZEN_SIGN
 
+
+    @settings(max_examples=20, deadline=None)
+    @given(generated_pairs())
+    def test_chain_signs_match_the_per_monomial_loop_on_generated_pairs(pair):
+        for chain in _pair_chain_maps(pair):
+            _assert_signs_match_oracle(chain, 6)
 
     @settings(max_examples=10, deadline=None)
     @given(generated_pairs())
