@@ -16,11 +16,11 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 @pytest.mark.parametrize("argv, builds, code", [
     (["betti", "nil_pair.dgm"], 2, 0),
     (["ses-verify", "t2_pair.dgm"], 4, 0),
-    (["tmap-verify", "nil_pair.dgm"], 4, 0),
     (["sym", "t2_pair.dgm"], 2, 0),
     (["identities", "nil_pair.dgm", "--trials", "2"], 2, 0),
     # the failed total model, then the bare algebra that carries the candidate field
     (["mc-check", "mc_fail.dgm"], 3, 1),
+    (["tmap-verify", "nil_pair.dgm"], 4, 0),
 ])
 def test_each_command_builds_each_model_once_and_frees_it(argv, builds, code, monkeypatch, capsys):
     refs = []
