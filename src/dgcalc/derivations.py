@@ -1,10 +1,11 @@
 """Graded derivations and shifted-line bundles over CDGA models.
 
-A derivation is stored by its values on generators, or by their integer
-value table, and extends to all elements by D(ab) = D(a) b + (-1)^{|D||a|} a D(b);
-derivations act from the left throughout.  A DgBundle is a base model extended by fiber generators
-whose induced degree-1 field satisfies the Maurer-Cartan equation (this is
-exactly d*d = 0 for the extended model, so it is checked at construction).
+A derivation is stored as the integer value table of its values on
+generators alone, and extends to all elements by
+D(ab) = D(a) b + (-1)^{|D||a|} a D(b); derivations act from the left
+throughout.  A DgBundle is a base model extended by fiber generators whose
+induced degree-1 field satisfies the Maurer-Cartan equation (this is exactly
+d*d = 0 for the extended model, so it is checked at construction).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .graded import (
     apply_values,
     combine_tables,
     format_element,
+    table_numerators,
+    table_value,
     table_values,
     value_table,
 )
@@ -48,19 +51,18 @@ class BundleError(Exception):
 class Derivation:
     """A graded derivation of a model's function algebra.
 
-    It is known by its values on generators, or by their `value_table`, and
-    builds the other on first use: a derivation given by values builds its
-    table when first applied, and one built from a table (a bracket, a sum or
-    a multiple) builds `values` from it when first read, so brackets of
-    brackets compute on the tables' integers alone.
+    It is kept as the `value_table` of its values on generators alone, a
+    plain attribute like `Model.d_table`: the constructor validates the
+    values and builds the table at once, and a bracket, a sum or a multiple
+    is computed on the tables' integers and keeps the table it built.
+    `values` is a view rebuilt from the table on each read.
     """
 
-    __slots__ = ("model", "degree", "_values", "_table")
+    __slots__ = ("model", "degree", "table")
 
     def __init__(self, model: Model, degree: int, values: Mapping[str, Element]):
         self.model = model
         self.degree = degree
-        vals: Dict[str, Element] = {}
         for name, v in values.items():
             if name not in model.index:
                 raise DerivationError(f"value on unknown generator {name!r}")
@@ -73,20 +75,7 @@ class Derivation:
                 raise DerivationError(
                     f"value on {name} must be homogeneous of degree {want}, got {v.degree()}"
                 )
-            vals[name] = v
-        self._values = vals
-        self._table = None
-
-    @classmethod
-    def _trusted(cls, model: Model, degree: int, values: Dict[str, Element]) -> "Derivation":
-        """Wrap values built here from checked derivations, so already of the
-        right degrees on known generators; zero values are dropped."""
-        d = cls.__new__(cls)
-        d.model = model
-        d.degree = degree
-        d._values = {name: v for name, v in values.items() if v.terms}
-        d._table = None
-        return d
+        self.table = value_table(model, values, degree)
 
     @classmethod
     def _of_table(cls, model: Model, degree: int, table) -> "Derivation":
@@ -94,8 +83,7 @@ class Derivation:
         d = cls.__new__(cls)
         d.model = model
         d.degree = degree
-        d._values = None
-        d._table = table
+        d.table = table
         return d
 
     @classmethod
@@ -104,26 +92,24 @@ class Derivation:
 
     @property
     def values(self) -> Dict[str, Element]:
-        """{generator name: nonzero value}; built from the table on first read
-        when the derivation was built from one, in generator order."""
-        if self._values is None:
-            self._values = table_values(self.model, self._table)
-        return self._values
+        """{generator name: nonzero value} in generator order; a fresh view
+        rebuilt from the table."""
+        return table_values(self.model, self.table)
 
     def value(self, name: str) -> Element:
-        value = self.values.get(name)
-        return self.model.zero() if value is None else value
+        return table_value(self.model, self.table, self.model.index.get(name))
 
     def is_zero(self) -> bool:
-        return not (self._table[1] if self._values is None else self._values)
+        return not self.table[1]
 
     def __eq__(self, other):
-        # equality on generators decides equality (the algebra is free)
+        # equality on generators decides equality (the algebra is free), and
+        # reduced tables of equal values share their denominator and numerators
         return (
             isinstance(other, Derivation)
             and self.model is other.model
             and self.degree == other.degree
-            and self.values == other.values
+            and table_numerators(self.table) == table_numerators(other.table)
         )
 
     def __add__(self, other: "Derivation") -> "Derivation":
@@ -136,11 +122,11 @@ class Derivation:
         """self + sign * other, summed on the tables' numerators."""
         if other.model is not self.model or other.degree != self.degree:
             raise DerivationError("can only add derivations of equal degree and model")
-        table = combine_tables(self.model, [(self.table(), 1), (other.table(), sign)], self.degree)
+        table = combine_tables(self.model, [(self.table, 1), (other.table, sign)], self.degree)
         return Derivation._of_table(self.model, self.degree, table)
 
     def __mul__(self, c) -> "Derivation":
-        table = combine_tables(self.model, [(self.table(), Fraction(c))], self.degree)
+        table = combine_tables(self.model, [(self.table, Fraction(c))], self.degree)
         return Derivation._of_table(self.model, self.degree, table)
 
     __rmul__ = __mul__
@@ -149,13 +135,7 @@ class Derivation:
         """Apply by the graded Leibniz rule, one monomial factor at a time."""
         if a.model is not self.model:
             raise DerivationError("element of a different model")
-        return apply_table(self.model, self.table(), a)
-
-    def table(self):
-        """The `value_table` of this derivation, built on first use."""
-        if self._table is None:
-            self._table = value_table(self.model, self._values, self.degree)
-        return self._table
+        return apply_table(self.model, self.table, a)
 
     def __repr__(self):
         parts = ", ".join(f"{k} -> {format_element(v)}" for k, v in sorted(self.values.items()))
@@ -175,7 +155,7 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     if d1.model is not d2.model:
         raise DerivationError("ambient mismatch")
     negate = not (d1.degree % 2 and d2.degree % 2)
-    t1, t2 = d1.table(), d2.table()
+    t1, t2 = d1.table, d2.table
     degree = d1.degree + d2.degree
     table = apply_values(d1.model, [(t1, t2, False), (t2, t1, negate)], degree)
     return Derivation._of_table(d1.model, degree, table)
@@ -204,7 +184,7 @@ def maurer_cartan_check(d: Derivation) -> MCResult:
     if d.degree != 1:
         raise DerivationError("Maurer-Cartan check applies to degree-1 derivations")
     # D(g) is g's value, so D*D on every generator is D applied to the values
-    table = d.table()
+    table = d.table
     residues = table_values(d.model, apply_values(d.model, [(table, table, False)], 2))
     return MCResult(*next(iter(residues.items()), ()))
 
@@ -348,7 +328,7 @@ class DgBundle:
         if el.model is not self.base:
             raise BundleError("expected an element of the base model")
         pad = len(self.fiber_names)
-        return Element(self.total, {m + (0,) * pad: c for m, c in el.terms.items()})
+        return Element._trusted(self.total, {m + (0,) * pad: c for m, c in el.terms.items()})
 
     def restrict_to_base(self, el: Element) -> Element:
         if el.model is not self.total:

@@ -8,8 +8,8 @@ normal form accumulates the transposition sign (-1)^{|a||b|}; every other
 sign in the package derives from this one convention.  Only odd generators
 move signs, so a product's sign is read off the odd-generator bitmasks of its
 factors by popcounts.  `d`, every derivation and every cochain slice apply
-through one Leibniz loop, which reads a value table that each model and
-derivation builds once.
+through one Leibniz loop, which reads a value table: the one stored form of a
+model's d and of a derivation, built once, with the values only a view.
 
 The kernel computes on integers.  A value table holds each value's
 coefficients as integer numerators over one positive denominator shared by
@@ -153,15 +153,43 @@ def combine_tables(model: "Model", parts, degree: int):
     return _table(model, sums, degree, den)
 
 
+def table_numerators(table):
+    """(den, {generator index: {exponents: int numerator}}) over the generators
+    a value table gives a value, each coefficient a numerator over den.
+    Tables are reduced, so two derivations of one degree are equal exactly
+    when these are."""
+    return table[2], {i: {m: n for m, _, (n, _) in terms} for i, _, _, terms in table[1]}
+
+
 def table_values(model: "Model", table) -> dict:
     """{generator name: its value} over the generators a value table gives a
     value, in generator order; fresh Elements built from the table."""
-    names = model.generators
-    den = table[2]
-    return {
-        names[i].name: _over(model, {m: n for m, _, (n, _) in terms}, den)
-        for i, _, _, terms in table[1]
-    }
+    den, numerators = table_numerators(table)
+    return {model.generators[i].name: _over(model, t, den) for i, t in numerators.items()}
+
+
+def restricted_table(model: "Model", table):
+    """The value table on `model` of the values this table gives model's
+    generators, which come first in the table's own model: their exponent
+    tuples cut to those generators, or None if one of them involves a later
+    generator."""
+    width = len(model.generators)
+    den, numerators = table_numerators(table)
+    sums = {}
+    for i, terms in numerators.items():
+        if i < width:
+            if any(any(m[width:]) for m in terms):
+                return None
+            sums[i] = {m[:width]: n for m, n in terms.items()}
+    return _table(model, sums, table[0], den)
+
+
+def table_value(model: "Model", table, i: Optional[int]) -> "Element":
+    """The value the table gives generator i, zero if none; only that entry is read."""
+    for j, _, _, terms in table[1]:
+        if j == i:
+            return _over(model, {m: n for m, _, (n, _) in terms}, table[2])
+    return model.zero()
 
 
 def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict]) -> None:

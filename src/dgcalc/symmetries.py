@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .cohomology import Column
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model, monomial_degree
+from .graded import Element, Model, monomial_degree, restricted_table, table_numerators
 
 
 class SymmetryError(Exception):
@@ -45,15 +45,6 @@ def lie_derivative(model: Model, iota: Derivation) -> Derivation:
 def vector_bracket(model: Model, iota_x: Derivation, iota_y: Derivation) -> Derivation:
     """iota of the bracket field: [[d, iota_X], iota_Y]."""
     return commutator(lie_derivative(model, iota_x), iota_y)
-
-
-def lift_to_total(bundle: DgBundle, d: Derivation) -> Derivation:
-    """Extend a base derivation to the bundle with zero values on the fibers."""
-    if d.model is not bundle.base:
-        raise SymmetryError("expected a base derivation")
-    return Derivation(
-        bundle.total, d.degree, {k: bundle.include_base(v) for k, v in d.values.items()}
-    )
 
 
 def _as_base(bundle: DgBundle, value, degree: int) -> Element:
@@ -195,7 +186,7 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
     if extra:
         raise SymmetryError(f"unexpected parts {sorted(extra)}; allowed {sorted(allowed)}")
     out = {}
-    vector = None
+    vector = Derivation.zero(bundle.base, degree)  # no vector part below degree -1
     if degree == 0:
         out["iota"], out["lie"] = _base_action(bundle, parts)
         vector = out["lie"]
@@ -205,7 +196,9 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
         out[name] = _as_base(bundle, parts.get(name), deg)
     # the vector part acts on the base generators and the form parts on the
     # fibers, so the realized values are the union of the two
-    values = lift_to_total(bundle, vector).values if vector is not None else {}
+    if vector.model is not bundle.base:
+        raise SymmetryError("expected a base derivation")
+    values = {k: bundle.include_base(v) for k, v in vector.values.items()}
     realized = Derivation(bundle.total, degree, {**values, **_fiber_values(bundle, row, out)})
     return SymElement(bundle, degree, out, realized)
 
@@ -247,11 +240,10 @@ def _base_form(bundle: DgBundle, value: Element, error: str) -> Element:
 
 
 def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
-    values = {}
-    for g in bundle.base.generators:
-        error = f"value on base generator {g.name} leaves the base forms"
-        values[g.name] = _base_form(bundle, d.value(g.name), error)
-    return Derivation._trusted(bundle.base, d.degree, values)
+    table = restricted_table(bundle.base, d.table)
+    if table is None:
+        raise SymmetryError("a value on a base generator leaves the base forms")
+    return Derivation._of_table(bundle.base, d.degree, table)
 
 
 def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
@@ -473,7 +465,8 @@ def _value_column(d: Derivation, index: List[Dict[tuple, int]]) -> Column:
     """The values of d on every generator as one sparse column, numbered by
     index: the integer numerators of d's value table, so the values scaled
     by its denominator, which leaves every rank unchanged."""
-    return {index[i][m]: n for i, _, _, terms in d.table()[1] for m, _, (n, _) in terms}
+    _, numerators = table_numerators(d.table)
+    return {index[i][m]: n for i, terms in numerators.items() for m, n in terms.items()}
 
 
 def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
@@ -484,10 +477,9 @@ def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     the base); the identity runner reports both.
     """
     total = bundle.total
-    one = Fraction(1)
     # one probe per unknown, sending g to m, so of degree 0 by construction
     probes = [
-        Derivation._trusted(total, 0, {g.name: Element._trusted(total, {m: one})})
+        Derivation(total, 0, {g.name: total.monomial_element(m)})
         for g in total.generators
         for m in total.basis(g.degree)
     ]

@@ -134,7 +134,7 @@ def literal_commutator(d1, d2):
     for g in model.generators:
         first, second = d1(d2.value(g.name)), d2(d1.value(g.name))
         values[g.name] = first - second if sign == 1 else first + second
-    return Derivation._trusted(model, d1.degree + d2.degree, values)
+    return Derivation(model, d1.degree + d2.degree, values)
 
 
 def dimension_series(model, top):

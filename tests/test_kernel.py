@@ -315,7 +315,7 @@ def test_models_with_equal_generators_keep_separate_tables():
     models = (two, zero, one)  # built in one order, read in another
     for model in models:
         assert model.d_table is model.d_table
-        assert model_differential(model).table() is model.d_table
+        assert model_differential(model).table is model.d_table
     assert len({id(model.d_table) for model in models}) == 3
     assert zero.d_table[1] == ()
     assert one.differential == {"z": one.gen("x") * one.gen("y")}
@@ -339,19 +339,19 @@ def test_derivations_keep_separate_tables(mixed):
     x, y, r = mixed.gen("x"), mixed.gen("y"), mixed.gen("r")
     first = Derivation(mixed, 0, {"x": x * 2})
     second = Derivation(mixed, 0, {"x": x * 3})
-    trusted = Derivation._trusted(mixed, 0, {"x": x * 2})
+    again = Derivation(mixed, 0, {"x": x * 2})
     scaled = first * 5
     summed = first + second
     lowering = Derivation(mixed, -1, {"y": mixed.one()})
     bracket = commutator(lowering, random_derivation(mixed, 1, random.Random(3)))
-    derivations = [first, second, trusted, scaled, summed, bracket]
+    derivations = [first, second, again, scaled, summed, bracket]
     el = random_mixed(mixed, random.Random(4)) + x * y * r
-    for d in derivations:  # apply each before reading the tables
+    for d in derivations:
         assert d(el) == apply_derivation(mixed, d.values, d.degree, el)
-    tables = [d.table() for d in derivations]
+    tables = [d.table for d in derivations]
     assert len({id(table) for table in tables}) == len(derivations)
-    assert all(d.table() is table for d, table in zip(derivations, tables))
-    assert trusted.table() == first.table() and trusted == first
+    assert all(d.table is table for d, table in zip(derivations, tables))
+    assert again.table == first.table and again == first
     assert second(x) == 3 * x and first(x) == 2 * x and scaled(x) == 10 * x
 
 
@@ -460,7 +460,7 @@ def test_fractional_derivations_are_the_oracle(degrees, seed, degree, den, eleme
     model = halved(dg_model(degrees, rng))
     d = fractional_derivation(model, degree, rng, den)
     a = fractional_mixed(model, rng, element_den)
-    assert_table_is_reduced(d.table(), den)
+    assert_table_is_reduced(d.table, den)
     assert_table_is_reduced(model.d_table)
     results = [d(a), model.d(a)]
     assert results[0] == apply_derivation(model, d.values, degree, a)
@@ -492,7 +492,7 @@ def test_brackets_of_tables_with_different_denominators(degrees, seed, deg1, deg
     d2 = fractional_derivation(model, deg2, rng, den2)
     d3 = fractional_derivation(model, deg1, rng, 6 // den1)
     bracket = commutator(d1, d2)
-    assert_table_is_reduced(bracket.table(), den1 * den2)
+    assert_table_is_reduced(bracket.table, den1 * den2)
     assert bracket == literal_commutator(d1, d2)
     # nested brackets, sums and multiples compute on the tables alone
     nested = commutator(commutator(model_differential(model), bracket), d3)
@@ -503,7 +503,7 @@ def test_brackets_of_tables_with_different_denominators(degrees, seed, deg1, deg
         assert combined.value(g.name) == (d1.value(g.name) + d3.value(g.name)) * Fraction(2, 3) - d3.value(g.name)
     assert (d1 - d1).is_zero() and (d1 * 0).is_zero()
     # two passes over denominators 2 * 3 and 6 * 1 (or the like) share their sums
-    passes = [(d1.table(), d2.table(), False), (d3.table(), d2.table(), True)]
+    passes = [(d1.table, d2.table, False), (d3.table, d2.table, True)]
     shared = table_values(model, apply_values(model, passes, deg1 + deg2))
     sums = {g: d1(v) - d3(v) for g, v in d2.values.items()}
     assert shared == {g: v for g, v in sums.items() if not v.is_zero()}
@@ -513,6 +513,53 @@ def test_brackets_of_tables_with_different_denominators(degrees, seed, deg1, deg
         for el in d.values.values():
             assert_keys_are_exponent_tuples(el)
             assert_coefficients_are_fractions(el)
+
+
+def reordered(model, degree, values):
+    """The derivation of these values built with generators and terms in reverse order."""
+    flipped = {g: Element(model, dict(reversed(v.terms.items()))) for g, v in values.items()}
+    return Derivation(model, degree, dict(reversed(flipped.items())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(DEGREES, SEEDS, st.integers(-2, 1), st.integers(-2, 1), DENOMINATORS, DENOMINATORS)
+def test_a_derivation_is_its_table_alone(degrees, seed, deg1, deg2, den1, den2):
+    rng = random.Random(seed)
+    model = halved(dg_model(degrees, rng))
+    d1 = fractional_derivation(model, deg1, rng, den1)
+    d2 = fractional_derivation(model, deg2, rng, den2)
+    d3 = fractional_derivation(model, deg1, rng, 6 // den1)
+    # equal as maps means equal, whatever built them and in any term order
+    values = d1.values
+    bracket = commutator(d1, d2)
+    sign = 1 if deg1 % 2 and deg2 % 2 else -1
+    equal = [
+        (reordered(model, deg1, values), d1),
+        (Derivation(model, deg1, values), d1),
+        ((d1 + d3) - d3, d1),
+        (d3 + d1, d1 + d3),
+        (d1 * Fraction(2, 3) * Fraction(3, 2), d1),
+        (d1 * den1 * Fraction(1, den1), d1),
+        (d1 * 2, d1 + d1),
+        (bracket, literal_commutator(d1, d2)),
+        (bracket, reordered(model, deg1 + deg2, bracket.values)),
+        (bracket, commutator(d2, d1) * sign),
+    ]
+    for built, want in equal:
+        assert built == want and want == built
+    assert (d1 * 2 == d1) == d1.is_zero()
+    # a generator with no value has the zero value, read off its entry alone
+    for g in model.generators:
+        assert d1.value(g.name) == values.get(g.name, model.zero())
+        if g.name not in values:
+            assert d1.value(g.name).terms == {}
+    # a values view is a fresh copy: mutating it leaves the derivation as it was
+    snapshot = reordered(model, deg1, values)
+    for v in values.values():
+        v.terms.clear()
+    values[model.generators[0].name] = model.zero()
+    assert d1 == snapshot and d1.values == snapshot.values
+    assert all(not v.is_zero() for v in d1.values.values())
 
 
 @settings(max_examples=40, deadline=None)

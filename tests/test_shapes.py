@@ -148,6 +148,16 @@ def test_decompose_rejects_t_dependent_fiber_values(key):
         decompose(bundle, euler)
 
 
+@pytest.mark.parametrize("key", ["two_step", "flux"])
+def test_decompose_rejects_fiber_dependent_base_values(key):
+    bundle = BUNDLES[key]
+    fiber = bundle.total.generator_named(bundle.fiber_names[0])
+    g = next(g for g in bundle.base.generators if g.degree >= fiber.degree)
+    moved = Derivation(bundle.total, fiber.degree - g.degree, {g.name: bundle.total.gen(fiber.name)})
+    with pytest.raises(SymmetryError, match="leaves the base forms"):
+        decompose(bundle, moved)
+
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BUNDLE_MODELS = (
     "bn_selfdual", "e6_flux", "hopf_pair", "nil_pair", "s3_pair", "s3_volume", "t2_pair", "t7_flux",

@@ -17,6 +17,7 @@ from dgcalc.sampling import random_element
 from dgcalc.symmetries import sym0_dimensions
 from dgcalc.tduality import (
     ChainMap,
+    TDualPair,
     TDualityError,
     dualize,
     les_check,
@@ -316,7 +317,48 @@ def test_ses_verify_fails_an_inclusion_that_anticommutes(monkeypatch):
     assert not ses_verify(pair, 6)[0]
 
 
+def test_ses_verify_fails_a_tmap_that_moves_a_base_form(monkeypatch):
+    # T(x1) = T(q) and T(q) = 0 in degree 1 keeps every rank and dimension,
+    # but the base form x1 no longer dies
+    pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
+    assert ses_verify(pair, 4)[0]
+    tmap = TDualPair.tmap
+
+    def swapped(self, el):
+        x1, q = self.p.total.gen("x1"), self.p.total.gen(self.p.q_name)
+        if el == x1:
+            return tmap(self, q)
+        if el == q:
+            return self.pbar.total.zero()
+        return tmap(self, el)
+
+    monkeypatch.setattr(TDualPair, "tmap", swapped)
+    ok, rows = ses_verify(pair, 4)
+    assert all(row.ok for row in rows)
+    assert not ok
+
+
+def two_form(m, terms):
+    """sum c x_a x_b over the terms ((a, b), c)."""
+    return sum((c * m.gen(f"x{a}") * m.gen(f"x{b}") for (a, b), c in terms), m.zero())
+
+
+def nilmanifold_base(n, dz):
+    """The nilmanifold model x1..xn, z of dimension n + 1, all of degree 1,
+    with the x's closed and d z the 2-form of the terms dz."""
+    gens = [(f"x{i}", 1) for i in range(1, n + 1)] + [("z", 1)]
+    return Model(gens, n + 1, lambda m: {"z": two_form(m, dz)}, name=f"nil{n}")
+
+
 if st is not None:
+
+    def two_form_terms(draw, n, size):
+        """1..size distinct products x_a x_b of x1..xn with coefficients in +-1, +-2."""
+        term = st.tuples(
+            st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+            st.sampled_from((-2, -1, 1, 2)),
+        )
+        return draw(st.lists(term, min_size=1, max_size=size, unique_by=lambda t: t[0]))
 
     @st.composite
     def generated_pairs(draw):
@@ -325,24 +367,14 @@ if st is not None:
         one product w, H = -z (d z + 2 w)."""
         n = draw(st.integers(3, 5))
         products = list(itertools.combinations(range(1, n + 1), 2))
-        coeffs = st.sampled_from((-2, -1, 1, 2))
-
-        def two_form(m, terms):
-            return sum((c * m.gen(f"x{a}") * m.gen(f"x{b}") for (a, b), c in terms), m.zero())
-
-        def terms(size):
-            term = st.tuples(st.sampled_from(products), coeffs)
-            return draw(st.lists(term, min_size=1, max_size=size, unique_by=lambda t: t[0]))
-
-        dz = terms(3)
-        gens = [(f"x{i}", 1) for i in range(1, n + 1)] + [("z", 1)]
-        base = Model(gens, n + 1, lambda m: {"z": two_form(m, dz)}, name=f"nil{n}")
+        dz = two_form_terms(draw, n, 3)
+        base = nilmanifold_base(n, dz)
         f, z = two_form(base, dz), base.gen("z")
         if draw(st.booleans()):
             w = two_form(base, [(draw(st.sampled_from(products)), 1)])
             bundle = DgBundle.two_step(base, f + w, f + w, -(z * (f + 2 * w)))
         else:
-            fbar = two_form(base, terms(3))
+            fbar = two_form(base, two_form_terms(draw, n, 3))
             bundle = DgBundle.two_step(base, f, fbar, -(z * fbar))
         return dualize(bundle)
 
@@ -378,13 +410,18 @@ def test_dual_pairs_have_equal_structured_symmetry_counts(name, count):
     assert sym0_dimensions(pair.p)[0] == sym0_dimensions(pair.pbar)[0] == count
 
 
+def _model_lines(base):
+    """The .dgm lines of a model: its name, dimension, generators and d."""
+    lines = [f"model {base.name}", f"dim {base.formal_dimension}"]
+    lines += [f"gen {g.name} : {g.degree}" for g in base.generators]
+    return lines + [f"d {g} = {format_element(v)}" for g, v in base.differential.items()]
+
+
 def _dgm(bundle):
     """The .dgm text of a two-step bundle: its base with d, its fibers and
     its three structural forms, with no let, vec or sym lines."""
-    base, total = bundle.base, bundle.total
-    lines = [f"model {base.name}", f"dim {base.formal_dimension}"]
-    lines += [f"gen {g.name} : {g.degree}" for g in base.generators]
-    lines += [f"d {g} = {format_element(v)}" for g, v in base.differential.items()]
+    total = bundle.total
+    lines = _model_lines(bundle.base)
     lines += [f"fiber {f} : {total.generator_named(f).degree}" for f in bundle.fiber_names]
     lines += [f"{key} = {format_element(value)}" for key, value in bundle.structural.items()]
     return "\n".join(lines) + "\n"
@@ -428,6 +465,35 @@ if st is not None:
         source.write_text(_dgm(pair.p))
         primal, dual = _structured_sym0_through_cli(source, pair, tmp_path)
         assert primal == dual
+
+
+if st is not None:
+
+    @st.composite
+    def nilmanifold_bases(draw):
+        n = draw(st.integers(3, 5))
+        return nilmanifold_base(n, two_form_terms(draw, n, 3))
+
+    @settings(
+        max_examples=10,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(base=nilmanifold_bases())
+    def test_cli_betti_of_nilmanifold_bases_has_poincare_duality(base, tmp_path):
+        """A nilmanifold is a closed orientable manifold of dimension n + 1 that
+        fibers over a torus, so its Betti numbers are symmetric and sum to an
+        Euler characteristic of 0."""
+        path, report = tmp_path / "base.dgm", tmp_path / "report.txt"
+        path.write_text("\n".join(_model_lines(base)) + "\n")
+        assert main(["betti", str(path), "--report", str(report)]) == 0
+        records = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        betti = {int(k[6:]): int(v) for k, v in records.items() if k.startswith("betti.")}
+        top = base.formal_dimension
+        assert all(betti[k] == betti[top - k] for k in range(top + 1)), betti
+        assert not any(b for k, b in betti.items() if k > top), betti
+        assert sum((-1) ** k * b for k, b in betti.items()) == 0, betti
 
 
 def _assert_tmap_matches_oracle(pair, cap):
