@@ -88,7 +88,7 @@ class Derivation:
 
     @classmethod
     def zero(cls, model: Model, degree: int = 0) -> "Derivation":
-        return cls(model, degree, {})
+        return cls._of_table(model, degree, value_table(model, {}, degree))
 
     @property
     def values(self) -> Dict[str, Element]:

@@ -9,8 +9,12 @@ formula is computable inside a CDGA model.
 
 Which form parts a symmetry has in each degree, and where they sit in the
 fiber values, is one table, SHAPES; construction, decomposition, the
-membership residues and the degree-0 ansatz all read it.  Decomposition reads
-the parts off exponent tuples and keeps the derivation it was given.
+membership residues and the degree-0 ansatz all read it.  Construction writes
+the realized derivation's integer value table directly, with no Element of
+the total model: the vector part's numerators with zero fiber exponents
+appended, and the form parts' numerators on the fibers, over one denominator.
+Decomposition reads the same numerators back and keeps the derivation it was
+given.
 
 Derived brackets are always computed from the defining double commutator
 (-1)^{||a||} [[Q, a], b]; the displayed structured formulas live next to the
@@ -20,12 +24,13 @@ operations and the two routes are compared whenever a display exists.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .cohomology import Column
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model, monomial_degree, restricted_table, table_numerators
+from .graded import Element, Model, _over, _table, monomial_degree, restricted_table, table_numerators
 
 
 class SymmetryError(Exception):
@@ -178,7 +183,6 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
     The form parts accepted in each degree are the names in the shape's row of
     SHAPES, plus the vector parts of VECTOR_PARTS; a part left out is zero.
     """
-    row = _row(bundle, degree)
     forms = form_parts(bundle, degree)
     parts = {k: v for k, v in parts.items() if v is not None}
     allowed = {name for name, _ in forms}.union(VECTOR_PARTS.get(degree, ()))
@@ -186,57 +190,50 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
     if extra:
         raise SymmetryError(f"unexpected parts {sorted(extra)}; allowed {sorted(allowed)}")
     out = {}
-    vector = Derivation.zero(bundle.base, degree)  # no vector part below degree -1
-    if degree == 0:
-        out["iota"], out["lie"] = _base_action(bundle, parts)
-        vector = out["lie"]
-    elif degree == -1:
+    if degree in VECTOR_PARTS:
         vector = out["iota"] = parts.get("iota") or Derivation.zero(bundle.base, -1)
+    else:  # no vector part below degree -1
+        vector = Derivation.zero(bundle.base, degree)
+    if degree == 0:
+        vector = out["lie"] = parts.get("lie") or lie_derivative(bundle.base, vector)
+    if vector.model is not bundle.base or vector.degree != degree:
+        raise SymmetryError(f"the vector part must be a base derivation of degree {degree}")
     for name, deg in forms:
         out[name] = _as_base(bundle, parts.get(name), deg)
-    # the vector part acts on the base generators and the form parts on the
-    # fibers, so the realized values are the union of the two
-    if vector.model is not bundle.base:
-        raise SymmetryError("expected a base derivation")
-    values = {k: bundle.include_base(v) for k, v in vector.values.items()}
-    realized = Derivation(bundle.total, degree, {**values, **_fiber_values(bundle, row, out)})
-    return SymElement(bundle, degree, out, realized)
+    table = _realized_table(bundle, vector, out, dict(forms))
+    return SymElement(bundle, degree, out, Derivation._of_table(bundle.total, degree, table))
 
 
-def _base_action(bundle: DgBundle, parts: Dict) -> Tuple[Derivation, Derivation]:
-    """(iota, lie): the chosen contraction and the induced degree-0 base action."""
-    iota = parts.get("iota") or Derivation.zero(bundle.base, -1)
-    lie = parts.get("lie")
-    if lie is None:
-        lie = lie_derivative(bundle.base, iota)
-    elif lie.model is not bundle.base or lie.degree != 0:
-        raise SymmetryError("the base action must be a degree-0 base derivation")
-    return iota, lie
+def _realized_table(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: Dict):
+    """The value table of the realized derivation, on one denominator.
 
-
-def _fiber_values(bundle: DgBundle, row, parts: Dict) -> Dict[str, Element]:
-    """The symmetry's values on q and t, from the parts named in the row."""
-    q, t = _fibers(bundle)
-    q_slot, t_slot, qt_slot = row
-    total, include = bundle.total, bundle.include_base
-    values = {}
-    if q_slot:
-        values[q] = include(parts[q_slot])
-    value = include(parts[t_slot]) if t_slot else total.zero()
-    if isinstance(qt_slot, str):
-        value = value + total.gen(q) * include(parts[qt_slot])
-    elif qt_slot:
-        value = value + total.gen(q) * include(parts[q_slot]) * qt_slot
-    values[t] = value
-    return values
-
-
-def _base_form(bundle: DgBundle, value: Element, error: str) -> Element:
-    """A total-model value with zero fiber exponents, read as a base form."""
-    nb = len(bundle.base.generators)
-    if any(any(m[nb:]) for m in value.terms):
-        raise SymmetryError(error)
-    return Element._trusted(bundle.base, {m[:nb]: c for m, c in value.terms.items()})
+    The base generators come first in the total model, so the vector part's
+    numerators keep their generators and gain zero fiber exponents.  q gets
+    its q-slot part and t its t-slot part plus q times its q.t-slot part (or
+    times the q-slot part and the coupling), each term q*w written w*q with
+    sign (-1)^|w|: moving the odd q right past w costs that sign.
+    """
+    q_slot, t_slot, qt_slot = _row(bundle, vector.degree)
+    nb, nf = len(bundle.base.generators), len(bundle.fiber_names)
+    pad = (0,) * nf
+    fibers = [(nb, pad, 1, q_slot), (nb + nf - 1, pad, 1, t_slot)]
+    if qt_slot:
+        w, c = (q_slot, qt_slot) if isinstance(qt_slot, Fraction) else (qt_slot, 1)
+        fibers.append((nb + nf - 1, (1,) + pad[1:], -c if degrees[w] % 2 else c, w))
+    # (generator index, exponents, numerator, denominator) of every value term
+    vden, values = table_numerators(vector.table)
+    terms = [(i, m + pad, n, vden) for i, t in values.items() for m, n in t.items()]
+    terms += [
+        (i, m + tail, coeff.numerator * scale.numerator, coeff.denominator * scale.denominator)
+        for i, tail, scale, name in fibers
+        if name
+        for m, coeff in parts[name].terms.items()
+    ]
+    den = lcm(*[d for _, _, _, d in terms])
+    sums: Dict[int, Dict[tuple, int]] = {}
+    for i, m, n, d in terms:
+        sums.setdefault(i, {})[m] = n * (den // d)
+    return _table(bundle.total, sums, vector.degree, den)
 
 
 def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
@@ -249,26 +246,25 @@ def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
 def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
     """(q-slot, t-slot, q.t-slot) base forms of d's fiber values; zero without a q.
 
-    A term w*q of the value on t goes to the q.t slot with sign (-1)^|w|: moving
-    the odd q left past w costs that sign.
+    Read off d's table numerators, the mirror of `_realized_table`: a term w*q
+    of the value on t goes to the q.t slot with sign (-1)^|w|.
     """
-    q, t = _fibers(bundle)
     base = bundle.base
-    if q is None:
-        value = _base_form(bundle, d.value(t), "fiber value must be a base form")
-        return base.zero(), value, base.zero()
-    q_value = _base_form(bundle, d.value(q), "value on the odd fiber must be a base form")
-    nb = len(base.generators)
+    nb, nf = len(base.generators), len(bundle.fiber_names)
+    den, values = table_numerators(d.table)
+    q_value = values.get(nb, {}) if nf > 1 else {}
+    if any(any(m[nb:]) for m in q_value):
+        raise SymmetryError("value on the odd fiber must be a base form")
     plain, linear = {}, {}
-    for m, c in d.value(t).terms.items():
-        if m[nb + 1]:
-            raise SymmetryError("fiber value depends on the even fiber")
-        w = m[:nb]
+    for m, n in values.get(nb + nf - 1, {}).items():
+        if m[-1]:
+            raise SymmetryError("the value on t depends on t")
         if not m[nb]:
-            plain[w] = c
+            plain[m[:nb]] = n
         else:
-            linear[w] = -c if monomial_degree(base, w) % 2 else c
-    return q_value, Element._trusted(base, plain), Element._trusted(base, linear)
+            linear[m[:nb]] = -n if monomial_degree(base, m[:nb]) % 2 else n
+    primary = {m[:nb]: n for m, n in q_value.items()}
+    return _over(base, primary, den), _over(base, plain, den), _over(base, linear, den)
 
 
 def decompose(bundle: DgBundle, d: Derivation) -> SymElement:

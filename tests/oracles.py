@@ -1,9 +1,9 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
 commutator of derivations, the bases and their sizes, the ranks of the long
 exact sequence, twisted cohomology, the T-duality map, the chain-map sign
-check and the structured symmetries, the rescaling and pushforward maps whose
-chain identities the tests check, and a sampler of inhomogeneous elements;
-tests only."""
+check, the structured symmetries and their realized derivations, the
+rescaling and pushforward maps whose chain identities the tests check, and a
+sampler of inhomogeneous elements; tests only."""
 
 from fractions import Fraction
 from itertools import product
@@ -20,7 +20,7 @@ from dgcalc.derivations import (
 from dgcalc.graded import Element, monomial_degree
 from dgcalc.linalg import kernel_basis
 from dgcalc.sampling import random_element
-from dgcalc.symmetries import SymElement, _structured_parameters, symmetry
+from dgcalc.symmetries import LOWER, SHAPES, SymElement, _structured_parameters, symmetry
 from dgcalc.tduality import ChainMap, TDualityError
 
 
@@ -376,6 +376,40 @@ def pushforward_chain_map(bundle):
     """p_* for an odd line bundle, wrapped with its intertwining check."""
     fiber_degree = bundle.total.generator_named(bundle.fiber_names[0]).degree
     return ChainMap(bundle, bundle.base, -fiber_degree, lambda el: pushforward(bundle, el))
+
+
+def literal_symmetry(bundle, degree, **parts):
+    """The realized derivation of a structured symmetry, built on Elements of
+    the total model and checked by the validating constructor: the vector
+    part's values padded by `include_base`, q sent to its q-slot part, and t
+    to its t-slot part plus the product q * (q.t-slot part), or on the flux
+    shape q * (q-slot part) * coupling.  Takes the parts `symmetry` takes."""
+    base, total, include = bundle.base, bundle.total, bundle.include_base
+    rows = SHAPES[bundle.shape]
+    q_slot, t_slot, qt_slot = rows.get(degree, rows[LOWER])
+    q, t = bundle.fiber_names[0], bundle.fiber_names[-1]
+
+    def part(name):
+        value = parts.get(name)
+        if value is None:
+            return total.zero()
+        return include(value if isinstance(value, Element) else base.scalar(value))
+
+    values = {}
+    if degree in (0, -1):
+        vector = parts.get("iota") or Derivation.zero(base, -1)
+        if degree == 0:
+            vector = parts.get("lie") or commutator(model_differential(base), vector)
+        values = {g: include(v) for g, v in vector.values.items()}
+    if q_slot:
+        values[q] = part(q_slot)
+    value = part(t_slot)
+    if isinstance(qt_slot, str):
+        value = value + total.gen(q) * part(qt_slot)
+    elif qt_slot:
+        value = value + total.gen(q) * part(q_slot) * qt_slot
+    values[t] = value
+    return Derivation(total, degree, values)
 
 
 def structured_kernel_dim(bundle):

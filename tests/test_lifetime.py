@@ -21,6 +21,8 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
     # the failed total model, then the bare algebra that carries the candidate field
     (["mc-check", "mc_fail.dgm"], 3, 1),
     (["tmap-verify", "nil_pair.dgm"], 4, 0),
+    (["bn-check", "bn_selfdual.dgm", "--trials", "2"], 2, 0),
+    (["e6-check", "e6_flux.dgm", "--trials", "2"], 2, 0),
 ])
 def test_each_command_builds_each_model_once_and_frees_it(argv, builds, code, monkeypatch, capsys):
     refs = []

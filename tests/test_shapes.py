@@ -3,6 +3,9 @@
 `symmetry` builds a derivation from named base-form parts and `decompose`
 reads the parts back; the round trip must return the input in every degree
 a shape has parts in, and both must refuse anything outside the shape.  The
+realized value table must equal the one `oracles.literal_symmetry` builds
+from Element products, which pins the sign of each q*w term and the flux
+coupling that a round trip would lose if both sides dropped them.  The
 part lists below are written out independently of the library's table.  The
 dimension of the degree-0 structured solutions is pinned against
 `oracles.structured_kernel_dim`, which solves for a kernel basis and realizes
@@ -19,11 +22,11 @@ from fractions import Fraction
 import pytest
 
 from dgcalc import presets
-from dgcalc.derivations import Derivation, DgBundle
+from dgcalc.derivations import Derivation, DgBundle, model_differential
 from dgcalc.parser import load_path, parse_model
 from dgcalc.sampling import random_contraction, random_element
 from dgcalc.symmetries import SymmetryError, decompose, sym0_dimensions, symmetry
-from oracles import structured_kernel_dim, sym0_kernel_dim
+from oracles import literal_symmetry, structured_kernel_dim, sym0_kernel_dim
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,6 +100,31 @@ def test_symmetry_decompose_round_trip(key, k, seed):
     for name in set(x.parts) - ({"iota"} if k == 0 else set()):
         assert again.parts[name] == x.parts[name]
     assert symmetry(bundle, k, **again.parts).realized == x.realized
+
+
+def _sorted_table(d):
+    """(parity, denominator, entries) of d's value table with each value's
+    terms sorted: a table up to the order it stores terms in."""
+    flip, entries, den = d.table
+    return flip, den, [(i, below, above, sorted(terms)) for i, below, above, terms in entries]
+
+
+@pytest.mark.parametrize("key,k", CASES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_realized_table_matches_the_literal_construction(key, k, seed):
+    bundle = BUNDLES[key]
+    parts = random_parts(bundle, key, k, random.Random(seed))
+    realized, literal = symmetry(bundle, k, **parts).realized, literal_symmetry(bundle, k, **parts)
+    assert _sorted_table(realized) == _sorted_table(literal)
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLES))
+def test_symmetry_rejects_a_vector_part_of_the_wrong_degree(key):
+    bundle = BUNDLES[key]
+    for iota in (model_differential(bundle.base), Derivation.zero(bundle.base, 0)):
+        with pytest.raises(SymmetryError, match="degree -1"):
+            symmetry(bundle, -1, iota=iota)
 
 
 OTHER_SHAPES_PARTS = ("a", "b", "abar", "f", "c", "fbar", "h", "eta", "a3", "b6", "s2", "s5", "eta1", "c4", "d3")

@@ -469,6 +469,29 @@ if st is not None:
 
 if st is not None:
 
+    @settings(
+        max_examples=8,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(pair=generated_pairs())
+    def test_cli_law_suites_pass_on_generated_pairs(pair, tmp_path):
+        """Each law of `identities`, and of `bn-check` on a self-dual pair, is a
+        theorem for any Maurer-Cartan Q, so every one must pass."""
+        path, report = tmp_path / "pair.dgm", tmp_path / "report.txt"
+        path.write_text(_dgm(pair.p))
+        commands = ["identities"]
+        if pair.p.structural["F"] == pair.p.structural["Fbar"]:
+            commands.append("bn-check")
+        for command in commands:
+            assert main([command, str(path), "--trials", "2", "--report", str(report)]) == 0
+            laws = [r for r in report.read_text().splitlines() if r.startswith("law.")]
+            assert laws and all(r.endswith("=pass") for r in laws), (command, laws)
+
+
+if st is not None:
+
     @st.composite
     def nilmanifold_bases(draw):
         n = draw(st.integers(3, 5))
