@@ -8,7 +8,6 @@ from .derivations import (
     DgBundle,
     commutator,
     gauge_transform,
-    homologous_shift,
     maurer_cartan_check,
     model_differential,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "DgBundle",
     "commutator",
     "gauge_transform",
-    "homologous_shift",
     "maurer_cartan_check",
     "model_differential",
 ]

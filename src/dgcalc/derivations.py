@@ -219,13 +219,6 @@ def gauge_transform(q: Derivation, v: Derivation, nilpotency_cap: int = 8) -> De
     return total
 
 
-def homologous_shift(q: Derivation, x0: Derivation) -> Derivation:
-    """Q + [Q, X0] for a degree-0 field X0: the infinitesimal gauge move."""
-    if x0.degree != 0:
-        raise DerivationError("homologous shifts use degree-0 vector fields")
-    return q + commutator(q, x0)
-
-
 def exp_apply(v: Derivation, a: Element, cap: int = 8) -> Element:
     """e^V applied to an element; V must be nilpotent on it within cap steps."""
     out = a

@@ -8,23 +8,22 @@ monomials (base generators first, then the fiber, then t) that composite is
     w q t^l      ->  w t^l                   (w a base form)
 
 with sign +1 in the stored order: the fibre integral T = int e^{A ^ Ahat} of
-Bouwknegt-Evslin-Mathai in closed form.  `tmap` applies this rule to exponent
-tuples, and `section` inverts it term by term to produce sections and the
-snake connecting map of the short exact sequence
+Bouwknegt-Evslin-Mathai in closed form.  `TDualPair.rule` is that rule on one
+exponent tuple; `tmap`, `tmap_matrix` and the chain-map check all read it, and
+`section` inverts it term by term to produce sections and the snake
+connecting map of the short exact sequence
 0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from typing import Callable, List, Optional, Set, Tuple
 
 from . import linalg
-from .cohomology import _column, _total, betti, degree_cap, induced_rank
+from .cohomology import _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle
-from .graded import Element, _collect, _numerators, leibniz
+from .graded import Element, _collect, leibniz
 
 
 class TDualityError(Exception):
@@ -74,30 +73,39 @@ class TDualPair:
 
     # -- the comparison map -------------------------------------------------
 
-    def tmap(self, el: Element) -> Element:
-        """The comparison map C(P) -> C(Pbar), degree -1, in closed form.
-
-        w q t^l -> w t^l and w t^j -> j w qbar t^{j-1} on exponent tuples; base
-        forms die.  The rule is injective on monomials, so no terms merge.
+    def rule(self, m: tuple) -> Optional[Tuple[tuple, int]]:
+        """T on one monomial of P: w q t^l -> w t^l, w t^j -> j w qbar t^{j-1},
+        and None for a base form.  Injective on monomials, so no terms merge.
         `tests/oracles.literal_tmap` pins it against the gauge-exponential path.
         """
+        i = self._fiber
+        if m[i]:
+            return m[:i] + (0,) + m[i + 1 :], 1
+        j = m[i + 1]
+        if j:
+            return m[:i] + (1, j - 1), j
+        return None
+
+    def include_rule(self, m: tuple) -> Tuple[tuple, int]:
+        """The inclusion of base forms on one monomial: no q and no t."""
+        return m + (0, 0), 1
+
+    def tmap(self, el: Element) -> Element:
+        """The comparison map C(P) -> C(Pbar), degree -1: `rule` term by term."""
         if el.model is not self.p.total:
             raise TDualityError("expected an element of the bundle P")
-        i = self._fiber
         out = {}
         for exps, c in el.terms.items():
-            if exps[i]:
-                out[exps[:i] + (0,) + exps[i + 1 :]] = c
-            elif exps[i + 1]:
-                j = exps[i + 1]
-                out[exps[:i] + (1, j - 1)] = c * j
-        return _collect(self.pbar.total, out)
+            image = self.rule(exps)
+            if image:
+                out[image[0]] = c * image[1]
+        return Element._trusted(self.pbar.total, out)
 
     def section(self, el: Element) -> Element:
         """The preferred preimage of el under the comparison map.
 
         w qbar t^i -> w t^{i+1} / (i+1) and w t^l -> w q t^l, the inverse of
-        `tmap` term by term; the image is checked to map back onto el.
+        `rule` term by term; the image is checked to map back onto el.
         """
         if el.model is not self.pbar.total:
             raise TDualityError("expected an element of the dual bundle")
@@ -137,62 +145,48 @@ def dualize(p: DgBundle) -> TDualPair:
 class ChainMap:
     """Degree-homogeneous linear map between complexes with a pinned global sign.
 
-    `action` is any linear map from elements of the source to elements of the
-    target.  It is applied once to each basis monomial through the cap plus
-    one, and each image is kept as integer numerators over one denominator
-    while the degree slices that read it are checked.
+    `rule` sends an exponent tuple of the source to None (zero) or to one
+    (exponent tuple of the target, int coefficient): T, the base inclusion and
+    the pushforward along an odd line all act on monomials this way.
     """
 
-    def __init__(self, source, target, degree: int, action: Callable):
+    def __init__(self, source, target, degree: int, rule: Callable):
         self.source = source
         self.target = target
         self.degree = degree
-        self.action = action
-
-    def _images(self, model, degree: int) -> dict:
-        """{monomial: (den, [(exponents, n)])} of the action on the degree's basis."""
-        one = Fraction(1)
-        return {
-            m: _numerators(self.action(Element._trusted(model, {m: one})).terms)
-            for m in model.basis(degree)
-        }
+        self.rule = rule
 
     def signs(self, cap: int) -> Set[int]:
-        """The signs s with action(Q x) = s * Q(action x) on every monomial x of
+        """The signs s with rule(Q x) = s * Q(rule x) on every monomial x of
         degree 0..cap; both survive when both sides vanish throughout.
 
         Per degree k: Q of every basis monomial in one Leibniz pass of the
-        source table, Q of every image of degree k in one pass of the target
-        table, and the left side combined from the images of degree k + 1 with
-        Q's integer coefficients.  The two sides are compared cross-multiplied
-        by their denominators.  Raises at the first degree where no sign holds.
+        source table, Q of every image in one pass of the target table, and
+        the left side mapped term by term through the rule.  The two sides are
+        compared cross-multiplied by the tables' denominators.  Raises at the
+        first degree where no sign holds.
         """
         if cap < 0:
             raise TDualityError(f"degree cap {cap} checks no monomial")
         source, target = _total(self.source), _total(self.target)
-        q_den, qbar_den = source.d_table[2], target.d_table[2]
+        # left sides are over the source table's denominator, right sides over the target's
+        a, b = target.d_table[2], source.d_table[2]
+        rule = self.rule
         candidates = {1, -1}
-        upper = self._images(source, 0)
         for k in range(cap + 1):
-            lower, upper = upper, self._images(source, k + 1)
             basis = source.basis(k)
             dq = [{} for _ in basis]
             leibniz(source, source.d_table, zip(basis, repeat(1)), dq)
-            images = list(lower.values())
             rhs = [{} for _ in basis]
-            pairs = (term for _, terms in images for term in terms)
-            outs = [out for out, (_, terms) in zip(rhs, images) for _ in terms]
-            leibniz(target, target.d_table, pairs, outs)
-            for out, (den, _), right in zip(dq, images, rhs):
-                parts = [(upper[m], n) for m, n in out.items() if n]
-                common = lcm(*[image_den for (image_den, _), _ in parts])
+            live = [(image, out) for image, out in zip(map(rule, basis), rhs) if image]
+            leibniz(target, target.d_table, [image for image, _ in live], [out for _, out in live])
+            for out, right in zip(dq, rhs):
                 left: dict = {}
-                for (image_den, terms), n in parts:
-                    scale = n * (common // image_den)
-                    for e, v in terms:
-                        left[e] = left.get(e, 0) + scale * v
-                # left is over q_den * common, right over den * qbar_den
-                a, b = den * qbar_den, q_den * common
+                for m, n in out.items():
+                    image = rule(m) if n else None
+                    if image:
+                        e, c = image
+                        left[e] = left.get(e, 0) + n * c
                 left = {e: v * a for e, v in left.items() if v}
                 right = {e: v * b for e, v in right.items() if v}
                 if 1 in candidates and left != right:
@@ -204,13 +198,13 @@ class ChainMap:
         return candidates
 
     def verify(self, cap: int) -> int:
-        """The global sign with action(Q x) = sign * Q(action x) on all monomials
+        """The global sign with rule(Q x) = sign * Q(rule x) on all monomials
         through the cap; +1 when both sides vanish throughout."""
         return 1 if 1 in self.signs(cap) else -1
 
 
 def tduality_chain_map(pair: TDualPair) -> ChainMap:
-    return ChainMap(pair.p, pair.pbar, -1, pair.tmap)
+    return ChainMap(pair.p, pair.pbar, -1, pair.rule)
 
 
 class SesRow:
@@ -227,12 +221,13 @@ class SesRow:
 
 
 def tmap_matrix(pair: TDualPair, degree: int):
-    model = pair.p.total
-    source = model.basis(degree)
+    """T from degree k of P to degree k - 1 of Pbar: one column per source
+    monomial, {row: int} with at most one entry."""
+    source = pair.p.total.basis(degree)
     target = pair.pbar.total.basis(degree - 1)
     index = {m: i for i, m in enumerate(target)}
-    one = Fraction(1)
-    columns = [_column(pair.tmap(Element._trusted(model, {m: one})), index) for m in source]
+    images = map(pair.rule, source)
+    columns = [{index[image[0]]: image[1]} if image else {} for image in images]
     return columns, source, target
 
 
@@ -248,7 +243,7 @@ def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[S
         raise TDualityError(f"degree cap {cap} checks no degree")
     rows = []
     # on a base with d = 0 both sides vanish and either sign survives
-    ok = 1 in ChainMap(pair.base, pair.p, 0, pair.p.include_base).signs(cap)
+    ok = 1 in ChainMap(pair.base, pair.p, 0, pair.include_rule).signs(cap)
     fiber = pair._fiber
     for k in range(cap + 1):
         mat, source, target = tmap_matrix(pair, k)

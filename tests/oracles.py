@@ -338,17 +338,28 @@ def literal_tmap(pair, el):
     return transport(linear, pair.pbar.total)
 
 
+def apply_rule(chain_map, el):
+    """A chain map's monomial rule applied term by term to an Element."""
+    out = {}
+    for m, c in el.terms.items():
+        image = chain_map.rule(m)
+        if image:
+            e, n = image
+            out[e] = out.get(e, 0) + c * n
+    return Element(_total(chain_map.target), out)
+
+
 def literal_chain_signs(chain_map, cap):
-    """The signs s with action(Q x) = s * Q(action x), checked one monomial at a
-    time on Elements: the surviving set through the cap, or the first degree
-    where no sign survives."""
+    """The signs s with rule(Q x) = s * Q(rule x), checked one monomial at a
+    time on Elements through `Model.d`: the surviving set through the cap, or
+    the first degree where no sign survives."""
     source, target = _total(chain_map.source), _total(chain_map.target)
     candidates = {1, -1}
     for k in range(cap + 1):
         for m in source.basis(k):
             x = source.monomial_element(m)
-            lhs = chain_map.action(source.d(x))
-            rhs = target.d(chain_map.action(x))
+            lhs = apply_rule(chain_map, source.d(x))
+            rhs = target.d(apply_rule(chain_map, x))
             if lhs != rhs:
                 candidates.discard(1)
             if lhs != -rhs:
@@ -373,9 +384,12 @@ def pushforward(bundle: DgBundle, el: Element) -> Element:
 
 
 def pushforward_chain_map(bundle):
-    """p_* for an odd line bundle, wrapped with its intertwining check."""
+    """p_* for an odd line bundle as a monomial rule, w q -> w with the fiber
+    stored last, wrapped with its intertwining check."""
     fiber_degree = bundle.total.generator_named(bundle.fiber_names[0]).degree
-    return ChainMap(bundle, bundle.base, -fiber_degree, lambda el: pushforward(bundle, el))
+    return ChainMap(
+        bundle, bundle.base, -fiber_degree, lambda m: (m[:-1], 1) if m[-1] else None
+    )
 
 
 def literal_symmetry(bundle, degree, **parts):

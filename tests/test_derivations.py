@@ -17,7 +17,6 @@ from dgcalc.derivations import (
     DgBundle,
     commutator,
     gauge_transform,
-    homologous_shift,
     maurer_cartan_check,
     model_differential,
 )
@@ -261,7 +260,7 @@ def test_homologous_shift_structural_transformation(nil):
                 "t": bundle.include_base(b) + bundle.total.gen("q") * bundle.include_base(abar),
             },
         )
-        moved = homologous_shift(bundle.q, x0)
+        moved = bundle.q + commutator(bundle.q, x0)
         new_f = f + m.d(a)
         new_h = h + m.d(b) + f * abar - a * fbar
         new_fbar = fbar - m.d(abar)
@@ -276,13 +275,13 @@ def test_homologous_shift_closed_a_keeps_f(t2):
     bundle = DgBundle.two_step(t2, t2.gen("th1") * t2.gen("th2"), t2.zero(), t2.zero())
     a = t2.gen("th1")  # closed
     x0 = Derivation(bundle.total, 0, {"q": bundle.include_base(a)})
-    moved = homologous_shift(bundle.q, x0)
+    moved = bundle.q + commutator(bundle.q, x0)
     assert moved.value("q") == bundle.q.value("q")
 
 
 def test_homologous_shift_zero_is_identity(s3):
     bundle = DgBundle.two_step(s3, s3.zero(), s3.zero(), s3.gen("c"))
-    assert homologous_shift(bundle.q, Derivation.zero(bundle.total, 0)) == bundle.q
+    assert bundle.q + commutator(bundle.q, Derivation.zero(bundle.total, 0)) == bundle.q
 
 
 # -- the bundle-shape table -------------------------------------------------------

@@ -23,6 +23,7 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
     (["tmap-verify", "nil_pair.dgm"], 4, 0),
     (["bn-check", "bn_selfdual.dgm", "--trials", "2"], 2, 0),
     (["e6-check", "e6_flux.dgm", "--trials", "2"], 2, 0),
+    (["iso-check", "nil_pair.dgm"], 4, 0),
 ])
 def test_each_command_builds_each_model_once_and_frees_it(argv, builds, code, monkeypatch, capsys):
     refs = []

@@ -11,7 +11,7 @@ from dgcalc import presets
 from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
 from dgcalc.derivations import DgBundle
 from dgcalc.cli import main
-from dgcalc.graded import Element, Model, format_element
+from dgcalc.graded import Element, Model, format_element, monomial_degree
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import sym0_dimensions
@@ -25,6 +25,7 @@ from dgcalc.tduality import (
     ses_verify,
     tduality_chain_map,
     tduality_iso_check,
+    tmap_matrix,
 )
 import oracles
 
@@ -34,8 +35,11 @@ except ImportError:  # without the dev extra only the generated-pair property te
     st = None
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
-# every model pair, and nil_pair with a fractional d on both sides
-PAIR_FILES = sorted(MODELS.glob("*_pair.dgm")) + [MODELS.parent / "tests" / "nil_pair_half.dgm"]
+# every model pair, nil_pair with a fractional d on both sides, and nil_pair
+# whose base d is integral while its total Q is not
+PAIR_FILES = sorted(MODELS.glob("*_pair.dgm")) + [
+    MODELS.parent / "tests" / name for name in ("nil_pair_half.dgm", "nil_pair_f_half.dgm")
+]
 FROZEN_SIGN = 1  # intertwining sign of T under this package's conventions
 
 
@@ -145,6 +149,10 @@ def test_pushforward_is_chain_map(s2, nil):
     for base, theta in ((s2, s2.gen("a")), (nil, nil.gen("x1") * nil.gen("x3"))):
         bundle = DgBundle.line(base, theta, "q", 1)
         chain = oracles.pushforward_chain_map(bundle)
+        for k in range(8):
+            for m in bundle.total.basis(k):
+                el = bundle.total.monomial_element(m)
+                assert oracles.apply_rule(chain, el) == oracles.pushforward(bundle, el), m
         assert chain.verify(7) == 1
         _assert_signs_match_oracle(chain, 7)
 
@@ -237,8 +245,13 @@ def test_tmap_chain_sign_frozen():
 
 
 def _scaled_tmap(pair, scale):
-    """x -> scale(|x|) T(x) on homogeneous x; T(0) = 0 needs no degree."""
-    return ChainMap(pair.p, pair.pbar, -1, lambda x: scale(x.degree() or 0) * pair.tmap(x))
+    """m -> scale(|m|) T(m) on monomials, scale(|m|) an int."""
+
+    def rule(m):
+        image = pair.rule(m)
+        return image and (image[0], scale(monomial_degree(pair.p.total, m)) * image[1])
+
+    return ChainMap(pair.p, pair.pbar, -1, rule)
 
 
 def test_chain_map_sign_minus_one_and_first_failing_degree():
@@ -294,26 +307,37 @@ def _pair_chain_maps(pair):
     inclusion: the maps whose signs the slice check must find as the loop does."""
     return [
         tduality_chain_map(pair),
-        ChainMap(pair.p, pair.pbar, -1, lambda x: pair.tmap(x) / 3),
+        _scaled_tmap(pair, lambda k: 3),
         _scaled_tmap(pair, lambda k: (-1) ** k),
         _scaled_tmap(pair, lambda k: 2 if k >= 3 else 1),
-        ChainMap(pair.base, pair.p, 0, pair.p.include_base),
+        ChainMap(pair.base, pair.p, 0, pair.include_rule),
     ]
 
 
 @pytest.mark.parametrize("path", PAIR_FILES, ids=lambda p: p.stem)
 def test_chain_signs_match_the_per_monomial_loop_on_model_pairs(path):
     pair = dualize(load_path(str(path)).bundle)
-    for chain in _pair_chain_maps(pair):
+    chains = _pair_chain_maps(pair)
+    for chain in chains:
         _assert_signs_match_oracle(chain, degree_cap(pair.p))
+    inclusion = chains[-1]
+    for k in range(degree_cap(pair.p) + 1):
+        for m in pair.base.basis(k):
+            w = pair.base.monomial_element(m)
+            assert oracles.apply_rule(inclusion, w) == pair.p.include_base(w), m
 
 
 def test_ses_verify_fails_an_inclusion_that_anticommutes(monkeypatch):
     # nil_pair's base d is nonzero, so (-1)^{|x|} i(x) leaves only the sign -1
     pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
     assert ses_verify(pair, 6)[0]
-    include = pair.p.include_base
-    monkeypatch.setattr(pair.p, "include_base", lambda x: (-1) ** (x.degree() or 0) * include(x))
+    include = TDualPair.include_rule
+
+    def anticommuting(self, m):
+        e, c = include(self, m)
+        return e, (-1) ** monomial_degree(self.base, m) * c
+
+    monkeypatch.setattr(TDualPair, "include_rule", anticommuting)
     assert not ses_verify(pair, 6)[0]
 
 
@@ -322,17 +346,17 @@ def test_ses_verify_fails_a_tmap_that_moves_a_base_form(monkeypatch):
     # but the base form x1 no longer dies
     pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
     assert ses_verify(pair, 4)[0]
-    tmap = TDualPair.tmap
+    rule = TDualPair.rule
 
-    def swapped(self, el):
-        x1, q = self.p.total.gen("x1"), self.p.total.gen(self.p.q_name)
-        if el == x1:
-            return tmap(self, q)
-        if el == q:
-            return self.pbar.total.zero()
-        return tmap(self, el)
+    def swapped(self, m):
+        (x1,), (q,) = self.p.total.gen("x1").terms, self.p.total.gen(self.p.q_name).terms
+        if m == x1:
+            return rule(self, q)
+        if m == q:
+            return None
+        return rule(self, m)
 
-    monkeypatch.setattr(TDualPair, "tmap", swapped)
+    monkeypatch.setattr(TDualPair, "rule", swapped)
     ok, rows = ses_verify(pair, 4)
     assert all(row.ok for row in rows)
     assert not ok
@@ -489,6 +513,35 @@ if st is not None:
             laws = [r for r in report.read_text().splitlines() if r.startswith("law.")]
             assert laws and all(r.endswith("=pass") for r in laws), (command, laws)
 
+    @settings(
+        max_examples=8,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(pair=generated_pairs())
+    def test_cli_pair_commands_pass_on_generated_pairs(pair, tmp_path):
+        """T induces H^{k+1}(P) = H^k(Pbar) from the base dimension on, the short
+        and long exact sequences are exact, and T intertwines the differentials
+        with sign +1 (Bouwknegt, Evslin & Mathai, CMP 249, 2004)."""
+        path, report = tmp_path / "pair.dgm", tmp_path / "report.txt"
+        path.write_text(_dgm(pair.p))
+
+        def records(command):
+            report.unlink(missing_ok=True)
+            code = main([command, str(path), "--report", str(report)])
+            return code, dict(line.split("=", 1) for line in report.read_text().splitlines())
+
+        code, iso = records("iso-check")
+        assert iso["dim_source"] == iso["dim_target"] == iso["induced_rank"], iso
+        assert code == 0
+        code, ses = records("ses-verify")
+        rows = {k: v for k, v in ses.items() if k.startswith("ses.") or k == "les"}
+        assert rows and set(rows.values()) == {"pass"}, rows
+        assert code == 0
+        code, tmap = records("tmap-verify")
+        assert (code, tmap["sign"]) == (0, "1")
+
 
 if st is not None:
 
@@ -520,14 +573,17 @@ if st is not None:
 
 
 def _assert_tmap_matches_oracle(pair, cap):
-    """T equals the literal map on every basis monomial of degrees 0..cap;
-    returns how many of them have a nonzero image."""
+    """T, and its `tmap_matrix` column, equal the literal map on every basis
+    monomial of degrees 0..cap; returns how many of them have a nonzero image."""
     nonzero = 0
     for k in range(cap + 1):
-        for m in pair.p.total.basis(k):
+        columns, source, target = tmap_matrix(pair, k)
+        index = {m: i for i, m in enumerate(target)}
+        for m, column in zip(source, columns):
             el = pair.p.total.monomial_element(m)
-            image = pair.tmap(el)
-            assert image == oracles.literal_tmap(pair, el), (k, m)
+            image = oracles.literal_tmap(pair, el)
+            assert pair.tmap(el) == image, (k, m)
+            assert column == {index[e]: c for e, c in image.terms.items()}, (k, m)
             nonzero += not image.is_zero()
     return nonzero
 
