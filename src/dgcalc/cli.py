@@ -222,9 +222,9 @@ def cmd_iso_check(mf, args, report):
         f"H^{k + 1}(P) vs H^{k}(dual): dims {info['dim_source']}/{info['dim_target']}, "
         f"induced rank {info['induced_rank']}: {'pass' if ok else 'fail'}"
     )
-    periodic = k + 1 <= bundle.formal_dimension or periodicity_check(pair.p, k + 1, 1)
+    periodic = periodicity_check(pair.p, k + 1, 1)
     report.add("periodicity", periodic)
-    return ok
+    return ok and periodic
 
 
 def cmd_sym(mf, args, report):
@@ -236,12 +236,14 @@ def cmd_sym(mf, args, report):
     print(f"  full kernel of [Q, .]:       {kernel}")
     if structured != kernel:
         print("  note: extra degree-0 fields outside the structured family")
+    ok = True
     for name, el in sorted(mf.symmetries.items()):
         if el.degree == 0:
             member = is_symmetry(el)
             print(f"  sym {name}: degree 0 membership {'pass' if member else 'fail'}")
             report.add(f"member.{name}", member)
-    return True
+            ok = ok and member
+    return ok
 
 
 def cmd_derived_bracket(mf, args, report):

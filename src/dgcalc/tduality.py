@@ -9,9 +9,9 @@ monomials (base generators first, then the fiber, then t) that composite is
 
 with sign +1 in the stored order: the fibre integral T = int e^{A ^ Ahat} of
 Bouwknegt-Evslin-Mathai in closed form.  `TDualPair.rule` is that rule on one
-exponent tuple; `tmap`, `tmap_matrix` and the chain-map check all read it, and
-`section` inverts it term by term to produce sections and the snake
-connecting map of the short exact sequence
+exponent tuple; `tmap`, the chain-map check and the exactness count of
+`ses_verify` all read it, and `section` inverts it term by term to produce
+sections and the snake connecting map of the short exact sequence
 0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.
 """
 
@@ -20,9 +20,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, List, Optional, Set, Tuple
 
-from . import linalg
 from .cohomology import _total, betti, degree_cap, induced_rank
-from .derivations import Derivation, DgBundle
+from .derivations import Derivation, DgBundle, gauge_transform
 from .graded import Element, _collect, leibniz
 
 
@@ -61,8 +60,6 @@ class TDualPair:
 
     def _check_gauge_equivalence(self):
         """The two pullback fields on the correspondence differ by the gauge move."""
-        from .derivations import gauge_transform
-
         corr = self.correspondence
         moved = gauge_transform(corr.q, self._gauge)
         twist = corr.structural_total("H") + corr.total.gen(self.dual_fiber) * corr.structural_total(
@@ -220,22 +217,13 @@ class SesRow:
         self.ok = dim_kernel == dim_base and rank_t == dim_target
 
 
-def tmap_matrix(pair: TDualPair, degree: int):
-    """T from degree k of P to degree k - 1 of Pbar: one column per source
-    monomial, {row: int} with at most one entry."""
-    source = pair.p.total.basis(degree)
-    target = pair.pbar.total.basis(degree - 1)
-    index = {m: i for i, m in enumerate(target)}
-    images = map(pair.rule, source)
-    columns = [{index[image[0]]: image[1]} if image else {} for image in images]
-    return columns, source, target
-
-
 def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[SesRow]]:
     """Exactness of 0 -> base -> C(P) -T-> C(Pbar)[1] -> 0, degree by degree.
 
     Checks that ker T is exactly the span of base forms and that T is onto,
-    and that the inclusion of base forms is a chain map with sign +1.
+    and that the inclusion of base forms is a chain map with sign +1.  Each
+    column of T holds at most one entry, so its rank is the number of
+    distinct monomials the rule hits.
     """
     if cap is None:
         cap = degree_cap(pair.p)
@@ -246,13 +234,14 @@ def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[S
     ok = 1 in ChainMap(pair.base, pair.p, 0, pair.include_rule).signs(cap)
     fiber = pair._fiber
     for k in range(cap + 1):
-        mat, source, target = tmap_matrix(pair, k)
-        r = linalg.rank(mat)
-        dim_kernel = len(source) - r
+        source, target = pair.p.total.basis(k), pair.pbar.total.basis(k - 1)
+        images = list(map(pair.rule, source))
+        rank_t = len({image[0] for image in images if image})
         # base forms are the source monomials with no fiber, and must map to zero
-        if any(column for m, column in zip(source, mat) if not any(m[fiber:])):
+        if any(image for m, image in zip(source, images) if not any(m[fiber:])):
             ok = False
-        row = SesRow(k, len(source), dim_kernel, len(pair.base.basis(k)), r, len(target))
+        dim_base = len(pair.base.basis(k))
+        row = SesRow(k, len(source), len(source) - rank_t, dim_base, rank_t, len(target))
         rows.append(row)
         ok = ok and row.ok
     return ok, rows
@@ -280,7 +269,10 @@ def les_check(pair: TDualPair, lo: int, hi: int) -> Tuple[bool, List[Tuple]]:
     hp, hpb, hm = (
         betti(space, max(lo - 1, 0), hi + 1) for space in (pair.p, pair.pbar, pair.base)
     )
-    node_ranks = {k: les_node_ranks(pair, k) for k in range(lo, hi + 2)}
+    node_ranks = {k: les_node_ranks(pair, k) for k in range(lo, hi + 1)}
+    # past the window only i_* is read, by the base node H^{hi+1}
+    top = hi + 1
+    rank_i_top = induced_rank(pair.base, top, pair.p.include_base, pair.p, top)
     rows = []
     ok = True
     for k in range(lo, hi + 1):
@@ -290,8 +282,8 @@ def les_check(pair: TDualPair, lo: int, hi: int) -> Tuple[bool, List[Tuple]]:
         # node H^{k-1}(Pbar): image of T_* is the kernel of beta_*
         cond_pb = k - 1 < max(lo - 1, 0) or rank_t_k + rank_beta_k == hpb[k - 1]
         # node H^{k+1}(base): image of beta_* is the kernel of i_* one degree up
-        rank_i_up = node_ranks[k + 1][0]
-        cond_m = k + 1 > hi + 1 or rank_beta_k + rank_i_up == hm[k + 1]
+        rank_i_up = node_ranks[k + 1][0] if k < hi else rank_i_top
+        cond_m = rank_beta_k + rank_i_up == hm[k + 1]
         rows.append((k, rank_i_k, rank_t_k, rank_beta_k, cond_p and cond_pb and cond_m))
         ok = ok and cond_p and cond_pb and cond_m
     return ok, rows

@@ -238,6 +238,16 @@ def test_tdualize_and_iso(capsys):
     assert "pass" in out
 
 
+def test_iso_check_exit_code_follows_periodicity(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "periodicity_check", lambda space, j, l: False)
+    report = tmp_path / "report.txt"
+    code, out, _ = run(capsys, "iso-check", str(MODELS / "t2_pair.dgm"), "--report", str(report))
+    # the isomorphism itself still holds; only the periodicity record fails
+    assert "pass" in out
+    lines = report.read_text().splitlines()
+    assert (code, lines[-2:]) == (1, ["periodicity=fail", "status=fail"])
+
+
 def test_tmap_verify_sign(capsys):
     code, out, _ = run(capsys, "tmap-verify", str(MODELS / "hopf_pair.dgm"), "--cap", "6")
     assert code == 0
@@ -438,6 +448,17 @@ def test_sym_command(capsys):
     assert code == 0
     assert "structured family solutions: 5" in out
     assert "full kernel of [Q, .]:       10" in out
+
+
+def test_sym_exit_code_follows_membership(tmp_path, capsys):
+    # on nil_pair the degree-0 element with a = x3 is a symmetry and a = z is not
+    text = (MODELS / "nil_pair.dgm").read_text()
+    path, report = tmp_path / "nonmember.dgm", tmp_path / "report.txt"
+    path.write_text(text.replace("sym w : deg = 0, a = x3", "sym w : deg = 0, a = z"))
+    code, out, _ = run(capsys, "sym", str(path), "--report", str(report))
+    assert "sym w: degree 0 membership fail" in out
+    lines = report.read_text().splitlines()
+    assert (code, lines[-2:]) == (1, ["member.w=fail", "status=fail"])
 
 
 def test_twisted_rejects_open_twist(capsys):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from dgcalc import presets
+from dgcalc import linalg, presets, tduality
 from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
 from dgcalc.derivations import DgBundle
 from dgcalc.cli import main
@@ -25,7 +25,6 @@ from dgcalc.tduality import (
     ses_verify,
     tduality_chain_map,
     tduality_iso_check,
-    tmap_matrix,
 )
 import oracles
 
@@ -406,6 +405,7 @@ if st is not None:
     @given(generated_pairs())
     def test_tmap_matches_literal_oracle_on_generated_pairs(pair):
         assert _assert_tmap_matches_oracle(pair, degree_cap(pair.p))
+        _assert_ses_ranks_match_elimination(pair, degree_cap(pair.p))
         assert tduality_chain_map(pair).verify(5) == FROZEN_SIGN
 
 
@@ -573,19 +573,52 @@ if st is not None:
 
 
 def _assert_tmap_matches_oracle(pair, cap):
-    """T, and its `tmap_matrix` column, equal the literal map on every basis
-    monomial of degrees 0..cap; returns how many of them have a nonzero image."""
+    """T, and its monomial rule, equal the literal map on every basis monomial
+    of degrees 0..cap; returns how many of them have a nonzero image."""
     nonzero = 0
     for k in range(cap + 1):
-        columns, source, target = tmap_matrix(pair, k)
-        index = {m: i for i, m in enumerate(target)}
-        for m, column in zip(source, columns):
+        for m in pair.p.total.basis(k):
             el = pair.p.total.monomial_element(m)
             image = oracles.literal_tmap(pair, el)
             assert pair.tmap(el) == image, (k, m)
-            assert column == {index[e]: c for e, c in image.terms.items()}, (k, m)
+            rule = pair.rule(m)
+            assert (dict([rule]) if rule else {}) == image.terms, (k, m)
             nonzero += not image.is_zero()
     return nonzero
+
+
+def _assert_ses_ranks_match_elimination(pair, cap):
+    """ses_verify's counted rank of T equals the elimination of T's columns,
+    built here from the rule, in every degree 0..cap."""
+    _, rows = ses_verify(pair, cap)
+    assert [row.degree for row in rows] == list(range(cap + 1))
+    for row in rows:
+        source = pair.p.total.basis(row.degree)
+        target = pair.pbar.total.basis(row.degree - 1)
+        index = {m: i for i, m in enumerate(target)}
+        columns = [{index[im[0]]: im[1]} if im else {} for im in map(pair.rule, source)]
+        rank = linalg.rank(columns)
+        dims = (row.rank_t, row.dim_kernel, row.dim_target)
+        assert dims == (rank, len(source) - rank, len(target)), row.degree
+
+
+@pytest.mark.parametrize("path", PAIR_FILES, ids=lambda p: p.stem)
+def test_ses_rank_matches_elimination_on_model_pairs(path):
+    pair = dualize(load_path(str(path)).bundle)
+    _assert_ses_ranks_match_elimination(pair, degree_cap(pair.p))
+
+
+def test_ses_verify_fails_a_row_where_two_monomials_share_an_image(monkeypatch):
+    pair, k = t2_pair(), 2
+    rule = TDualPair.rule
+    a, b = [m for m in pair.p.total.basis(k) if rule(pair, m)][:2]
+    monkeypatch.setattr(TDualPair, "rule", lambda self, m: rule(self, a if m == b else m))
+    ok, rows = ses_verify(pair, 4)
+    assert not ok
+    assert [row.degree for row in rows if not row.ok] == [k]
+    # counting the monomials with an image would find this row exact
+    row = rows[k]
+    assert (row.rank_t, row.dim_kernel) == (row.dim_target - 1, row.dim_base + 1)
 
 
 def test_tmap_and_section_reject_foreign_elements():
@@ -756,6 +789,31 @@ def test_les_node_ranks_match_dense_oracle(make):
     pair = make()
     for k in range(6):
         assert les_node_ranks(pair, k) == oracles.les_node_ranks(pair, k), k
+
+
+@pytest.mark.parametrize("make", ALL_PAIRS)
+def test_les_check_computes_only_the_ranks_its_rows_read(make, monkeypatch):
+    pair, hi = make(), 4
+    calls = []
+    induced_rank = tduality.induced_rank
+    monkeypatch.setattr(
+        tduality, "induced_rank", lambda *args: calls.append(args) or induced_rank(*args)
+    )
+    ok, rows = les_check(pair, 0, hi)
+    # i_* at degree 0, (i_*, T_*, beta_*) at 1..hi, and i_* at hi + 1
+    assert len(calls) == 3 * hi + 2
+    ranks = {k: oracles.les_node_ranks(pair, k) for k in range(hi + 2)}
+    hp, hpb, hm = (_fresh_betti(space, 0, hi + 1) for space in (pair.p, pair.pbar, pair.base))
+    expected = []
+    for k in range(hi + 1):
+        rank_i, rank_t, rank_beta = ranks[k]
+        exact = (
+            rank_i + rank_t == hp[k]
+            and (k < 1 or rank_t + rank_beta == hpb[k - 1])
+            and rank_beta + ranks[k + 1][0] == hm[k + 1]
+        )
+        expected.append((k, rank_i, rank_t, rank_beta, exact))
+    assert (ok, rows) == (all(row[-1] for row in expected), expected)
 
 
 @pytest.mark.parametrize("make", ALL_PAIRS)
