@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import Element, GradedError, Model, leibniz
+from .graded import Element, GradedError, Model, Rational, leibniz
 
 BundleLike = Union[Model, DgBundle]
-# a sparse column {row: coefficient}; zero coefficients are left out.  The
-# coefficients are ints where they come straight from the Leibniz kernel with
-# denominator 1 (the slices of a model whose d has integer coefficients), and
-# Fractions otherwise; linalg takes either.
+# a sparse column {row: coefficient}; zero coefficients are left out.  A slice
+# of d holds its true values (ints when d_table's denominator is 1, Fractions
+# otherwise); an image that `induced_rank` compares holds an element's integer
+# numerators, a positive multiple, since only spans count.  linalg takes either.
 Column = Dict[int, Union[int, Fraction]]
 
 DEFAULT_CAP_SLACK = 6
@@ -43,10 +43,10 @@ def degree_cap(space: BundleLike) -> int:
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 
-def _column(el: Element, index: Dict[tuple, int]) -> Column:
-    """el as {row: coefficient}, its monomials numbered by index."""
+def _column(coefficients: Mapping[tuple, Rational], index: Dict[tuple, int]) -> Column:
+    """{exponents: coefficient} as {row: coefficient}, its monomials numbered by index."""
     col = {}
-    for m, c in el.terms.items():
+    for m, c in coefficients.items():
         i = index.get(m)
         if i is None:
             raise CohomologyError(f"element leaves the span of the degree basis: {m}")
@@ -91,10 +91,11 @@ class CochainSpace:
         return self._rank
 
     def cocycles(self, model: Model) -> List[Element]:
-        """A basis of the kernel of d on this slice, as elements of its model."""
+        """A basis of the kernel of d on this slice, as elements of its model,
+        each kernel vector scaled to its primitive integer form."""
         basis = self.basis
         return [
-            Element._trusted(model, {basis[j]: c for j, c in v.items()})
+            Element._of(model, {basis[j]: n for j, n in linalg._sparse_row(v).items()})
             for v in linalg.kernel_basis(_transpose(self.columns), self.dimension)
         ]
 
@@ -145,7 +146,7 @@ def induced_rank(
     H^degree(source) to H^target_degree(target)."""
     src, tgt = complex_of(source), complex_of(target)
     index = {m: i for i, m in enumerate(tgt[target_degree].basis)}
-    images = [_column(f(z), index) for z in src[degree].cocycles(src.model)]
+    images = [_column(f(z).nums, index) for z in src[degree].cocycles(src.model)]
     boundaries = tgt[target_degree - 1].columns if target_degree > 0 else []
     return linalg.rank_gain(boundaries, images)
 
@@ -178,14 +179,14 @@ def _twisted_images(model: Model, h: Element, top: int):
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
     table = model.d_table
-    one = Fraction(1)
     for k in range(top + 1):
         target = index[1 - k % 2]
         basis = model.basis(k)
         lows = operator_matrix(model, table, basis, target) if k < top else [{}] * len(basis)
         for m, low in zip(basis, lows):
-            if h.terms and k + 3 <= top:
-                whole = {**low, **_column(h * Element._trusted(model, {m: one}), target)}
+            if h.nums and k + 3 <= top:
+                # the true values of h*m, since they join d(m)'s in one column
+                whole = {**low, **_column((h * Element._of(model, {m: 1})).terms, target)}
             else:
                 whole = low
             images[k % 2].append((k, low, whole))

@@ -18,7 +18,6 @@ from .graded import (
     GradedError,
     GradedGenerator,
     Model,
-    _odd_mask,
     apply_table,
     apply_values,
     combine_tables,
@@ -320,43 +319,20 @@ class DgBundle:
     def include_base(self, el: Element) -> Element:
         if el.model is not self.base:
             raise BundleError("expected an element of the base model")
-        pad = len(self.fiber_names)
-        return Element._trusted(self.total, {m + (0,) * pad: c for m, c in el.terms.items()})
+        pad = (0,) * len(self.fiber_names)
+        return Element._of(self.total, {m + pad: n for m, n in el.nums.items()}, el.den)
 
     def restrict_to_base(self, el: Element) -> Element:
         if el.model is not self.total:
             raise BundleError("expected an element of the total model")
+        if not self.is_base_valued(el):
+            raise BundleError("element has fiber-dependent terms")
         nbase = len(self.base.generators)
-        terms = {}
-        for m, c in el.terms.items():
-            if any(m[nbase:]):
-                raise BundleError("element has fiber-dependent terms")
-            terms[m[:nbase]] = c
-        return Element(self.base, terms)
+        return Element._of(self.base, {m[:nbase]: n for m, n in el.nums.items()}, el.den)
 
     def is_base_valued(self, el: Element) -> bool:
         nbase = len(self.base.generators)
-        return all(not any(m[nbase:]) for m in el.terms)
-
-    def fiber_coefficients(self, el: Element, fiber: str):
-        """Decompose el = sum_k c_k * fiber^k with the fiber power on the right.
-
-        Returns {k: c_k} as elements of the total model with the fiber removed;
-        for an odd fiber the sign of moving it past the tail of each monomial is
-        folded into the coefficient.
-        """
-        if el.model is not self.total:
-            raise BundleError("expected an element of the total model")
-        idx = self.total.index[fiber]
-        bits = self.total.odd_bits
-        odd = bits[idx]
-        out: Dict[int, Dict[tuple, Fraction]] = {}
-        for m, c in el.terms.items():
-            k = m[idx]
-            if odd and k and (_odd_mask(bits, m) >> (idx + 1)).bit_count() & 1:
-                c = -c
-            out.setdefault(k, {})[m[:idx] + (0,) + m[idx + 1 :]] = c
-        return {k: Element(self.total, t) for k, t in sorted(out.items())}
+        return all(not any(m[nbase:]) for m in el.nums)
 
     def structural_total(self, key: str) -> Element:
         return self.include_base(self.structural[key])

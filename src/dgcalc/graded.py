@@ -1,24 +1,23 @@
 """Free graded-commutative algebras over exact rationals.
 
 A monomial is its exponent tuple: one power per generator in declaration
-order, odd generators with exponent at most one.  `Element.terms` maps these
-tuples to nonzero `Fraction`s, and tuples compare lexicographically, which
-fixes the printing order (degree, exponents).  Reordering a product into
-normal form accumulates the transposition sign (-1)^{|a||b|}; every other
-sign in the package derives from this one convention.  Only odd generators
-move signs, so a product's sign is read off the odd-generator bitmasks of its
-factors by popcounts.  `d`, every derivation and every cochain slice apply
-through one Leibniz loop, which reads a value table: the one stored form of a
-model's d and of a derivation, built once, with the values only a view.
+order, odd generators with exponent at most one.  Tuples compare
+lexicographically, which fixes the printing order (degree, exponents).
+Reordering a product into normal form accumulates the transposition sign
+(-1)^{|a||b|}; every other sign in the package derives from this one
+convention.  Only odd generators move signs, so a product's sign is read off
+the odd-generator bitmasks of its factors by popcounts.  `d`, every
+derivation and every cochain slice apply through one Leibniz loop, which
+reads a value table: the one stored form of a model's d and of a derivation,
+built once, with the values only a view.
 
-The kernel computes on integers.  A value table holds each value's
-coefficients as integer numerators over one positive denominator shared by
-the whole table, the smallest such (its numerators and it have no common
-factor).  An element entering the loop has its denominators cleared once, the
-loop multiplies and adds plain ints, and each result term becomes a
-`Fraction` once, when it leaves as an `Element`.  A bracket of derivations is
-itself a table built from the integer sums, so nested brackets never pass
-through `Fraction`.
+The kernel computes on integers, in one coefficient layout: int numerators
+over one positive denominator, the smallest such (no factor divides it and
+every numerator).  A value table shares one denominator across its values,
+and an `Element` is one such row, `nums` {exponent tuple: int} over `den`.
+The loop multiplies and adds plain ints; `Element.terms` is a Fraction view
+built on each read.  A bracket of derivations is itself a table built from
+the integer sums, so nested brackets never pass through `Fraction`.
 """
 
 from __future__ import annotations
@@ -78,46 +77,26 @@ def _parity(left_mask: int, right_mask: int) -> int:
     return parity & 1
 
 
-def _collect(model: "Model", acc: dict) -> "Element":
-    """The element of exponent-keyed Fraction sums, zeros dropped."""
-    return Element._trusted(model, {k: c for k, c in acc.items() if c})
-
-
-def _over(model: "Model", acc: dict, den: int) -> "Element":
-    """The element of exponent-keyed integer numerators over den, zeros dropped:
-    the one place where the kernel's ints become Fractions."""
-    if den == 1:
-        return Element._trusted(model, {k: Fraction(n) for k, n in acc.items() if n})
-    return Element._trusted(model, {k: Fraction(n, den) for k, n in acc.items() if n})
-
-
-def _numerators(terms: Mapping[tuple, Fraction]):
-    """(den, [(exponents, n)]) with each coefficient n / den, den the least
-    common denominator."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return 1, [(m, c.numerator) for m, c in terms.items()]
-    return den, [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+def _reduced(den: int, nums: Mapping):
+    """(den, nums) for {key: int numerator} over den, with the zeros dropped and
+    the common factor divided out: the one normal form of elements and tables."""
+    nums = {k: n for k, n in nums.items() if n}
+    if den != 1:
+        common = gcd(den, *nums.values())
+        if common != 1:
+            return den // common, {k: n // common for k, n in nums.items()}
+    return den, nums
 
 
 def _table(model: "Model", sums: Mapping[int, Mapping[tuple, int]], degree: int, den: int):
     """The value table of the given degree sending generator i to the sum of
-    n / den over sums[i], zeros dropped and the common factor divided out."""
-    rows = []
-    for i in sorted(sums):
-        terms = [(m, n) for m, n in sums[i].items() if n]
-        if terms:
-            rows.append((i, terms))
-    if den != 1:
-        common = gcd(den, *[n for _, terms in rows for _, n in terms])
-        if common != 1:
-            den //= common
-            rows = [(i, [(m, n // common) for m, n in terms]) for i, terms in rows]
+    n / den over sums[i], in normal form."""
+    den, flat = _reduced(den, {(i, m): n for i in sorted(sums) for m, n in sums[i].items()})
     bits = model.odd_bits
-    entries = tuple(
-        (i, (1 << i) - 1, -1 << (i + 1), tuple((m, _odd_mask(bits, m), (n, -n)) for m, n in terms))
-        for i, terms in rows
-    )
+    rows: dict = {}
+    for (i, m), n in flat.items():
+        rows.setdefault(i, []).append((m, _odd_mask(bits, m), (n, -n)))
+    entries = tuple((i, (1 << i) - 1, -1 << (i + 1), tuple(terms)) for i, terms in rows.items())
     return degree % 2, entries, den
 
 
@@ -131,11 +110,8 @@ def value_table(model: "Model", values: Mapping[str, "Element"], degree: int):
     table's one denominator den.  Models and derivations are fixed once
     built, so each keeps its table.
     """
-    den = lcm(*[c.denominator for v in values.values() for c in v.terms.values()])
-    sums = {
-        model.index[g]: {m: c.numerator * (den // c.denominator) for m, c in v.terms.items()}
-        for g, v in values.items()
-    }
+    den = lcm(*[v.den for v in values.values()])
+    sums = {model.index[g]: {m: n * (den // v.den) for m, n in v.nums.items()} for g, v in values.items()}
     return _table(model, sums, degree, den)
 
 
@@ -165,7 +141,7 @@ def table_values(model: "Model", table) -> dict:
     """{generator name: its value} over the generators a value table gives a
     value, in generator order; fresh Elements built from the table."""
     den, numerators = table_numerators(table)
-    return {model.generators[i].name: _over(model, t, den) for i, t in numerators.items()}
+    return {model.generators[i].name: Element._of(model, t, den) for i, t in numerators.items()}
 
 
 def restricted_table(model: "Model", table):
@@ -188,7 +164,7 @@ def table_value(model: "Model", table, i: Optional[int]) -> "Element":
     """The value the table gives generator i, zero if none; only that entry is read."""
     for j, _, _, terms in table[1]:
         if j == i:
-            return _over(model, {m: n for m, _, (n, _) in terms}, table[2])
+            return Element._of(model, {m: n for m, _, (n, _) in terms}, table[2])
     return model.zero()
 
 
@@ -233,12 +209,11 @@ def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict])
 
 
 def apply_table(model: "Model", table, a: "Element") -> "Element":
-    """The derivation with this `value_table` applied to the element a: a's
-    denominators cleared once, one Leibniz pass, one Fraction per result term."""
-    den, pairs = _numerators(a.terms)
+    """The derivation with this `value_table` applied to the element a: one
+    Leibniz pass over a's numerators, over the product of the denominators."""
     out: dict = {}
-    leibniz(model, table, pairs, repeat(out))
-    return _over(model, out, den * table[2])
+    leibniz(model, table, a.nums.items(), repeat(out))
+    return Element._of(model, out, a.den * table[2])
 
 
 def apply_values(model: "Model", passes, degree: int):
@@ -259,27 +234,31 @@ def apply_values(model: "Model", passes, degree: int):
 
 
 class Element:
-    """Rational linear combination of normalized monomials of one model,
-    as {exponent tuple: nonzero Fraction}."""
+    """Rational linear combination of normalized monomials of one model:
+    `nums`, {exponent tuple: nonzero int}, over the positive denominator
+    `den`, reduced like a value-table row.  `terms` is a fresh
+    {exponent tuple: Fraction} view."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model", "den", "nums")
 
     def __init__(self, model: "Model", terms: Mapping[tuple, Rational]):
+        terms = {m: Fraction(c) for m, c in terms.items()}
+        den = lcm(*[c.denominator for c in terms.values()])
+        nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
         self.model = model
-        clean = {}
-        for m, c in terms.items():
-            c = Fraction(c)
-            if c:
-                clean[m] = c
-        self.terms = clean
+        self.den, self.nums = _reduced(den, nums)
 
     @classmethod
-    def _trusted(cls, model: "Model", terms: dict) -> "Element":
-        """Wrap terms whose coefficients are already nonzero Fractions, as they are."""
+    def _of(cls, model: "Model", nums: Mapping[tuple, int], den: int = 1) -> "Element":
+        """The element sum n / den over nums (den > 0), in normal form."""
         el = cls.__new__(cls)
         el.model = model
-        el.terms = terms
+        el.den, el.nums = _reduced(den, nums)
         return el
+
+    @property
+    def terms(self) -> dict:
+        return {m: Fraction(n, self.den) for m, n in self.nums.items()}
 
     # -- ring structure ---------------------------------------------------
 
@@ -290,27 +269,25 @@ class Element:
             return other
         return self.model.scalar(other)
 
-    def _combine(self, other, subtract: bool) -> "Element":
-        out = dict(self.terms)
-        for m, c in self._coerce(other).terms.items():
-            if subtract:
-                c = -c
-            if m in out:
-                out[m] += c
-            else:
-                out[m] = c
-        return Element._trusted(self.model, {m: c for m, c in out.items() if c})
+    def _combine(self, other, sign: int) -> "Element":
+        other = self._coerce(other)
+        den = lcm(self.den, other.den)
+        out = {m: n * (den // self.den) for m, n in self.nums.items()}
+        scale = sign * (den // other.den)
+        for m, n in other.nums.items():
+            out[m] = out.get(m, 0) + scale * n
+        return Element._of(self.model, out, den)
 
     def __add__(self, other):
-        return self._combine(other, False)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element._trusted(self.model, {m: -c for m, c in self.terms.items()})
+        return Element._of(self.model, {m: -n for m, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -318,19 +295,19 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             c = Fraction(other)
-            terms = {m: c * v for m, v in self.terms.items()} if c else {}
-            return Element._trusted(self.model, terms)
+            scaled = {m: c.numerator * n for m, n in self.nums.items()}
+            return Element._of(self.model, scaled, self.den * c.denominator)
         if other.model is not self.model:
             raise GradedError("ambient model mismatch")
         bits = self.model.odd_bits
-        right = [(b, _odd_mask(bits, b), c) for b, c in other.terms.items()]
+        right = [(b, _odd_mask(bits, b), n) for b, n in other.nums.items()]
         out: dict = {}
-        for a, ca in self.terms.items():
+        for a, na in self.nums.items():
             amask = _odd_mask(bits, a)
-            for b, bmask, cb in right:
+            for b, bmask, nb in right:
                 if amask & bmask:
                     continue
-                term = ca * cb
+                term = na * nb
                 if bmask and _parity(amask, bmask):
                     term = -term
                 key = tuple(map(add, a, b))
@@ -338,15 +315,14 @@ class Element:
                     out[key] += term
                 else:
                     out[key] = term
-        return _collect(self.model, out)
+        return Element._of(self.model, out, self.den * other.den)
 
     def __rmul__(self, other):
         # scalars commute with everything
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        c = Fraction(other)
-        return Element._trusted(self.model, {m: v / c for m, v in self.terms.items()})
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n: int):
         """Repeated squaring; once a square vanishes, so does every higher power."""
@@ -360,32 +336,37 @@ class Element:
             n >>= 1
             if n:
                 square = square * square
-                if not square.terms:
+                if not square.nums:
                     return square
         return out
 
+    def _constant(self) -> Optional[Fraction]:
+        """The value of a constant element, zero included; None for any other."""
+        one = (0,) * len(self.model.generators)
+        return Fraction(self.nums.get(one, 0), self.den) if self.nums.keys() <= {one} else None
+
     def __eq__(self, other):
         if isinstance(other, Element):
-            return self.model is other.model and self.terms == other.terms
+            return self.model is other.model and self.den == other.den and self.nums == other.nums
         try:
             c = Fraction(other)
         except (TypeError, ValueError):
             return NotImplemented
-        if not c:
-            return not self.terms
-        return self.terms == {(0,) * len(self.model.generators): c}
+        return self._constant() == c
 
     def __hash__(self):
-        return hash((id(self.model), frozenset(self.terms.items())))
+        # a constant element equals its value, so it hashes as that value
+        c = self._constant()
+        return hash((id(self.model), self.den, frozenset(self.nums.items())) if c is None else c)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     # -- grading ----------------------------------------------------------
 
     def degree(self) -> Optional[int]:
         """The common degree of all terms, None for 0 or inhomogeneous elements."""
-        degs = {monomial_degree(self.model, m) for m in self.terms}
+        degs = {monomial_degree(self.model, m) for m in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -467,22 +448,21 @@ class Model:
             raise GradedError(f"unknown generator {name!r}")
         exps = [0] * len(self.generators)
         exps[self.index[name]] = 1
-        return Element(self, {tuple(exps): Fraction(1)})
+        return Element._of(self, {tuple(exps): 1})
 
     def zero(self) -> Element:
-        return Element._trusted(self, {})
+        return Element._of(self, {})
 
     def one(self) -> Element:
         return self.scalar(1)
 
     def scalar(self, c: Rational) -> Element:
         c = Fraction(c)
-        if not c:
-            return self.zero()
-        return Element(self, {(0,) * len(self.generators): c})
+        return Element._of(self, {(0,) * len(self.generators): c.numerator}, c.denominator)
 
     def monomial_element(self, m: tuple, coeff: Rational = 1) -> Element:
-        return Element(self, {m: Fraction(coeff)})
+        c = Fraction(coeff)
+        return Element._of(self, {m: c.numerator}, c.denominator)
 
     # -- degree-wise bases --------------------------------------------------
 

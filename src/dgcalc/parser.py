@@ -132,8 +132,8 @@ def _power_terms(value: Element, n: int) -> int:
     A term with an odd generator squares to zero, so each term of the power
     takes j distinct such terms and n - j of the others, repeats allowed."""
     bits = value.model.odd_bits
-    odd = sum(1 for m in value.terms if any(compress(bits, m)))
-    even = len(value.terms) - odd
+    odd = sum(1 for m in value.nums if any(compress(bits, m)))
+    even = len(value.nums) - odd
     total = 0
     for j in range(min(n, odd) + 1):
         evens = _capped_comb(n - j + even - 1, n - j) if even else int(j == n)
@@ -188,7 +188,7 @@ class _ExprParser:
         while True:
             start = self.peek()
             rhs, n, terms = self.factor()
-            if value is not None and len(value.terms) * terms > MAX_POWER_TERMS:
+            if value is not None and len(value.nums) * terms > MAX_POWER_TERMS:
                 raise ModelFileError(
                     "syntax", start.line, start.col, f"product expands past {MAX_POWER_TERMS} terms"
                 )
@@ -232,7 +232,7 @@ class _ExprParser:
         """factor()'s triple for value and the exponent after it, 1 if none; a
         power's predicted term count is charged to MAX_EXPRESSION_TERMS."""
         if self.peek().kind != "^":
-            return value, 1, len(value.terms)
+            return value, 1, len(value.nums)
         self.next()
         tok = self.next()
         if tok.kind != "number" or "/" in tok.text:

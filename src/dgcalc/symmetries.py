@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from . import linalg
 from .cohomology import Column
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model, _over, _table, monomial_degree, restricted_table, table_numerators
+from .graded import Element, Model, _table, monomial_degree, restricted_table, table_numerators
 
 
 class SymmetryError(Exception):
@@ -224,10 +224,10 @@ def _realized_table(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: 
     vden, values = table_numerators(vector.table)
     terms = [(i, m + pad, n, vden) for i, t in values.items() for m, n in t.items()]
     terms += [
-        (i, m + tail, coeff.numerator * scale.numerator, coeff.denominator * scale.denominator)
+        (i, m + tail, n * scale.numerator, parts[name].den * scale.denominator)
         for i, tail, scale, name in fibers
         if name
-        for m, coeff in parts[name].terms.items()
+        for m, n in parts[name].nums.items()
     ]
     den = lcm(*[d for _, _, _, d in terms])
     sums: Dict[int, Dict[tuple, int]] = {}
@@ -264,7 +264,7 @@ def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Ele
         else:
             linear[m[:nb]] = -n if monomial_degree(base, m[:nb]) % 2 else n
     primary = {m[:nb]: n for m, n in q_value.items()}
-    return _over(base, primary, den), _over(base, plain, den), _over(base, linear, den)
+    return tuple(Element._of(base, part, den) for part in (primary, plain, linear))
 
 
 def decompose(bundle: DgBundle, d: Derivation) -> SymElement:

@@ -18,11 +18,12 @@ sections and the snake connecting map of the short exact sequence
 from __future__ import annotations
 
 from itertools import repeat
+from math import lcm
 from typing import Callable, List, Optional, Set, Tuple
 
 from .cohomology import _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle, gauge_transform
-from .graded import Element, _collect, leibniz
+from .graded import Element, leibniz
 
 
 class TDualityError(Exception):
@@ -92,11 +93,11 @@ class TDualPair:
         if el.model is not self.p.total:
             raise TDualityError("expected an element of the bundle P")
         out = {}
-        for exps, c in el.terms.items():
+        for exps, n in el.nums.items():
             image = self.rule(exps)
             if image:
-                out[image[0]] = c * image[1]
-        return Element._trusted(self.pbar.total, out)
+                out[image[0]] = n * image[1]
+        return Element._of(self.pbar.total, out, el.den)
 
     def section(self, el: Element) -> Element:
         """The preferred preimage of el under the comparison map.
@@ -107,14 +108,15 @@ class TDualPair:
         if el.model is not self.pbar.total:
             raise TDualityError("expected an element of the dual bundle")
         i = self._fiber
+        scale = lcm(*[exps[i + 1] + 1 for exps in el.nums if exps[i]])
         out = {}
-        for exps, c in el.terms.items():
+        for exps, n in el.nums.items():
             if exps[i]:
                 power = exps[i + 1] + 1
-                out[exps[:i] + (0, power)] = c / power
+                out[exps[:i] + (0, power)] = n * (scale // power)
             else:
-                out[exps[:i] + (1,) + exps[i + 1 :]] = c
-        lifted = _collect(self.p.total, out)
+                out[exps[:i] + (1,) + exps[i + 1 :]] = n * scale
+        lifted = Element._of(self.p.total, out, el.den * scale)
         if self.tmap(lifted) != el:
             raise TDualityError("section failed to invert the comparison map")
         return lifted
@@ -266,9 +268,10 @@ def les_check(pair: TDualPair, lo: int, hi: int) -> Tuple[bool, List[Tuple]]:
     """Exactness bookkeeping for the long exact sequence on a degree window."""
     if not 0 <= lo <= hi:
         raise TDualityError(f"degree window {lo}..{hi} needs 0 <= lo <= hi")
-    hp, hpb, hm = (
-        betti(space, max(lo - 1, 0), hi + 1) for space in (pair.p, pair.pbar, pair.base)
-    )
+    # each space's Betti numbers on the degrees its nodes sit in, and no others
+    hp = betti(pair.p, lo, hi)
+    hpb = betti(pair.pbar, max(lo - 1, 0), hi - 1) if hi else {}
+    hm = betti(pair.base, lo + 1, hi + 1)
     node_ranks = {k: les_node_ranks(pair, k) for k in range(lo, hi + 1)}
     # past the window only i_* is read, by the base node H^{hi+1}
     top = hi + 1

@@ -2,7 +2,8 @@
 commutator of derivations, the bases and their sizes, the ranks of the long
 exact sequence, twisted cohomology, the T-duality map, the chain-map sign
 check, the structured symmetries and their realized derivations, the
-rescaling and pushforward maps whose chain identities the tests check, and a
+split of an element by powers of one generator, the rescaling and
+pushforward maps whose chain identities the tests check, and a
 sampler of inhomogeneous elements; tests only."""
 
 from fractions import Fraction
@@ -278,6 +279,27 @@ def twisted_dims_reference(model, h, cap):
     return out[0], out[1]
 
 
+def fiber_coefficients(bundle, el, fiber):
+    """Decompose el = sum_k c_k * fiber^k with the fiber power on the right.
+
+    Returns {k: c_k} as elements of the total model with the fiber removed;
+    for an odd fiber the sign of moving it past the odd generators after it
+    in each monomial is folded into the coefficient.
+    """
+    total = bundle.total
+    if el.model is not total:
+        raise ValueError("expected an element of the total model")
+    idx = total.index[fiber]
+    odd = [g.is_odd for g in total.generators]
+    out = {}
+    for m, c in el.terms.items():
+        k = m[idx]
+        if odd[idx] and k and sum(1 for j in range(idx + 1, len(m)) if m[j] and odd[j]) % 2:
+            c = -c
+        out.setdefault(k, {})[m[:idx] + (0,) + m[idx + 1 :]] = c
+    return {k: Element(total, t) for k, t in sorted(out.items())}
+
+
 def rescale_to_twisted(bundle, el):
     """Send w * t^k to k! * w; intertwines d + H dt with d + H wedge for k >= 1."""
     if bundle.shape != "line":
@@ -287,7 +309,7 @@ def rescale_to_twisted(bundle, el):
         raise ValueError("rescaling needs an even fiber")
     out = bundle.base.zero()
     fact = [Fraction(1)]
-    for k, coeff in bundle.fiber_coefficients(el, fiber).items():
+    for k, coeff in fiber_coefficients(bundle, el, fiber).items():
         while len(fact) <= k:
             fact.append(fact[-1] * len(fact))
         out = out + bundle.restrict_to_base(coeff) * fact[k]
@@ -332,7 +354,7 @@ def literal_tmap(pair, el):
     gauge exponential of qbar*q d/dt, then integrate along q."""
     corr = pair.correspondence
     gauged = exp_apply(pair._gauge, transport(el, corr.total))
-    linear = corr.fiber_coefficients(gauged, pair.p.q_name).get(1)
+    linear = fiber_coefficients(corr, gauged, pair.p.q_name).get(1)
     if linear is None:
         return pair.pbar.total.zero()
     return transport(linear, pair.pbar.total)
@@ -376,7 +398,7 @@ def pushforward(bundle: DgBundle, el: Element) -> Element:
     fiber = bundle.fiber_names[0]
     if not bundle.total.generator_named(fiber).is_odd:
         raise TDualityError("pushforward integrates an odd fiber")
-    coeffs = bundle.fiber_coefficients(el, fiber)
+    coeffs = fiber_coefficients(bundle, el, fiber)
     linear = coeffs.get(1)
     if linear is None:
         return bundle.base.zero()
@@ -527,7 +549,7 @@ def courant_reference_bracket(bundle: DgBundle, a: SymElement, b: SymElement) ->
         v = vf.value(g.name)
         if not v.is_zero():
             iota_values[g.name] = e_bundle.restrict_to_base(v)
-    coeffs = e_bundle.fiber_coefficients(form, bundle.q_name)
+    coeffs = fiber_coefficients(e_bundle, form, bundle.q_name)
     return symmetry(
         bundle,
         -1,

@@ -181,6 +181,16 @@ def test_scalar_arithmetic(s2):
     assert s2.scalar(0).is_zero()
 
 
+def test_constant_elements_hash_as_their_values(t2):
+    # an element equal to a number must hash like it, or sets and dicts miss it
+    for c in (Fraction(3, 2), Fraction(-1, 3), 2, 0):
+        el = t2.scalar(c)
+        assert el == c and hash(el) == hash(c)
+        assert c in {el} and el in {c} and {el: 1}[c] == 1
+    assert t2.zero() == 0 and hash(t2.zero()) == hash(0) and 0 in {t2.zero()}
+    assert hash(t2.gen("th1") - t2.gen("th1")) == hash(0)
+
+
 def test_format_element_deterministic(t2):
     th1, th2 = t2.gen("th1"), t2.gen("th2")
     el = 2 * (th1 * th2) - th1

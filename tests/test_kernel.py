@@ -5,11 +5,12 @@ tail per factor instead.  `Model.d`, every `Derivation`, `commutator` and
 every cochain slice run through one Leibniz loop over cached value tables of
 integer numerators over one denominator; `oracles.apply_derivation` expands
 the Leibniz rule as products of Fraction elements instead, and `oracles.brute_basis` filters the whole exponent box where
-`Model.basis` extends memoized suffixes.  `DgBundle.fiber_coefficients`
-shares the product's sign rule, so splitting off a generator must rebuild
-the element.
+`Model.basis` extends memoized suffixes.  `oracles.fiber_coefficients`
+counts the odd generators after the one it splits off, so multiplying the
+pieces back through the product's sign rule must rebuild the element.
 """
 
+import pathlib
 import random
 from fractions import Fraction
 from functools import partial
@@ -21,8 +22,18 @@ from dgcalc import presets
 from dgcalc.cohomology import _twisted_images, complex_of
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
 from dgcalc.graded import Element, Model, apply_values, table_values
+from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
-from oracles import apply_derivation, brute_basis, coordinates, literal_commutator, merge_sign
+from dgcalc.tduality import dualize
+from oracles import (
+    apply_derivation,
+    brute_basis,
+    coordinates,
+    fiber_coefficients,
+    literal_commutator,
+    literal_tmap,
+    merge_sign,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -174,7 +185,7 @@ def test_fiber_coefficients_rebuild_the_element(shape, seed):
     for g in total.generators:
         idx, x = total.index[g.name], total.gen(g.name)
         rebuilt = total.zero()
-        for k, c in bundle.fiber_coefficients(el, g.name).items():
+        for k, c in fiber_coefficients(bundle, el, g.name).items():
             assert all(not m[idx] for m in c.terms), (g.name, k)
             rebuilt = rebuilt + c * x**k
         assert rebuilt == el, g.name
@@ -560,6 +571,60 @@ def test_a_derivation_is_its_table_alone(degrees, seed, deg1, deg2, den1, den2):
     values[model.generators[0].name] = model.zero()
     assert d1 == snapshot and d1.values == snapshot.values
     assert all(not v.is_zero() for v in d1.values.values())
+
+
+HALF_PAIR = pathlib.Path(__file__).resolve().parent / "nil_pair_half.dgm"
+
+
+def assert_reduced(el):
+    """el is stored as a table row: den > 0, no zero numerator, no common factor."""
+    assert el.den > 0 and all(el.nums.values()), (el.den, el.nums)
+    assert gcd(el.den, *el.nums.values()) == 1, (el.den, el.nums)
+
+
+@settings(max_examples=6, deadline=None)
+@given(SEEDS, DENOMINATORS)
+def test_an_element_is_a_reduced_numerator_row(seed, den):
+    # nil_pair with d z and F halved, so d, T's source and every product carry halves
+    rng = random.Random(seed)
+    pair = dualize(load_path(str(HALF_PAIR)).bundle)
+    p, total = pair.p, pair.p.total
+    a = fractional_element(total, 2, rng, den)
+    b = fractional_element(total, 1, rng, 6 // den)
+    w = fractional_element(pair.base, 2, rng, den)
+    c = Fraction(rng.choice([-5, -1, 2, 3]), den)
+    vector = fractional_derivation(total, -1, rng, den)
+    results = [a + b, a - b, a - a, a * b, a * c, c * a, a / c, (a + b) ** 3, total.d(a)]
+    results += [vector(a), pair.tmap(a), p.include_base(w), p.restrict_to_base(p.include_base(w))]
+    for el in results:
+        assert_reduced(el)
+    # equal values built by different routes are equal and hash equal
+    equal = [
+        ((a + b) - b, a),
+        (a * c / c, a),
+        (a * 2, a + a),
+        (c * a, Element(total, {m: c * x for m, x in a.terms.items()})),
+        (Element(total, dict(reversed(a.terms.items()))), a),
+        (total.d(a * b), total.d(a) * b + a * total.d(b)),
+        (pair.tmap(a), literal_tmap(pair, a)),
+        (p.restrict_to_base(p.include_base(w)), w),
+        (p.include_base(w) * c, p.include_base(w * c)),
+        (total.one() * c, total.scalar(c)),
+    ]
+    for built, want in equal:
+        assert built == want and hash(built) == hash(want)
+        assert (built.den, built.nums) == (want.den, want.nums)
+    assert total.scalar(c) == c and hash(total.scalar(c)) == hash(c)
+    # terms is a Fraction view that rebuilds the element through the constructor
+    for el in results:
+        view = el.terms
+        assert Element(el.model, view) == el
+        assert all(type(x) is Fraction and x for x in view.values())
+        # and a fresh copy: mutating it leaves the element as it was
+        snapshot = (el.den, dict(el.nums))
+        view.clear()
+        view[(0,) * len(el.model.generators)] = Fraction(7)
+        assert (el.den, el.nums) == snapshot and el.terms != view
 
 
 @settings(max_examples=40, deadline=None)

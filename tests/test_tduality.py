@@ -802,6 +802,10 @@ def test_les_check_computes_only_the_ranks_its_rows_read(make, monkeypatch):
     ok, rows = les_check(pair, 0, hi)
     # i_* at degree 0, (i_*, T_*, beta_*) at 1..hi, and i_* at hi + 1
     assert len(calls) == 3 * hi + 2
+    # the Pbar nodes sit in degrees 0..hi - 1, so no slice of Pbar above them is built
+    assert max(pair.pbar.total._slices) == hi - 1
+    lone = make()
+    assert les_check(lone, 0, 0)[0] and not lone.pbar.total._slices
     ranks = {k: oracles.les_node_ranks(pair, k) for k in range(hi + 2)}
     hp, hpb, hm = (_fresh_betti(space, 0, hi + 1) for space in (pair.p, pair.pbar, pair.base))
     expected = []
