@@ -24,13 +24,23 @@ operations and the two routes are compared whenever a display exists.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import Column
+from .cohomology import Column, complex_of
 from .derivations import Derivation, DgBundle, commutator, model_differential
-from .graded import Element, Model, _table, monomial_degree, restricted_table, table_numerators
+from .graded import (
+    Element,
+    Model,
+    _table,
+    leibniz,
+    monomial_degree,
+    restricted_table,
+    table_numerators,
+)
 
 
 class SymmetryError(Exception):
@@ -443,72 +453,112 @@ def is_symmetry(a: SymElement) -> bool:
 # -- the full degree-0 kernel vs the structured family -----------------------
 
 
-def _value_index(total: Model, shift: int) -> List[Dict[tuple, int]]:
+def _value_index(model: Model, shift: int) -> List[Dict[tuple, int]]:
     """One numbering of the pairs (generator g, monomial of degree |g| + shift),
     as one {monomial: row} per generator in generator order: the rows of the
     values of a derivation of that degree."""
     index, n = [], 0
-    for g in total.generators:
+    for g in model.generators:
         rows = {}
-        for m in total.basis(g.degree + shift):
+        for m in model.basis(g.degree + shift):
             rows[m] = n
             n += 1
         index.append(rows)
     return index
 
 
-def _value_column(d: Derivation, index: List[Dict[tuple, int]]) -> Column:
-    """The values of d on every generator as one sparse column, numbered by
-    index: the integer numerators of d's value table, so the values scaled
+def _value_column(table, index: List[Dict[tuple, int]]) -> Column:
+    """The values a value table gives every generator as one sparse column,
+    numbered by index: the table's integer numerators, so the values scaled
     by its denominator, which leaves every rank unchanged."""
-    _, numerators = table_numerators(d.table)
+    _, numerators = table_numerators(table)
     return {index[i][m]: n for i, terms in numerators.items() for m, n in terms.items()}
+
+
+def _bracket_columns(model: Model, shift: int) -> List[Column]:
+    """The matrix of X -> [d, X] on the model's derivations of degree shift.
+
+    One sparse column per unknown (g, m) of `_value_index(model, shift)`, the
+    field m d/dg, with rows numbered by `_value_index(model, shift + 1)`, as
+    integer numerators over d_table's denominator.  On a generator h,
+    [d, m d/dg](h) = delta_{hg} d(m) - (-1)^shift (m d/dg)(d h).  The d(m)
+    part is column m of the cached cochain slice, moved down to g's rows.
+    The rest is one Leibniz pass per g, whose table sends g to every m at
+    once, over the terms of d that contain g with one out per term; a key of
+    that out is m plus the term with g lowered, which gives m back.
+    """
+    _, entries, den = model.d_table
+    slices = complex_of(model)
+    unknowns, rows = _value_index(model, shift), _value_index(model, shift + 1)
+    offsets = list(accumulate(map(len, rows), initial=0))
+    # the slice holds c = n / den, int or Fraction; (c * den).numerator is n
+    columns = [
+        {offsets[g] + r: (c * den).numerator for r, c in image.items()}
+        for g, block in enumerate(unknowns)
+        if block
+        for image in slices[model.degrees[g] + shift].columns
+    ]
+    sign = 1 if shift % 2 else -1
+    for g, block in enumerate(unknowns):
+        terms = [(h, x, n) for h, _, _, value in entries for x, _, (n, _) in value if x[g]]
+        if not terms:
+            continue
+        outs: List[dict] = [{} for _ in terms]
+        table = _table(model, {g: dict.fromkeys(block, 1)}, shift, 1)
+        leibniz(model, table, [(x, sign * n) for _, x, n in terms], outs)
+        for (h, x, _), out in zip(terms, outs):
+            lowered = x[:g] + (x[g] - 1,) + x[g + 1 :]
+            for key, n in out.items():
+                column, r = columns[block[tuple(map(sub, key, lowered))]], rows[h][key]
+                column[r] = column.get(r, 0) + n
+    return [{r: n for r, n in column.items() if n} for column in columns]
+
+
+def _structured_columns(bundle: DgBundle) -> List[Column]:
+    """The realized one-hot structured degree-0 elements, numbered by
+    `_value_index(total, 0)`: first one per contraction m d/dg of the base,
+    realized as its base action [d, m d/dg], which is a column of the base's
+    own bracket matrix on degree -1 fields; then one per form part set to a
+    base monomial.  Each column is a positive multiple of its element."""
+    base, total = bundle.base, bundle.total
+    index = _value_index(total, 0)
+    pad = (0,) * len(bundle.fiber_names)
+    # the base's degree-0 rows, in order, as rows of the total model
+    moved = [index[g][m + pad] for g, block in enumerate(_value_index(base, 0)) for m in block]
+    columns = [{moved[r]: n for r, n in c.items()} for c in _bracket_columns(base, -1)]
+    zero, forms = Derivation.zero(base, 0), dict(form_parts(bundle, 0))
+    parts = dict.fromkeys(forms, base.zero())
+    for key, deg in forms.items():
+        for m in base.basis(deg):
+            one_hot = {**parts, key: base.monomial_element(m)}
+            columns.append(_value_column(_realized_table(bundle, zero, one_hot, forms), index))
+    return columns
 
 
 def sym0_dimensions(bundle: DgBundle) -> Tuple[int, int]:
     """(structured solutions realized, full kernel of [Q, .] on degree-0 fields).
 
+    Both are read off one matrix M of X -> [Q, X] on degree-0 fields, with a
+    column per unknown: the full kernel is n - rank(M).  The structured
+    solutions c of sum c_i M p_i = 0, over the realized columns p_i, form a
+    space of dimension n_p - rank(M p_i), and every c with sum c_i p_i = 0 is
+    among them, so what they realize has dimension rank(p_i) - rank(M p_i).
+
     The second number may exceed the first on models where degree-0 vector
     fields fall outside the structured family (fiber scalings, rotations of
     the base); the identity runner reports both.
     """
-    total = bundle.total
-    # one probe per unknown, sending g to m, so of degree 0 by construction
-    probes = [
-        Derivation(total, 0, {g.name: total.monomial_element(m)})
-        for g in total.generators
-        for m in total.basis(g.degree)
-    ]
-    structured = [p.realized for p in _structured_parameters(bundle)]
-    return _realized_kernel_dim(bundle, structured), _realized_kernel_dim(bundle, probes)
-
-
-def _structured_parameters(bundle: DgBundle):
-    """One-hot structured degree-0 elements spanning the ansatz."""
-    base = bundle.base
-    params = []
-    for g in base.generators:
-        for m in base.basis(g.degree - 1):
-            iota = Derivation(base, -1, {g.name: base.monomial_element(m)})
-            params.append(symmetry(bundle, 0, iota=iota))
-    for key, deg in form_parts(bundle, 0):
-        for m in base.basis(deg):
-            params.append(symmetry(bundle, 0, **{key: base.monomial_element(m)}))
-    return params
-
-
-def _realized_kernel_dim(bundle: DgBundle, fields) -> int:
-    """Dimension of the kernel of [Q, .] within the span of these degree-0 fields.
-
-    The solutions c of sum c_i [Q, p_i] = 0 form a space of dimension
-    n - rank([Q, p_i]), and every c with sum c_i p_i = 0 is among them, so
-    what they realize has dimension rank(p_i) - rank([Q, p_i]).  One-hot
-    probes have rank n, which gives the full kernel.
-    """
-    realized, residues = _value_index(bundle.total, 0), _value_index(bundle.total, 1)
-    columns = [_value_column(p, realized) for p in fields]
-    images = [_value_column(commutator(bundle.q, p), residues) for p in fields]
-    return linalg.rank(columns) - linalg.rank(images)
+    bracket = _bracket_columns(bundle.total, 0)
+    structured = _structured_columns(bundle)
+    images = []
+    for column in structured:
+        image: Column = {}
+        for u, c in column.items():
+            for r, n in bracket[u].items():
+                image[r] = image.get(r, 0) + c * n
+        images.append(image)
+    kernel = len(bracket) - linalg.rank(bracket)
+    return linalg.rank(structured) - linalg.rank(images), kernel
 
 
 # -- the symmetry isomorphism of dual pairs ------------------------------------

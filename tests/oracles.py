@@ -2,9 +2,10 @@
 commutator of derivations, the bases and their sizes, the ranks of the long
 exact sequence, twisted cohomology, the T-duality map, the chain-map sign
 check, the structured symmetries and their realized derivations, the
-split of an element by powers of one generator, the rescaling and
-pushforward maps whose chain identities the tests check, and a
-sampler of inhomogeneous elements; tests only."""
+bracket of d with one probe derivation per unknown, the split of an
+element by powers of one generator, the rescaling and pushforward maps
+whose chain identities the tests check, and a sampler of inhomogeneous
+elements; tests only."""
 
 from fractions import Fraction
 from itertools import product
@@ -21,7 +22,15 @@ from dgcalc.derivations import (
 from dgcalc.graded import Element, monomial_degree
 from dgcalc.linalg import kernel_basis
 from dgcalc.sampling import random_element
-from dgcalc.symmetries import LOWER, SHAPES, SymElement, _structured_parameters, symmetry
+from dgcalc.symmetries import (
+    LOWER,
+    SHAPES,
+    SymElement,
+    _value_column,
+    _value_index,
+    form_parts,
+    symmetry,
+)
 from dgcalc.tduality import ChainMap, TDualityError
 
 
@@ -448,6 +457,21 @@ def literal_symmetry(bundle, degree, **parts):
     return Derivation(total, degree, values)
 
 
+def _structured_parameters(bundle):
+    """One-hot structured degree-0 elements spanning the ansatz, each built by
+    `symmetry`, so a contraction's base action comes from `commutator`."""
+    base = bundle.base
+    params = []
+    for g in base.generators:
+        for m in base.basis(g.degree - 1):
+            iota = Derivation(base, -1, {g.name: base.monomial_element(m)})
+            params.append(symmetry(bundle, 0, iota=iota))
+    for key, deg in form_parts(bundle, 0):
+        for m in base.basis(deg):
+            params.append(symmetry(bundle, 0, **{key: base.monomial_element(m)}))
+    return params
+
+
 def structured_kernel_dim(bundle):
     """Dimension of the degree-0 structured solutions, realized one by one.
 
@@ -500,6 +524,29 @@ def sym0_kernel_dim(bundle):
                 column.extend(coordinates(bracket.value(h.name), residue_bases[h.name]))
             columns.append(column)
     return len(columns) - bareiss_rank(columns)
+
+
+def literal_bracket_columns(space, shift=0):
+    """The matrix of X -> [Q, X] on derivations of degree shift, one probe
+    per unknown: the field sending generator g to one monomial m, for each
+    (g, m) of `_value_index(model, shift)`, bracketed with Q by `commutator`
+    and laid out over `_value_index(model, shift + 1)` as true rationals.
+    Q is a bundle's field on its total model, or a model's own d."""
+    if isinstance(space, DgBundle):
+        model, q = space.total, space.q
+    else:
+        model, q = space, model_differential(space)
+    residues = _value_index(model, shift + 1)
+    columns = []
+    for g in model.generators:
+        for m in model.basis(g.degree + shift):
+            probe = Derivation(model, shift, {g.name: model.monomial_element(m)})
+            bracket = commutator(q, probe)
+            den = bracket.table[2]
+            columns.append(
+                {r: Fraction(n, den) for r, n in _value_column(bracket.table, residues).items()}
+            )
+    return columns
 
 
 def courant_reference_bracket(bundle: DgBundle, a: SymElement, b: SymElement) -> SymElement:

@@ -107,6 +107,24 @@ def test_fractional_pair_reports_golden(argv, golden, tmp_path, capsys):
     assert report.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# every bundle in models/; the sym counts of e6_flux, bn_selfdual and t7_flux
+# are pinned nowhere else
+SYM_MODELS = (
+    "bn_selfdual", "e6_flux", "hopf_pair", "nil_pair", "s3_pair", "s3_volume", "t2_pair", "t7_flux",
+)
+
+
+def test_sym_reports_on_models_golden(tmp_path, capsys):
+    """`sym --report` on each bundle in models/, the reports one after another."""
+    records = b""
+    for name in SYM_MODELS:
+        report = tmp_path / f"{name}.txt"
+        code, _, _ = run(capsys, "sym", str(MODELS / f"{name}.dgm"), "--report", str(report))
+        assert code == 0
+        records += report.read_bytes()
+    assert records == (GOLDEN / "sym_models.txt").read_bytes()
+
+
 def test_mc_check_pass_and_fail(capsys):
     code, out, _ = run(capsys, "mc-check", str(MODELS / "nil_pair.dgm"))
     assert code == 0 and "pass" in out

@@ -11,7 +11,9 @@ dimension of the degree-0 structured solutions is pinned against
 `oracles.structured_kernel_dim`, which solves for a kernel basis and realizes
 each solution, and the full degree-0 kernel of [Q, .] against
 `oracles.sym0_kernel_dim`, which brackets one checked probe per unknown and
-ranks the dense brackets by Bareiss.
+ranks the dense brackets by Bareiss.  Both counts are read off one bracket
+matrix, whose every column must equal the probe's bracket that
+`oracles.literal_bracket_columns` takes by `commutator`, as rationals.
 """
 
 import importlib.util
@@ -25,8 +27,19 @@ from dgcalc import presets
 from dgcalc.derivations import Derivation, DgBundle, model_differential
 from dgcalc.parser import load_path, parse_model
 from dgcalc.sampling import random_contraction, random_element
-from dgcalc.symmetries import SymmetryError, decompose, sym0_dimensions, symmetry
-from oracles import literal_symmetry, structured_kernel_dim, sym0_kernel_dim
+from dgcalc.symmetries import (
+    SymmetryError,
+    _bracket_columns,
+    decompose,
+    sym0_dimensions,
+    symmetry,
+)
+from oracles import (
+    literal_bracket_columns,
+    literal_symmetry,
+    structured_kernel_dim,
+    sym0_kernel_dim,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -187,6 +200,8 @@ def test_decompose_rejects_fiber_dependent_base_values(key):
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the fixtures whose d and Q carry non-unit denominators
+FRACTIONAL_FIXTURES = ("nil_pair_half", "nil_pair_f_half")
 BUNDLE_MODELS = (
     "bn_selfdual", "e6_flux", "hopf_pair", "nil_pair", "s3_pair", "s3_volume", "t2_pair", "t7_flux",
 )
@@ -219,3 +234,37 @@ def test_structured_kernel_dim_matches_oracle_on_generated_pairs(n, variant, sel
 @pytest.mark.parametrize("key", sorted(BUNDLES))
 def test_structured_kernel_dim_matches_oracle_on_fixtures(key):
     _assert_degree_zero_counts(BUNDLES[key])
+
+
+@pytest.mark.parametrize("name", FRACTIONAL_FIXTURES)
+def test_structured_kernel_dim_matches_oracle_on_fractional_fixtures(name):
+    _assert_degree_zero_counts(load_path(str(ROOT / "tests" / f"{name}.dgm")).bundle)
+
+
+def _assert_bracket_columns_match_literal(bundle):
+    """Every column of the bracket matrices `sym0_dimensions` reads, over d's
+    denominator, equals the probe's bracket over its own: [Q, .] on the total
+    model's degree-0 fields and [d, .] on the base's degree -1 ones."""
+    for model, space, shift in ((bundle.total, bundle, 0), (bundle.base, bundle.base, -1)):
+        den = model.d_table[2]
+        fast = [{r: Fraction(n, den) for r, n in c.items()} for c in _bracket_columns(model, shift)]
+        assert fast == literal_bracket_columns(space, shift)
+
+
+@pytest.mark.parametrize("path", [f"models/{name}.dgm" for name in BUNDLE_MODELS] + [
+    f"tests/{name}.dgm" for name in FRACTIONAL_FIXTURES
+])
+def test_bracket_columns_match_literal_commutators_on_models(path):
+    _assert_bracket_columns_match_literal(load_path(str(ROOT / path)).bundle)
+
+
+@pytest.mark.parametrize("n,variant,selfdual", [(3, 1, True), (4, 2, False), (5, 0, False)])
+def test_bracket_columns_match_literal_commutators_on_generated_pairs(n, variant, selfdual):
+    _assert_bracket_columns_match_literal(
+        parse_model(_benchmark_inputs().pair(n, variant, selfdual)).bundle
+    )
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLES))
+def test_bracket_columns_match_literal_commutators_on_fixtures(key):
+    _assert_bracket_columns_match_literal(BUNDLES[key])

@@ -4,6 +4,7 @@ import itertools
 import pathlib
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from dgcalc.cli import main
 from dgcalc.graded import Element, Model, format_element, monomial_degree
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
-from dgcalc.symmetries import sym0_dimensions
+from dgcalc.symmetries import _bracket_columns, sym0_dimensions
 from dgcalc.tduality import (
     ChainMap,
     TDualPair,
@@ -419,6 +420,17 @@ if st is not None:
     @given(generated_pairs())
     def test_generated_dual_pairs_have_equal_structured_symmetry_counts(pair):
         assert sym0_dimensions(pair.p)[0] == sym0_dimensions(pair.pbar)[0]
+
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(generated_pairs())
+    def test_bracket_columns_match_the_probe_brackets_on_generated_pairs(pair):
+        """Each column of the degree-0 bracket matrix, over d's denominator,
+        is the bracket of Q with that unknown's probe, on both sides."""
+        for bundle in (pair.p, pair.pbar):
+            den = bundle.total.d_table[2]
+            matrix = _bracket_columns(bundle.total, 0)
+            fast = [{r: Fraction(n, den) for r, n in c.items()} for c in matrix]
+            assert fast == oracles.literal_bracket_columns(bundle)
 
 
 # structured degree-0 symmetry counts of the model pairs; the full kernels of
