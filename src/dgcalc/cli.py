@@ -53,6 +53,7 @@ from .symmetries import (
 from .tduality import (
     TDualityError,
     dualize,
+    gauge_equivalent,
     les_check,
     ses_verify,
     tduality_chain_map,
@@ -164,8 +165,9 @@ def cmd_tdualize(mf, args, report):
         text = format_element(pair.pbar.structural[key])
         print(f"  {key} = {text}")
         report.add(f"dual.{key}", text)
-    print("correspondence gauge equivalence: pass")
-    return True
+    ok = gauge_equivalent(pair)
+    print(f"correspondence gauge equivalence: {'pass' if ok else 'fail'}")
+    return ok
 
 
 def cmd_tmap_verify(mf, args, report):

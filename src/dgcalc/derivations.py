@@ -188,34 +188,24 @@ def maurer_cartan_check(d: Derivation) -> MCResult:
     return MCResult(*next(iter(residues.items()), ()))
 
 
-def adjoint_orbit(v: Derivation, q: Derivation, cap: int = 8):
-    """[q, [v,q], [v,[v,q]], ...] until it vanishes; raises if not nilpotent within cap."""
-    terms = [q]
-    cur = q
-    for _ in range(cap):
-        cur = commutator(v, cur)
-        if cur.is_zero():
-            return terms
-        terms.append(cur)
-    raise DerivationError(f"ad_V not nilpotent within {cap} steps")
-
-
 def gauge_transform(q: Derivation, v: Derivation, nilpotency_cap: int = 8) -> Derivation:
     """e^{ad_V} Q for a degree-0 vector field V with nilpotent adjoint action.
 
     ad_V = [V, .], so this is conjugation by e^V.  Under this convention the
     correspondence gauge qbar*q d/dt carries H + q Fbar to H + qbar F on the
     nose; the textbook twist shift H -> H + dB is gauge_transform(Q, -B d/dt).
+    Raises when ad_V^k Q has not vanished by k = nilpotency_cap.
     """
     if v.degree != 0:
         raise DerivationError("gauge transformations use degree-0 vector fields")
-    total = Derivation.zero(q.model, q.degree)
-    fact = Fraction(1)
-    for k, term in enumerate(adjoint_orbit(v, q, nilpotency_cap)):
-        if k:
-            fact = fact * k
-        total = total + term * (Fraction(1) / fact)
-    return total
+    total = term = q
+    # term is ad_V^k Q / k!
+    for k in range(1, nilpotency_cap + 1):
+        term = commutator(v, term) * Fraction(1, k)
+        if term.is_zero():
+            return total
+        total = total + term
+    raise DerivationError(f"ad_V not nilpotent within {nilpotency_cap} steps")
 
 
 def exp_apply(v: Derivation, a: Element, cap: int = 8) -> Element:

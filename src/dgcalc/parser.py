@@ -28,10 +28,10 @@ from .derivations import BUNDLE_SHAPES, BundleError, Derivation, DgBundle, form_
 from .graded import Element, GradedError, GradedGenerator, Model
 from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
 
-# the shapes a file can declare, tried in this order (only dualize builds a
-# correspondence), and the key a file may write for a form its shape names
-# otherwise: a line's Theta may be given as F; a line's forms do not depend on
-# its degree, so any degree lists them
+# the shapes a file can declare, tried in this order (only tdualize builds a
+# correspondence, through tduality.correspondence), and the key a file may
+# write for a form its shape names otherwise: a line's Theta may be given as
+# F; a line's forms do not depend on its degree, so any degree lists them
 FILE_SHAPES = ("two_step", "flux", "line")
 ALIASES = {"F": "Theta"}
 STRUCTURAL_KEYS = frozenset(ALIASES).union(*(form_degrees(s, 1) for s in FILE_SHAPES))

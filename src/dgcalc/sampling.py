@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .derivations import Derivation, DgBundle
 from .graded import Element, Model
@@ -11,14 +10,15 @@ from .symmetries import SymElement, form_parts, symmetry
 
 
 def random_element(model: Model, degree: int, rng: random.Random, density: float = 0.6) -> Element:
-    """A random rational combination of the degree basis; may be zero."""
-    terms = {}
+    """A random rational combination of the degree basis, with numerators in
+    -3..3 over 1 or 2; may be zero."""
+    nums = {}
     for m in model.basis(degree):
         if rng.random() < density:
             num = rng.randint(-3, 3)
             if num:
-                terms[m] = Fraction(num, rng.randint(1, 2))
-    return Element(model, terms)
+                nums[m] = num * (2 // rng.randint(1, 2))
+    return Element._of(model, nums, 2)
 
 
 def random_derivation(model: Model, degree: int, rng: random.Random, density: float = 0.5) -> Derivation:

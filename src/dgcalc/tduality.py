@@ -12,12 +12,13 @@ Bouwknegt-Evslin-Mathai in closed form.  `TDualPair.rule` is that rule on one
 exponent tuple; `tmap`, the chain-map check and the exactness count of
 `ses_verify` all read it, and `section` inverts it term by term to produce
 sections and the snake connecting map of the short exact sequence
-0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.
+0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.  T never reads the correspondence:
+`correspondence` builds it, with its gauge field, for `gauge_equivalent` alone.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, count, repeat
 from math import lcm
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -31,7 +32,9 @@ class TDualityError(Exception):
 
 
 class TDualPair:
-    """A two-step bundle, its dual, and the correspondence joining them."""
+    """A two-step bundle P, its dual Pbar over the same base, and T's monomial
+    rule.  The correspondence joining them is built on demand by
+    `correspondence`; nothing T computes reads it."""
 
     def __init__(self, p: DgBundle):
         if p.shape != "two_step":
@@ -40,34 +43,14 @@ class TDualPair:
         f, fbar, h = p.structural["F"], p.structural["Fbar"], p.structural["H"]
         self.base = base
         self.p = p
-        dual_fiber = "qbar" if p.q_name != "qbar" else "q"
+        # the first free name, so a base generator called qbar cannot clash
+        names = chain(("qbar", "q"), (f"qbar{i}" for i in count(1)))
+        dual_fiber = next(name for name in names if name not in p.total.index)
         self.pbar = DgBundle.two_step(base, fbar, f, h, q=dual_fiber, t=p.t_name, name="dual")
         self.dual_fiber = dual_fiber
         # both totals list the base generators, then the fiber (q upstairs, qbar
         # downstairs), then t, so the closed-form map moves exponent tuples as is
         self._fiber = len(base.generators)
-        self.correspondence = DgBundle.correspondence(
-            base, f, fbar, h, q=p.q_name, qbar=dual_fiber, t=p.t_name
-        )
-        self._gauge = Derivation(
-            self.correspondence.total,
-            0,
-            {
-                self.correspondence.t_name: self.correspondence.total.gen(dual_fiber)
-                * self.correspondence.total.gen(p.q_name)
-            },
-        )
-        self._check_gauge_equivalence()
-
-    def _check_gauge_equivalence(self):
-        """The two pullback fields on the correspondence differ by the gauge move."""
-        corr = self.correspondence
-        moved = gauge_transform(corr.q, self._gauge)
-        twist = corr.structural_total("H") + corr.total.gen(self.dual_fiber) * corr.structural_total(
-            "F"
-        )
-        if moved.value(corr.t_name) != twist:
-            raise TDualityError("correspondence twists are not gauge equivalent")
 
     # -- the comparison map -------------------------------------------------
 
@@ -139,6 +122,24 @@ class TDualPair:
 
 def dualize(p: DgBundle) -> TDualPair:
     return TDualPair(p)
+
+
+def correspondence(pair: TDualPair) -> Tuple[DgBundle, Derivation]:
+    """The correspondence over P and Pbar, with fibers q, qbar and t, and its
+    gauge field V = qbar q d/dt."""
+    p = pair.p
+    corr = DgBundle(pair.base, "correspondence", p.structural, (p.q_name, pair.dual_fiber, p.t_name))
+    total = corr.total
+    return corr, Derivation(total, 0, {p.t_name: total.gen(pair.dual_fiber) * total.gen(p.q_name)})
+
+
+def gauge_equivalent(pair: TDualPair) -> bool:
+    """The two pullback fields on the correspondence differ by the gauge move:
+    e^{ad V} Q sends t to H + qbar F, the dual twist."""
+    corr, v = correspondence(pair)
+    moved = gauge_transform(corr.q, v)
+    twist = corr.structural_total("H") + corr.total.gen(pair.dual_fiber) * corr.structural_total("F")
+    return moved.value(corr.t_name) == twist
 
 
 class ChainMap:

@@ -8,6 +8,7 @@ whose chain identities the tests check, and a sampler of inhomogeneous
 elements; tests only."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
@@ -31,7 +32,7 @@ from dgcalc.symmetries import (
     form_parts,
     symmetry,
 )
-from dgcalc.tduality import ChainMap, TDualityError
+from dgcalc.tduality import ChainMap, TDualityError, correspondence
 
 
 def coordinates(el, basis):
@@ -358,11 +359,17 @@ def transport(el, target):
     return Element(target, terms)
 
 
+@lru_cache(maxsize=1)
+def _correspondence(pair):
+    """`tduality.correspondence`, built once per pair for the loops over its monomials."""
+    return correspondence(pair)
+
+
 def literal_tmap(pair, el):
     """T built as the paper builds it: pull back to the correspondence, apply the
     gauge exponential of qbar*q d/dt, then integrate along q."""
-    corr = pair.correspondence
-    gauged = exp_apply(pair._gauge, transport(el, corr.total))
+    corr, gauge = _correspondence(pair)
+    gauged = exp_apply(gauge, transport(el, corr.total))
     linear = fiber_coefficients(corr, gauged, pair.p.q_name).get(1)
     if linear is None:
         return pair.pbar.total.zero()

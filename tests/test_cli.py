@@ -256,6 +256,16 @@ def test_tdualize_and_iso(capsys):
     assert "pass" in out
 
 
+def test_tdualize_on_model_pairs_golden(capsys):
+    """`tdualize` stdout on each model pair, one after another."""
+    out = ""
+    for name in ("hopf_pair", "nil_pair", "s3_pair", "t2_pair"):
+        code, text, _ = run(capsys, "tdualize", str(MODELS / f"{name}.dgm"))
+        assert code == 0
+        out += text
+    assert out == (GOLDEN / "tdualize_models.txt").read_text()
+
+
 def test_iso_check_exit_code_follows_periodicity(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "periodicity_check", lambda space, j, l: False)
     report = tmp_path / "report.txt"

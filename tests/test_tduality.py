@@ -101,6 +101,50 @@ def test_dualize_self_dual_renames_to_itself(nil):
         assert rename(pair.pbar.q.value(mirror.name), pair.p.total) == pair.p.q.value(g.name)
 
 
+def test_dual_fiber_takes_the_first_free_name():
+    """qbar, then q, then qbar1, qbar2, ...: whichever no generator of P uses."""
+    pair = t2_pair()
+    assert (pair.dual_fiber, dualize(pair.pbar).dual_fiber) == ("qbar", "q")
+    base = Model([("qbar", 1), ("qbar1", 1)], 2, name="clash")
+    bundle = DgBundle.two_step(base, base.zero(), base.zero(), base.zero(), q="q")
+    assert dualize(bundle).dual_fiber == "qbar2"
+
+
+PAIR_COMMANDS = ("tdualize", "tmap-verify", "ses-verify", "iso-check")
+
+
+@pytest.mark.parametrize("command", PAIR_COMMANDS)
+def test_base_generator_named_qbar_keeps_every_pair_command(command, tmp_path, capsys):
+    """t2_pair with th1 renamed to qbar reports what t2_pair reports."""
+    source = MODELS / "t2_pair.dgm"
+    renamed = tmp_path / "t2_pair.dgm"
+    renamed.write_text(re.sub(r"\bth1\b", "qbar", source.read_text()))
+    outputs = []
+    for path in (source, renamed):
+        assert main([command, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert re.sub(r"\bqbar\b", "th1", outputs[1]) == outputs[0]
+
+
+@pytest.mark.parametrize("path", PAIR_FILES, ids=lambda p: p.stem)
+def test_correspondence_twists_are_gauge_equivalent_on_pair_files(path):
+    assert tduality.gauge_equivalent(dualize(load_path(str(path)).bundle))
+
+
+def test_tdualize_fails_under_the_opposite_gauge_field(monkeypatch, capsys):
+    """With -V in place of V the gauge move sends t to H + 2 q Fbar - qbar F,
+    so the check fails on t2_pair, where F is the volume form."""
+    build = tduality.correspondence
+
+    def opposite(pair):
+        corr, v = build(pair)
+        return corr, -1 * v
+
+    monkeypatch.setattr(tduality, "correspondence", opposite)
+    assert main(["tdualize", str(MODELS / "t2_pair.dgm")]) == 1
+    assert capsys.readouterr().out.endswith("correspondence gauge equivalence: fail\n")
+
+
 def test_dualize_rejects_wrong_shape(s3):
     bundle = DgBundle.line(s3, s3.gen("c"), "t", 2)
     with pytest.raises(TDualityError):
@@ -409,6 +453,12 @@ if st is not None:
         _assert_ses_ranks_match_elimination(pair, degree_cap(pair.p))
         assert tduality_chain_map(pair).verify(5) == FROZEN_SIGN
 
+
+    # the derandomized draws hold self-dual pairs and pairs with F != Fbar
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(generated_pairs())
+    def test_correspondence_twists_are_gauge_equivalent_on_generated_pairs(pair):
+        assert tduality.gauge_equivalent(pair)
 
     @settings(max_examples=20, deadline=None)
     @given(generated_pairs())
