@@ -9,20 +9,18 @@ consecutive caps must agree before a result is returned.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import Element, GradedError, Model, Rational, leibniz
+from .graded import Element, GradedError, Model, leibniz
 
 BundleLike = Union[Model, DgBundle]
-# a sparse column {row: coefficient}; zero coefficients are left out.  A slice
-# of d holds its true values (ints when d_table's denominator is 1, Fractions
-# otherwise); an image that `induced_rank` compares holds an element's integer
-# numerators, a positive multiple, since only spans count.  linalg takes either.
-Column = Dict[int, Union[int, Fraction]]
+# a sparse column {row: int}; zeros are left out.  A column holds a positive
+# multiple of its true values: a slice of d holds d_table's numerators, and an
+# image that `induced_rank` compares an element's, since only spans count.
+Column = Dict[int, int]
 
 DEFAULT_CAP_SLACK = 6
 # a twisted class at the cap counts only if it lifts to a cocycle this many
@@ -43,7 +41,7 @@ def degree_cap(space: BundleLike) -> int:
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 
-def _column(coefficients: Mapping[tuple, Rational], index: Dict[tuple, int]) -> Column:
+def _column(coefficients: Mapping[tuple, int], index: Dict[tuple, int]) -> Column:
     """{exponents: coefficient} as {row: coefficient}, its monomials numbered by index."""
     col = {}
     for m, c in coefficients.items():
@@ -57,14 +55,11 @@ def _column(coefficients: Mapping[tuple, Rational], index: Dict[tuple, int]) -> 
 def operator_matrix(model: Model, table, source_basis, index: Dict[tuple, int]) -> List[Column]:
     """One sparse column per source monomial: the derivation with this
     `value_table` applied to it, numbered by index, all in one Leibniz pass.
-    The kernel's integer sums are the columns when the table's denominator
-    is 1, and become Fractions over it otherwise."""
+    The columns are the kernel's integer sums: the values times the table's
+    denominator, one positive scale, so no rank or kernel changes."""
     outs: List[dict] = [{} for _ in source_basis]
     leibniz(model, table, zip(source_basis, repeat(1)), outs)
-    den = table[2]
-    if den == 1:
-        return [{index[m]: n for m, n in out.items() if n} for out in outs]
-    return [{index[m]: Fraction(n, den) for m, n in out.items() if n} for out in outs]
+    return [{index[m]: n for m, n in out.items() if n} for out in outs]
 
 
 class CochainSpace:
@@ -92,10 +87,10 @@ class CochainSpace:
 
     def cocycles(self, model: Model) -> List[Element]:
         """A basis of the kernel of d on this slice, as elements of its model,
-        each kernel vector scaled to its primitive integer form."""
+        each with the primitive integer coefficients of its kernel vector."""
         basis = self.basis
         return [
-            Element._of(model, {basis[j]: n for j, n in linalg._sparse_row(v).items()})
+            Element._of(model, {basis[j]: n for j, n in v.items()})
             for v in linalg.kernel_basis(_transpose(self.columns), self.dimension)
         ]
 
@@ -168,7 +163,9 @@ def _twisted_images(model: Model, h: Element, top: int):
     parity-p monomials of degree <= w.  images[p] holds, in that order,
     (degree k, d part, whole image) for each parity-p monomial, its image
     numbered in the other parity.  The d part has degree k + 1 and h*m degree
-    k + 3; a part above top is left out.
+    k + 3; a part above top is left out.  Every column holds its values times
+    d_table's denominator times h's, one scale, since the kernel vectors of a
+    window are cocycles in monomial coordinates.
     """
     windows: Tuple[List[tuple], List[tuple]] = ([], [])
     upto: Tuple[List[int], List[int]] = ([], [])
@@ -179,14 +176,16 @@ def _twisted_images(model: Model, h: Element, top: int):
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
     table = model.d_table
+    scaled = h * (table[2] * h.den)  # integral: h's numerators times d's scale
     for k in range(top + 1):
         target = index[1 - k % 2]
         basis = model.basis(k)
         lows = operator_matrix(model, table, basis, target) if k < top else [{}] * len(basis)
+        if h.den != 1:
+            lows = [{i: n * h.den for i, n in low.items()} for low in lows]
         for m, low in zip(basis, lows):
             if h.nums and k + 3 <= top:
-                # the true values of h*m, since they join d(m)'s in one column
-                whole = {**low, **_column((h * Element._of(model, {m: 1})).terms, target)}
+                whole = {**low, **_column((scaled * Element._of(model, {m: 1})).nums, target)}
             else:
                 whole = low
             images[k % 2].append((k, low, whole))

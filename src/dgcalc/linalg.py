@@ -1,42 +1,33 @@
-"""Exact rank and kernel computations for sparse rational matrices.
+"""Exact rank and kernel computations for sparse integer matrices.
 
-A matrix is a list of rows, and a row is a dict {column: value} with Fraction
-or int values.  One elimination serves every caller: each row is stored as
-{column: int} with its denominators cleared and its content divided out, and
-is reduced fraction-free against the pivot that owns its leading column, so no
-rounding enters anywhere in the package.  The rank of a matrix is that of its
-transpose, so a caller holding columns may pass them as the rows.
+A matrix is a list of rows, and a row is a dict {column: int}.  A caller
+with rational entries passes a positive multiple of each row, which changes
+no rank and no right kernel.  One elimination serves every caller: each row
+is stored with its content divided out, and is reduced fraction-free against
+the pivot that owns its leading column, so no rounding enters anywhere in
+the package.  The rank of a matrix is that of its transpose, so a caller
+holding columns may pass them as the rows.  Kernel vectors come back as
+primitive integer vectors, positive at their free column.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence
 
-Row = Dict[int, Fraction]
-SparseRow = Dict[int, int]
-
-ONE = Fraction(1)
+Row = Dict[int, int]
 
 
-def _sparse_row(row: Row) -> SparseRow:
-    """The row as {column: int}, a positive rational multiple with coprime entries."""
-    if not row:
-        return {}
-    den = lcm(*[x.denominator for x in row.values()])
-    if den == 1:
-        out = {j: x.numerator for j, x in row.items()}
-    else:
-        out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    if 0 in out.values():  # a mapping that kept a zero; its lead would never clear
-        out = {j: x for j, x in out.items() if x}
-        if not out:
-            return out
-    return _primitive(out)
+def _sparse_row(row: Row) -> Row:
+    """The row without zeros and with its content divided out: the row itself
+    when it is already primitive, since no stored row is ever changed."""
+    if 0 in row.values():  # a mapping that kept a zero; its lead would never clear
+        row = {j: x for j, x in row.items() if x}
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _primitive(row: SparseRow) -> SparseRow:
+def _primitive(row: Row) -> Row:
     g = gcd(*row.values())
     if g != 1:
         for j in row:
@@ -44,7 +35,7 @@ def _primitive(row: SparseRow) -> SparseRow:
     return row
 
 
-def _clear(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
+def _clear(row: Row, pivot: Row, col: int) -> Row:
     """The primitive form of a*row - b*pivot, the combination that vanishes at col."""
     g = gcd(pivot[col], row[col])
     a, b = pivot[col] // g, row[col] // g
@@ -58,9 +49,7 @@ def _clear(row: SparseRow, pivot: SparseRow, col: int) -> SparseRow:
     return _primitive(out) if out else out
 
 
-def _eliminate(
-    rows: Sequence[Row], pivots: Optional[Dict[int, SparseRow]] = None
-) -> Dict[int, SparseRow]:
+def _eliminate(rows: Sequence[Row], pivots: Optional[Dict[int, Row]] = None) -> Dict[int, Row]:
     """Echelon form of the rows, as a map from pivot column to its sparse row.
 
     An incoming row is cleared at its leading column by the pivot stored
@@ -95,12 +84,14 @@ def rank_gain(base: Sequence[Row], extra: Sequence[Row]) -> int:
 
 
 def kernel_basis(rows: Sequence[Row], ncols: int) -> List[Row]:
-    """Basis vectors {column: value} of the right kernel of the matrix
+    """Basis vectors {column: int} of the right kernel of the matrix
     (columns = unknowns).
 
     The pivots are back-substituted to the reduced row echelon form over Q,
-    which is unique; each free column c gives the vector with 1 at c and
-    minus the reduced rows' entries at c on the pivot columns.
+    which is unique.  Each free column f gives the vector that is 1 at f and
+    minus the reduced rows' entries at f over their leads on the pivot
+    columns, scaled to its primitive integer form: by the lcm of those
+    leads, then divided by its content, so it stays positive at f.
     """
     pivots = _eliminate(rows)
     # right to left: the pivot rows past c are already reduced, so clearing
@@ -110,11 +101,17 @@ def kernel_basis(rows: Sequence[Row], ncols: int) -> List[Row]:
         for p in [j for j in row if j != c and j in pivots]:
             row = _clear(row, pivots[p], p)
         pivots[c] = row
-    basis = {free: {free: ONE} for free in range(ncols) if free not in pivots}
     # every entry of a reduced row but its lead sits in a free column
+    touching: Dict[int, List[int]] = {free: [] for free in range(ncols) if free not in pivots}
     for c, row in pivots.items():
-        lead = row[c]
-        for free, x in row.items():
+        for free in row:
             if free != c:
-                basis[free][c] = Fraction(-x, lead)
-    return list(basis.values())
+                touching[free].append(c)
+    basis = []
+    for free, leads in touching.items():
+        scale = lcm(*[pivots[c][c] for c in leads])
+        vector = {free: scale}
+        for c in leads:
+            vector[c] = -pivots[c][free] * (scale // pivots[c][c])
+        basis.append(_primitive(vector))
+    return basis

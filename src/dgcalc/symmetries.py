@@ -487,13 +487,12 @@ def _bracket_columns(model: Model, shift: int) -> List[Column]:
     once, over the terms of d that contain g with one out per term; a key of
     that out is m plus the term with g lowered, which gives m back.
     """
-    _, entries, den = model.d_table
+    _, entries, _ = model.d_table
     slices = complex_of(model)
     unknowns, rows = _value_index(model, shift), _value_index(model, shift + 1)
     offsets = list(accumulate(map(len, rows), initial=0))
-    # the slice holds c = n / den, int or Fraction; (c * den).numerator is n
     columns = [
-        {offsets[g] + r: (c * den).numerator for r, c in image.items()}
+        {offsets[g] + r: n for r, n in image.items()}
         for g, block in enumerate(unknowns)
         if block
         for image in slices[model.degrees[g] + shift].columns

@@ -10,7 +10,7 @@ elements; tests only."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from dgcalc.derivations import (
     Derivation,
@@ -21,7 +21,6 @@ from dgcalc.derivations import (
     model_differential,
 )
 from dgcalc.graded import Element, monomial_degree
-from dgcalc.linalg import kernel_basis
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import (
     LOWER,
@@ -45,11 +44,40 @@ def coordinates(el, basis):
 
 
 def dense_kernel(rows, ncols):
-    """`kernel_basis` of dense rows, with each kernel vector written out densely."""
-    sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    return [
-        [v.get(j, Fraction(0)) for j in range(ncols)] for v in kernel_basis(sparse_rows, ncols)
-    ]
+    """Right kernel of dense rational rows by Gauss-Jordan elimination over
+    Fraction, to the reduced row echelon form: one dense vector per free
+    column, in ascending order, 1 there and minus the reduced rows' entries
+    at it on the pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                m[i] = [x - row[c] * y for x, y in zip(row, m[r])]
+        pivots.append(c)
+    out = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][free]
+        out.append(v)
+    return out
+
+
+def primitive(vector):
+    """A dense rational vector as the primitive integer vector of the same
+    direction and sign."""
+    den = lcm(*[Fraction(x).denominator for x in vector])
+    ints = [int(x * den) for x in vector]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
 
 
 def _integer_rows(rows):

@@ -26,14 +26,19 @@ from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
 from dgcalc.tduality import dualize
 from oracles import (
+    _parity_basis,
+    _twisted_columns,
     apply_derivation,
     brute_basis,
+    cocycle_vectors,
     coordinates,
     fiber_coefficients,
     literal_commutator,
     literal_tmap,
     merge_sign,
+    primitive,
 )
+from test_cohomology import _assert_twisted_matches_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -261,6 +266,12 @@ def oracle_column(model, m, target):
     return coordinates(d_m, target)
 
 
+def slice_column(model, m, target):
+    """What a cochain slice stores for m: the oracle column of d(m) times
+    d_table's denominator."""
+    return [model.d_table[2] * c for c in oracle_column(model, m, target)]
+
+
 SLICE_DEGREES = st.lists(st.sampled_from([1, 3, 2, 4]), min_size=1, max_size=5)
 
 
@@ -279,8 +290,8 @@ def test_every_slice_is_the_oracle_differential(degrees, seed, zero_differential
         columns = cx[k].columns
         assert len(columns) == len(model.basis(k))
         for m, column in zip(model.basis(k), columns):
-            assert all(c for c in column.values()), (k, m)
-            assert dense(column, len(target)) == oracle_column(model, m, target), (k, m)
+            assert all(type(c) is int and c for c in column.values()), (k, m)
+            assert dense(column, len(target)) == slice_column(model, m, target), (k, m)
     if zero_differential:
         assert all(not column for k in range(8) for column in cx[k].columns)
 
@@ -298,9 +309,49 @@ def test_twisted_images_d_part_is_the_oracle_differential(degrees, seed):
         assert len(images[parity]) == upto[parity][top] == len(windows[parity])
         target = windows[1 - parity]
         for m, (k, low, whole) in zip(windows[parity], images[parity]):
-            want = oracle_column(model, m, target) if k < top else [Fraction(0)] * len(target)
+            want = slice_column(model, m, target) if k < top else [Fraction(0)] * len(target)
             assert dense(low, len(target)) == want, (k, m)
             assert whole == low  # no twist
+
+
+def closed_twist(model, rng, den):
+    """A closed 3-form with a denominator divisible by den: an integer
+    combination of the oracle's degree-3 cocycles plus u / den."""
+    vectors, basis = cocycle_vectors(model, 3)
+    h = model.gen("u") * Fraction(1, den)
+    for v in vectors:
+        h = h + Element(model, dict(zip(basis, v))) * rng.randint(-2, 2)
+    assert h.den % den == 0 and model.d(h).is_zero()
+    return h
+
+
+@settings(max_examples=25, deadline=None)
+@given(SLICE_DEGREES, SEEDS, st.sampled_from([3, 5]))
+def test_twisted_columns_with_denominators_are_the_oracle(degrees, seed, den):
+    # d t = u / 2 makes d_table's denominator even, and the twist brings its own
+    rng = random.Random(seed)
+    model = halved(with_contractible_pair(dg_model(degrees, rng)))
+    assert model.d_table[2] % 2 == 0
+    h = closed_twist(model, rng, den)
+    scale = model.d_table[2] * h.den
+    top = 7
+    images, _ = _twisted_images(model, h, top)
+    for parity in (0, 1):
+        source, target = _parity_basis(model, parity, top), _parity_basis(model, 1 - parity, top)
+        wholes = _twisted_columns(model, h, source, target, top)
+        lows = _twisted_columns(model, model.zero(), source, target, top)
+        for (k, low, whole), want, want_low in zip(images[parity], wholes, lows):
+            assert all(type(c) is int and c for c in whole.values()), k
+            assert dense(whole, len(target)) == [scale * c for c in want], k
+            assert dense(low, len(target)) == [scale * c for c in want_low], k
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from([1, 3, 2]), min_size=1, max_size=3), SEEDS, st.sampled_from([3, 5]))
+def test_twisted_betti_with_denominators_is_the_dense_reference(degrees, seed, den):
+    rng = random.Random(seed)
+    model = halved(with_contractible_pair(dg_model(degrees, rng)))
+    _assert_twisted_matches_reference(model, closed_twist(model, rng, den), 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,8 +541,8 @@ def test_slices_of_a_halved_differential_are_the_oracle(degrees, seed):
     for k in range(7):
         target = model.basis(k + 1)
         for m, column in zip(model.basis(k), cx[k].columns):
-            assert all(type(c) is Fraction and c for c in column.values()), (k, m)
-            assert dense(column, len(target)) == oracle_column(model, m, target), (k, m)
+            assert all(type(c) is int and c for c in column.values()), (k, m)
+            assert dense(column, len(target)) == slice_column(model, m, target), (k, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -576,6 +627,39 @@ def test_a_derivation_is_its_table_alone(degrees, seed, deg1, deg2, den1, den2):
 HALF_PAIR = pathlib.Path(__file__).resolve().parent / "nil_pair_half.dgm"
 
 
+def assert_cocycles_are_the_oracle(space, degrees):
+    """Each slice's cocycles are the oracle's reduced echelon kernel vectors,
+    each scaled to its primitive integer form."""
+    model = space.total if isinstance(space, DgBundle) else space
+    cx = complex_of(model)
+    for k in degrees:
+        vectors, basis = cocycle_vectors(space, k)
+        want = [Element(model, dict(zip(basis, primitive(v)))) for v in vectors]
+        assert cx[k].cocycles(model) == want, k
+
+
+MODEL_FILES = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("models/*.dgm")) + [
+    HALF_PAIR, HALF_PAIR.with_name("nil_pair_f_half.dgm")
+]
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
+def test_cocycles_of_every_model_file_are_the_oracle(path):
+    mf = load_path(str(path), validate=False)
+    # mc_fail's bundle keeps its failing field, which is not its total model's d
+    spaces = [mf.model] + ([mf.bundle] if mf.bundle and path.stem != "mc_fail" else [])
+    for space in spaces:
+        assert_cocycles_are_the_oracle(space, range(7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SLICE_DEGREES, SEEDS)
+def test_cocycles_of_a_halved_model_are_the_oracle(degrees, seed):
+    model = halved(with_contractible_pair(dg_model(degrees, random.Random(seed))))
+    assert model.d_table[2] % 2 == 0
+    assert_cocycles_are_the_oracle(model, range(7))
+
+
 def assert_reduced(el):
     """el is stored as a table row: den > 0, no zero numerator, no common factor."""
     assert el.den > 0 and all(el.nums.values()), (el.den, el.nums)
@@ -648,6 +732,7 @@ def test_the_flux_coupling_through_the_integer_kernel(seed, den):
     for k in range(6):
         target = total.basis(k + 1)
         for m, column in zip(total.basis(k), cx[k].columns):
-            assert dense(column, len(target)) == oracle_column(total, m, target), (k, m)
+            assert all(type(c) is int and c for c in column.values()), (k, m)
+            assert dense(column, len(target)) == slice_column(total, m, target), (k, m)
     for el in [q(a), *bracket.values.values(), *q.values.values()]:
         assert_coefficients_are_fractions(el)

@@ -1,0 +1,46 @@
+"""One integer matrix layout, checked on the import statements: the matrix
+layer (`linalg` and the cochain slices of `cohomology`) imports nothing from
+`fractions`, and the test oracles import nothing from `linalg`, so they never
+share the elimination they check."""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dgcalc"
+
+
+def imported(path):
+    """Every module a file imports, and every name it imports from one as
+    module.name; a relative import is read inside `dgcalc`."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"dgcalc.{module}" if module else "dgcalc"
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", ["linalg.py", "cohomology.py"])
+def test_the_matrix_layer_holds_no_fractions(name):
+    modules = imported(PACKAGE / name)
+    assert not [m for m in modules if m == "fractions" or m.startswith("fractions.")], name
+
+
+def test_the_oracles_do_not_share_the_elimination():
+    modules = imported(ROOT / "tests" / "oracles.py")
+    assert not [m for m in modules if m == "dgcalc.linalg" or m.startswith("dgcalc.linalg.")]
+
+
+def test_the_scan_sees_both_kinds_of_import():
+    # a scan that missed imports would pass the guards above vacuously
+    assert "fractions.Fraction" in imported(PACKAGE / "graded.py")
+    assert "dgcalc.linalg" in imported(PACKAGE / "cohomology.py")
+    assert "dgcalc.linalg.kernel_basis" in imported(ROOT / "tests" / "test_linalg.py")

@@ -1,16 +1,20 @@
-"""Sparse exact elimination against independent oracles: dense Bareiss and sympy.
+"""Sparse exact elimination against independent oracles: dense Bareiss,
+dense Gauss-Jordan and sympy.
 
-The matrices are drawn dense, handed to `linalg` as sparse rows
-{column: value}, and the sparse kernel vectors are written out densely to be
-compared with the oracles'.
+The matrices are drawn dense over Q, each row is cleared of its denominators
+by `oracles._integer_rows` (a positive multiple, so neither the rank nor the
+right kernel changes), handed to `linalg` as sparse rows {column: int}, and
+the sparse kernel vectors are written out densely to be compared with the
+oracles', scaled to their primitive integer form.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dgcalc.linalg import kernel_basis, rank, rank_gain
-from oracles import bareiss_rank
+from oracles import _integer_rows, bareiss_rank, dense_kernel as oracle_kernel, primitive
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -26,13 +30,13 @@ ENTRIES = st.one_of(
 
 
 def sparse(rows):
-    """The dense rows as sparse rows, zeros left out."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+    """The dense rational rows as sparse integer rows, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in _integer_rows(rows)]
 
 
 def kept(rows):
-    """The dense rows as mappings that keep their zeros."""
-    return [dict(enumerate(row)) for row in rows]
+    """The dense rational rows as integer mappings that keep their zeros."""
+    return [dict(enumerate(row)) for row in _integer_rows(rows)]
 
 
 def dense_kernel(rows, ncols):
@@ -101,7 +105,7 @@ def test_sparse_rows_and_columns_match_dense_rows(case):
     for form in (sparse(rows), kept(rows)):
         assert rank(form) == expected_rank
         assert kernel_basis(form, ncols) == expected_kernel
-    columns = [dict(enumerate(col)) for col in zip(*rows)]  # zeros kept
+    columns = [dict(enumerate(col)) for col in zip(*_integer_rows(rows))]  # zeros kept
     assert rank(columns) == expected_rank
 
 
@@ -112,8 +116,18 @@ def test_rank_and_kernel_match_sympy(case):
     rows, ncols = case
     m = _sympy_matrix(sympy, rows, ncols)
     assert rank(sparse(rows)) == m.rank()
+    nullspace = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
+    assert dense_kernel(rows, ncols) == [primitive(v) for v in nullspace]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_oracle_kernel_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = case
+    m = _sympy_matrix(sympy, rows, ncols)
     expected = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
-    assert dense_kernel(rows, ncols) == expected
+    assert oracle_kernel(rows, ncols) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,18 +136,24 @@ def test_kernel_vectors_are_annihilated(case):
     rows, ncols = case
     basis = kernel_basis(sparse(rows), ncols)
     assert len(basis) == ncols - bareiss_rank(rows)
+    free = [j for j in range(ncols) if all(col == 0 for col in [row[j] for row in rows])]
     for v in basis:
-        assert all(isinstance(x, Fraction) and x for x in v.values())
+        assert all(type(x) is int and x for x in v.values())
         assert all(0 <= j < ncols for j in v)
+        # the free column is the last one; every other entry sits on a pivot before it
+        assert v[max(v)] > 0 and gcd(*v.values()) == 1
         for row in rows:
             assert sum(Fraction(row[j]) * x for j, x in v.items()) == 0
+    # a zero column is free, so its vector is the unit vector there
+    for j in free:
+        assert {j: 1} in basis
 
 
 def test_empty_and_zero_matrices():
-    assert rank([{}, {0: 0}, {1: Fraction(0)}]) == 0
+    assert rank([{}, {0: 0}, {1: 0}]) == 0
     assert rank([]) == 0 and rank([{}, {}]) == 0
     assert rank_gain([], []) == 0 and rank_gain([{0: 1}], [{0: 2}, {}]) == 0
-    identity = [{i: Fraction(1)} for i in range(3)]
+    identity = [{i: 1} for i in range(3)]
     assert kernel_basis([], 3) == identity
     assert kernel_basis([{0: 0, 1: 0, 2: 0}], 3) == identity
     assert kernel_basis([{}, {}], 0) == []
@@ -143,14 +163,16 @@ def test_kernel_is_the_reduced_echelon_basis():
     # x0 + 2 x1 + 3 x3 = 0, x2 - x3/2 = 0: free columns 1 and 3
     rows = [[2, 4, 1, Fraction(11, 2)], [1, 2, 0, 3]]
     assert rank(sparse(rows)) == 2
-    assert dense_kernel(rows, 4) == [
+    assert oracle_kernel(rows, 4) == [
         [Fraction(-2), Fraction(1), Fraction(0), Fraction(0)],
         [Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1)],
     ]
-    assert kernel_basis(sparse(rows), 4) == [
-        {0: Fraction(-2), 1: Fraction(1)},
-        {0: Fraction(-3), 2: Fraction(1, 2), 3: Fraction(1)},
-    ]
+    # the same directions as primitive integer vectors, positive at the free column
+    assert dense_kernel(rows, 4) == [[-2, 1, 0, 0], [-6, 0, 1, 2]]
+    assert kernel_basis(sparse(rows), 4) == [{0: -2, 1: 1}, {0: -6, 2: 1, 3: 2}]
     # the first pivot row meets both later pivot columns
     rows = [[1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]]
-    assert dense_kernel(rows, 4) == [[Fraction(2), Fraction(-1), Fraction(-1), Fraction(1)]]
+    assert dense_kernel(rows, 4) == [[2, -1, -1, 1]]
+    assert oracle_kernel(rows, 4) == [[Fraction(2), Fraction(-1), Fraction(-1), Fraction(1)]]
+    # leads of different sizes: the vector is scaled by their lcm, then made primitive
+    assert kernel_basis([{0: 2, 2: 3}, {1: 3, 2: 1}], 3) == [{0: -9, 1: -2, 2: 6}]
