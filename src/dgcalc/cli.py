@@ -23,7 +23,6 @@ from .derivations import (
     BUNDLE_SHAPES,
     Derivation,
     commutator,
-    maurer_cartan_check,
 )
 from .graded import format_element
 from .parser import ModelFileError, load_path
@@ -144,10 +143,10 @@ def cmd_twisted(mf, args, report):
 
 
 def cmd_mc_check(mf, args, report):
-    if mf.bundle is None:
+    result = mf.maurer_cartan
+    if result is None:
         print("no bundle declared; base differential already validated")
         return True
-    result = maurer_cartan_check(mf.bundle.q)
     if result:
         print("maurer-cartan: pass")
         return True

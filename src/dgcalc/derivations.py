@@ -17,11 +17,13 @@ from .graded import (
     Element,
     GradedError,
     GradedGenerator,
+    MCResult,
     Model,
     apply_table,
     apply_values,
     combine_tables,
     format_element,
+    square_check,
     table_numerators,
     table_value,
     table_values,
@@ -34,16 +36,11 @@ class DerivationError(Exception):
 
 
 class BundleError(Exception):
-    """A bundle that cannot be built.
+    """A bundle that cannot be built; `result` is the failing MCResult when
+    the field has the right degrees but fails Maurer-Cartan, else None."""
 
-    When the candidate field has the right degrees but fails Maurer-Cartan,
-    `bundle` is the unvalidated bundle (its `q` is that field on the bare
-    extended algebra) and `result` the failing MCResult; otherwise both are None.
-    """
-
-    def __init__(self, message: str, bundle=None, result=None):
+    def __init__(self, message: str, result: Optional[MCResult] = None):
         super().__init__(message)
-        self.bundle = bundle
         self.result = result
 
 
@@ -160,32 +157,11 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     return Derivation._of_table(d1.model, degree, table)
 
 
-class MCResult:
-    """Outcome of a Maurer-Cartan check; falsy iff some generator has a residue."""
-
-    __slots__ = ("witness", "residue")
-
-    def __init__(self, witness: Optional[str] = None, residue: Optional[Element] = None):
-        self.witness = witness
-        self.residue = residue
-
-    def __bool__(self):
-        return self.witness is None
-
-    def __repr__(self):
-        if self:
-            return "MCResult(pass)"
-        return f"MCResult(fail on {self.witness}: {format_element(self.residue)})"
-
-
 def maurer_cartan_check(d: Derivation) -> MCResult:
     """[D, D]/2 = D*D must vanish on every generator; reports the first residue."""
     if d.degree != 1:
         raise DerivationError("Maurer-Cartan check applies to degree-1 derivations")
-    # D(g) is g's value, so D*D on every generator is D applied to the values
-    table = d.table
-    residues = table_values(d.model, apply_values(d.model, [(table, table, False)], 2))
-    return MCResult(*next(iter(residues.items()), ()))
+    return square_check(d.model, d.table)
 
 
 def gauge_transform(q: Derivation, v: Derivation, nilpotency_cap: int = 8) -> Derivation:
@@ -289,19 +265,10 @@ class DgBundle:
                 values[t] = values[t] + total.gen(q) * self.structural_total(form) * factor
             return values
 
-        dimension = base.formal_dimension
         try:
-            Model(gens, formal_dimension=dimension, differential=field, name=self.name)
+            Model(gens, base.formal_dimension, field, self.name)
         except GradedError as e:
-            # no local names the error raised below, so no frame cycle keeps it alive
-            bundle = result = None
-            try:  # a candidate field of the right degrees is kept for inspection
-                values = field(Model(gens, formal_dimension=dimension))
-                self.q = Derivation(self.total, 1, values)
-                bundle, result = self, maurer_cartan_check(self.q)
-            except DerivationError:
-                pass
-            raise BundleError(f"Maurer-Cartan failure: {e}", bundle, result) from e
+            raise BundleError(f"Maurer-Cartan failure: {e}", e.result) from e
         self.q = model_differential(self.total)
 
     # -- element transport -------------------------------------------------

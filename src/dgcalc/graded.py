@@ -32,7 +32,12 @@ Rational = Union[Fraction, int]
 
 
 class GradedError(Exception):
-    pass
+    """An invalid graded object or operation; `result` is the failing MCResult
+    when a model's d*d != 0, else None."""
+
+    def __init__(self, message: str, result: Optional["MCResult"] = None):
+        super().__init__(message)
+        self.result = result
 
 
 class GradedGenerator:
@@ -231,6 +236,32 @@ def apply_values(model: "Model", passes, degree: int):
         pairs = ((m, scale * signed[negate]) for _, terms in targets for m, _, signed in terms)
         leibniz(model, table, pairs, [out for out, terms in targets for _ in terms])
     return _table(model, sums, degree, den)
+
+
+class MCResult:
+    """Outcome of a Maurer-Cartan check; falsy iff some generator has a residue."""
+
+    __slots__ = ("witness", "residue")
+
+    def __init__(self, witness: Optional[str] = None, residue: Optional["Element"] = None):
+        self.witness = witness
+        self.residue = residue
+
+    def __bool__(self):
+        return self.witness is None
+
+    def __repr__(self):
+        if self:
+            return "MCResult(pass)"
+        return f"MCResult(fail on {self.witness}: {format_element(self.residue)})"
+
+
+def square_check(model: "Model", table) -> MCResult:
+    """D*D = [D, D]/2 on every generator, for the degree-1 derivation with this
+    value table: D(g) is g's value, so D*D on the generators is one Leibniz
+    pass of D over the values.  Reports the first generator with a residue."""
+    residues = table_values(model, apply_values(model, [(table, table, False)], 2))
+    return MCResult(*next(iter(residues.items()), ()))
 
 
 class Element:
@@ -432,11 +463,12 @@ class Model:
                     )
                 values[gname] = val
         self.d_table = value_table(self, values, 1)
-        # d(g) is g's value, so d*d on every generator is d applied to the values
-        dd = apply_values(self, [(self.d_table, self.d_table, False)], 2)
-        if dd[1]:
-            name, residue = next(iter(table_values(self, dd).items()))
-            raise GradedError(f"d*d != 0 on generator {name!r}: residue {format_element(residue)}")
+        result = square_check(self, self.d_table)
+        if not result:
+            raise GradedError(
+                f"d*d != 0 on generator {result.witness!r}: residue {format_element(result.residue)}",
+                result,
+            )
 
     # -- basic elements ---------------------------------------------------
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
 from .derivations import BUNDLE_SHAPES, BundleError, Derivation, DgBundle, form_degrees
-from .graded import Element, GradedError, GradedGenerator, Model
+from .graded import Element, GradedError, GradedGenerator, MCResult, Model
 from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
 
 # the shapes a file can declare, tried in this order (only tdualize builds a
@@ -268,12 +268,13 @@ def _statements(text: str):
 
 
 class ModelFile:
-    """A parsed and validated model: base, optional bundle, named values."""
+    """A parsed model: base, optional bundle, its Maurer-Cartan result, named values."""
 
     def __init__(self):
         self.name = ""
         self.model: Optional[Model] = None
         self.bundle: Optional[DgBundle] = None
+        self.maurer_cartan: Optional[MCResult] = None
         self.elements: Dict[str, Element] = {}
         self.vectors: Dict[str, Derivation] = {}
         self.symmetries: Dict[str, SymElement] = {}
@@ -300,9 +301,10 @@ def _clauses(spec: str, col: int):
 def parse_model(text: str, validate: bool = True) -> ModelFile:
     """Parse a .dgm document and run the load-time checks.
 
-    validate=False keeps a bundle that fails Maurer-Cartan, with its candidate
-    field as `q` (used by the mc-check command, which reports the residue
-    instead of failing the load); sym declarations are still rejected on it.
+    A declared bundle's Maurer-Cartan result is `maurer_cartan`.
+    validate=False records a failing result there, with `bundle` left None,
+    instead of failing the load (the mc-check command reports it); sym
+    declarations are still rejected then.
     """
     header_name = ""
     formal_dim: Optional[int] = None
@@ -390,13 +392,10 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
     try:
         base = Model(gens, formal_dim or 0, differential, header_name)
     except GradedError as e:
-        # every generator and value was checked above, so this is d*d != 0
-        witness = str(e)
-        line, col = dim_pos
-        for name, (_, dline, dcol, _) in diff_decls.items():
-            if f"{name!r}" in witness:
-                line, col = dline, dcol
-        raise ModelFileError("d-squared", line, col, "differential does not square to zero", witness)
+        # every generator and value was checked above, so this is d*d != 0,
+        # reported at the witness's d statement
+        _, line, col, _ = diff_decls[e.result.witness]
+        raise ModelFileError("d-squared", line, col, "differential does not square to zero", str(e))
     out.model = base
 
     if formal_dim is not None:
@@ -406,25 +405,24 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
             raise ModelFileError("formal-dimension", dim_pos[0], dim_pos[1], str(e))
 
     # bundle assembly, reported at the first fiber, or the first form if there is none
-    mc_failed = False
     if fiber_decls or structural_decls:
         fline, fcol = next(iter(fiber_decls.values() or structural_decls.values()))[1:3]
         try:
             out.bundle = _build_bundle(base, fiber_decls, structural_decls, fline, fcol)
+            out.maurer_cartan = MCResult()
         except BundleError as e:
-            if validate or e.bundle is None:
+            if validate or e.result is None:
                 raise ModelFileError(
                     "maurer-cartan", fline, fcol, "structural data fails Maurer-Cartan", str(e)
                 )
-            out.bundle, mc_failed = e.bundle, True
+            out.maurer_cartan = e.result
 
-    scope = out.bundle.base if out.bundle else base
     for name, (expr, line, _, ecol) in let_decls.items():
-        out.elements[name] = parse_expression(expr, scope, line, ecol)
+        out.elements[name] = parse_expression(expr, base, line, ecol)
     for name, (spec, line, col, ecol) in vec_decls.items():
-        out.vectors[name] = _build_vector(scope, spec, line, col, ecol)
+        out.vectors[name] = _build_vector(base, spec, line, col, ecol)
     for name, (spec, line, col, ecol) in sym_decls.items():
-        if out.bundle is None or mc_failed:
+        if out.bundle is None:
             raise ModelFileError("shape", line, col, "sym declarations need a validated bundle")
         out.symmetries[name] = _build_symmetry(out, spec, line, col, ecol)
     return out

@@ -210,12 +210,14 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
         raise SymmetryError(f"the vector part must be a base derivation of degree {degree}")
     for name, deg in forms:
         out[name] = _as_base(bundle, parts.get(name), deg)
-    table = _realized_table(bundle, vector, out, dict(forms))
+    den, sums = _realized_sums(bundle, vector, out, dict(forms))
+    table = _table(bundle.total, sums, degree, den)
     return SymElement(bundle, degree, out, Derivation._of_table(bundle.total, degree, table))
 
 
-def _realized_table(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: Dict):
-    """The value table of the realized derivation, on one denominator.
+def _realized_sums(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: Dict):
+    """(den, sums): the values of the realized derivation as integer
+    numerators {generator index: {exponents: int}} over den, no key twice.
 
     The base generators come first in the total model, so the vector part's
     numerators keep their generators and gain zero fiber exponents.  q gets
@@ -243,7 +245,7 @@ def _realized_table(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: 
     sums: Dict[int, Dict[tuple, int]] = {}
     for i, m, n, d in terms:
         sums.setdefault(i, {})[m] = n * (den // d)
-    return _table(bundle.total, sums, vector.degree, den)
+    return den, sums
 
 
 def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
@@ -256,7 +258,7 @@ def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
 def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
     """(q-slot, t-slot, q.t-slot) base forms of d's fiber values; zero without a q.
 
-    Read off d's table numerators, the mirror of `_realized_table`: a term w*q
+    Read off d's table numerators, the mirror of `_realized_sums`: a term w*q
     of the value on t goes to the q.t slot with sign (-1)^|w|.
     """
     base = bundle.base
@@ -467,14 +469,6 @@ def _value_index(model: Model, shift: int) -> List[Dict[tuple, int]]:
     return index
 
 
-def _value_column(table, index: List[Dict[tuple, int]]) -> Column:
-    """The values a value table gives every generator as one sparse column,
-    numbered by index: the table's integer numerators, so the values scaled
-    by its denominator, which leaves every rank unchanged."""
-    _, numerators = table_numerators(table)
-    return {index[i][m]: n for i, terms in numerators.items() for m, n in terms.items()}
-
-
 def _bracket_columns(model: Model, shift: int) -> List[Column]:
     """The matrix of X -> [d, X] on the model's derivations of degree shift.
 
@@ -518,7 +512,8 @@ def _structured_columns(bundle: DgBundle) -> List[Column]:
     `_value_index(total, 0)`: first one per contraction m d/dg of the base,
     realized as its base action [d, m d/dg], which is a column of the base's
     own bracket matrix on degree -1 fields; then one per form part set to a
-    base monomial.  Each column is a positive multiple of its element."""
+    base monomial, its realized numerators.  Each column is a positive
+    multiple of its element."""
     base, total = bundle.base, bundle.total
     index = _value_index(total, 0)
     pad = (0,) * len(bundle.fiber_names)
@@ -529,8 +524,8 @@ def _structured_columns(bundle: DgBundle) -> List[Column]:
     parts = dict.fromkeys(forms, base.zero())
     for key, deg in forms.items():
         for m in base.basis(deg):
-            one_hot = {**parts, key: base.monomial_element(m)}
-            columns.append(_value_column(_realized_table(bundle, zero, one_hot, forms), index))
+            _, sums = _realized_sums(bundle, zero, {**parts, key: base.monomial_element(m)}, forms)
+            columns.append({index[i][x]: n for i, t in sums.items() for x, n in t.items()})
     return columns
 
 

@@ -4,8 +4,9 @@ exact sequence, twisted cohomology, the T-duality map, the chain-map sign
 check, the structured symmetries and their realized derivations, the
 bracket of d with one probe derivation per unknown, the split of an
 element by powers of one generator, the rescaling and pushforward maps
-whose chain identities the tests check, and a sampler of inhomogeneous
-elements; tests only."""
+whose chain identities the tests check, a sampler of inhomogeneous
+elements, and the failing field of models/mc_fail.dgm written out by hand;
+tests only."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -20,13 +21,12 @@ from dgcalc.derivations import (
     exp_apply,
     model_differential,
 )
-from dgcalc.graded import Element, monomial_degree
+from dgcalc.graded import Element, Model, monomial_degree, table_numerators
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import (
     LOWER,
     SHAPES,
     SymElement,
-    _value_column,
     _value_index,
     form_parts,
     symmetry,
@@ -559,6 +559,23 @@ def sym0_kernel_dim(bundle):
                 column.extend(coordinates(bracket.value(h.name), residue_bases[h.name]))
             columns.append(column)
     return len(columns) - bareiss_rank(columns)
+
+
+def mc_fail_field() -> Derivation:
+    """The degree-1 field models/mc_fail.dgm declares, Q = d + F dq + (H + q Fbar) dt
+    with d(b) = a^2, F = Fbar = a and H = 0, on the bare algebra of its
+    generators.  No bundle carries it: Q(Q(t)) = Q(q a) = a^2."""
+    total = Model([("a", 2), ("b", 3), ("q", 1), ("t", 2)], 2, name="mc_fail")
+    a, q = total.gen("a"), total.gen("q")
+    return Derivation(total, 1, {"b": a**2, "q": a, "t": q * a})
+
+
+def _value_column(table, index):
+    """The values a value table gives every generator as one sparse column,
+    numbered by index, one {monomial: row} per generator: the table's
+    integer numerators, so the values scaled by its denominator."""
+    _, numerators = table_numerators(table)
+    return {index[i][m]: n for i, terms in numerators.items() for m, n in terms.items()}
 
 
 def literal_bracket_columns(space, shift=0):

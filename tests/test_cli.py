@@ -157,9 +157,12 @@ def test_mc_check_rejects_sym_on_failing_bundle(tmp_path, capsys):
 
 
 def test_validate_rejects_mc_failure(capsys):
-    code, _, err = run(capsys, "validate", str(MODELS / "mc_fail.dgm"))
-    assert code == 2
-    assert "maurer-cartan" in err
+    code, out, err = run(capsys, "validate", str(MODELS / "mc_fail.dgm"))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: line 7, col 1: maurer-cartan: structural data fails Maurer-Cartan "
+        "[Maurer-Cartan failure: d*d != 0 on generator 't': residue a^2]\n"
+    )
 
 
 def test_non_integer_sym_degree_is_a_syntax_error(tmp_path, capsys):

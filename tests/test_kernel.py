@@ -646,8 +646,7 @@ MODEL_FILES = sorted(pathlib.Path(__file__).resolve().parent.parent.glob("models
 @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda path: path.stem)
 def test_cocycles_of_every_model_file_are_the_oracle(path):
     mf = load_path(str(path), validate=False)
-    # mc_fail's bundle keeps its failing field, which is not its total model's d
-    spaces = [mf.model] + ([mf.bundle] if mf.bundle and path.stem != "mc_fail" else [])
+    spaces = [mf.model] + ([mf.bundle] if mf.bundle else [])
     for space in spaces:
         assert_cocycles_are_the_oracle(space, range(7))
 

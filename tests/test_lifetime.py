@@ -18,14 +18,16 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
     (["ses-verify", "t2_pair.dgm"], 3, 0),
     (["sym", "t2_pair.dgm"], 2, 0),
     (["identities", "nil_pair.dgm", "--trials", "2"], 2, 0),
-    # the failed total model, then the bare algebra that carries the candidate field
-    (["mc-check", "mc_fail.dgm"], 3, 1),
+    # the base and the failed total model, which the recorded residue lives on
+    (["mc-check", "mc_fail.dgm"], 2, 1),
     (["tmap-verify", "nil_pair.dgm"], 3, 0),
     (["bn-check", "bn_selfdual.dgm", "--trials", "2"], 2, 0),
     (["e6-check", "e6_flux.dgm", "--trials", "2"], 2, 0),
     (["iso-check", "nil_pair.dgm"], 3, 0),
     # the base, P, the dual, and the correspondence its gauge check builds
     (["tdualize", "t2_pair.dgm"], 4, 0),
+    # the base and the failed total model; nothing in the error chain keeps either
+    (["validate", "mc_fail.dgm"], 2, 2),
 ])
 def test_each_command_builds_each_model_once_and_frees_it(argv, builds, code, monkeypatch, capsys):
     refs = []

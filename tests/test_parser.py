@@ -6,16 +6,19 @@ import random
 
 import pytest
 
-from dgcalc.derivations import DgBundle, maurer_cartan_check
+from dgcalc.derivations import model_differential
 from dgcalc.graded import Model, format_element
 from dgcalc.parser import (
     MAX_EXPRESSION_TERMS,
     MAX_POWER_TERMS,
     ModelFileError,
+    load_path,
     parse_expression,
     parse_model,
 )
 from oracles import random_inhomogeneous
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_sphere_model_from_text():
@@ -158,8 +161,24 @@ Fbar = a
     assert err.value.line == 6  # first fiber statement
 
     lenient = parse_model(text, validate=False)
-    assert isinstance(lenient.bundle, DgBundle)
-    assert not maurer_cartan_check(lenient.bundle.q)
+    assert lenient.bundle is None
+    assert lenient.maurer_cartan.witness == "t"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(ROOT.glob("models/*.dgm")) + sorted(ROOT.glob("tests/*.dgm")),
+    ids=lambda path: path.stem,
+)
+def test_a_loaded_bundle_field_is_its_total_models_d(path):
+    """A file that fails Maurer-Cartan loads with no bundle, never with one
+    whose field differs from the d its cohomology is computed from."""
+    mf = load_path(str(path), validate=False)
+    assert mf.bundle is None or mf.bundle.q == model_differential(mf.bundle.total)
+    if path.stem == "mc_fail":
+        result = mf.maurer_cartan
+        assert mf.bundle is None and result.witness == "t"
+        assert format_element(result.residue) == "a^2"
 
 
 EXPR_BASE = """model cols
