@@ -55,7 +55,6 @@ from .tduality import (
     gauge_equivalent,
     les_check,
     ses_verify,
-    tduality_chain_map,
     tduality_iso_check,
 )
 
@@ -173,7 +172,7 @@ def cmd_tmap_verify(mf, args, report):
     bundle = _need_bundle(mf, "two_step")
     pair = dualize(bundle)
     cap = args.cap if args.cap is not None else degree_cap(bundle)
-    signs = tduality_chain_map(pair).signs(cap)
+    signs = pair.signs(cap)
     if len(signs) == 2:
         raise TDualityError(
             f"degree cap {cap} does not fix the sign: both sides vanish through degree {cap}"

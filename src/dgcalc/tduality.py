@@ -14,13 +14,15 @@ exponent tuple; `tmap`, the chain-map check and the exactness count of
 sections and the snake connecting map of the short exact sequence
 0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.  T never reads the correspondence:
 `correspondence` builds it, with its gauge field, for `gauge_equivalent` alone.
+The rule is base-linear, so `TDualPair.signs` reads T's chain-map sign off the
+fiber monomials; `ChainMap.signs` stays the generic check over every monomial.
 """
 
 from __future__ import annotations
 
 from itertools import chain, count, repeat
 from math import lcm
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from .cohomology import _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle, gauge_transform
@@ -66,6 +68,39 @@ class TDualPair:
         if j:
             return m[:i] + (1, j - 1), j
         return None
+
+    def signs(self, cap: int) -> Set[int]:
+        """The signs s with T Q x = s * Qbar T x on every monomial x of degree
+        0..cap, as `ChainMap.signs` finds them, read off the fiber monomials.
+
+        A monomial of P is w f, w a base monomial stored first and f = q^a t^l.
+        `rule` is base-linear, T(w f) = w T(f) with a coefficient read off f
+        alone, and Q and Qbar both restrict to d_B on base forms, so
+
+            T Q(w f) - s Qbar T(w f) = (1 - s) d_B(w) T(f) + (-1)^{|w|} w (T Q f - s Qbar T f).
+
+        So +1 holds exactly when it holds on the fiber monomials through the
+        cap.  -1 also needs d_B(w) T(f) = 0 whenever |w f| <= cap; Pbar is free
+        over the base, so that fails first at |g| + |f| for g the lowest base
+        generator with d g != 0 and f the lowest fiber monomial with T f != 0.
+        The identity, and with it this check, holds only for a base-linear rule.
+        """
+        if cap < 0:
+            raise TDualityError(f"degree cap {cap} checks no monomial")
+        i, chain = self._fiber, tduality_chain_map(self)
+        lowest = min((self.base.degrees[j] for j, *_ in self.base.d_table[1]), default=cap + 1)
+        first = {1: cap + 1, -1: cap + 1}  # the first degree at which each sign fails
+        for k in range(cap + 1):
+            fibers = [(0,) * i + tail for tail in self.p.total._suffix(i, k)]
+            for image, failed in chain.failures(fibers):
+                for s in failed:
+                    first[s] = min(first[s], k)
+                if image:
+                    first[-1] = min(first[-1], k + lowest)
+            worst = max(first.values())
+            if worst <= k:
+                raise TDualityError(f"not a chain map up to sign (degree {worst})")
+        return {s for s, degree in first.items() if degree > cap}
 
     def include_rule(self, m: tuple) -> Tuple[tuple, int]:
         """The inclusion of base forms on one monomial: no q and no t."""
@@ -156,43 +191,47 @@ class ChainMap:
         self.degree = degree
         self.rule = rule
 
-    def signs(self, cap: int) -> Set[int]:
-        """The signs s with rule(Q x) = s * Q(rule x) on every monomial x of
-        degree 0..cap; both survive when both sides vanish throughout.
+    def failures(self, monomials) -> Iterator[Tuple[Optional[tuple], Set[int]]]:
+        """Per monomial x of one degree: rule(x), and the signs s with
+        rule(Q x) != s * Q(rule x).
 
-        Per degree k: Q of every basis monomial in one Leibniz pass of the
-        source table, Q of every image in one pass of the target table, and
-        the left side mapped term by term through the rule.  The two sides are
-        compared cross-multiplied by the tables' denominators.  Raises at the
-        first degree where no sign holds.
+        Q of every monomial in one Leibniz pass of the source table, Q of every
+        image in one pass of the target table, and the left side mapped term by
+        term through the rule.  The two sides are compared cross-multiplied by
+        the tables' denominators.
         """
-        if cap < 0:
-            raise TDualityError(f"degree cap {cap} checks no monomial")
         source, target = _total(self.source), _total(self.target)
         # left sides are over the source table's denominator, right sides over the target's
         a, b = target.d_table[2], source.d_table[2]
         rule = self.rule
+        dq = [{} for _ in monomials]
+        leibniz(source, source.d_table, zip(monomials, repeat(1)), dq)
+        images = list(map(rule, monomials))
+        rhs = [{} for _ in monomials]
+        live = [(image, out) for image, out in zip(images, rhs) if image]
+        leibniz(target, target.d_table, [image for image, _ in live], [out for _, out in live])
+        for image, out, right in zip(images, dq, rhs):
+            left: dict = {}
+            for m, n in out.items():
+                moved = rule(m) if n else None
+                if moved:
+                    e, c = moved
+                    left[e] = left.get(e, 0) + n * c
+            left = {e: v * a for e, v in left.items() if v}
+            yield image, {s for s in (1, -1) if left != {e: s * v * b for e, v in right.items() if v}}
+
+    def signs(self, cap: int) -> Set[int]:
+        """The signs s with rule(Q x) = s * Q(rule x) on every monomial x of
+        degree 0..cap, checked one degree at a time by `failures`; both survive
+        when both sides vanish throughout.  Raises at the first degree where no
+        sign holds.
+        """
+        if cap < 0:
+            raise TDualityError(f"degree cap {cap} checks no monomial")
         candidates = {1, -1}
         for k in range(cap + 1):
-            basis = source.basis(k)
-            dq = [{} for _ in basis]
-            leibniz(source, source.d_table, zip(basis, repeat(1)), dq)
-            rhs = [{} for _ in basis]
-            live = [(image, out) for image, out in zip(map(rule, basis), rhs) if image]
-            leibniz(target, target.d_table, [image for image, _ in live], [out for _, out in live])
-            for out, right in zip(dq, rhs):
-                left: dict = {}
-                for m, n in out.items():
-                    image = rule(m) if n else None
-                    if image:
-                        e, c = image
-                        left[e] = left.get(e, 0) + n * c
-                left = {e: v * a for e, v in left.items() if v}
-                right = {e: v * b for e, v in right.items() if v}
-                if 1 in candidates and left != right:
-                    candidates.discard(1)
-                if -1 in candidates and left != {e: -v for e, v in right.items()}:
-                    candidates.discard(-1)
+            for _, failed in self.failures(_total(self.source).basis(k)):
+                candidates -= failed
                 if not candidates:
                     raise TDualityError(f"not a chain map up to sign (degree {k})")
         return candidates

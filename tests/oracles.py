@@ -419,8 +419,15 @@ def literal_chain_signs(chain_map, cap):
     """The signs s with rule(Q x) = s * Q(rule x), checked one monomial at a
     time on Elements through `Model.d`: the surviving set through the cap, or
     the first degree where no sign survives."""
+    return literal_chain_signs_by_cap(chain_map, cap)[cap]
+
+
+def literal_chain_signs_by_cap(chain_map, cap):
+    """[literal_chain_signs(chain_map, c) for c in 0..cap], from one pass: the
+    surviving set after each degree, then the degree where none survives."""
     source, target = _total(chain_map.source), _total(chain_map.target)
     candidates = {1, -1}
+    found = []
     for k in range(cap + 1):
         for m in source.basis(k):
             x = source.monomial_element(m)
@@ -431,8 +438,9 @@ def literal_chain_signs(chain_map, cap):
             if lhs != -rhs:
                 candidates.discard(-1)
             if not candidates:
-                return k
-    return candidates
+                return found + [k] * (cap + 1 - k)
+        found.append(set(candidates))
+    return found
 
 
 def pushforward(bundle: DgBundle, el: Element) -> Element:

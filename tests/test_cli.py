@@ -295,6 +295,24 @@ def test_tmap_verify_needs_a_cap_that_fixes_the_sign(capsys):
     assert "sign +1" in out
 
 
+def _tmap_verify_transcript(capsys):
+    """`tmap-verify` on each model pair at caps 0..3 and at the default cap:
+    per run, the command line, its stdout, its stderr and its exit code."""
+    text = ""
+    for path in sorted(MODELS.glob("*_pair.dgm")):
+        for cap in ("0", "1", "2", "3", None):
+            flags = ("--cap", cap) if cap else ()
+            code, out, err = run(capsys, "tmap-verify", str(path), *flags)
+            text += f"$ tmap-verify {path.name} {' '.join(flags)}".rstrip() + "\n"
+            text += f"{out}-- stderr\n{err}-- exit {code}\n"
+    return text
+
+
+def test_tmap_verify_on_model_pairs_golden(capsys):
+    """Byte for byte, including the exit-2 runs where the cap fixes no sign."""
+    assert _tmap_verify_transcript(capsys) == (GOLDEN / "tmap_verify_models.txt").read_text()
+
+
 def test_shape_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "ses-verify", str(MODELS / "s3_volume.dgm"))
     assert code == 2

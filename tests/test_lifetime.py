@@ -13,7 +13,7 @@ from dgcalc.graded import Model
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
-@pytest.mark.parametrize("argv, builds, code", [
+ROWS = [
     (["betti", "nil_pair.dgm"], 2, 0),
     (["ses-verify", "t2_pair.dgm"], 3, 0),
     (["sym", "t2_pair.dgm"], 2, 0),
@@ -28,7 +28,11 @@ MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
     (["tdualize", "t2_pair.dgm"], 4, 0),
     # the base and the failed total model; nothing in the error chain keeps either
     (["validate", "mc_fail.dgm"], 2, 2),
-])
+]
+
+
+# ids name the command and the file, so a changed build count renames no test
+@pytest.mark.parametrize("argv, builds, code", ROWS, ids=[f"{argv[0]}-{argv[1]}" for argv, _, _ in ROWS])
 def test_each_command_builds_each_model_once_and_frees_it(argv, builds, code, monkeypatch, capsys):
     refs = []
     init = Model.__init__

@@ -371,6 +371,56 @@ def test_chain_signs_match_the_per_monomial_loop_on_model_pairs(path):
             assert oracles.apply_rule(inclusion, w) == pair.p.include_base(w), m
 
 
+def _assert_pair_signs_match_both_paths(pair, caps):
+    """TDualPair.signs, read off the fiber monomials, against ChainMap.signs
+    over every monomial and the per-monomial Element loop: the same set, or a
+    raise at the same degree, at each cap."""
+    chain = tduality_chain_map(pair)
+    literal = oracles.literal_chain_signs_by_cap(chain, max(caps))
+    for cap in caps:
+        assert _signs_or_degree(pair, cap) == _signs_or_degree(chain, cap) == literal[cap], cap
+
+
+@pytest.mark.parametrize("path", PAIR_FILES, ids=lambda p: p.stem)
+def test_pair_signs_match_both_paths_on_model_pairs(path):
+    pair = dualize(load_path(str(path)).bundle)
+    _assert_pair_signs_match_both_paths(pair, range(degree_cap(pair.p) + 1))
+
+
+def _flux_only_pair(h=lambda base: base.zero()):
+    """nil_pair's base, where d z != 0, with F = Fbar = 0 and the closed H given."""
+    base = load_path(str(MODELS / "nil_pair.dgm")).bundle.base
+    return dualize(DgBundle.two_step(base, base.zero(), base.zero(), h(base)))
+
+
+def test_pair_signs_drop_minus_one_where_the_base_moves():
+    """With F = Fbar = H = 0 both signs hold on every fiber monomial, but
+    d_B(z) T(q) = x1 x2 makes T Q(z q) = -Qbar T(z q) fail at degree
+    |z| + |q| = 2: the degree condition alone decides -1."""
+    pair = _flux_only_pair()
+    assert pair.signs(1) == {1, -1}
+    assert [pair.signs(cap) for cap in range(2, 5)] == [{1}] * 3
+    _assert_pair_signs_match_both_paths(pair, range(degree_cap(pair.p) + 1))
+
+
+def test_pair_signs_raise_where_the_later_sign_fails(monkeypatch):
+    """H = x1 x2 x3 and T negated on q t: +1 fails on q t at degree 3, -1
+    already at 2 through the degree condition, so the raise names 3, the
+    degree ChainMap.signs names."""
+    pair = _flux_only_pair(lambda base: base.gen("x1") * base.gen("x2") * base.gen("x3"))
+    rule, fiber = pair.rule, pair._fiber
+
+    def negated_on_qt(m):
+        image = rule(m)
+        return image and (image[0], -image[1] if m[fiber:] == (1, 1) else image[1])
+
+    monkeypatch.setattr(pair, "rule", negated_on_qt)
+    assert pair.signs(2) == {1}
+    with pytest.raises(TDualityError, match=r"^not a chain map up to sign \(degree 3\)$"):
+        pair.signs(3)
+    _assert_pair_signs_match_both_paths(pair, range(degree_cap(pair.p) + 1))
+
+
 def test_ses_verify_fails_an_inclusion_that_anticommutes(monkeypatch):
     # nil_pair's base d is nonzero, so (-1)^{|x|} i(x) leaves only the sign -1
     pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
@@ -465,6 +515,11 @@ if st is not None:
     def test_chain_signs_match_the_per_monomial_loop_on_generated_pairs(pair):
         for chain in _pair_chain_maps(pair):
             _assert_signs_match_oracle(chain, 6)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(generated_pairs())
+    def test_pair_signs_match_both_paths_on_generated_pairs(pair):
+        _assert_pair_signs_match_both_paths(pair, range(degree_cap(pair.p) + 1))
 
     @settings(max_examples=10, deadline=None)
     @given(generated_pairs())
