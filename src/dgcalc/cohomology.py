@@ -10,11 +10,11 @@ consecutive caps must agree before a result is returned.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import Element, GradedError, Model, leibniz
+from .graded import Element, GradedError, Model, format_monomial, leibniz
 
 BundleLike = Union[Model, DgBundle]
 # a sparse column {row: int}; zeros are left out.  A column holds a positive
@@ -41,18 +41,19 @@ def degree_cap(space: BundleLike) -> int:
     return 2 * _total(space).formal_dimension + DEFAULT_CAP_SLACK
 
 
-def _column(coefficients: Mapping[tuple, int], index: Dict[tuple, int]) -> Column:
-    """{exponents: coefficient} as {row: coefficient}, its monomials numbered by index."""
+def _column(el: Element, index: Dict[int, int]) -> Column:
+    """An element's numerators as {row: numerator}, its monomials numbered by index."""
     col = {}
-    for m, c in coefficients.items():
+    for m, c in el.nums.items():
         i = index.get(m)
         if i is None:
-            raise CohomologyError(f"element leaves the span of the degree basis: {m}")
+            mono = format_monomial(el.model, m) or "1"
+            raise CohomologyError(f"element leaves the span of the degree basis: {mono}")
         col[i] = c
     return col
 
 
-def operator_matrix(model: Model, table, source_basis, index: Dict[tuple, int]) -> List[Column]:
+def operator_matrix(model: Model, table, source_basis, index: Dict[int, int]) -> List[Column]:
     """One sparse column per source monomial: the derivation with this
     `value_table` applied to it, numbered by index, all in one Leibniz pass.
     The columns are the kernel's integer sums: the values times the table's
@@ -141,7 +142,7 @@ def induced_rank(
     H^degree(source) to H^target_degree(target)."""
     src, tgt = complex_of(source), complex_of(target)
     index = {m: i for i, m in enumerate(tgt[target_degree].basis)}
-    images = [_column(f(z).nums, index) for z in src[degree].cocycles(src.model)]
+    images = [_column(f(z), index) for z in src[degree].cocycles(src.model)]
     boundaries = tgt[target_degree - 1].columns if target_degree > 0 else []
     return linalg.rank_gain(boundaries, images)
 
@@ -167,7 +168,7 @@ def _twisted_images(model: Model, h: Element, top: int):
     d_table's denominator times h's, one scale, since the kernel vectors of a
     window are cocycles in monomial coordinates.
     """
-    windows: Tuple[List[tuple], List[tuple]] = ([], [])
+    windows: Tuple[List[int], List[int]] = ([], [])
     upto: Tuple[List[int], List[int]] = ([], [])
     for k in range(top + 1):
         windows[k % 2].extend(model.basis(k))
@@ -185,7 +186,7 @@ def _twisted_images(model: Model, h: Element, top: int):
             lows = [{i: n * h.den for i, n in low.items()} for low in lows]
         for m, low in zip(basis, lows):
             if h.nums and k + 3 <= top:
-                whole = {**low, **_column((scaled * Element._of(model, {m: 1})).nums, target)}
+                whole = {**low, **_column(scaled * Element._of(model, {m: 1}), target)}
             else:
                 whole = low
             images[k % 2].append((k, low, whole))

@@ -273,23 +273,22 @@ class DgBundle:
 
     # -- element transport -------------------------------------------------
 
+    # a base monomial is the total model's monomial with no fiber: transport keeps every key
     def include_base(self, el: Element) -> Element:
         if el.model is not self.base:
             raise BundleError("expected an element of the base model")
-        pad = (0,) * len(self.fiber_names)
-        return Element._of(self.total, {m + pad: n for m, n in el.nums.items()}, el.den)
+        return Element._of(self.total, el.nums, el.den)
 
     def restrict_to_base(self, el: Element) -> Element:
         if el.model is not self.total:
             raise BundleError("expected an element of the total model")
         if not self.is_base_valued(el):
             raise BundleError("element has fiber-dependent terms")
-        nbase = len(self.base.generators)
-        return Element._of(self.base, {m[:nbase]: n for m, n in el.nums.items()}, el.den)
+        return Element._of(self.base, el.nums, el.den)
 
     def is_base_valued(self, el: Element) -> bool:
-        nbase = len(self.base.generators)
-        return all(not any(m[nbase:]) for m in el.nums)
+        fiber = self.total.units[len(self.base.generators)]  # the first fiber's unit
+        return all(m < fiber for m in el.nums)
 
     def structural_total(self, key: str) -> Element:
         return self.include_base(self.structural[key])

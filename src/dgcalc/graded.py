@@ -1,20 +1,23 @@
 """Free graded-commutative algebras over exact rationals.
 
-A monomial is its exponent tuple: one power per generator in declaration
-order, odd generators with exponent at most one.  Tuples compare
-lexicographically, which fixes the printing order (degree, exponents).
-Reordering a product into normal form accumulates the transposition sign
-(-1)^{|a||b|}; every other sign in the package derives from this one
-convention.  Only odd generators move signs, so a product's sign is read off
-the odd-generator bitmasks of its factors by popcounts.  `d`, every
-derivation and every cochain slice apply through one Leibniz loop, which
-reads a value table: the one stored form of a model's d and of a derivation,
-built once, with the values only a view.
+A monomial is one packed int: generator i's exponent (at most one if i is
+odd) sits in the WIDTH-bit field at bit WIDTH * i, below a guard bit that
+raises GradedError rather than carry an exponent past MAX_EXPONENT.  So a
+product adds monomials, `m & model.odd` is the odd mask, and a base model's
+monomials are its bundles' own.  Only `pack`, `unpack`, `format_monomial`
+and the printing order (degree, then the exponent tuples lexicographically,
+as in every basis) see exponent tuples.  Reordering a product into normal
+form accumulates the transposition sign (-1)^{|a||b|}; every other sign in
+the package derives from this one convention.  Only odd generators move
+signs, so a product's sign is read off the odd masks of its factors by
+popcounts.  `d`, every derivation and every cochain slice apply through one
+Leibniz loop, which reads a value table: the one stored form of a model's d
+and of a derivation, built once, with the values only a view.
 
 The kernel computes on integers, in one coefficient layout: int numerators
 over one positive denominator, the smallest such (no factor divides it and
 every numerator).  A value table shares one denominator across its values,
-and an `Element` is one such row, `nums` {exponent tuple: int} over `den`.
+and an `Element` is one such row, `nums` {monomial: int} over `den`.
 The loop multiplies and adds plain ints; `Element.terms` is a Fraction view
 built on each read.  A bracket of derivations is itself a table built from
 the integer sums, so nested brackets never pass through `Fraction`.
@@ -23,9 +26,8 @@ the integer sums, so nested brackets never pass through `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -61,14 +63,41 @@ class GradedGenerator:
         return f"GradedGenerator({self.name!r}, {self.degree})"
 
 
-def monomial_degree(model: "Model", exponents: Sequence[int]) -> int:
-    """The total degree of the monomial with these exponents."""
-    return sum(map(mul, exponents, model.degrees))
+# a field holds MAX_EXPONENT below its top bit, the guard, so a sum of two
+# exponents in range never carries into the next field
+WIDTH = 25
+MAX_EXPONENT = (1 << WIDTH - 1) - 1
 
 
-def _odd_mask(bits: Sequence[int], exponents: Sequence[int]) -> int:
-    """Bit i is set when odd generator i occurs; `bits` is a model's `odd_bits`."""
-    return sum(compress(bits, exponents))
+def pack(exponents: Sequence[int]) -> int:
+    """The monomial with these exponents, one per generator in order."""
+    if not all(0 <= e <= MAX_EXPONENT for e in exponents):
+        raise GradedError(f"an exponent of {tuple(exponents)} is outside 0..{MAX_EXPONENT}")
+    return sum(e << WIDTH * i for i, e in enumerate(exponents))
+
+
+def unpack(m: int, n: int) -> tuple:
+    """The exponent tuple of a monomial of a model with n generators."""
+    return tuple(m >> WIDTH * i & MAX_EXPONENT for i in range(n))
+
+
+def _check_fields(model: "Model", monomials: Iterable[int]) -> None:
+    """Raise GradedError if a monomial set a guard bit: an exponent passed MAX_EXPONENT."""
+    for m in monomials:
+        if m & model.guard:
+            name = model.generators[((m & model.guard).bit_length() - 1) // WIDTH].name
+            raise GradedError(f"the exponent of {name} passes {MAX_EXPONENT}")
+
+
+def monomial_degree(model: "Model", m: int) -> int:
+    """The total degree of a monomial."""
+    total = 0
+    for g in model.degrees:
+        if not m:
+            break
+        total += (m & MAX_EXPONENT) * g
+        m >>= WIDTH
+    return total
 
 
 def _parity(left_mask: int, right_mask: int) -> int:
@@ -93,15 +122,15 @@ def _reduced(den: int, nums: Mapping):
     return den, nums
 
 
-def _table(model: "Model", sums: Mapping[int, Mapping[tuple, int]], degree: int, den: int):
+def _table(model: "Model", sums: Mapping[int, Mapping[int, int]], degree: int, den: int):
     """The value table of the given degree sending generator i to the sum of
     n / den over sums[i], in normal form."""
     den, flat = _reduced(den, {(i, m): n for i in sorted(sums) for m, n in sums[i].items()})
-    bits = model.odd_bits
+    odd, units = model.odd, model.units
     rows: dict = {}
     for (i, m), n in flat.items():
-        rows.setdefault(i, []).append((m, _odd_mask(bits, m), (n, -n)))
-    entries = tuple((i, (1 << i) - 1, -1 << (i + 1), tuple(terms)) for i, terms in rows.items())
+        rows.setdefault(i, []).append((m, m & odd, (n, -n)))
+    entries = tuple((i, units[i] - 1, -units[i] << WIDTH, tuple(t)) for i, t in rows.items())
     return degree % 2, entries, den
 
 
@@ -110,8 +139,8 @@ def value_table(model: "Model", values: Mapping[str, "Element"], degree: int):
 
     (degree mod 2, entries, den) with one entry (i, below, above, terms) per
     generator i with a nonzero value, in generator order: below and above
-    select the odd bits before and after bit i, and terms are the value's
-    (exponents, odd mask, (n, -n)), its coefficient being the int n over the
+    select the fields before and after field i, and terms are the value's
+    (monomial, odd mask, (n, -n)), its coefficient being the int n over the
     table's one denominator den.  Models and derivations are fixed once
     built, so each keeps its table.
     """
@@ -135,7 +164,7 @@ def combine_tables(model: "Model", parts, degree: int):
 
 
 def table_numerators(table):
-    """(den, {generator index: {exponents: int numerator}}) over the generators
+    """(den, {generator index: {monomial: int numerator}}) over the generators
     a value table gives a value, each coefficient a numerator over den.
     Tables are reduced, so two derivations of one degree are equal exactly
     when these are."""
@@ -147,22 +176,6 @@ def table_values(model: "Model", table) -> dict:
     value, in generator order; fresh Elements built from the table."""
     den, numerators = table_numerators(table)
     return {model.generators[i].name: Element._of(model, t, den) for i, t in numerators.items()}
-
-
-def restricted_table(model: "Model", table):
-    """The value table on `model` of the values this table gives model's
-    generators, which come first in the table's own model: their exponent
-    tuples cut to those generators, or None if one of them involves a later
-    generator."""
-    width = len(model.generators)
-    den, numerators = table_numerators(table)
-    sums = {}
-    for i, terms in numerators.items():
-        if i < width:
-            if any(any(m[width:]) for m in terms):
-                return None
-            sums[i] = {m[:width]: n for m, n in terms.items()}
-    return _table(model, sums, table[0], den)
 
 
 def table_value(model: "Model", table, i: Optional[int]) -> "Element":
@@ -188,25 +201,27 @@ def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict])
     flip, entries, _ = table
     if not entries:
         return
-    bits = model.odd_bits
-    for (exps, coeff), out in zip(pairs, outs):
-        mask = _odd_mask(bits, exps)
+    odd, guard, units = model.odd, model.guard, model.units
+    for (m, coeff), out in zip(pairs, outs):
+        mask = m & odd
         for i, below, above, value in entries:
-            e = exps[i]
+            e = m >> WIDTH * i & MAX_EXPONENT
             if not e:
                 continue
             front = mask & below
             rest = mask & above
             others = front | rest
-            lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
+            lowered = m - units[i]
             c = coeff if e == 1 else coeff * e
             negate = flip & front.bit_count() & 1  # 1 when (-1)^{|D| |front|} is -1
-            for vexps, vmask, signed in value:
+            for v, vmask, signed in value:
                 if vmask & others:
                     continue
                 sign = negate ^ _parity(front, vmask) ^ _parity(vmask, rest) if vmask else negate
                 term = c * signed[sign]
-                key = tuple(map(add, lowered, vexps))
+                key = lowered + v
+                if key & guard:
+                    _check_fields(model, (key,))
                 if key in out:
                     out[key] += term
                 else:
@@ -266,13 +281,13 @@ def square_check(model: "Model", table) -> MCResult:
 
 class Element:
     """Rational linear combination of normalized monomials of one model:
-    `nums`, {exponent tuple: nonzero int}, over the positive denominator
-    `den`, reduced like a value-table row.  `terms` is a fresh
-    {exponent tuple: Fraction} view."""
+    `nums`, {monomial: nonzero int}, over the positive denominator `den`,
+    reduced like a value-table row.  `terms` is a fresh {monomial: Fraction}
+    view."""
 
     __slots__ = ("model", "den", "nums")
 
-    def __init__(self, model: "Model", terms: Mapping[tuple, Rational]):
+    def __init__(self, model: "Model", terms: Mapping[int, Rational]):
         terms = {m: Fraction(c) for m, c in terms.items()}
         den = lcm(*[c.denominator for c in terms.values()])
         nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
@@ -280,7 +295,7 @@ class Element:
         self.den, self.nums = _reduced(den, nums)
 
     @classmethod
-    def _of(cls, model: "Model", nums: Mapping[tuple, int], den: int = 1) -> "Element":
+    def _of(cls, model: "Model", nums: Mapping[int, int], den: int = 1) -> "Element":
         """The element sum n / den over nums (den > 0), in normal form."""
         el = cls.__new__(cls)
         el.model = model
@@ -330,18 +345,20 @@ class Element:
             return Element._of(self.model, scaled, self.den * c.denominator)
         if other.model is not self.model:
             raise GradedError("ambient model mismatch")
-        bits = self.model.odd_bits
-        right = [(b, _odd_mask(bits, b), n) for b, n in other.nums.items()]
+        odd, guard = self.model.odd, self.model.guard
+        right = [(b, b & odd, n) for b, n in other.nums.items()]
         out: dict = {}
         for a, na in self.nums.items():
-            amask = _odd_mask(bits, a)
+            amask = a & odd
             for b, bmask, nb in right:
                 if amask & bmask:
                     continue
                 term = na * nb
                 if bmask and _parity(amask, bmask):
                     term = -term
-                key = tuple(map(add, a, b))
+                key = a + b
+                if key & guard:
+                    _check_fields(self.model, (key,))
                 if key in out:
                     out[key] += term
                 else:
@@ -373,8 +390,7 @@ class Element:
 
     def _constant(self) -> Optional[Fraction]:
         """The value of a constant element, zero included; None for any other."""
-        one = (0,) * len(self.model.generators)
-        return Fraction(self.nums.get(one, 0), self.den) if self.nums.keys() <= {one} else None
+        return Fraction(self.nums.get(0, 0), self.den) if self.nums.keys() <= {0} else None
 
     def __eq__(self, other):
         if isinstance(other, Element):
@@ -403,7 +419,8 @@ class Element:
         return None
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (monomial_degree(self.model, t[0]), t[0]))
+        model, n = self.model, len(self.model.generators)
+        return sorted(self.terms.items(), key=lambda t: (monomial_degree(model, t[0]), unpack(t[0], n)))
 
     def __repr__(self):
         return f"<{format_element(self)}>"
@@ -415,7 +432,7 @@ class Model:
     The differential is declared on generators and extends by the graded
     Leibniz rule; d*d = 0 is checked on every generator at construction.  d
     is kept as its `value_table` alone, and the bases and cochain slices as
-    exponent tuples and sparse columns, so nothing a model holds refers back
+    packed monomials and sparse columns, so nothing a model holds refers back
     to it and reference counting frees it once its last user is gone.
     """
 
@@ -437,11 +454,13 @@ class Model:
         self.generators = tuple(gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.degrees = tuple(g.degree for g in gens)
-        # bit i for each odd generator i, 0 for even ones: the odd mask of an
-        # exponent vector is the sum of the bits it selects
-        self.odd_bits = tuple(1 << i if g.is_odd else 0 for i, g in enumerate(gens))
+        # the monomial of each generator alone; `odd` sums the odd ones, so
+        # m & odd is the odd mask of m, and `guard` holds every field's top bit
+        self.units = tuple(1 << WIDTH * i for i in range(len(gens)))
+        self.odd = sum(u for u, g in zip(self.units, gens) if g.is_odd)
+        self.guard = sum(self.units) << WIDTH - 1
         self._bases: dict = {}
-        # per start index, {degree: exponent tuples of generators start..}
+        # per start index, {degree: monomials in generators start..}
         self._suffixes = [{} for _ in range(len(gens) + 1)]
         # the cochain slices {degree: CochainSpace}, built on first use through
         # cohomology.complex_of; none of them refers back to the model
@@ -478,9 +497,7 @@ class Model:
     def gen(self, name: str) -> Element:
         if name not in self.index:
             raise GradedError(f"unknown generator {name!r}")
-        exps = [0] * len(self.generators)
-        exps[self.index[name]] = 1
-        return Element._of(self, {tuple(exps): 1})
+        return Element._of(self, {self.units[self.index[name]]: 1})
 
     def zero(self) -> Element:
         return Element._of(self, {})
@@ -490,9 +507,9 @@ class Model:
 
     def scalar(self, c: Rational) -> Element:
         c = Fraction(c)
-        return Element._of(self, {(0,) * len(self.generators): c.numerator}, c.denominator)
+        return Element._of(self, {0: c.numerator}, c.denominator)
 
-    def monomial_element(self, m: tuple, coeff: Rational = 1) -> Element:
+    def monomial_element(self, m: int, coeff: Rational = 1) -> Element:
         c = Fraction(coeff)
         return Element._of(self, {m: c.numerator}, c.denominator)
 
@@ -512,19 +529,21 @@ class Model:
         return cached
 
     def _suffix(self, start: int, degree: int):
-        """The exponent tuples of generators start.. of the given total degree, in
+        """The monomials in generators start.. of the given total degree, in
         lexicographic order, each built once from the shorter ones it extends."""
         level = self._suffixes[start]
         cached = level.get(degree)
         if cached is None:
             if start == len(self.degrees):
-                cached = ((),) if degree == 0 else ()
+                cached = (0,) if degree == 0 else ()
             else:
-                g = self.degrees[start]
+                g, unit = self.degrees[start], self.units[start]
                 top = min(degree // g, 1) if g % 2 else degree // g
+                if top > MAX_EXPONENT:
+                    raise GradedError(f"degree {degree} needs an exponent past {MAX_EXPONENT}")
                 out = []
                 for e in range(top + 1):
-                    head = (e,)
+                    head = e * unit
                     out += [head + tail for tail in self._suffix(start + 1, degree - e * g)]
                 cached = tuple(out)
             level[degree] = cached
@@ -552,9 +571,9 @@ class Model:
         return f"Model({self.name or '?'}; {gens}; dim {self.formal_dimension})"
 
 
-def format_monomial(model: Model, m: Sequence[int]) -> str:
+def format_monomial(model: Model, m: int) -> str:
     parts = []
-    for g, e in zip(model.generators, m):
+    for g, e in zip(model.generators, unpack(m, len(model.generators))):
         if e == 1:
             parts.append(g.name)
         elif e > 1:

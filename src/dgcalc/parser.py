@@ -20,7 +20,6 @@ model or dimension a second time is one, reported at the repeat.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
@@ -131,8 +130,8 @@ def _power_terms(value: Element, n: int) -> int:
 
     A term with an odd generator squares to zero, so each term of the power
     takes j distinct such terms and n - j of the others, repeats allowed."""
-    bits = value.model.odd_bits
-    odd = sum(1 for m in value.nums if any(compress(bits, m)))
+    mask = value.model.odd
+    odd = sum(1 for m in value.nums if m & mask)
     even = len(value.nums) - odd
     total = 0
     for j in range(min(n, odd) + 1):
@@ -183,17 +182,24 @@ class _ExprParser:
     def term(self) -> Element:
         """Factors multiplied left to right; a product of n and m terms expands
         to n * m term products, which may not pass MAX_POWER_TERMS.  The right
-        factor's term count is predicted before its power expands."""
+        factor's term count is predicted before its power expands.  An
+        exponent past its field is reported at the power or the factor that
+        passes it."""
         value = None
         while True:
             start = self.peek()
             rhs, n, terms = self.factor()
+            at = self.tokens[self.pos - 1]  # the exponent, if rhs has one
             if value is not None and len(value.nums) * terms > MAX_POWER_TERMS:
                 raise ModelFileError(
                     "syntax", start.line, start.col, f"product expands past {MAX_POWER_TERMS} terms"
                 )
-            rhs = rhs if n == 1 else rhs**n
-            value = rhs if value is None else value * rhs
+            try:
+                rhs = rhs if n == 1 else rhs**n
+                at = start  # past the power, a product is reported at its right factor
+                value = rhs if value is None else value * rhs
+            except GradedError as e:
+                raise ModelFileError("syntax", at.line, at.col, str(e))
             tok = self.peek()
             if tok.kind == "*":
                 self.next()
@@ -393,7 +399,11 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
         base = Model(gens, formal_dim or 0, differential, header_name)
     except GradedError as e:
         # every generator and value was checked above, so this is d*d != 0,
-        # reported at the witness's d statement
+        # reported at the witness's d statement, or d*d passing an exponent
+        # field, reported at the first d statement
+        if e.result is None:
+            _, line, col, _ = next(iter(diff_decls.values()))
+            raise ModelFileError("d-squared", line, col, "d*d cannot be computed", str(e))
         _, line, col, _ = diff_decls[e.result.witness]
         raise ModelFileError("d-squared", line, col, "differential does not square to zero", str(e))
     out.model = base

@@ -11,8 +11,9 @@ Which form parts a symmetry has in each degree, and where they sit in the
 fiber values, is one table, SHAPES; construction, decomposition, the
 membership residues and the degree-0 ansatz all read it.  Construction writes
 the realized derivation's integer value table directly, with no Element of
-the total model: the vector part's numerators with zero fiber exponents
-appended, and the form parts' numerators on the fibers, over one denominator.
+the total model: the vector part's numerators, base monomials being the
+total model's own, and the form parts' numerators on the fibers, over one
+denominator.
 Decomposition reads the same numerators back and keeps the derivation it was
 given.
 
@@ -26,19 +27,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import sub
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .cohomology import Column, complex_of
 from .derivations import Derivation, DgBundle, commutator, model_differential
 from .graded import (
+    MAX_EXPONENT,
     Element,
     Model,
     _table,
     leibniz,
-    monomial_degree,
-    restricted_table,
     table_numerators,
 )
 
@@ -217,42 +216,45 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
 
 def _realized_sums(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: Dict):
     """(den, sums): the values of the realized derivation as integer
-    numerators {generator index: {exponents: int}} over den, no key twice.
+    numerators {generator index: {monomial: int}} over den, no key twice.
 
     The base generators come first in the total model, so the vector part's
-    numerators keep their generators and gain zero fiber exponents.  q gets
-    its q-slot part and t its t-slot part plus q times its q.t-slot part (or
-    times the q-slot part and the coupling), each term q*w written w*q with
-    sign (-1)^|w|: moving the odd q right past w costs that sign.
+    numerators keep their monomials.  q gets its q-slot part and t its t-slot
+    part plus q times its q.t-slot part (or times the q-slot part and the
+    coupling), each term q*w written w*q with sign (-1)^|w|: moving the odd q
+    right past w costs that sign.
     """
     q_slot, t_slot, qt_slot = _row(bundle, vector.degree)
     nb, nf = len(bundle.base.generators), len(bundle.fiber_names)
-    pad = (0,) * nf
-    fibers = [(nb, pad, 1, q_slot), (nb + nf - 1, pad, 1, t_slot)]
+    fibers = [(nb, 0, 1, q_slot), (nb + nf - 1, 0, 1, t_slot)]
     if qt_slot:
         w, c = (q_slot, qt_slot) if isinstance(qt_slot, Fraction) else (qt_slot, 1)
-        fibers.append((nb + nf - 1, (1,) + pad[1:], -c if degrees[w] % 2 else c, w))
-    # (generator index, exponents, numerator, denominator) of every value term
+        fibers.append((nb + nf - 1, bundle.total.units[nb], -c if degrees[w] % 2 else c, w))
+    # (generator index, monomial, numerator, denominator) of every value term
     vden, values = table_numerators(vector.table)
-    terms = [(i, m + pad, n, vden) for i, t in values.items() for m, n in t.items()]
+    terms = [(i, m, n, vden) for i, t in values.items() for m, n in t.items()]
     terms += [
-        (i, m + tail, n * scale.numerator, parts[name].den * scale.denominator)
-        for i, tail, scale, name in fibers
+        (i, m + q, n * scale.numerator, parts[name].den * scale.denominator)
+        for i, q, scale, name in fibers
         if name
         for m, n in parts[name].nums.items()
     ]
     den = lcm(*[d for _, _, _, d in terms])
-    sums: Dict[int, Dict[tuple, int]] = {}
+    sums: Dict[int, Dict[int, int]] = {}
     for i, m, n, d in terms:
         sums.setdefault(i, {})[m] = n * (den // d)
     return den, sums
 
 
 def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
-    table = restricted_table(bundle.base, d.table)
-    if table is None:
+    """d's values on the base generators, which must be base forms: the base's
+    monomials are the total model's, so the sums move over as they are."""
+    nb = len(bundle.base.generators)
+    den, values = table_numerators(d.table)
+    sums = {i: terms for i, terms in values.items() if i < nb}
+    if any(m >= bundle.total.units[nb] for terms in sums.values() for m in terms):
         raise SymmetryError("a value on a base generator leaves the base forms")
-    return Derivation._of_table(bundle.base, d.degree, table)
+    return Derivation._of_table(bundle.base, d.degree, _table(bundle.base, sums, d.degree, den))
 
 
 def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
@@ -263,19 +265,21 @@ def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Ele
     """
     base = bundle.base
     nb, nf = len(base.generators), len(bundle.fiber_names)
+    # base monomials lie below the first fiber's unit q, and t is the last field
+    q, t, odd = bundle.total.units[nb], bundle.total.units[-1], base.odd
     den, values = table_numerators(d.table)
-    q_value = values.get(nb, {}) if nf > 1 else {}
-    if any(any(m[nb:]) for m in q_value):
+    primary = values.get(nb, {}) if nf > 1 else {}
+    if any(m >= q for m in primary):
         raise SymmetryError("value on the odd fiber must be a base form")
     plain, linear = {}, {}
     for m, n in values.get(nb + nf - 1, {}).items():
-        if m[-1]:
+        if m >= t:
             raise SymmetryError("the value on t depends on t")
-        if not m[nb]:
-            plain[m[:nb]] = n
-        else:
-            linear[m[:nb]] = -n if monomial_degree(base, m[:nb]) % 2 else n
-    primary = {m[:nb]: n for m, n in q_value.items()}
+        if m < q:
+            plain[m] = n
+        else:  # |w| is odd exactly when w has an odd number of odd generators
+            w = m - q
+            linear[w] = -n if (w & odd).bit_count() % 2 else n
     return tuple(Element._of(base, part, den) for part in (primary, plain, linear))
 
 
@@ -455,7 +459,7 @@ def is_symmetry(a: SymElement) -> bool:
 # -- the full degree-0 kernel vs the structured family -----------------------
 
 
-def _value_index(model: Model, shift: int) -> List[Dict[tuple, int]]:
+def _value_index(model: Model, shift: int) -> List[Dict[int, int]]:
     """One numbering of the pairs (generator g, monomial of degree |g| + shift),
     as one {monomial: row} per generator in generator order: the rows of the
     values of a derivation of that degree."""
@@ -493,16 +497,18 @@ def _bracket_columns(model: Model, shift: int) -> List[Column]:
     ]
     sign = 1 if shift % 2 else -1
     for g, block in enumerate(unknowns):
-        terms = [(h, x, n) for h, _, _, value in entries for x, _, (n, _) in value if x[g]]
+        unit = model.units[g]
+        field = unit * MAX_EXPONENT
+        terms = [(h, x, n) for h, _, _, value in entries for x, _, (n, _) in value if x & field]
         if not terms:
             continue
         outs: List[dict] = [{} for _ in terms]
         table = _table(model, {g: dict.fromkeys(block, 1)}, shift, 1)
         leibniz(model, table, [(x, sign * n) for _, x, n in terms], outs)
         for (h, x, _), out in zip(terms, outs):
-            lowered = x[:g] + (x[g] - 1,) + x[g + 1 :]
+            lowered = x - unit
             for key, n in out.items():
-                column, r = columns[block[tuple(map(sub, key, lowered))]], rows[h][key]
+                column, r = columns[block[key - lowered]], rows[h][key]
                 column[r] = column.get(r, 0) + n
     return [{r: n for r, n in column.items() if n} for column in columns]
 
@@ -516,9 +522,8 @@ def _structured_columns(bundle: DgBundle) -> List[Column]:
     multiple of its element."""
     base, total = bundle.base, bundle.total
     index = _value_index(total, 0)
-    pad = (0,) * len(bundle.fiber_names)
     # the base's degree-0 rows, in order, as rows of the total model
-    moved = [index[g][m + pad] for g, block in enumerate(_value_index(base, 0)) for m in block]
+    moved = [index[g][m] for g, block in enumerate(_value_index(base, 0)) for m in block]
     columns = [{moved[r]: n for r, n in c.items()} for c in _bracket_columns(base, -1)]
     zero, forms = Derivation.zero(base, 0), dict(form_parts(bundle, 0))
     parts = dict.fromkeys(forms, base.zero())

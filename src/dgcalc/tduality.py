@@ -9,7 +9,7 @@ monomials (base generators first, then the fiber, then t) that composite is
 
 with sign +1 in the stored order: the fibre integral T = int e^{A ^ Ahat} of
 Bouwknegt-Evslin-Mathai in closed form.  `TDualPair.rule` is that rule on one
-exponent tuple; `tmap`, the chain-map check and the exactness count of
+packed monomial; `tmap`, the chain-map check and the exactness count of
 `ses_verify` all read it, and `section` inverts it term by term to produce
 sections and the snake connecting map of the short exact sequence
 0 -> base forms -> C(P) -> C(Pbar)[1] -> 0.  T never reads the correspondence:
@@ -26,7 +26,7 @@ from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from .cohomology import _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle, gauge_transform
-from .graded import Element, leibniz
+from .graded import WIDTH, Element, _check_fields, leibniz
 
 
 class TDualityError(Exception):
@@ -51,22 +51,23 @@ class TDualPair:
         self.pbar = DgBundle.two_step(base, fbar, f, h, q=dual_fiber, t=p.t_name, name="dual")
         self.dual_fiber = dual_fiber
         # both totals list the base generators, then the fiber (q upstairs, qbar
-        # downstairs), then t, so the closed-form map moves exponent tuples as is
+        # downstairs), then t, last, so the closed-form map moves fields as they are
         self._fiber = len(base.generators)
+        self._unit, self._t_shift = p.total.units[self._fiber], WIDTH * (self._fiber + 1)
 
     # -- the comparison map -------------------------------------------------
 
-    def rule(self, m: tuple) -> Optional[Tuple[tuple, int]]:
+    def rule(self, m: int) -> Optional[Tuple[int, int]]:
         """T on one monomial of P: w q t^l -> w t^l, w t^j -> j w qbar t^{j-1},
         and None for a base form.  Injective on monomials, so no terms merge.
         `tests/oracles.literal_tmap` pins it against the gauge-exponential path.
         """
-        i = self._fiber
-        if m[i]:
-            return m[:i] + (0,) + m[i + 1 :], 1
-        j = m[i + 1]
+        unit = self._unit
+        if m & unit:
+            return m - unit, 1
+        j = m >> self._t_shift
         if j:
-            return m[:i] + (1, j - 1), j
+            return m + unit - (1 << self._t_shift), j
         return None
 
     def signs(self, cap: int) -> Set[int]:
@@ -87,12 +88,11 @@ class TDualPair:
         """
         if cap < 0:
             raise TDualityError(f"degree cap {cap} checks no monomial")
-        i, chain = self._fiber, tduality_chain_map(self)
+        chain = tduality_chain_map(self)
         lowest = min((self.base.degrees[j] for j, *_ in self.base.d_table[1]), default=cap + 1)
         first = {1: cap + 1, -1: cap + 1}  # the first degree at which each sign fails
         for k in range(cap + 1):
-            fibers = [(0,) * i + tail for tail in self.p.total._suffix(i, k)]
-            for image, failed in chain.failures(fibers):
+            for image, failed in chain.failures(self.p.total._suffix(self._fiber, k)):
                 for s in failed:
                     first[s] = min(first[s], k)
                 if image:
@@ -102,9 +102,20 @@ class TDualPair:
                 raise TDualityError(f"not a chain map up to sign (degree {worst})")
         return {s for s, degree in first.items() if degree > cap}
 
-    def include_rule(self, m: tuple) -> Tuple[tuple, int]:
-        """The inclusion of base forms on one monomial: no q and no t."""
-        return m + (0, 0), 1
+    def include_rule(self, m: int) -> Tuple[int, int]:
+        """The inclusion of base forms on one monomial: a base monomial is the
+        total model's monomial with no q and no t."""
+        return m, 1
+
+    def include_signs(self, cap: int) -> Set[int]:
+        """The signs s with i Q x = s * Q i x on every base monomial x of degree
+        0..cap, read off the base generators of degree <= cap: the set
+        `ChainMap.signs` returns, empty where it raises.  The inclusion i is an
+        algebra map, so a sign that holds on two monomials holds on their product."""
+        base = self.base
+        gens = [u for u, g in zip(base.units, base.generators) if g.degree <= cap]
+        failures = ChainMap(base, self.p, 0, self.include_rule).failures(gens)
+        return {1, -1}.difference(*(failed for _, failed in failures))
 
     def tmap(self, el: Element) -> Element:
         """The comparison map C(P) -> C(Pbar), degree -1: `rule` term by term."""
@@ -125,15 +136,16 @@ class TDualPair:
         """
         if el.model is not self.pbar.total:
             raise TDualityError("expected an element of the dual bundle")
-        i = self._fiber
-        scale = lcm(*[exps[i + 1] + 1 for exps in el.nums if exps[i]])
+        unit, shift = self._unit, self._t_shift
+        scale = lcm(*[(m >> shift) + 1 for m in el.nums if m & unit])
         out = {}
-        for exps, n in el.nums.items():
-            if exps[i]:
-                power = exps[i + 1] + 1
-                out[exps[:i] + (0, power)] = n * (scale // power)
+        for m, n in el.nums.items():
+            if m & unit:
+                power = (m >> shift) + 1
+                out[m - unit + (1 << shift)] = n * (scale // power)
             else:
-                out[exps[:i] + (1,) + exps[i + 1 :]] = n * scale
+                out[m + unit] = n * scale
+        _check_fields(self.p.total, out)
         lifted = Element._of(self.p.total, out, el.den * scale)
         if self.tmap(lifted) != el:
             raise TDualityError("section failed to invert the comparison map")
@@ -180,8 +192,8 @@ def gauge_equivalent(pair: TDualPair) -> bool:
 class ChainMap:
     """Degree-homogeneous linear map between complexes with a pinned global sign.
 
-    `rule` sends an exponent tuple of the source to None (zero) or to one
-    (exponent tuple of the target, int coefficient): T, the base inclusion and
+    `rule` sends a monomial of the source to None (zero) or to one
+    (monomial of the target, int coefficient): T, the base inclusion and
     the pushforward along an odd line all act on monomials this way.
     """
 
@@ -192,7 +204,7 @@ class ChainMap:
         self.rule = rule
 
     def failures(self, monomials) -> Iterator[Tuple[Optional[tuple], Set[int]]]:
-        """Per monomial x of one degree: rule(x), and the signs s with
+        """Per monomial x: rule(x), and the signs s with
         rule(Q x) != s * Q(rule x).
 
         Q of every monomial in one Leibniz pass of the source table, Q of every
@@ -273,14 +285,13 @@ def ses_verify(pair: TDualPair, cap: Optional[int] = None) -> Tuple[bool, List[S
         raise TDualityError(f"degree cap {cap} checks no degree")
     rows = []
     # on a base with d = 0 both sides vanish and either sign survives
-    ok = 1 in ChainMap(pair.base, pair.p, 0, pair.include_rule).signs(cap)
-    fiber = pair._fiber
+    ok = 1 in pair.include_signs(cap)
     for k in range(cap + 1):
         source, target = pair.p.total.basis(k), pair.pbar.total.basis(k - 1)
         images = list(map(pair.rule, source))
         rank_t = len({image[0] for image in images if image})
-        # base forms are the source monomials with no fiber, and must map to zero
-        if any(image for m, image in zip(source, images) if not any(m[fiber:])):
+        # base forms are the source monomials below the fiber's unit, and must map to zero
+        if any(image for m, image in zip(source, images) if m < pair._unit):
             ok = False
         dim_base = len(pair.base.basis(k))
         row = SesRow(k, len(source), len(source) - rank_t, dim_base, rank_t, len(target))

@@ -6,12 +6,14 @@ bracket of d with one probe derivation per unknown, the split of an
 element by powers of one generator, the rescaling and pushforward maps
 whose chain identities the tests check, a sampler of inhomogeneous
 elements, and the failing field of models/mc_fail.dgm written out by hand;
-tests only."""
+tests only.  The oracles compute on exponent tuples and meet the library's
+packed monomials only through `pack` and `unpack`."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
+from operator import add, mul
 
 from dgcalc.derivations import (
     Derivation,
@@ -21,7 +23,7 @@ from dgcalc.derivations import (
     exp_apply,
     model_differential,
 )
-from dgcalc.graded import Element, Model, monomial_degree, table_numerators
+from dgcalc.graded import Element, Model, monomial_degree, pack, table_numerators, unpack
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import (
     LOWER,
@@ -125,20 +127,14 @@ def merge_sign(model, left, right):
     re-summing that tail for every factor: O(n^2), but free of bit tricks.
     """
     sign = 1
-    merged = []
-    for j, g in enumerate(model.generators):
-        a, b = left[j], right[j]
-        if g.is_odd:
+    odd = [g.is_odd for g in model.generators]
+    for j, (a, b) in enumerate(zip(left, right)):
+        if odd[j]:
             if a + b > 1:
                 return None
-            if b:
-                tail_odd = sum(
-                    left[i] for i in range(j + 1, len(left)) if model.generators[i].is_odd
-                )
-                if tail_odd % 2:
-                    sign = -sign
-        merged.append(a + b)
-    return sign, tuple(merged)
+            if b and sum(compress(left[j + 1 :], odd[j + 1 :])) % 2:
+                sign = -sign
+    return sign, tuple(map(add, left, right))
 
 
 def apply_derivation(model, values, degree, a):
@@ -146,7 +142,8 @@ def apply_derivation(model, values, degree, a):
     x_i of each monomial, (-1)^{|D|(|x_1| + ... + |x_{i-1}|)} front * D(x_i) * rest."""
     n = len(model.generators)
     out = model.zero()
-    for m, coeff in a.terms.items():
+    for packed, coeff in a.terms.items():
+        m = unpack(packed, n)
         prefix_parity = 0
         for i, e in enumerate(m):
             if e and model.generators[i].name in values:
@@ -154,9 +151,9 @@ def apply_derivation(model, values, degree, a):
                 rest = (0,) * i + (e - 1,) + m[i + 1 :]
                 sign = -1 if degree % 2 and prefix_parity % 2 else 1
                 out = out + (
-                    model.monomial_element(front, sign * coeff * e)
+                    model.monomial_element(pack(front), sign * coeff * e)
                     * values[model.generators[i].name]
-                    * model.monomial_element(rest)
+                    * model.monomial_element(pack(rest))
                 )
             prefix_parity += e * model.generators[i].degree
     return out
@@ -197,7 +194,7 @@ def brute_basis(model, k):
     """Every exponent tuple of degree k, odd exponents at most 1, sorted: the
     whole box of exponents filtered, an independent oracle for Model.basis."""
     ranges = [range(2 if g.is_odd else k // g.degree + 1) for g in model.generators]
-    return sorted(m for m in product(*ranges) if monomial_degree(model, m) == k)
+    return sorted(m for m in product(*ranges) if sum(map(mul, m, model.degrees)) == k)
 
 
 def random_inhomogeneous(model, degrees, rng):
@@ -330,11 +327,12 @@ def fiber_coefficients(bundle, el, fiber):
     idx = total.index[fiber]
     odd = [g.is_odd for g in total.generators]
     out = {}
-    for m, c in el.terms.items():
+    for packed, c in el.terms.items():
+        m = unpack(packed, len(odd))
         k = m[idx]
         if odd[idx] and k and sum(1 for j in range(idx + 1, len(m)) if m[j] and odd[j]) % 2:
             c = -c
-        out.setdefault(k, {})[m[:idx] + (0,) + m[idx + 1 :]] = c
+        out.setdefault(k, {})[pack(m[:idx] + (0,) + m[idx + 1 :])] = c
     return {k: Element(total, t) for k, t in sorted(out.items())}
 
 
@@ -375,15 +373,15 @@ def transport(el, target):
     if any(b >= a for a, b in zip(shared[1:], shared)):
         raise ValueError("generator order differs between models")
     terms = {}
-    for m, c in el.terms.items():
+    for packed, c in el.terms.items():
         exps = [0] * len(target.generators)
-        for i, e in enumerate(m):
+        for i, e in enumerate(unpack(packed, len(source.generators))):
             if not e:
                 continue
             if mapping[i] is None:
                 raise ValueError(f"element uses generator {source.generators[i].name!r} missing from target")
             exps[mapping[i]] = e
-        terms[tuple(exps)] = c
+        terms[pack(exps)] = c
     return Element(target, terms)
 
 
@@ -461,9 +459,13 @@ def pushforward_chain_map(bundle):
     """p_* for an odd line bundle as a monomial rule, w q -> w with the fiber
     stored last, wrapped with its intertwining check."""
     fiber_degree = bundle.total.generator_named(bundle.fiber_names[0]).degree
-    return ChainMap(
-        bundle, bundle.base, -fiber_degree, lambda m: (m[:-1], 1) if m[-1] else None
-    )
+    n = len(bundle.total.generators)
+
+    def rule(m):
+        exps = unpack(m, n)
+        return (pack(exps[:-1]), 1) if exps[-1] else None
+
+    return ChainMap(bundle, bundle.base, -fiber_degree, rule)
 
 
 def literal_symmetry(bundle, degree, **parts):

@@ -14,6 +14,7 @@ from dgcalc.cohomology import (
     circle_quasi_iso_check,
     complex_of,
     degree_cap,
+    induced_rank,
     periodicity_check,
     twisted_betti,
     validate_formal_dimension,
@@ -364,3 +365,10 @@ def test_no_slice_is_built_twice(argv, monkeypatch, capsys):
     assert cli.main([argv[0], str(MODELS / argv[1])] + argv[2:]) == 0
     keys = [(id(space), degree) for space, degree in builds]
     assert builds and len(keys) == len(set(keys))
+
+
+def test_a_map_of_the_wrong_degree_names_the_monomial_that_leaves_the_basis(s2):
+    # the class of a in H^2(S^2) goes to a^2 b, of degree 7, not into degree 2
+    with pytest.raises(CohomologyError) as err:
+        induced_rank(s2, 2, lambda z: z * z * s2.gen("b"), s2, 2)
+    assert str(err.value) == "element leaves the span of the degree basis: a^2*b"

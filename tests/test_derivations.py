@@ -20,7 +20,7 @@ from dgcalc.derivations import (
     maurer_cartan_check,
     model_differential,
 )
-from dgcalc.graded import Element, Model, format_element
+from dgcalc.graded import Element, Model, format_element, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
 from oracles import literal_commutator, mc_fail_field
@@ -338,8 +338,9 @@ def test_each_shape_appends_its_fibers_and_field_as_the_table_says(shape):
     layout = [(g.name, g.degree) for g in bundle.total.generators]
     assert layout == [(g.name, g.degree) for g in base.generators] + fibers
 
-    def lift(el):  # padded by hand, not by include_base
-        return Element(bundle.total, {m + (0,) * len(fibers): c for m, c in el.terms.items()})
+    def lift(el):  # padded by hand on exponent tuples, not by include_base
+        n, pad = len(base.generators), (0,) * len(fibers)
+        return Element(bundle.total, {pack(unpack(m, n) + pad): c for m, c in el.terms.items()})
 
     lifted = {key: lift(form) for key, form in forms.items()}
     expected = field(lifted, bundle.total.gen)

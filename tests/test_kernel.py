@@ -1,6 +1,7 @@
 """The monomial core and the Leibniz kernel against independent oracles.
 
-Signs come from odd-generator bitmasks; `oracles.merge_sign` re-sums the odd
+Monomials are packed ints and signs come from their odd masks;
+`oracles.merge_sign` works on exponent tuples and re-sums the odd
 tail per factor instead.  `Model.d`, every `Derivation`, `commutator` and
 every cochain slice run through one Leibniz loop over cached value tables of
 integer numerators over one denominator; `oracles.apply_derivation` expands
@@ -21,7 +22,7 @@ import pytest
 from dgcalc import presets
 from dgcalc.cohomology import _twisted_images, complex_of
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
-from dgcalc.graded import Element, Model, apply_values, table_values
+from dgcalc.graded import Element, Model, apply_values, pack, table_values, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
 from dgcalc.tduality import dualize
@@ -64,15 +65,14 @@ def dg_model(degrees, rng):
     """
     gens = [(f"x{i}", deg) for i, deg in enumerate(degrees)]
     n = len(gens)
-    diff = {}  # generator name -> {exponents over all n generators: coefficient}
+    # generator name -> {monomial: coefficient}; a monomial of the generators
+    # before k is the same int in every model that extends them
+    diff = {}
 
     def prefix(k):
         return Model(
             gens[:k],
-            differential=lambda m: {
-                name: Element(m, {e[:k]: c for e, c in terms.items()})
-                for name, terms in diff.items()
-            },
+            differential=lambda m: {name: Element(m, terms) for name, terms in diff.items()},
         )
 
     for k, (name, deg) in enumerate(gens):
@@ -81,13 +81,14 @@ def dg_model(degrees, rng):
         terms = {
             m: Fraction(rng.randint(-2, 2))
             for m in before.basis(deg + 1)
-            if all(e == 0 or i in closed for i, e in enumerate(m)) and rng.random() < 0.5
+            if all(e == 0 or i in closed for i, e in enumerate(unpack(m, k)))
+            and rng.random() < 0.5
         }
         value = Element(before, terms)
         if rng.random() < 0.5:
             value = value + before.d(random_element(before, deg, rng))
         if not value.is_zero():
-            diff[name] = {m + (0,) * (n - k): c for m, c in value.terms.items()}
+            diff[name] = value.terms
     return prefix(n)
 
 
@@ -104,23 +105,26 @@ def assert_coefficients_are_fractions(el):
         assert type(c) is Fraction and c != 0, el.terms
 
 
-def assert_keys_are_exponent_tuples(el):
-    """Every monomial is a plain tuple with one entry per generator, odd ones at most 1."""
+def assert_keys_are_packed_monomials(el):
+    """Every monomial is a plain int that packs one exponent per generator,
+    odd ones at most 1, and nothing else: no guard bit and no higher field."""
     gens = el.model.generators
     for m in el.terms:
-        assert type(m) is tuple and len(m) == len(gens), m
-        assert all(type(e) is int and e >= 0 for e in m), m
-        assert all(e <= 1 for g, e in zip(gens, m) if g.is_odd), m
+        assert type(m) is int and m >= 0, m
+        exps = unpack(m, len(gens))
+        assert pack(exps) == m, m
+        assert all(e <= 1 for g, e in zip(gens, exps) if g.is_odd), m
 
 
 # -- signs ---------------------------------------------------------------------
 
 
 def monomial_product(model, left, right):
-    """(sign, exponents) of the product of two monomial elements, or None if it is zero."""
-    terms = (model.monomial_element(left) * model.monomial_element(right)).terms
+    """(sign, exponents) of the product of the monomial elements with these
+    exponent tuples, or None if it is zero."""
+    terms = (model.monomial_element(pack(left)) * model.monomial_element(pack(right))).terms
     assert len(terms) <= 1, terms
-    return next(((int(c), m) for m, c in terms.items()), None)
+    return next(((int(c), unpack(m, len(left))) for m, c in terms.items()), None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,7 +195,7 @@ def test_fiber_coefficients_rebuild_the_element(shape, seed):
         idx, x = total.index[g.name], total.gen(g.name)
         rebuilt = total.zero()
         for k, c in fiber_coefficients(bundle, el, g.name).items():
-            assert all(not m[idx] for m in c.terms), (g.name, k)
+            assert all(not m & total.units[idx] for m in c.terms), (g.name, k)
             rebuilt = rebuilt + c * x**k
         assert rebuilt == el, g.name
 
@@ -247,10 +251,7 @@ def with_contractible_pair(model):
     gens = [(g.name, g.degree) for g in model.generators] + [("u", 3), ("t", 2)]
 
     def differential(m):
-        out = {
-            name: Element(m, {e + (0, 0): c for e, c in v.terms.items()})
-            for name, v in model.differential.items()
-        }
+        out = {name: Element(m, v.terms) for name, v in model.differential.items()}
         out["t"] = m.gen("u")
         return out
 
@@ -359,7 +360,7 @@ def test_twisted_betti_with_denominators_is_the_dense_reference(degrees, seed, d
 def test_basis_is_the_brute_force_basis(degrees):
     model = graded_model(degrees)
     for k in range(13):
-        assert model.basis(k) == tuple(brute_basis(model, k)), k
+        assert [unpack(m, len(degrees)) for m in model.basis(k)] == brute_basis(model, k), k
     assert all(model.basis(k) is model.basis(k) for k in range(13))
 
 
@@ -417,12 +418,12 @@ def test_derivations_keep_separate_tables(mixed):
     assert second(x) == 3 * x and first(x) == 2 * x and scaled(x) == 10 * x
 
 
-# -- monomials stay exponent tuples, coefficients nonzero Fractions --------------------
+# -- monomials stay packed ints, coefficients nonzero Fractions ------------------------
 
 
 @settings(max_examples=60, deadline=None)
 @given(DEGREES, SEEDS, st.integers(-2, 2), st.integers(-2, 2))
-def test_every_kernel_result_is_keyed_by_exponent_tuples(degrees, seed, deg1, deg2):
+def test_every_kernel_result_is_keyed_by_packed_monomials(degrees, seed, deg1, deg2):
     rng = random.Random(seed)
     model = dg_model(degrees, rng)
     a, b = random_mixed(model, rng), random_mixed(model, rng)
@@ -430,7 +431,7 @@ def test_every_kernel_result_is_keyed_by_exponent_tuples(degrees, seed, deg1, de
     bracket = commutator(d1, d2)
     results = [a * b, model.d(a), d1(a), bracket(a), *bracket.values.values()]
     for el in results:
-        assert_keys_are_exponent_tuples(el)
+        assert_keys_are_packed_monomials(el)
         assert_coefficients_are_fractions(el)
 
 
@@ -447,7 +448,7 @@ def test_every_operation_keeps_nonzero_fraction_coefficients(mixed):
     ]
     results += list(commutator(d1, d2).values.values())
     for el in results:
-        assert_keys_are_exponent_tuples(el)
+        assert_keys_are_packed_monomials(el)
         assert_coefficients_are_fractions(el)
     assert (a * 0).terms == {} and (a - a).terms == {} and (x * y + y * x).terms == {}
 
@@ -573,7 +574,7 @@ def test_brackets_of_tables_with_different_denominators(degrees, seed, deg1, deg
     assert nested(a) == apply_derivation(model, want.values, nested.degree, a)
     for d in (bracket, nested, combined):
         for el in d.values.values():
-            assert_keys_are_exponent_tuples(el)
+            assert_keys_are_packed_monomials(el)
             assert_coefficients_are_fractions(el)
 
 
@@ -706,7 +707,7 @@ def test_an_element_is_a_reduced_numerator_row(seed, den):
         # and a fresh copy: mutating it leaves the element as it was
         snapshot = (el.den, dict(el.nums))
         view.clear()
-        view[(0,) * len(el.model.generators)] = Fraction(7)
+        view[0] = Fraction(7)
         assert (el.den, el.nums) == snapshot and el.terms != view
 
 

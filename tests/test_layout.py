@@ -1,7 +1,9 @@
 """One integer matrix layout, checked on the import statements: the matrix
 layer (`linalg` and the cochain slices of `cohomology`) imports nothing from
 `fractions`, and the test oracles import nothing from `linalg`, so they never
-share the elimination they check."""
+share the elimination they check.  One monomial layout, checked on the
+syntax tree: `dgcalc` adds no exponent tuples with `tuple(map(add, ...))` and
+takes no odd mask with `compress`, since a monomial is one packed int."""
 
 import ast
 import pathlib
@@ -44,3 +46,37 @@ def test_the_scan_sees_both_kinds_of_import():
     assert "fractions.Fraction" in imported(PACKAGE / "graded.py")
     assert "dgcalc.linalg" in imported(PACKAGE / "cohomology.py")
     assert "dgcalc.linalg.kernel_basis" in imported(ROOT / "tests" / "test_linalg.py")
+
+
+def _name(node):
+    """The name a Name or an attribute access ends in, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def tuple_layout(path):
+    """(line, kind) of every exponent-tuple idiom in a file: a call
+    tuple(map(add, ...)), which adds exponent tuples, or any call of
+    `compress`, which selects a tuple's odd generators."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        if _name(node.func) == "compress":
+            out.append((node.lineno, "compress"))
+        elif _name(node.func) == "tuple" and node.args and isinstance(node.args[0], ast.Call):
+            inner = node.args[0]
+            if _name(inner.func) == "map" and inner.args and _name(inner.args[0]) == "add":
+                out.append((node.lineno, "tuple(map(add, ...))"))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_holds_one_monomial_layout(path):
+    assert tuple_layout(path) == [], path.name
+
+
+def test_the_layout_scan_finds_the_tuple_idioms_of_the_oracles():
+    # the oracles compute on exponent tuples, so a scan that missed them would
+    # pass the guard above vacuously
+    kinds = {kind for _, kind in tuple_layout(ROOT / "tests" / "oracles.py")}
+    assert kinds == {"compress", "tuple(map(add, ...))"}

@@ -12,7 +12,7 @@ from dgcalc import linalg, presets, tduality
 from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
 from dgcalc.derivations import DgBundle
 from dgcalc.cli import main
-from dgcalc.graded import Element, Model, format_element, monomial_degree
+from dgcalc.graded import Element, Model, format_element, monomial_degree, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import _bracket_columns, sym0_dimensions
@@ -158,9 +158,10 @@ def test_double_dual_agrees_up_to_renaming():
     assert pair2.pbar.structural["F"] == pair.p.structural["F"]
     assert pair2.pbar.structural["Fbar"] == pair.p.structural["Fbar"]
     for k in range(7):
-        for m in pair.pbar.total.basis(k):
-            y = pair.pbar.total.monomial_element(m)
+        for packed in pair.pbar.total.basis(k):
+            y = pair.pbar.total.monomial_element(packed)
             back = rename(pair2.tmap(y), pair.p.total)
+            m = unpack(packed, len(pair.pbar.total.generators))
             # in normalized monomial order the action strips the source fiber
             # without signs and trades t-powers for the dual fiber
             t_idx = pair.pbar.total.index["t"]
@@ -169,13 +170,13 @@ def test_double_dual_agrees_up_to_renaming():
             if m[q_idx]:
                 ex = list(m)
                 ex[q_idx] = 0
-                expected = Element(pair.p.total, {tuple(ex): 1})
+                expected = Element(pair.p.total, {pack(ex): 1})
             elif m[t_idx]:
                 j = m[t_idx]
                 ex = list(m)
                 ex[t_idx] -= 1
                 ex[q_idx] = 1
-                expected = Element(pair.p.total, {tuple(ex): j})
+                expected = Element(pair.p.total, {pack(ex): j})
             assert back == expected
 
 
@@ -236,9 +237,8 @@ def test_pushforward_degree_and_kernel_counts(s3):
                 killed += 1
             else:
                 assert out.degree() == k - 3
-        q_free = sum(
-            1 for m in bundle.total.basis(k) if not m[bundle.total.index["q"]]
-        )
+        q = bundle.total.index["q"]
+        q_free = sum(1 for m in bundle.total.basis(k) if not unpack(m, q + 1)[q])
         assert killed == q_free
 
 
@@ -263,7 +263,7 @@ def rename_to_pbar(pair, el):
     q_idx = pair.p.total.index[pair.p.q_name]
     terms = {}
     for m, c in el.terms.items():
-        assert not m[q_idx]
+        assert not unpack(m, q_idx + 1)[q_idx]
         terms[m] = c
     return Element(pair.pbar.total, terms)
 
@@ -387,6 +387,42 @@ def test_pair_signs_match_both_paths_on_model_pairs(path):
     _assert_pair_signs_match_both_paths(pair, range(degree_cap(pair.p) + 1))
 
 
+def _assert_include_signs_match_chain_signs(pair, caps):
+    """TDualPair.include_signs, read off the base generators, against
+    ChainMap.signs over every base monomial: the same set at each cap, or
+    the empty set where ChainMap.signs raises."""
+    chain = ChainMap(pair.base, pair.p, 0, pair.include_rule)
+    for cap in caps:
+        want = _signs_or_degree(chain, cap)
+        assert pair.include_signs(cap) == (want if isinstance(want, set) else set()), cap
+
+
+@pytest.mark.parametrize("path", PAIR_FILES, ids=lambda p: p.stem)
+def test_include_signs_match_chain_signs_on_model_pairs(path):
+    pair = dualize(load_path(str(path)).bundle)
+    _assert_include_signs_match_chain_signs(pair, range(degree_cap(pair.p) + 1))
+
+
+@pytest.mark.parametrize("scale, signs", [
+    # the grading automorphism x -> (-1)^|x| x anticommutes with Q, so only -1 holds
+    (lambda k: (-1) ** k, {-1}),
+    # x -> 2^|x| x is an algebra map that no sign intertwines once d moves a generator
+    (lambda k: 2**k, set()),
+])
+def test_include_signs_match_chain_signs_on_regraded_inclusions(monkeypatch, scale, signs):
+    # nil_pair's base d moves z in degree 1, so both sets change from cap 1 on
+    pair = dualize(load_path(str(MODELS / "nil_pair.dgm")).bundle)
+    include = TDualPair.include_rule
+
+    def regraded(self, m):
+        e, c = include(self, m)
+        return e, scale(monomial_degree(self.base, m)) * c
+
+    monkeypatch.setattr(TDualPair, "include_rule", regraded)
+    assert pair.include_signs(0) == {1, -1} and pair.include_signs(1) == signs
+    _assert_include_signs_match_chain_signs(pair, range(degree_cap(pair.p) + 1))
+
+
 def _flux_only_pair(h=lambda base: base.zero()):
     """nil_pair's base, where d z != 0, with F = Fbar = 0 and the closed H given."""
     base = load_path(str(MODELS / "nil_pair.dgm")).bundle.base
@@ -408,11 +444,11 @@ def test_pair_signs_raise_where_the_later_sign_fails(monkeypatch):
     already at 2 through the degree condition, so the raise names 3, the
     degree ChainMap.signs names."""
     pair = _flux_only_pair(lambda base: base.gen("x1") * base.gen("x2") * base.gen("x3"))
-    rule, fiber = pair.rule, pair._fiber
+    rule, n, fiber = pair.rule, len(pair.p.total.generators), pair._fiber
 
     def negated_on_qt(m):
         image = rule(m)
-        return image and (image[0], -image[1] if m[fiber:] == (1, 1) else image[1])
+        return image and (image[0], -image[1] if unpack(m, n)[fiber:] == (1, 1) else image[1])
 
     monkeypatch.setattr(pair, "rule", negated_on_qt)
     assert pair.signs(2) == {1}
@@ -520,6 +556,11 @@ if st is not None:
     @given(generated_pairs())
     def test_pair_signs_match_both_paths_on_generated_pairs(pair):
         _assert_pair_signs_match_both_paths(pair, range(degree_cap(pair.p) + 1))
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(generated_pairs())
+    def test_include_signs_match_chain_signs_on_generated_pairs(pair):
+        _assert_include_signs_match_chain_signs(pair, range(degree_cap(pair.p) + 1))
 
     @settings(max_examples=10, deadline=None)
     @given(generated_pairs())
