@@ -55,7 +55,7 @@ def _column(el: Element, index: Dict[int, int]) -> Column:
 
 def operator_matrix(model: Model, table, source_basis, index: Dict[int, int]) -> List[Column]:
     """One sparse column per source monomial: the derivation with this
-    `value_table` applied to it, numbered by index, all in one Leibniz pass.
+    value table applied to it, numbered by index, all in one Leibniz pass.
     The columns are the kernel's integer sums: the values times the table's
     denominator, one positive scale, so no rank or kernel changes."""
     outs: List[dict] = [{} for _ in source_basis]
@@ -177,7 +177,7 @@ def _twisted_images(model: Model, h: Element, top: int):
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
     table = model.d_table
-    scaled = h * (table[2] * h.den)  # integral: h's numerators times d's scale
+    scaled = h * (table.den * h.den)  # integral: h's numerators times d's scale
     for k in range(top + 1):
         target = index[1 - k % 2]
         basis = model.basis(k)
@@ -248,8 +248,8 @@ def periodicity_check(space: BundleLike, j: int, l: int) -> bool:
         raise CohomologyError("periodicity applies above the formal dimension")
     if l < 0:
         raise CohomologyError("need l >= 0")
-    table = betti(space, j, j + 2 * l)
-    return table[j] == table[j + 2 * l]
+    dims = betti(space, j, j + 2 * l)
+    return dims[j] == dims[j + 2 * l]
 
 
 def circle_quasi_iso_check(base: Model, f: Element, total: Model, hi: Optional[int] = None):

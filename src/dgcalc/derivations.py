@@ -19,14 +19,12 @@ from .graded import (
     GradedGenerator,
     MCResult,
     Model,
+    ValueTable,
     apply_table,
     apply_values,
     combine_tables,
     format_element,
     square_check,
-    table_numerators,
-    table_value,
-    table_values,
     value_table,
 )
 
@@ -47,7 +45,7 @@ class BundleError(Exception):
 class Derivation:
     """A graded derivation of a model's function algebra.
 
-    It is kept as the `value_table` of its values on generators alone, a
+    It is kept as the `ValueTable` of its values on generators alone, a
     plain attribute like `Model.d_table`: the constructor validates the
     values and builds the table at once, and a bracket, a sum or a multiple
     is computed on the tables' integers and keeps the table it built.
@@ -74,39 +72,34 @@ class Derivation:
         self.table = value_table(model, values, degree)
 
     @classmethod
-    def _of_table(cls, model: Model, degree: int, table) -> "Derivation":
-        """The derivation with this `value_table` of the given degree."""
+    def _of_table(cls, model: Model, table: ValueTable) -> "Derivation":
+        """The derivation with this value table, of the table's degree."""
         d = cls.__new__(cls)
         d.model = model
-        d.degree = degree
+        d.degree = table.degree
         d.table = table
         return d
 
     @classmethod
     def zero(cls, model: Model, degree: int = 0) -> "Derivation":
-        return cls._of_table(model, degree, value_table(model, {}, degree))
+        return cls._of_table(model, value_table(model, {}, degree))
 
     @property
     def values(self) -> Dict[str, Element]:
         """{generator name: nonzero value} in generator order; a fresh view
         rebuilt from the table."""
-        return table_values(self.model, self.table)
+        return self.table.values(self.model)
 
     def value(self, name: str) -> Element:
-        return table_value(self.model, self.table, self.model.index.get(name))
+        return self.table.value(self.model, self.model.index.get(name))
 
     def is_zero(self) -> bool:
-        return not self.table[1]
+        return not self.table.entries
 
     def __eq__(self, other):
         # equality on generators decides equality (the algebra is free), and
         # reduced tables of equal values share their denominator and numerators
-        return (
-            isinstance(other, Derivation)
-            and self.model is other.model
-            and self.degree == other.degree
-            and table_numerators(self.table) == table_numerators(other.table)
-        )
+        return isinstance(other, Derivation) and self.model is other.model and self.table == other.table
 
     def __add__(self, other: "Derivation") -> "Derivation":
         return self._combine(other, 1)
@@ -118,12 +111,12 @@ class Derivation:
         """self + sign * other, summed on the tables' numerators."""
         if other.model is not self.model or other.degree != self.degree:
             raise DerivationError("can only add derivations of equal degree and model")
-        table = combine_tables(self.model, [(self.table, 1), (other.table, sign)], self.degree)
-        return Derivation._of_table(self.model, self.degree, table)
+        table = combine_tables(self.model, [(self.table, 1), (other.table, sign)])
+        return Derivation._of_table(self.model, table)
 
     def __mul__(self, c) -> "Derivation":
-        table = combine_tables(self.model, [(self.table, Fraction(c))], self.degree)
-        return Derivation._of_table(self.model, self.degree, table)
+        table = combine_tables(self.model, [(self.table, Fraction(c))])
+        return Derivation._of_table(self.model, table)
 
     __rmul__ = __mul__
 
@@ -141,7 +134,7 @@ class Derivation:
 def model_differential(model: Model) -> Derivation:
     """The declared differential of a model, as a degree-1 derivation that
     applies through the model's own value table."""
-    return Derivation._of_table(model, 1, model.d_table)
+    return Derivation._of_table(model, model.d_table)
 
 
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
@@ -152,9 +145,8 @@ def commutator(d1: Derivation, d2: Derivation) -> Derivation:
         raise DerivationError("ambient mismatch")
     negate = not (d1.degree % 2 and d2.degree % 2)
     t1, t2 = d1.table, d2.table
-    degree = d1.degree + d2.degree
-    table = apply_values(d1.model, [(t1, t2, False), (t2, t1, negate)], degree)
-    return Derivation._of_table(d1.model, degree, table)
+    table = apply_values(d1.model, [(t1, t2, False), (t2, t1, negate)])
+    return Derivation._of_table(d1.model, table)
 
 
 def maurer_cartan_check(d: Derivation) -> MCResult:

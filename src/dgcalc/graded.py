@@ -11,7 +11,7 @@ form accumulates the transposition sign (-1)^{|a||b|}; every other sign in
 the package derives from this one convention.  Only odd generators move
 signs, so a product's sign is read off the odd masks of its factors by
 popcounts.  `d`, every derivation and every cochain slice apply through one
-Leibniz loop, which reads a value table: the one stored form of a model's d
+Leibniz loop, which reads a `ValueTable`: the one stored form of a model's d
 and of a derivation, built once, with the values only a view.
 
 The kernel computes on integers, in one coefficient layout: int numerators
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[Fraction, int]
@@ -112,8 +112,9 @@ def _parity(left_mask: int, right_mask: int) -> int:
 
 
 def _reduced(den: int, nums: Mapping):
-    """(den, nums) for {key: int numerator} over den, with the zeros dropped and
-    the common factor divided out: the one normal form of elements and tables."""
+    """(den, nums) for {monomial: int numerator} over den, with the zeros
+    dropped and the common factor divided out: an element's normal form, the
+    one a `ValueTable` gives its rows."""
     nums = {k: n for k, n in nums.items() if n}
     if den != 1:
         common = gcd(den, *nums.values())
@@ -122,73 +123,90 @@ def _reduced(den: int, nums: Mapping):
     return den, nums
 
 
-def _table(model: "Model", sums: Mapping[int, Mapping[int, int]], degree: int, den: int):
-    """The value table of the given degree sending generator i to the sum of
-    n / den over sums[i], in normal form."""
-    den, flat = _reduced(den, {(i, m): n for i in sorted(sums) for m, n in sums[i].items()})
-    odd, units = model.odd, model.units
-    rows: dict = {}
-    for (i, m), n in flat.items():
-        rows.setdefault(i, []).append((m, m & odd, (n, -n)))
-    entries = tuple((i, units[i] - 1, -units[i] << WIDTH, tuple(t)) for i, t in rows.items())
-    return degree % 2, entries, den
+class ValueTable:
+    """The values of a derivation of the given degree on generators, laid out
+    for `leibniz`: the one stored form of a model's d and of a derivation.
 
-
-def value_table(model: "Model", values: Mapping[str, "Element"], degree: int):
-    """The values of a derivation on generators, laid out for `leibniz`.
-
-    (degree mod 2, entries, den) with one entry (i, below, above, terms) per
-    generator i with a nonzero value, in generator order: below and above
-    select the fields before and after field i, and terms are the value's
-    (monomial, odd mask, (n, -n)), its coefficient being the int n over the
-    table's one denominator den.  Models and derivations are fixed once
-    built, so each keeps its table.
+    `entries` holds one (i, below, above, terms) per generator i with a
+    nonzero value, in generator order: below and above select the fields
+    before and after field i, and terms are the value's (monomial, odd mask,
+    (n, -n)), its coefficient being the int n over the table's one
+    denominator `den`.  Only this module reads `entries` past its emptiness.
+    A table is reduced, so two are equal exactly when their degrees,
+    denominators and `numerators()` are.
     """
+
+    __slots__ = ("degree", "entries", "den")
+
+    def __init__(self, model: "Model", sums: Mapping[int, Mapping[int, int]], degree: int, den: int):
+        """The table sending generator i to the sum of n / den over sums[i],
+        in normal form: zeros dropped, and the gcd of den and every
+        numerator divided out."""
+        rows = []
+        common = den
+        for i in sorted(sums):
+            row = {m: n for m, n in sums[i].items() if n}
+            if row:
+                rows.append((i, row))
+                if common != 1:
+                    common = gcd(common, *row.values())
+        if common != 1:
+            den //= common
+            rows = [(i, {m: n // common for m, n in row.items()}) for i, row in rows]
+        odd, units = model.odd, model.units
+        self.degree, self.den = degree, den
+        self.entries = tuple(
+            (i, units[i] - 1, -units[i] << WIDTH, tuple([(m, m & odd, (n, -n)) for m, n in row.items()]))
+            for i, row in rows
+        )
+
+    def numerators(self) -> dict:
+        """{generator index: {monomial: int numerator}} over the generators
+        the table gives a value, each coefficient a numerator over `den`."""
+        return {i: {m: n for m, _, (n, _) in terms} for i, _, _, terms in self.entries}
+
+    def values(self, model: "Model") -> dict:
+        """{generator name: its value} over the generators the table gives a
+        value, in generator order; fresh Elements built from the table."""
+        names = [g.name for g in model.generators]
+        return {names[i]: Element._of(model, t, self.den) for i, t in self.numerators().items()}
+
+    def value(self, model: "Model", i: Optional[int]) -> "Element":
+        """The value the table gives generator i, zero if none; only that entry is read."""
+        terms = next((terms for j, _, _, terms in self.entries if j == i), ())
+        return Element._of(model, {m: n for m, _, (n, _) in terms}, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValueTable):
+            return NotImplemented
+        same = self.degree == other.degree and self.den == other.den
+        return same and self.numerators() == other.numerators()
+
+
+def value_table(model: "Model", values: Mapping[str, "Element"], degree: int) -> ValueTable:
+    """The `ValueTable` of the given degree with these values on generators."""
     den = lcm(*[v.den for v in values.values()])
     sums = {model.index[g]: {m: n * (den // v.den) for m, n in v.nums.items()} for g, v in values.items()}
-    return _table(model, sums, degree, den)
+    return ValueTable(model, sums, degree, den)
 
 
-def combine_tables(model: "Model", parts, degree: int):
-    """The value table of the given degree of sum c * D over the parts (table
-    of D, rational c), summed on the numerators over one common denominator."""
-    den = lcm(*[table[2] * c.denominator for table, c in parts])
+def combine_tables(model: "Model", parts) -> ValueTable:
+    """The value table of sum c * D over the parts (table of D, rational c),
+    all of one degree, summed on the numerators over one common denominator."""
+    den = lcm(*[table.den * c.denominator for table, c in parts])
     sums: dict = {}
-    for (_, entries, table_den), c in parts:
-        scale = den // (table_den * c.denominator) * c.numerator
-        for i, _, _, terms in entries:
+    for table, c in parts:
+        scale = den // (table.den * c.denominator) * c.numerator
+        for i, _, _, terms in table.entries:
             out = sums.setdefault(i, {})
             for m, _, (n, _) in terms:
                 out[m] = out.get(m, 0) + scale * n
-    return _table(model, sums, degree, den)
+    return ValueTable(model, sums, parts[0][0].degree, den)
 
 
-def table_numerators(table):
-    """(den, {generator index: {monomial: int numerator}}) over the generators
-    a value table gives a value, each coefficient a numerator over den.
-    Tables are reduced, so two derivations of one degree are equal exactly
-    when these are."""
-    return table[2], {i: {m: n for m, _, (n, _) in terms} for i, _, _, terms in table[1]}
-
-
-def table_values(model: "Model", table) -> dict:
-    """{generator name: its value} over the generators a value table gives a
-    value, in generator order; fresh Elements built from the table."""
-    den, numerators = table_numerators(table)
-    return {model.generators[i].name: Element._of(model, t, den) for i, t in numerators.items()}
-
-
-def table_value(model: "Model", table, i: Optional[int]) -> "Element":
-    """The value the table gives generator i, zero if none; only that entry is read."""
-    for j, _, _, terms in table[1]:
-        if j == i:
-            return Element._of(model, {m: n for m, _, (n, _) in terms}, table[2])
-    return model.zero()
-
-
-def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict]) -> None:
+def leibniz(model: "Model", table: ValueTable, pairs: Iterable[tuple], outs: Iterable[dict]) -> None:
     """Add coeff * D(m) into out for each (m, coeff) of pairs and out of outs,
-    where D is the derivation with this `value_table`, scaled by its
+    where D is the derivation with this value table, scaled by its
     denominator: coeff is an int, and so is every sum left in out.
 
     D(x_1 ... x_k) = sum_i (-1)^{|D|(|x_1| + ... + |x_{i-1}|)} x_1 ... D(x_i) ... x_k,
@@ -198,7 +216,7 @@ def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict])
     one out per basis monomial, each with coefficient 1.  Zero sums are left
     in out.
     """
-    flip, entries, _ = table
+    flip, entries = table.degree & 1, table.entries
     if not entries:
         return
     odd, guard, units = model.odd, model.guard, model.units
@@ -228,29 +246,29 @@ def leibniz(model: "Model", table, pairs: Iterable[tuple], outs: Iterable[dict])
                     out[key] = term
 
 
-def apply_table(model: "Model", table, a: "Element") -> "Element":
-    """The derivation with this `value_table` applied to the element a: one
+def apply_table(model: "Model", table: ValueTable, a: "Element") -> "Element":
+    """The derivation with this value table applied to the element a: one
     Leibniz pass over a's numerators, over the product of the denominators."""
     out: dict = {}
     leibniz(model, table, a.nums.items(), repeat(out))
-    return Element._of(model, out, a.den * table[2])
+    return Element._of(model, out, a.den * table.den)
 
 
-def apply_values(model: "Model", passes, degree: int):
-    """The value table of the given degree sending each generator g to the
-    sum of D(v), or -D(v) when negate, over the passes (table, values,
-    negate) whose value table `values` gives g a value v, where D is the
-    derivation with `table`; one Leibniz pass each.  Each pass's sums are
-    over the product of its two denominators, so every pass is scaled onto
-    their least common multiple before the passes share their sums."""
-    den = lcm(*[table[2] * values[2] for table, values, _ in passes])
+def apply_values(model: "Model", passes) -> ValueTable:
+    """The value table sending each generator g to the sum of D(v), or -D(v)
+    when negate, over the passes (table, values, negate) whose value table
+    `values` gives g a value v, where D is the derivation with `table`; one
+    Leibniz pass each, and every pass of one degree |table| + |values|.  Each
+    pass's sums are over the product of its two denominators, so every pass
+    is scaled onto their least common multiple before they share their sums."""
+    den = lcm(*[table.den * values.den for table, values, _ in passes])
     sums: dict = {}
     for table, values, negate in passes:
-        scale = den // (table[2] * values[2])
-        targets = [(sums.setdefault(i, {}), terms) for i, _, _, terms in values[1]]
+        scale = den // (table.den * values.den)
+        targets = [(sums.setdefault(i, {}), terms) for i, _, _, terms in values.entries]
         pairs = ((m, scale * signed[negate]) for _, terms in targets for m, _, signed in terms)
         leibniz(model, table, pairs, [out for out, terms in targets for _ in terms])
-    return _table(model, sums, degree, den)
+    return ValueTable(model, sums, table.degree + values.degree, den)
 
 
 class MCResult:
@@ -271,11 +289,11 @@ class MCResult:
         return f"MCResult(fail on {self.witness}: {format_element(self.residue)})"
 
 
-def square_check(model: "Model", table) -> MCResult:
+def square_check(model: "Model", table: ValueTable) -> MCResult:
     """D*D = [D, D]/2 on every generator, for the degree-1 derivation with this
     value table: D(g) is g's value, so D*D on the generators is one Leibniz
     pass of D over the values.  Reports the first generator with a residue."""
-    residues = table_values(model, apply_values(model, [(table, table, False)], 2))
+    residues = apply_values(model, [(table, table, False)]).values(model)
     return MCResult(*next(iter(residues.items()), ()))
 
 
@@ -431,7 +449,7 @@ class Model:
 
     The differential is declared on generators and extends by the graded
     Leibniz rule; d*d = 0 is checked on every generator at construction.  d
-    is kept as its `value_table` alone, and the bases and cochain slices as
+    is kept as its `ValueTable` alone, and the bases and cochain slices as
     packed monomials and sparse columns, so nothing a model holds refers back
     to it and reference counting frees it once its last user is gone.
     """
@@ -460,8 +478,12 @@ class Model:
         self.odd = sum(u for u, g in zip(self.units, gens) if g.is_odd)
         self.guard = sum(self.units) << WIDTH - 1
         self._bases: dict = {}
-        # per start index, {degree: monomials in generators start..}
+        # per start index, {degree: monomials in generators start..} up to the
+        # highest degree they fill, that reach (unbounded past an even one)
         self._suffixes = [{} for _ in range(len(gens) + 1)]
+        self._reach = [0]
+        for g in reversed(self.degrees):
+            self._reach.insert(0, self._reach[0] + g if g % 2 else inf)
         # the cochain slices {degree: CochainSpace}, built on first use through
         # cohomology.complex_of; none of them refers back to the model
         self._slices: dict = {}
@@ -530,23 +552,26 @@ class Model:
 
     def _suffix(self, start: int, degree: int):
         """The monomials in generators start.. of the given total degree, in
-        lexicographic order, each built once from the shorter ones it extends."""
+        lexicographic order, each built once from the shorter ones it extends.
+        Each exponent leaves a degree within the later generators' reach, and
+        a degree past the reach is empty at once and never stored, so past odd
+        generators alone the work grows with the output, not the degree."""
         level = self._suffixes[start]
         cached = level.get(degree)
-        if cached is None:
-            if start == len(self.degrees):
-                cached = (0,) if degree == 0 else ()
-            else:
-                g, unit = self.degrees[start], self.units[start]
-                top = min(degree // g, 1) if g % 2 else degree // g
-                if top > MAX_EXPONENT:
-                    raise GradedError(f"degree {degree} needs an exponent past {MAX_EXPONENT}")
-                out = []
-                for e in range(top + 1):
-                    head = e * unit
-                    out += [head + tail for tail in self._suffix(start + 1, degree - e * g)]
-                cached = tuple(out)
-            level[degree] = cached
+        if cached is not None:
+            return cached
+        if degree > self._reach[start]:
+            return ()
+        if start == len(self.degrees):
+            return (0,)
+        g, unit, rest = self.degrees[start], self.units[start], self._reach[start + 1]
+        top = min(degree // g, 1) if g % 2 else degree // g
+        if top > MAX_EXPONENT:
+            raise GradedError(f"degree {degree} needs an exponent past {MAX_EXPONENT}")
+        out = []
+        for e in range(0 if degree <= rest else -((rest - degree) // g), top + 1):
+            out += [e * unit + tail for tail in self._suffix(start + 1, degree - e * g)]
+        level[degree] = cached = tuple(out)
         return cached
 
     def dimension(self, degree: int) -> int:
@@ -564,7 +589,7 @@ class Model:
     def differential(self) -> dict:
         """{generator name: d of it} over the generators with a nonzero d, in
         declaration order; a fresh view rebuilt from `d_table`."""
-        return table_values(self, self.d_table)
+        return self.d_table.values(self)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

@@ -1,10 +1,8 @@
-"""Stock CDGA models used across tests and the bundled example files.
+"""Stock CDGA models used across tests and the README examples.
 
 Manifolds enter only through finitely generated positively graded models:
-tori are exterior algebras with zero differential, even spheres get their
-minimal models, and `mixed_forms` is a deliberately roomy model carrying
-non-closed 2- and 3-forms plus the primitives needed to separate the three
-structural equations of a two-step bundle.
+tori are exterior algebras with zero differential, and spheres and a
+nilmanifold get their minimal models.
 """
 
 from __future__ import annotations
@@ -38,19 +36,6 @@ def sphere2() -> Model:
 def sphere3() -> Model:
     """Minimal model of the 3-sphere: one closed degree-3 generator."""
     return Model([("c", 3)], formal_dimension=3, name="S3")
-
-
-def sphere4_times_torus3() -> Model:
-    """Model of S4 x T3: hosts the degree-4/degree-7 flux data.
-
-    Generators x1,x2,x3 (deg 1, closed), a (deg 4), b (deg 7) with db = a^2.
-    """
-    return Model(
-        [("x1", 1), ("x2", 1), ("x3", 1), ("a", 4), ("b", 7)],
-        formal_dimension=7,
-        differential=lambda m: {"b": m.gen("a") * m.gen("a")},
-        name="S4xT3",
-    )
 
 
 def nilmanifold() -> Model:

@@ -36,9 +36,8 @@ from .graded import (
     MAX_EXPONENT,
     Element,
     Model,
-    _table,
+    ValueTable,
     leibniz,
-    table_numerators,
 )
 
 
@@ -210,8 +209,8 @@ def symmetry(bundle: DgBundle, degree: int, **parts) -> SymElement:
     for name, deg in forms:
         out[name] = _as_base(bundle, parts.get(name), deg)
     den, sums = _realized_sums(bundle, vector, out, dict(forms))
-    table = _table(bundle.total, sums, degree, den)
-    return SymElement(bundle, degree, out, Derivation._of_table(bundle.total, degree, table))
+    table = ValueTable(bundle.total, sums, degree, den)
+    return SymElement(bundle, degree, out, Derivation._of_table(bundle.total, table))
 
 
 def _realized_sums(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: Dict):
@@ -231,7 +230,7 @@ def _realized_sums(bundle: DgBundle, vector: Derivation, parts: Dict, degrees: D
         w, c = (q_slot, qt_slot) if isinstance(qt_slot, Fraction) else (qt_slot, 1)
         fibers.append((nb + nf - 1, bundle.total.units[nb], -c if degrees[w] % 2 else c, w))
     # (generator index, monomial, numerator, denominator) of every value term
-    vden, values = table_numerators(vector.table)
+    vden, values = vector.table.den, vector.table.numerators()
     terms = [(i, m, n, vden) for i, t in values.items() for m, n in t.items()]
     terms += [
         (i, m + q, n * scale.numerator, parts[name].den * scale.denominator)
@@ -250,11 +249,10 @@ def _base_part(bundle: DgBundle, d: Derivation) -> Derivation:
     """d's values on the base generators, which must be base forms: the base's
     monomials are the total model's, so the sums move over as they are."""
     nb = len(bundle.base.generators)
-    den, values = table_numerators(d.table)
-    sums = {i: terms for i, terms in values.items() if i < nb}
+    sums = {i: terms for i, terms in d.table.numerators().items() if i < nb}
     if any(m >= bundle.total.units[nb] for terms in sums.values() for m in terms):
         raise SymmetryError("a value on a base generator leaves the base forms")
-    return Derivation._of_table(bundle.base, d.degree, _table(bundle.base, sums, d.degree, den))
+    return Derivation._of_table(bundle.base, ValueTable(bundle.base, sums, d.degree, d.table.den))
 
 
 def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Element]:
@@ -267,7 +265,7 @@ def _fiber_parts(bundle: DgBundle, d: Derivation) -> Tuple[Element, Element, Ele
     nb, nf = len(base.generators), len(bundle.fiber_names)
     # base monomials lie below the first fiber's unit q, and t is the last field
     q, t, odd = bundle.total.units[nb], bundle.total.units[-1], base.odd
-    den, values = table_numerators(d.table)
+    den, values = d.table.den, d.table.numerators()
     primary = values.get(nb, {}) if nf > 1 else {}
     if any(m >= q for m in primary):
         raise SymmetryError("value on the odd fiber must be a base form")
@@ -485,7 +483,7 @@ def _bracket_columns(model: Model, shift: int) -> List[Column]:
     once, over the terms of d that contain g with one out per term; a key of
     that out is m plus the term with g lowered, which gives m back.
     """
-    _, entries, _ = model.d_table
+    d_values = model.d_table.numerators()
     slices = complex_of(model)
     unknowns, rows = _value_index(model, shift), _value_index(model, shift + 1)
     offsets = list(accumulate(map(len, rows), initial=0))
@@ -499,11 +497,11 @@ def _bracket_columns(model: Model, shift: int) -> List[Column]:
     for g, block in enumerate(unknowns):
         unit = model.units[g]
         field = unit * MAX_EXPONENT
-        terms = [(h, x, n) for h, _, _, value in entries for x, _, (n, _) in value if x & field]
+        terms = [(h, x, n) for h, value in d_values.items() for x, n in value.items() if x & field]
         if not terms:
             continue
         outs: List[dict] = [{} for _ in terms]
-        table = _table(model, {g: dict.fromkeys(block, 1)}, shift, 1)
+        table = ValueTable(model, {g: dict.fromkeys(block, 1)}, shift, 1)
         leibniz(model, table, [(x, sign * n) for _, x, n in terms], outs)
         for (h, x, _), out in zip(terms, outs):
             lowered = x - unit

@@ -89,7 +89,7 @@ class TDualPair:
         if cap < 0:
             raise TDualityError(f"degree cap {cap} checks no monomial")
         chain = tduality_chain_map(self)
-        lowest = min((self.base.degrees[j] for j, *_ in self.base.d_table[1]), default=cap + 1)
+        lowest = min((self.base.degrees[j] for j in self.base.d_table.numerators()), default=cap + 1)
         first = {1: cap + 1, -1: cap + 1}  # the first degree at which each sign fails
         for k in range(cap + 1):
             for image, failed in chain.failures(self.p.total._suffix(self._fiber, k)):
@@ -214,7 +214,7 @@ class ChainMap:
         """
         source, target = _total(self.source), _total(self.target)
         # left sides are over the source table's denominator, right sides over the target's
-        a, b = target.d_table[2], source.d_table[2]
+        a, b = target.d_table.den, source.d_table.den
         rule = self.rule
         dq = [{} for _ in monomials]
         leibniz(source, source.d_table, zip(monomials, repeat(1)), dq)

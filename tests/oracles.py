@@ -5,8 +5,8 @@ check, the structured symmetries and their realized derivations, the
 bracket of d with one probe derivation per unknown, the split of an
 element by powers of one generator, the rescaling and pushforward maps
 whose chain identities the tests check, a sampler of inhomogeneous
-elements, and the failing field of models/mc_fail.dgm written out by hand;
-tests only.  The oracles compute on exponent tuples and meet the library's
+elements, the failing field of models/mc_fail.dgm written out by hand, and
+a model of S4 x T3 for the flux tests; tests only.  The oracles compute on exponent tuples and meet the library's
 packed monomials only through `pack` and `unpack`."""
 
 from fractions import Fraction
@@ -23,7 +23,7 @@ from dgcalc.derivations import (
     exp_apply,
     model_differential,
 )
-from dgcalc.graded import Element, Model, monomial_degree, pack, table_numerators, unpack
+from dgcalc.graded import Element, Model, monomial_degree, pack, unpack
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import (
     LOWER,
@@ -580,12 +580,24 @@ def mc_fail_field() -> Derivation:
     return Derivation(total, 1, {"b": a**2, "q": a, "t": q * a})
 
 
+def sphere4_times_torus3():
+    """Model of S4 x T3: hosts the degree-4/degree-7 flux data.
+
+    Generators x1,x2,x3 (deg 1, closed), a (deg 4), b (deg 7) with db = a^2.
+    """
+    return Model(
+        [("x1", 1), ("x2", 1), ("x3", 1), ("a", 4), ("b", 7)],
+        formal_dimension=7,
+        differential=lambda m: {"b": m.gen("a") * m.gen("a")},
+        name="S4xT3",
+    )
+
+
 def _value_column(table, index):
     """The values a value table gives every generator as one sparse column,
     numbered by index, one {monomial: row} per generator: the table's
     integer numerators, so the values scaled by its denominator."""
-    _, numerators = table_numerators(table)
-    return {index[i][m]: n for i, terms in numerators.items() for m, n in terms.items()}
+    return {index[i][m]: n for i, terms in table.numerators().items() for m, n in terms.items()}
 
 
 def literal_bracket_columns(space, shift=0):
@@ -604,7 +616,7 @@ def literal_bracket_columns(space, shift=0):
         for m in model.basis(g.degree + shift):
             probe = Derivation(model, shift, {g.name: model.monomial_element(m)})
             bracket = commutator(q, probe)
-            den = bracket.table[2]
+            den = bracket.table.den
             columns.append(
                 {r: Fraction(n, den) for r, n in _value_column(bracket.table, residues).items()}
             )

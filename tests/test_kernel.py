@@ -13,6 +13,7 @@ pieces back through the product's sign rule must rebuild the element.
 
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -22,7 +23,7 @@ import pytest
 from dgcalc import presets
 from dgcalc.cohomology import _twisted_images, complex_of
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
-from dgcalc.graded import Element, Model, apply_values, pack, table_values, unpack
+from dgcalc.graded import Element, Model, ValueTable, apply_values, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
 from dgcalc.tduality import dualize
@@ -270,7 +271,7 @@ def oracle_column(model, m, target):
 def slice_column(model, m, target):
     """What a cochain slice stores for m: the oracle column of d(m) times
     d_table's denominator."""
-    return [model.d_table[2] * c for c in oracle_column(model, m, target)]
+    return [model.d_table.den * c for c in oracle_column(model, m, target)]
 
 
 SLICE_DEGREES = st.lists(st.sampled_from([1, 3, 2, 4]), min_size=1, max_size=5)
@@ -332,9 +333,9 @@ def test_twisted_columns_with_denominators_are_the_oracle(degrees, seed, den):
     # d t = u / 2 makes d_table's denominator even, and the twist brings its own
     rng = random.Random(seed)
     model = halved(with_contractible_pair(dg_model(degrees, rng)))
-    assert model.d_table[2] % 2 == 0
+    assert model.d_table.den % 2 == 0
     h = closed_twist(model, rng, den)
-    scale = model.d_table[2] * h.den
+    scale = model.d_table.den * h.den
     top = 7
     images, _ = _twisted_images(model, h, top)
     for parity in (0, 1):
@@ -364,6 +365,41 @@ def test_basis_is_the_brute_force_basis(degrees):
     assert all(model.basis(k) is model.basis(k) for k in range(13))
 
 
+def counted_suffixes(model):
+    """A list that records every call of the model's `_suffix`, recursive ones too."""
+    calls = []
+    suffix = model._suffix
+    model._suffix = lambda start, degree: calls.append(start) or suffix(start, degree)
+    return calls
+
+
+def test_a_high_degree_basis_costs_its_output_not_its_degree():
+    # b fills at most degree 3, so only the two highest exponents of a are
+    # tried, and no suffix of a degree above b's reach is built or kept
+    model = Model([("a", 2), ("b", 3)], differential=lambda m: {"b": m.gen("a") ** 2})
+    calls = counted_suffixes(model)
+    tracemalloc.start()
+    try:
+        bases = model.basis(400000), model.basis(400001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bases == ((pack((200000, 0)),), (pack((199999, 1)),))
+    assert peak < 1 << 20, peak
+    assert len(calls) < 10, len(calls)
+
+
+def test_empty_suffixes_within_reach_are_kept():
+    # b and c reach every even degree and none of the odd ones, which only
+    # enumeration finds out; kept once, an empty suffix is not enumerated
+    # again for every later basis (about 100000 calls if it were)
+    model = Model([("a", 2), ("b", 4), ("c", 6)])
+    calls = counted_suffixes(model)
+    assert not any(model.basis(k) for k in range(1, 200, 2))
+    assert all(model.basis(k) for k in range(0, 200, 2))
+    assert len(calls) < 20000, len(calls)
+
+
 def test_models_with_equal_generators_keep_separate_tables():
     gens = [("x", 1), ("y", 1), ("z", 1), ("t", 2)]
     one = Model(gens, differential=lambda m: {"z": m.gen("x") * m.gen("y")})
@@ -380,7 +416,7 @@ def test_models_with_equal_generators_keep_separate_tables():
         assert model.d_table is model.d_table
         assert model_differential(model).table is model.d_table
     assert len({id(model.d_table) for model in models}) == 3
-    assert zero.d_table[1] == ()
+    assert zero.d_table.entries == ()
     assert one.differential == {"z": one.gen("x") * one.gen("y")}
     assert two.differential == {
         "z": -2 * two.gen("x") * two.gen("y"),
@@ -509,9 +545,9 @@ def halved(model):
 def assert_table_is_reduced(table, den=None):
     """The table's denominator divides den, if given, and no factor of it
     divides every numerator."""
-    _, entries, table_den = table
+    table_den = table.den
     assert table_den > 0 and (den is None or den % table_den == 0), (table_den, den)
-    numerators = [n for _, _, _, terms in entries for _, _, (n, _) in terms]
+    numerators = [n for terms in table.numerators().values() for n in terms.values()]
     assert all(numerators), numerators
     assert gcd(table_den, *numerators) == 1, (table_den, numerators)
 
@@ -537,7 +573,7 @@ def test_fractional_derivations_are_the_oracle(degrees, seed, degree, den, eleme
 def test_slices_of_a_halved_differential_are_the_oracle(degrees, seed):
     # the contractible pair makes d t = u / 2, so the table's denominator is even
     model = halved(with_contractible_pair(dg_model(degrees, random.Random(seed))))
-    assert model.d_table[2] % 2 == 0
+    assert model.d_table.den % 2 == 0
     cx = complex_of(model)
     for k in range(7):
         target = model.basis(k + 1)
@@ -567,7 +603,7 @@ def test_brackets_of_tables_with_different_denominators(degrees, seed, deg1, deg
     assert (d1 - d1).is_zero() and (d1 * 0).is_zero()
     # two passes over denominators 2 * 3 and 6 * 1 (or the like) share their sums
     passes = [(d1.table, d2.table, False), (d3.table, d2.table, True)]
-    shared = table_values(model, apply_values(model, passes, deg1 + deg2))
+    shared = apply_values(model, passes).values(model)
     sums = {g: d1(v) - d3(v) for g, v in d2.values.items()}
     assert shared == {g: v for g, v in sums.items() if not v.is_zero()}
     a = fractional_mixed(model, rng, 6)
@@ -625,6 +661,52 @@ def test_a_derivation_is_its_table_alone(degrees, seed, deg1, deg2, den1, den2):
     assert all(not v.is_zero() for v in d1.values.values())
 
 
+def random_sums(model, degree, rng):
+    """{generator index: {monomial: int}} with some zero numerators, for the
+    generators a coin picks, over monomials of the value's degree."""
+    sums = {}
+    for i, g in enumerate(model.generators):
+        basis = model.basis(g.degree + degree)
+        if basis and rng.random() < 0.7:
+            sums[i] = {m: rng.randint(-4, 4) for m in rng.sample(basis, min(len(basis), 4))}
+    return sums
+
+
+def shuffled(rng, mapping):
+    return dict(rng.sample(list(mapping.items()), len(mapping)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(DEGREES, SEEDS, st.integers(-2, 2), st.integers(1, 12), st.integers(2, 6))
+def test_a_value_table_is_its_values_whatever_built_them(degrees, seed, degree, den, c):
+    rng = random.Random(seed)
+    model = graded_model(degrees)
+    sums = random_sums(model, degree, rng)
+    table = ValueTable(model, sums, degree, den)
+    assert_table_is_reduced(table, den)
+    # scaled by c, with rows and terms in another order: the same table
+    scaled = {i: shuffled(rng, {m: c * n for m, n in row.items()}) for i, row in sums.items()}
+    same = ValueTable(model, shuffled(rng, scaled), degree, c * den)
+    assert same == table and table == same
+    # a table is what its values rebuild, and a derivation is its table
+    tables = [table, same, ValueTable(model, sums, degree + 2, den), ValueTable(model, sums, degree, den + 1)]
+    if table.entries:
+        i, row = next(iter(table.numerators().items()))
+        m = next(iter(row))
+        tables.append(ValueTable(model, {**sums, i: {**row, m: row[m] + 1}}, degree, table.den))
+        assert tables[-1] != table
+    assert tables[2] != table
+    assert Derivation(model, degree, table.values(model)).table == table
+    derivations = [Derivation._of_table(model, t) for t in tables]
+    for a, s in zip(derivations, tables):
+        assert a.degree == s.degree
+        for b, t in zip(derivations, tables):
+            assert (a == b) == (s == t), (s.numerators(), t.numerators())
+    # equal tables on two models with equal generators are two derivations
+    other = graded_model(degrees)
+    assert Derivation._of_table(other, ValueTable(other, sums, degree, den)) != derivations[0]
+
+
 HALF_PAIR = pathlib.Path(__file__).resolve().parent / "nil_pair_half.dgm"
 
 
@@ -656,7 +738,7 @@ def test_cocycles_of_every_model_file_are_the_oracle(path):
 @given(SLICE_DEGREES, SEEDS)
 def test_cocycles_of_a_halved_model_are_the_oracle(degrees, seed):
     model = halved(with_contractible_pair(dg_model(degrees, random.Random(seed))))
-    assert model.d_table[2] % 2 == 0
+    assert model.d_table.den % 2 == 0
     assert_cocycles_are_the_oracle(model, range(7))
 
 
@@ -722,7 +804,7 @@ def test_the_flux_coupling_through_the_integer_kernel(seed, den):
     total, q = bundle.total, bundle.q
     assert q.value("t") == bundle.structural_total("F7") + total.gen("q") * bundle.structural_total("F4") / 2
     if f4.terms:
-        assert total.d_table[2] % 2 == 0
+        assert total.d_table.den % 2 == 0
     a = fractional_mixed(total, rng, den)
     assert q(a) == apply_derivation(total, q.values, 1, a)
     d = fractional_derivation(total, -1, rng, den)

@@ -3,7 +3,10 @@ layer (`linalg` and the cochain slices of `cohomology`) imports nothing from
 `fractions`, and the test oracles import nothing from `linalg`, so they never
 share the elimination they check.  One monomial layout, checked on the
 syntax tree: `dgcalc` adds no exponent tuples with `tuple(map(add, ...))` and
-takes no odd mask with `compress`, since a monomial is one packed int."""
+takes no odd mask with `compress`, since a monomial is one packed int.  One
+value-table layout, checked on the syntax tree too: only `graded` reads a
+`ValueTable` past its named fields and `numerators()`, so no other module
+indexes a table or unpacks its entries and terms."""
 
 import ast
 import pathlib
@@ -80,3 +83,44 @@ def test_the_layout_scan_finds_the_tuple_idioms_of_the_oracles():
     # pass the guard above vacuously
     kinds = {kind for _, kind in tuple_layout(ROOT / "tests" / "oracles.py")}
     assert kinds == {"compress", "tuple(map(add, ...))"}
+
+
+def _unpacks_table(target, source):
+    """Whether binding target from source unpacks a value table: a term
+    (monomial, odd mask, (n, -n)), or any tuple read off a table or its
+    entries."""
+    if not isinstance(target, ast.Tuple):
+        return False
+    if len(target.elts) == 3 and isinstance(target.elts[2], ast.Tuple):
+        return True
+    return (_name(source) or "").endswith(("table", "entries"))
+
+
+def table_reads(source):
+    """(line, kind) of every positional read of a value table in a source: a
+    subscript of a name or attribute ending in `table`, or an unpacking of a
+    table, its entries or its terms."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and (_name(node.value) or "").endswith("table"):
+            out.append((node.lineno, "subscript"))
+        elif isinstance(node, (ast.For, ast.comprehension)) and _unpacks_table(node.target, node.iter):
+            out.append((node.target.lineno, "unpacking"))
+        elif isinstance(node, ast.Assign) and any(_unpacks_table(t, node.value) for t in node.targets):
+            out.append((node.lineno, "unpacking"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "graded.py"), ids=lambda p: p.name
+)
+def test_only_graded_reads_a_value_table_by_position(path):
+    assert table_reads(path.read_text()) == [], path.name
+
+
+def test_the_table_scan_sees_indexing_and_unpacking():
+    # a scan that missed these would pass the guard above vacuously
+    source = "d.table[2]\nfor m, _, (n, _) in terms:\n    pass\n_, entries, _ = model.d_table\n"
+    assert table_reads(source) == [(1, "subscript"), (2, "unpacking"), (4, "unpacking")]
+    kinds = {kind for _, kind in table_reads((PACKAGE / "graded.py").read_text())}
+    assert kinds == {"unpacking"}

@@ -40,7 +40,7 @@ from dgcalc.symmetries import (
     vector_bracket,
 )
 from dgcalc.tduality import dualize
-from oracles import courant_reference_bracket
+from oracles import courant_reference_bracket, sphere4_times_torus3
 
 
 # -- bundles under test -------------------------------------------------------
@@ -81,7 +81,7 @@ def t7_flux():
 
 @pytest.fixture
 def s4_flux():
-    base = presets.sphere4_times_torus3()
+    base = sphere4_times_torus3()
     return DgBundle.flux(base, base.gen("a"), base.gen("b") * Fraction(-1, 2))
 
 

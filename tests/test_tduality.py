@@ -573,7 +573,7 @@ if st is not None:
         """Each column of the degree-0 bracket matrix, over d's denominator,
         is the bracket of Q with that unknown's probe, on both sides."""
         for bundle in (pair.p, pair.pbar):
-            den = bundle.total.d_table[2]
+            den = bundle.total.d_table.den
             matrix = _bracket_columns(bundle.total, 0)
             fast = [{r: Fraction(n, den) for r, n in c.items()} for c in matrix]
             assert fast == oracles.literal_bracket_columns(bundle)
