@@ -100,15 +100,31 @@ def monomial_degree(model: "Model", m: int) -> int:
     return total
 
 
-def _parity(left_mask: int, right_mask: int) -> int:
-    """Transpositions, mod 2, that move each odd factor of `right` left past
-    the odd factors of `left` after it: the Koszul sign of left*right."""
-    parity = 0
-    while right_mask:
-        low = right_mask & -right_mask
-        parity += (left_mask >> low.bit_length()).bit_count()
-        right_mask ^= low
-    return parity & 1
+class _SignMasks(dict):
+    """{odd mask v: (A, B)}, each pair built on first use: A is the XOR over
+    the bits b of v of "every bit above b" (negative when v has an odd number
+    of bits), and B the XOR of "every bit below b".  So for a mask w,
+    (w & A).bit_count() & 1 is the parity of the transpositions that move
+    v's odd factors left past those of w after them, and (w & B).bit_count()
+    & 1 that of moving w's past v's: the Koszul signs of w*v and v*w.  The
+    masks depend on v alone, so one cache serves every model and table, and
+    it holds ints only."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> tuple:
+        above = below = 0
+        rest = v
+        while rest:
+            low = rest & -rest
+            above ^= -(low << 1)
+            below ^= low - 1
+            rest ^= low
+        self[v] = masks = (above, below)
+        return masks
+
+
+SIGN_MASKS = _SignMasks()
 
 
 def _reduced(den: int, nums: Mapping):
@@ -127,13 +143,14 @@ class ValueTable:
     """The values of a derivation of the given degree on generators, laid out
     for `leibniz`: the one stored form of a model's d and of a derivation.
 
-    `entries` holds one (i, below, above, terms) per generator i with a
-    nonzero value, in generator order: below and above select the fields
-    before and after field i, and terms are the value's (monomial, odd mask,
-    (n, -n)), its coefficient being the int n over the table's one
-    denominator `den`.  Only this module reads `entries` past its emptiness.
-    A table is reduced, so two are equal exactly when their degrees,
-    denominators and `numerators()` are.
+    `entries` holds one (shift, unit, below, above, terms) per generator i
+    with a nonzero value, in generator order: shift is WIDTH * i, unit the
+    monomial of generator i alone, below and above select the fields before
+    and after field i, and terms are the value's (monomial, odd mask, n),
+    its coefficient being the int n over the table's one denominator `den`.
+    Only this module reads `entries` past its emptiness.  A table is
+    reduced, so two are equal exactly when their degrees, denominators and
+    `numerators()` are.
     """
 
     __slots__ = ("degree", "entries", "den")
@@ -141,29 +158,29 @@ class ValueTable:
     def __init__(self, model: "Model", sums: Mapping[int, Mapping[int, int]], degree: int, den: int):
         """The table sending generator i to the sum of n / den over sums[i],
         in normal form: zeros dropped, and the gcd of den and every
-        numerator divided out."""
-        rows = []
+        numerator divided out.  Each row's terms are built in one pass, and
+        the gcd is folded only while it is not 1."""
+        odd, units = model.odd, model.units
+        entries = []
         common = den
         for i in sorted(sums):
-            row = {m: n for m, n in sums[i].items() if n}
-            if row:
-                rows.append((i, row))
+            terms = [(m, m & odd, n) for m, n in sums[i].items() if n]
+            if terms:
                 if common != 1:
-                    common = gcd(common, *row.values())
+                    common = gcd(common, *[n for _, _, n in terms])
+                unit = units[i]
+                entries.append((WIDTH * i, unit, unit - 1, -unit << WIDTH, terms))
         if common != 1:
             den //= common
-            rows = [(i, {m: n // common for m, n in row.items()}) for i, row in rows]
-        odd, units = model.odd, model.units
+            for k, (shift, unit, below, above, terms) in enumerate(entries):
+                entries[k] = (shift, unit, below, above, [(m, v, n // common) for m, v, n in terms])
         self.degree, self.den = degree, den
-        self.entries = tuple(
-            (i, units[i] - 1, -units[i] << WIDTH, tuple([(m, m & odd, (n, -n)) for m, n in row.items()]))
-            for i, row in rows
-        )
+        self.entries = tuple(entries)
 
     def numerators(self) -> dict:
         """{generator index: {monomial: int numerator}} over the generators
         the table gives a value, each coefficient a numerator over `den`."""
-        return {i: {m: n for m, _, (n, _) in terms} for i, _, _, terms in self.entries}
+        return {shift // WIDTH: {m: n for m, _, n in terms} for shift, _, _, _, terms in self.entries}
 
     def values(self, model: "Model") -> dict:
         """{generator name: its value} over the generators the table gives a
@@ -173,8 +190,8 @@ class ValueTable:
 
     def value(self, model: "Model", i: Optional[int]) -> "Element":
         """The value the table gives generator i, zero if none; only that entry is read."""
-        terms = next((terms for j, _, _, terms in self.entries if j == i), ())
-        return Element._of(model, {m: n for m, _, (n, _) in terms}, self.den)
+        terms = next((terms for shift, _, _, _, terms in self.entries if shift // WIDTH == i), ())
+        return Element._of(model, {m: n for m, _, n in terms}, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, ValueTable):
@@ -197,9 +214,9 @@ def combine_tables(model: "Model", parts) -> ValueTable:
     sums: dict = {}
     for table, c in parts:
         scale = den // (table.den * c.denominator) * c.numerator
-        for i, _, _, terms in table.entries:
-            out = sums.setdefault(i, {})
-            for m, _, (n, _) in terms:
+        for shift, _, _, _, terms in table.entries:
+            out = sums.setdefault(shift // WIDTH, {})
+            for m, _, n in terms:
                 out[m] = out.get(m, 0) + scale * n
     return ValueTable(model, sums, parts[0][0].degree, den)
 
@@ -219,24 +236,31 @@ def leibniz(model: "Model", table: ValueTable, pairs: Iterable[tuple], outs: Ite
     flip, entries = table.degree & 1, table.entries
     if not entries:
         return
-    odd, guard, units = model.odd, model.guard, model.units
+    odd, guard, masks = model.odd, model.guard, SIGN_MASKS
     for (m, coeff), out in zip(pairs, outs):
         mask = m & odd
-        for i, below, above, value in entries:
-            e = m >> WIDTH * i & MAX_EXPONENT
+        for shift, unit, below, above, value in entries:
+            e = m >> shift & MAX_EXPONENT
             if not e:
                 continue
             front = mask & below
             rest = mask & above
             others = front | rest
-            lowered = m - units[i]
+            lowered = m - unit
             c = coeff if e == 1 else coeff * e
             negate = flip & front.bit_count() & 1  # 1 when (-1)^{|D| |front|} is -1
-            for v, vmask, signed in value:
-                if vmask & others:
-                    continue
-                sign = negate ^ _parity(front, vmask) ^ _parity(vmask, rest) if vmask else negate
-                term = c * signed[sign]
+            for v, vmask, n in value:
+                if vmask:
+                    if vmask & others:
+                        continue
+                    # v moves left past front's odd factors, then rest's past v
+                    over, under = masks[vmask]
+                    sign = negate ^ (front & over ^ rest & under).bit_count() & 1
+                else:
+                    sign = negate
+                term = c * n
+                if sign:
+                    term = -term
                 key = lowered + v
                 if key & guard:
                     _check_fields(model, (key,))
@@ -265,8 +289,10 @@ def apply_values(model: "Model", passes) -> ValueTable:
     sums: dict = {}
     for table, values, negate in passes:
         scale = den // (table.den * values.den)
-        targets = [(sums.setdefault(i, {}), terms) for i, _, _, terms in values.entries]
-        pairs = ((m, scale * signed[negate]) for _, terms in targets for m, _, signed in terms)
+        targets = [(sums.setdefault(shift // WIDTH, {}), terms) for shift, _, _, _, terms in values.entries]
+        if negate:
+            scale = -scale
+        pairs = ((m, scale * n) for _, terms in targets for m, _, n in terms)
         leibniz(model, table, pairs, [out for out, terms in targets for _ in terms])
     return ValueTable(model, sums, table.degree + values.degree, den)
 
@@ -363,16 +389,17 @@ class Element:
             return Element._of(self.model, scaled, self.den * c.denominator)
         if other.model is not self.model:
             raise GradedError("ambient model mismatch")
-        odd, guard = self.model.odd, self.model.guard
-        right = [(b, b & odd, n) for b, n in other.nums.items()]
+        odd, guard, masks = self.model.odd, self.model.guard, SIGN_MASKS
+        # each term of the right factor with its odd mask and that mask's A
+        right = [(b, bmask := b & odd, masks[bmask][0], n) for b, n in other.nums.items()]
         out: dict = {}
         for a, na in self.nums.items():
             amask = a & odd
-            for b, bmask, nb in right:
+            for b, bmask, over, nb in right:
                 if amask & bmask:
                     continue
                 term = na * nb
-                if bmask and _parity(amask, bmask):
+                if (amask & over).bit_count() & 1:
                     term = -term
                 key = a + b
                 if key & guard:
@@ -479,11 +506,13 @@ class Model:
         self.guard = sum(self.units) << WIDTH - 1
         self._bases: dict = {}
         # per start index, {degree: monomials in generators start..} up to the
-        # highest degree they fill, that reach (unbounded past an even one)
+        # highest degree they fill, that reach (unbounded past an even one),
+        # and the gcd of their degrees, which divides every degree they fill
         self._suffixes = [{} for _ in range(len(gens) + 1)]
-        self._reach = [0]
+        self._reach, self._steps = [0], [0]
         for g in reversed(self.degrees):
             self._reach.insert(0, self._reach[0] + g if g % 2 else inf)
+            self._steps.insert(0, gcd(g, self._steps[0]))
         # the cochain slices {degree: CochainSpace}, built on first use through
         # cohomology.complex_of; none of them refers back to the model
         self._slices: dict = {}
@@ -554,8 +583,9 @@ class Model:
         """The monomials in generators start.. of the given total degree, in
         lexicographic order, each built once from the shorter ones it extends.
         Each exponent leaves a degree within the later generators' reach, and
-        a degree past the reach is empty at once and never stored, so past odd
-        generators alone the work grows with the output, not the degree."""
+        a degree past the reach, or not a multiple of their degrees' gcd, is
+        empty at once and never stored, so the work grows with the output,
+        not the degree, past odd generators alone or of a wrong residue."""
         level = self._suffixes[start]
         cached = level.get(degree)
         if cached is not None:
@@ -564,6 +594,8 @@ class Model:
             return ()
         if start == len(self.degrees):
             return (0,)
+        if degree % self._steps[start]:
+            return ()
         g, unit, rest = self.degrees[start], self.units[start], self._reach[start + 1]
         top = min(degree // g, 1) if g % 2 else degree // g
         if top > MAX_EXPONENT:

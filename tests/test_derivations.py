@@ -84,6 +84,13 @@ def test_constructor_rejects_bad_values(s2):
         Derivation(Model([("a", 2)]), 0, {"a": s2.gen("a")})
 
 
+def test_value_reads_one_entry_and_is_zero_off_the_table(s2):
+    # b has a value, a has none, and x is no generator of the model at all
+    d = Derivation(s2, 1, {"b": s2.gen("a") ** 2})
+    assert d.value("b") == s2.gen("a") ** 2
+    assert d.value("a").is_zero() and d.value("x").is_zero()
+
+
 def test_internal_results_match_the_checked_constructor(mixed):
     # sums, multiples and commutators skip the degree checks; rebuilding them
     # through the checked constructor must give the same derivation, zeros dropped

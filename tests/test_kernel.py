@@ -23,7 +23,7 @@ import pytest
 from dgcalc import presets
 from dgcalc.cohomology import _twisted_images, complex_of
 from dgcalc.derivations import Derivation, DgBundle, commutator, model_differential
-from dgcalc.graded import Element, Model, ValueTable, apply_values, pack, unpack
+from dgcalc.graded import Element, Model, ValueTable, apply_values, leibniz, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
 from dgcalc.tduality import dualize
@@ -141,6 +141,45 @@ def test_merge_sign_is_none_on_an_odd_overlap():
     assert monomial_product(model, (1, 0, 1), (0, 2, 1)) is None
     assert monomial_product(model, (1, 2, 0), (0, 1, 1)) == (1, (1, 3, 1))
     assert monomial_product(model, (0, 0, 1), (1, 0, 0)) == (-1, (1, 0, 1))
+
+
+def leibniz_term(model, m, i, v, flip):
+    """The one coefficient that `leibniz` gives D(m), for D of parity flip
+    sending generator i to the monomial v alone, or None if it gives none."""
+    out = {}
+    leibniz(model, ValueTable(model, {i: {v: 1}}, flip, 1), [(m, 1)], [out])
+    assert len(out) <= 1, out
+    return next(((n, unpack(key, len(model.generators))) for key, n in out.items()), None)
+
+
+# nine generators or more, so odd masks span several 25-bit fields
+WIDE_DEGREES = st.lists(st.sampled_from([1, 3, 2, 4]), min_size=9, max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WIDE_DEGREES, SEEDS)
+def test_cached_mask_signs_are_the_merge_sign(degrees, seed):
+    # the Leibniz term of D(x_i) = v in m is (-1)^{flip |front|} e front*v*rest,
+    # and a product's sign is merge_sign's, whatever fields the masks span; v
+    # mostly avoids m's other odd generators, so most terms are not zero
+    model, rng = graded_model(degrees), random.Random(seed)
+    m = exponents(model, rng)
+    i = rng.choice([j for j, e in enumerate(m) if e] or [0])
+    clash = [g % 2 and m[j] and j != i and rng.random() < 0.9 for j, g in enumerate(degrees)]
+    v = tuple(0 if c else e for c, e in zip(clash, exponents(model, rng)))
+    assert monomial_product(model, m, v) == merge_sign(model, m, v)
+    front = tuple(e if j < i else 0 for j, e in enumerate(m))
+    rest = tuple(e - (j == i) if j >= i else 0 for j, e in enumerate(m))
+    first = merge_sign(model, front, v)
+    second = first and merge_sign(model, first[1], rest)
+    for flip in (0, 1):
+        got = leibniz_term(model, pack(m), i, pack(v), flip)
+        if not m[i] or second is None:
+            assert got is None, (m, i, v, flip)
+        else:
+            parity = flip * sum(e * g for e, g in zip(front, degrees)) % 2
+            want = (-1) ** parity * first[0] * second[0] * m[i]
+            assert got == (want, second[1]), (m, i, v, flip)
 
 
 @settings(max_examples=100, deadline=None)
@@ -389,10 +428,27 @@ def test_a_high_degree_basis_costs_its_output_not_its_degree():
     assert len(calls) < 10, len(calls)
 
 
+def test_a_degree_of_the_wrong_residue_is_empty_at_once():
+    # a and b fill even degrees only, without bound, so an odd degree is
+    # empty by the gcd of their degrees, before any exponent of a is tried
+    model = Model([("a", 2), ("b", 4)])
+    calls = counted_suffixes(model)
+    tracemalloc.start()
+    try:
+        basis = model.basis(4000001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis == ()
+    assert peak < 1 << 20, peak
+    assert len(calls) < 10, len(calls)
+
+
 def test_empty_suffixes_within_reach_are_kept():
-    # b and c reach every even degree and none of the odd ones, which only
-    # enumeration finds out; kept once, an empty suffix is not enumerated
-    # again for every later basis (about 100000 calls if it were)
+    # b and c fill every even degree but 2 and no odd one: the gcd of their
+    # degrees rules out the odd ones at once, and an empty suffix within the
+    # reach, kept once, is not enumerated again for every later basis (about
+    # 100000 calls with neither, 7834 with both)
     model = Model([("a", 2), ("b", 4), ("c", 6)])
     calls = counted_suffixes(model)
     assert not any(model.basis(k) for k in range(1, 200, 2))

@@ -6,7 +6,7 @@ syntax tree: `dgcalc` adds no exponent tuples with `tuple(map(add, ...))` and
 takes no odd mask with `compress`, since a monomial is one packed int.  One
 value-table layout, checked on the syntax tree too: only `graded` reads a
 `ValueTable` past its named fields and `numerators()`, so no other module
-indexes a table or unpacks its entries and terms."""
+indexes a table or unpacks its entries, the only way to its terms."""
 
 import ast
 import pathlib
@@ -86,14 +86,10 @@ def test_the_layout_scan_finds_the_tuple_idioms_of_the_oracles():
 
 
 def _unpacks_table(target, source):
-    """Whether binding target from source unpacks a value table: a term
-    (monomial, odd mask, (n, -n)), or any tuple read off a table or its
-    entries."""
-    if not isinstance(target, ast.Tuple):
-        return False
-    if len(target.elts) == 3 and isinstance(target.elts[2], ast.Tuple):
-        return True
-    return (_name(source) or "").endswith(("table", "entries"))
+    """Whether binding target from source unpacks a value table: any tuple
+    read off a table or its entries, whose terms are (monomial, odd mask,
+    n)."""
+    return isinstance(target, ast.Tuple) and (_name(source) or "").endswith(("table", "entries"))
 
 
 def table_reads(source):
@@ -120,7 +116,7 @@ def test_only_graded_reads_a_value_table_by_position(path):
 
 def test_the_table_scan_sees_indexing_and_unpacking():
     # a scan that missed these would pass the guard above vacuously
-    source = "d.table[2]\nfor m, _, (n, _) in terms:\n    pass\n_, entries, _ = model.d_table\n"
+    source = "d.table[2]\nfor shift, _, _, _, terms in d.table.entries:\n    pass\n_, entries, _ = model.d_table\n"
     assert table_reads(source) == [(1, "subscript"), (2, "unpacking"), (4, "unpacking")]
     kinds = {kind for _, kind in table_reads((PACKAGE / "graded.py").read_text())}
     assert kinds == {"unpacking"}

@@ -1,5 +1,7 @@
 """Model lifetimes: each command builds each model once, and reference
-counting alone frees every model when the command ends."""
+counting alone frees every model when the command ends.  The one cache that
+outlives a command, `graded.SIGN_MASKS`, holds ints only, so it keeps no
+model alive."""
 
 import gc
 import pathlib
@@ -8,7 +10,7 @@ import weakref
 import pytest
 
 from dgcalc import cli
-from dgcalc.graded import Model
+from dgcalc.graded import SIGN_MASKS, Model
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -49,6 +51,10 @@ def test_each_command_builds_each_model_once_and_frees_it(argv, builds, code, mo
         capsys.readouterr()
         alive = [ref() for ref in refs if ref() is not None]
         assert (len(refs), alive) == (builds, []), "(models built, models alive)"
+        assert SIGN_MASKS and all(
+            type(key) is int and [type(mask) for mask in masks] == [int, int] for key, masks in SIGN_MASKS.items()
+        ), "the sign-mask cache holds ints only"
     finally:
         if enabled:
             gc.enable()
+
