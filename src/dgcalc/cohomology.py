@@ -72,7 +72,8 @@ class CochainSpace:
         self.degree = degree
         model = _total(space)
         self.basis = model.basis(degree)
-        target = {m: i for i, m in enumerate(model.basis(degree + 1))}
+        # an empty slice has no columns, so it indexes no degree above it
+        target = {m: i for i, m in enumerate(model.basis(degree + 1))} if self.basis else {}
         self.columns = operator_matrix(model, model.d_table, self.basis, target)
         self._rank: Optional[int] = None
 
@@ -109,30 +110,19 @@ def _transpose(columns: List[Column]) -> List[Column]:
     return list(rows.values())
 
 
-class Complex:
-    """The cochain complex of one model, as a view of the slices the model
-    keeps: each degree slice is built on first use and shared by every later
-    reader, through any view of the same model."""
-
-    def __init__(self, model: Model):
-        self.model = model
-
-    def __getitem__(self, degree: int) -> CochainSpace:
-        slices = self.model._slices
-        cs = slices.get(degree)
-        if cs is None:
-            cs = slices[degree] = CochainSpace(self.model, degree)
-        return cs
-
-    def rank(self, degree: int) -> int:
-        """Rank of d out of the given degree; nothing leaves a negative degree."""
-        return self[degree].rank() if degree >= 0 else 0
+def cochains(space: BundleLike, degree: int) -> CochainSpace:
+    """The degree slice of a space's total model, built on first use and kept
+    on the model, so a bundle and its total model share their slices."""
+    model = _total(space)
+    cs = model._slices.get(degree)
+    if cs is None:
+        cs = model._slices[degree] = CochainSpace(model, degree)
+    return cs
 
 
-def complex_of(space: BundleLike) -> Complex:
-    """The cochain complex of a space's total model, so a bundle and its total
-    model share their slices."""
-    return Complex(_total(space))
+def _rank(space: BundleLike, degree: int) -> int:
+    """Rank of d out of the given degree; nothing leaves a negative degree."""
+    return cochains(space, degree).rank() if degree >= 0 else 0
 
 
 def induced_rank(
@@ -140,10 +130,9 @@ def induced_rank(
 ) -> int:
     """Rank of the map that f, a chain map up to sign, induces from
     H^degree(source) to H^target_degree(target)."""
-    src, tgt = complex_of(source), complex_of(target)
-    index = {m: i for i, m in enumerate(tgt[target_degree].basis)}
-    images = [_column(f(z), index) for z in src[degree].cocycles(src.model)]
-    boundaries = tgt[target_degree - 1].columns if target_degree > 0 else []
+    index = {m: i for i, m in enumerate(cochains(target, target_degree).basis)}
+    images = [_column(f(z), index) for z in cochains(source, degree).cocycles(_total(source))]
+    boundaries = cochains(target, target_degree - 1).columns if target_degree > 0 else []
     return linalg.rank_gain(boundaries, images)
 
 
@@ -152,8 +141,12 @@ def betti(space: BundleLike, lo: int, hi: int) -> Dict[int, int]:
     in ascending degree."""
     if lo < 0 or hi < lo:
         raise CohomologyError("need hi >= lo >= 0")
-    cx = complex_of(space)
-    return {k: cx[k].dimension - cx.rank(k) - cx.rank(k - 1) for k in range(lo, hi + 1)}
+    dims = {}
+    for k in range(lo, hi + 1):
+        cs = cochains(space, k)
+        # an empty degree has no cohomology, whatever its neighbours hold
+        dims[k] = cs.dimension and cs.dimension - cs.rank() - _rank(space, k - 1)
+    return dims
 
 
 def _twisted_images(model: Model, h: Element, top: int):

@@ -514,7 +514,7 @@ class Model:
             self._reach.insert(0, self._reach[0] + g if g % 2 else inf)
             self._steps.insert(0, gcd(g, self._steps[0]))
         # the cochain slices {degree: CochainSpace}, built on first use through
-        # cohomology.complex_of; none of them refers back to the model
+        # cohomology.cochains; none of them refers back to the model
         self._slices: dict = {}
         self.formal_dimension = formal_dimension
         self.name = name

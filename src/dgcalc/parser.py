@@ -19,6 +19,7 @@ model or dimension a second time is one, reported at the repeat.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -82,6 +83,10 @@ def _scan(text: str, line: int, col0: int) -> List[_Token]:
                 j += 1
                 while j < len(text) and text[j].isdecimal():
                     j += 1
+            # int() reads no run of digits past Python's int-string limit (0: none)
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < max(map(len, text[i:j].split("/"))):
+                raise ModelFileError("syntax", line, col, f"numeral longer than {limit} digits")
             out.append(_Token("number", text[i:j], line, col))
             i = j
             continue

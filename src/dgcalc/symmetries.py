@@ -30,7 +30,7 @@ from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .cohomology import Column, complex_of
+from .cohomology import Column, cochains
 from .derivations import Derivation, DgBundle, commutator, model_differential
 from .graded import (
     MAX_EXPONENT,
@@ -484,14 +484,13 @@ def _bracket_columns(model: Model, shift: int) -> List[Column]:
     that out is m plus the term with g lowered, which gives m back.
     """
     d_values = model.d_table.numerators()
-    slices = complex_of(model)
     unknowns, rows = _value_index(model, shift), _value_index(model, shift + 1)
     offsets = list(accumulate(map(len, rows), initial=0))
     columns = [
         {offsets[g] + r: n for r, n in image.items()}
         for g, block in enumerate(unknowns)
         if block
-        for image in slices[model.degrees[g] + shift].columns
+        for image in cochains(model, model.degrees[g] + shift).columns
     ]
     sign = 1 if shift % 2 else -1
     for g, block in enumerate(unknowns):

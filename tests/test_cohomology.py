@@ -12,7 +12,7 @@ from dgcalc.cohomology import (
     CohomologyError,
     betti,
     circle_quasi_iso_check,
-    complex_of,
+    cochains,
     degree_cap,
     induced_rank,
     periodicity_check,
@@ -332,18 +332,33 @@ def test_validate_formal_dimension(nil, s2):
 
 def test_validate_formal_dimension_returns_its_complex(nil, monkeypatch):
     # the audit returns nothing and leaves its slices on the model, where
-    # every later view of its complex reads them
+    # every later reader finds them; nil's degrees past fd are empty, so the
+    # audit indexes no degree above them and builds no slice below them
     assert validate_formal_dimension(nil) is None
+    fd = nil.formal_dimension
+    audited = list(range(fd + 1, fd + 5))
+    assert sorted(nil._slices) == sorted(nil._bases) == audited
+    kept = {k: nil._slices[k] for k in audited}
 
     def no_rebuild(self, space, degree):
         raise AssertionError(f"slice {degree} built again")
 
     monkeypatch.setattr(CochainSpace, "__init__", no_rebuild)
-    fd = nil.formal_dimension
-    cx = complex_of(nil)
-    assert cx[fd] is complex_of(nil)[fd] and cx.model is nil
-    assert all(cx[k].degree == k for k in range(fd + 1, fd + 5))
-    assert betti(nil, fd + 1, fd + 4) == {k: 0 for k in range(fd + 1, fd + 5)}
+    assert all(cochains(nil, k) is kept[k] and kept[k].degree == k for k in audited)
+    assert betti(nil, fd + 1, fd + 4) == {k: 0 for k in audited}
+    assert sorted(nil._slices) == sorted(nil._bases) == audited
+
+
+def test_an_empty_degree_builds_no_neighbour():
+    # a and b fill even degrees only: an odd degree far up is empty by the
+    # gcd of their degrees, and its empty basis is read as H^k = 0 without
+    # the slices, or even the bases, of the degrees on either side
+    model = Model([("a", 2), ("b", 4)])
+    k = 2000001
+    assert betti(model, k, k) == {k: 0}
+    assert cochains(model, k).columns == []
+    assert k - 1 not in model._slices and k + 1 not in model._slices
+    assert k - 1 not in model._bases and k + 1 not in model._bases
 
 
 @pytest.mark.parametrize("argv", [

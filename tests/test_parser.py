@@ -3,6 +3,7 @@
 import importlib
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -499,4 +500,18 @@ def test_a_bad_generator_is_reported_at_its_own_statement(text, where, message):
     for validate in (True, False):
         with pytest.raises(ModelFileError) as err:
             parse_model(text, validate=validate)
+        assert str(err.value) == "line {}, col {}: syntax: {}".format(*where, message)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("gen a : 2\nlet x = {n}*a\n", (2, 9)),
+    ("gen a : 2\nlet x = a^{n}\n", (2, 11)),
+    ("gen a : 2\ngen b : 3\nd b = {n}/{n}*a^2\n", (3, 7)),
+])
+def test_a_numeral_past_the_int_string_limit_is_reported_at_it(text, where):
+    limit = sys.get_int_max_str_digits()
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text.format(n="1" * (limit + 1)), validate=validate)
+        message = f"numeral longer than {limit} digits"
         assert str(err.value) == "line {}, col {}: syntax: {}".format(*where, message)

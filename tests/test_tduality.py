@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dgcalc import linalg, presets, tduality
-from dgcalc.cohomology import CochainSpace, betti, complex_of, degree_cap
+from dgcalc.cohomology import CochainSpace, betti, cochains, degree_cap
 from dgcalc.derivations import DgBundle
 from dgcalc.cli import main
 from dgcalc.graded import Element, Model, format_element, monomial_degree, pack, unpack
@@ -810,12 +810,12 @@ def _built_once(built):
 
 
 def test_pair_shares_a_given_base_complex_of_its_own_base(monkeypatch):
-    # the load-time audit builds the base slices fd..fd+4 on the model's own complex
+    # the load-time audit builds the base slices fd..fd+4 on the model itself
     mf = load_path(str(MODELS / "hopf_pair.dgm"))
     fd = mf.model.formal_dimension
     built = _count_builds(monkeypatch)
     for k in range(fd + 1, fd + 5):
-        complex_of(mf.model)[k]
+        cochains(mf.model, k)
     assert built == []
     les_check(dualize(mf.bundle), 0, fd + 3)
     assert _built_once(built)
