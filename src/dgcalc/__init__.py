@@ -1,6 +1,6 @@
 """dgcalc: exact-arithmetic calculus on shifted-line bundles over CDGA models."""
 
-from .graded import Element, GradedError, GradedGenerator, Model, format_element
+from .graded import DgcalcError, Element, GradedError, GradedGenerator, Model, format_element
 from .derivations import (
     BundleError,
     Derivation,
@@ -13,6 +13,7 @@ from .derivations import (
 )
 
 __all__ = [
+    "DgcalcError",
     "Element",
     "GradedError",
     "GradedGenerator",

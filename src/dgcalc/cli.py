@@ -24,7 +24,7 @@ from .derivations import (
     Derivation,
     commutator,
 )
-from .graded import format_element
+from .graded import DgcalcError, format_element
 from .parser import ModelFileError, load_path
 from .sampling import random_contraction, random_derivation, random_element, random_symmetry
 from .symmetries import (
@@ -552,10 +552,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A command is fn(model_file, args, report) -> bool, true when its checks pass.
     """
-    from .cohomology import CohomologyError
-    from .derivations import BundleError, DerivationError
-    from .graded import GradedError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     report = Report()
@@ -566,16 +562,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ok = args.fn(mf, args, report)
         report.add("status", ok)
         report.write(args.report)
-    except (
-        ModelFileError,
-        TDualityError,
-        SymmetryError,
-        CohomologyError,
-        BundleError,
-        DerivationError,
-        GradedError,
-        OSError,
-    ) as err:
+    except (DgcalcError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import Element, GradedError, Model, format_monomial, leibniz
+from .graded import DgcalcError, Element, GradedError, Model, format_monomial, leibniz
 
 BundleLike = Union[Model, DgBundle]
 # a sparse column {row: int}; zeros are left out.  A column holds a positive
@@ -28,7 +28,7 @@ DEFAULT_CAP_SLACK = 6
 TWIST_LIFT = 4
 
 
-class CohomologyError(Exception):
+class CohomologyError(DgcalcError):
     pass
 
 

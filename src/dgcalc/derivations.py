@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
 from .graded import (
+    DgcalcError,
     Element,
     GradedError,
     GradedGenerator,
@@ -29,11 +30,11 @@ from .graded import (
 )
 
 
-class DerivationError(Exception):
+class DerivationError(DgcalcError):
     pass
 
 
-class BundleError(Exception):
+class BundleError(DgcalcError):
     """A bundle that cannot be built; `result` is the failing MCResult when
     the field has the right degrees but fails Maurer-Cartan, else None."""
 
@@ -46,9 +47,10 @@ class Derivation:
     """A graded derivation of a model's function algebra.
 
     It is kept as the `ValueTable` of its values on generators alone, a
-    plain attribute like `Model.d_table`: the constructor validates the
-    values and builds the table at once, and a bracket, a sum or a multiple
-    is computed on the tables' integers and keeps the table it built.
+    plain attribute like `Model.d_table`: the constructor builds the table
+    at once through `value_table`, which checks the values, and a bracket,
+    a sum or a multiple is computed on the tables' integers and keeps the
+    table it built.
     `values` is a view rebuilt from the table on each read.
     """
 
@@ -57,19 +59,10 @@ class Derivation:
     def __init__(self, model: Model, degree: int, values: Mapping[str, Element]):
         self.model = model
         self.degree = degree
-        for name, v in values.items():
-            if name not in model.index:
-                raise DerivationError(f"value on unknown generator {name!r}")
-            if v.is_zero():
-                continue
-            if v.model is not model:
-                raise DerivationError("derivation values must live in the ambient model")
-            want = model.generator_named(name).degree + degree
-            if v.degree() != want:
-                raise DerivationError(
-                    f"value on {name} must be homogeneous of degree {want}, got {v.degree()}"
-                )
-        self.table = value_table(model, values, degree)
+        try:
+            self.table = value_table(model, values, degree)
+        except GradedError as e:
+            raise DerivationError(str(e)) from e
 
     @classmethod
     def _of_table(cls, model: Model, table: ValueTable) -> "Derivation":

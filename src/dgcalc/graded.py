@@ -25,6 +25,7 @@ the integer sums, so nested brackets never pass through `Fraction`.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, inf, lcm
@@ -33,7 +34,12 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 Rational = Union[Fraction, int]
 
 
-class GradedError(Exception):
+class DgcalcError(Exception):
+    """The base of every error dgcalc raises on purpose; the CLI reports any
+    of them as a one-line diagnostic and exit 2."""
+
+
+class GradedError(DgcalcError):
     """An invalid graded object or operation; `result` is the failing MCResult
     when a model's d*d != 0, else None."""
 
@@ -201,7 +207,17 @@ class ValueTable:
 
 
 def value_table(model: "Model", values: Mapping[str, "Element"], degree: int) -> ValueTable:
-    """The `ValueTable` of the given degree with these values on generators."""
+    """The `ValueTable` of the given degree with these values on generators,
+    and the one check of such values: each sits on a generator of the model,
+    is an Element of it, and is zero or homogeneous of degree |g| + degree."""
+    for g, v in values.items():
+        if g not in model.index:
+            raise GradedError(f"value on unknown generator {g!r}")
+        if not isinstance(v, Element) or v.model is not model:
+            raise GradedError(f"value on {g} is not an element of the ambient model")
+        want = model.degrees[model.index[g]] + degree
+        if v.nums and v.degree() != want:
+            raise GradedError(f"value on {g} must be homogeneous of degree {want}, got {v.degree()}")
     den = lcm(*[v.den for v in values.values()])
     sums = {model.index[g]: {m: n * (den // v.den) for m, n in v.nums.items()} for g, v in values.items()}
     return ValueTable(model, sums, degree, den)
@@ -504,7 +520,6 @@ class Model:
         self.units = tuple(1 << WIDTH * i for i in range(len(gens)))
         self.odd = sum(u for u, g in zip(self.units, gens) if g.is_odd)
         self.guard = sum(self.units) << WIDTH - 1
-        self._bases: dict = {}
         # per start index, {degree: monomials in generators start..} up to the
         # highest degree they fill, that reach (unbounded past an even one),
         # and the gcd of their degrees, which divides every degree they fill
@@ -518,27 +533,14 @@ class Model:
         self._slices: dict = {}
         self.formal_dimension = formal_dimension
         self.name = name
-        diff = {} if differential is None else dict(differential(self))
-        values = {}
-        for gname, val in diff.items():
-            if gname not in self.index:
-                raise GradedError(f"differential assigned to unknown generator {gname!r}")
-            if not isinstance(val, Element) or val.model is not self:
-                raise GradedError(f"differential of {gname!r} must be an element of this model")
-            if not val.is_zero():
-                want = self.generator_named(gname).degree + 1
-                if val.degree() != want:
-                    raise GradedError(
-                        f"d({gname}) must be homogeneous of degree {want}, got {val.degree()}"
-                    )
-                values[gname] = val
-        self.d_table = value_table(self, values, 1)
+        self.d_table = value_table(self, {} if differential is None else differential(self), 1)
         result = square_check(self, self.d_table)
         if not result:
-            raise GradedError(
-                f"d*d != 0 on generator {result.witness!r}: residue {format_element(result.residue)}",
-                result,
-            )
+            try:
+                residue = format_element(result.residue)
+            except GradedError as e:
+                residue = f"not printed, since {e}"
+            raise GradedError(f"d*d != 0 on generator {result.witness!r}: residue {residue}", result)
 
     # -- basic elements ---------------------------------------------------
 
@@ -571,13 +573,8 @@ class Model:
         exponent order.  Finite because every generator has degree >= 1.
 
         The generators are fixed at construction, so each degree is built
-        once and every call returns the same tuple."""
-        if degree < 0:
-            return ()
-        cached = self._bases.get(degree)
-        if cached is None:
-            cached = self._bases[degree] = self._suffix(0, degree)
-        return cached
+        once, by `_suffix`, and every call returns the same tuple."""
+        return self._suffix(0, degree) if degree >= 0 else ()
 
     def _suffix(self, start: int, degree: int):
         """The monomials in generators start.. of the given total degree, in
@@ -639,18 +636,23 @@ def format_monomial(model: Model, m: int) -> str:
 
 
 def format_element(a: Element) -> str:
-    """Deterministic printer; `parse_expression` inverts it exactly."""
+    """Deterministic printer; `parse_expression` inverts it exactly.  A
+    coefficient past Python's int-string limit raises GradedError."""
     if a.is_zero():
         return "0"
     chunks = []
     for m, c in a.sorted_terms():
         mono = format_monomial(a.model, m)
+        try:
+            text = str(abs(c))
+        except ValueError:
+            raise GradedError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from None
         if not mono:
-            body = str(abs(c))
+            body = text
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{abs(c)}*{mono}"
+            body = f"{text}*{mono}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:

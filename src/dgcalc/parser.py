@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
 from .derivations import BUNDLE_SHAPES, BundleError, Derivation, DgBundle, form_degrees
-from .graded import Element, GradedError, GradedGenerator, MCResult, Model
-from .symmetries import PART_NAMES, SymElement, SymmetryError, symmetry
+from .graded import DgcalcError, Element, GradedError, GradedGenerator, MCResult, Model
+from .symmetries import PART_NAMES, SymElement, symmetry
 
 # the shapes a file can declare, tried in this order (only tdualize builds a
 # correspondence, through tduality.correspondence), and the key a file may
@@ -38,7 +38,7 @@ STRUCTURAL_KEYS = frozenset(ALIASES).union(*(form_degrees(s, 1) for s in FILE_SH
 SYM_KEYS = PART_NAMES
 
 
-class ModelFileError(Exception):
+class ModelFileError(DgcalcError):
     """A diagnostic with a source position and a machine-checkable kind."""
 
     def __init__(self, kind: str, line: int, col: int, message: str, witness: str = ""):
@@ -517,7 +517,7 @@ def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) ->
         values[name] = parse_expression(expr, base, line, ccol + offset)
     try:
         return Derivation(base, -1, values)
-    except Exception as e:
+    except DgcalcError as e:
         raise ModelFileError("degree-mismatch", line, col, str(e))
 
 
@@ -547,7 +547,7 @@ def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: in
         raise ModelFileError("syntax", line, col, "sym statements need deg = <int>")
     try:
         return symmetry(out.bundle, degree, **parts)
-    except (SymmetryError, GradedError) as e:
+    except DgcalcError as e:
         raise ModelFileError("degree-mismatch", line, col, str(e))
 
 

@@ -34,6 +34,7 @@ from .cohomology import Column, cochains
 from .derivations import Derivation, DgBundle, commutator, model_differential
 from .graded import (
     MAX_EXPONENT,
+    DgcalcError,
     Element,
     Model,
     ValueTable,
@@ -41,7 +42,7 @@ from .graded import (
 )
 
 
-class SymmetryError(Exception):
+class SymmetryError(DgcalcError):
     pass
 
 

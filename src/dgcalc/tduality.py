@@ -26,10 +26,10 @@ from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from .cohomology import _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle, gauge_transform
-from .graded import WIDTH, Element, _check_fields, leibniz
+from .graded import WIDTH, DgcalcError, Element, _check_fields, leibniz
 
 
-class TDualityError(Exception):
+class TDualityError(DgcalcError):
     pass
 
 

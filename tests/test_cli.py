@@ -11,7 +11,7 @@ import pytest
 from dgcalc import cli
 from dgcalc.cli import main
 from dgcalc.derivations import Derivation
-from dgcalc.graded import format_element
+from dgcalc.graded import DgcalcError, format_element
 from dgcalc.parser import MAX_POWER_TERMS, load_path
 from dgcalc.sampling import random_symmetry
 from dgcalc.symmetries import SymmetryError
@@ -568,6 +568,49 @@ def test_bad_input_is_a_positioned_diagnostic(case, tmp_path, capsys):
     code, _, err = run(capsys, "betti", str(model))
     assert code == 2
     assert err.startswith("error: ") and expected in err
+
+
+def test_any_dgcalc_error_is_a_diagnostic(monkeypatch, capsys):
+    # the CLI catches the base, so an error class it never names is exit 2 too
+    class Fresh(DgcalcError):
+        pass
+
+    def load(path, validate=True):
+        raise Fresh("a fresh failure")
+
+    monkeypatch.setattr(cli, "load_path", load)
+    code, out, err = run(capsys, "validate", str(MODELS / "s3_volume.dgm"))
+    assert (code, out, err) == (2, "", "error: a fresh failure\n")
+
+
+def wide_numeral(digit):
+    """A numeral of the given digit that fits the int-string limit, though the
+    product of two such does not."""
+    return digit * (sys.get_int_max_str_digits() * 9 // 10)
+
+
+def test_a_coefficient_past_the_int_string_limit_is_a_diagnostic(tmp_path, capsys):
+    # every numeral fits, but printing d(b) needs their product's digits
+    nines = wide_numeral("9")
+    model = tmp_path / "wide.dgm"
+    model.write_text(f"gen a : 2\ngen b : 3\nd b = {nines}*{nines}*a^2\n")
+    code, _, err = run(capsys, "validate", str(model))
+    assert code == 2
+    assert err == f"error: a coefficient has more than {sys.get_int_max_str_digits()} digits\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "mc-check", "betti"])
+def test_an_unprintable_d_squared_residue_is_still_reported_at_its_witness(command, tmp_path, capsys):
+    model = tmp_path / "wide.dgm"
+    model.write_text(
+        f"gen a : 2\ngen b : 3\ngen c : 4\nd b = {wide_numeral('9')}*a^2\nd c = {wide_numeral('7')}*a b\n"
+    )
+    code, out, err = run(capsys, command, str(model))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 5, col 1: d-squared: differential does not square to zero [d*d != 0 on generator 'c': "
+        f"residue not printed, since a coefficient has more than {sys.get_int_max_str_digits()} digits]\n"
+    )
 
 
 def test_module_entry_point():

@@ -82,6 +82,8 @@ def test_constructor_rejects_bad_values(s2):
         Derivation(s2, 0, {"x": s2.gen("a")})
     with pytest.raises(DerivationError, match="ambient model"):
         Derivation(Model([("a", 2)]), 0, {"a": s2.gen("a")})
+    with pytest.raises(DerivationError, match="ambient model"):  # a zero of another model too
+        Derivation(s2, 0, {"a": Model([("a", 2)]).zero()})
 
 
 def test_value_reads_one_entry_and_is_zero_off_the_table(s2):

@@ -1,5 +1,6 @@
 """Core algebra: normal forms, Koszul signs, bases, the differential."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,7 +69,7 @@ def test_basis_returns_the_cached_tuple(mixed):
     first = mixed.basis(3)
     assert isinstance(first, tuple) and all(type(m) is int for m in first)
     assert mixed.basis(3) == first
-    assert mixed.basis(3) is first is mixed._bases[3]
+    assert mixed.basis(3) is first is mixed._suffixes[0][3]
     assert mixed.basis(-1) == ()
 
 
@@ -86,8 +87,34 @@ def test_models_with_equal_generators_keep_separate_caches():
     assert isinstance(first, tuple)
     assert two.basis(2) == first
     assert two.basis(2) is not first  # each model built its own
-    assert one._bases is not two._bases
-    assert set(one._bases) == {2} and set(two._bases) == {2}
+    assert one._suffixes[0] is not two._suffixes[0]
+    assert set(one._suffixes[0]) == {2} and set(two._suffixes[0]) == {2}
+
+
+@pytest.mark.parametrize("values, message", [
+    (lambda m: {"b": m.gen("a")}, "value on b must be homogeneous of degree 4, got 2"),
+    (lambda m: {"x": m.gen("a") ** 2}, "value on unknown generator 'x'"),
+    (lambda m: {"b": Model([("a", 2)]).gen("a") ** 2}, "value on b is not an element of the ambient model"),
+    (lambda m: {"b": Model([("a", 2)]).zero()}, "value on b is not an element of the ambient model"),
+])
+def test_differential_values_are_checked_by_value_table(values, message):
+    with pytest.raises(GradedError, match=message) as err:
+        Model([("a", 2), ("b", 3)], differential=values)
+    assert err.traceback[-1].name == "value_table"
+
+
+def test_an_unprintable_residue_keeps_its_result():
+    # the residue 7 * 9 * ... * a^3 has more digits than str() may print
+    digits = sys.get_int_max_str_digits() * 9 // 10
+    nines, sevens = int("9" * digits), int("7" * digits)
+    with pytest.raises(GradedError, match="residue not printed") as err:
+        Model(
+            [("a", 2), ("b", 3), ("c", 4)],
+            differential=lambda m: {"b": nines * m.gen("a") ** 2, "c": sevens * m.gen("a") * m.gen("b")},
+        )
+    assert err.value.result.witness == "c"
+    residue = err.value.result.residue
+    assert residue.den == 1 and residue.nums == {pack((3, 0, 0)): nines * sevens}
 
 
 def test_differential_closed_generator(t2):
