@@ -87,7 +87,7 @@ class Derivation:
         return self.table.value(self.model, self.model.index.get(name))
 
     def is_zero(self) -> bool:
-        return not self.table.entries
+        return self.table.is_zero()
 
     def __eq__(self, other):
         # equality on generators decides equality (the algebra is free), and
@@ -108,6 +108,8 @@ class Derivation:
         return Derivation._of_table(self.model, table)
 
     def __mul__(self, c) -> "Derivation":
+        if c == 1:  # tables are never changed in place, so self is its own multiple
+            return self
         table = combine_tables(self.model, [(self.table, Fraction(c))])
         return Derivation._of_table(self.model, table)
 
@@ -231,6 +233,8 @@ class DgBundle:
             form: structural.get(form, base.zero()) for form in form_degrees(shape, degree)
         }
         self.name = name or (base.name + "-bundle")
+        # {degree: its form parts}, filled by symmetries.form_parts
+        self._form_parts: Dict[int, tuple] = {}
         gens = list(base.generators) + [
             GradedGenerator(fiber, degree if d is None else d)
             for fiber, (_, d, _) in zip(self.fiber_names, fibers)

@@ -154,7 +154,7 @@ class ValueTable:
     monomial of generator i alone, below and above select the fields before
     and after field i, and terms are the value's (monomial, odd mask, n),
     its coefficient being the int n over the table's one denominator `den`.
-    Only this module reads `entries` past its emptiness.  A table is
+    Only this module reads `entries`; others ask `is_zero()`.  A table is
     reduced, so two are equal exactly when their degrees, denominators and
     `numerators()` are.
     """
@@ -182,6 +182,10 @@ class ValueTable:
                 entries[k] = (shift, unit, below, above, [(m, v, n // common) for m, v, n in terms])
         self.degree, self.den = degree, den
         self.entries = tuple(entries)
+
+    def is_zero(self) -> bool:
+        """Whether the table gives no generator a value."""
+        return not self.entries
 
     def numerators(self) -> dict:
         """{generator index: {monomial: int numerator}} over the generators

@@ -39,6 +39,7 @@ from .graded import (
     Model,
     ValueTable,
     leibniz,
+    monomial_degree,
 )
 
 
@@ -50,9 +51,11 @@ class SymmetryError(DgcalcError):
 
 
 def lie_derivative(model: Model, iota: Derivation) -> Derivation:
-    """[d, iota] on the base model."""
+    """[d, iota] on the base model; zero, with no commutator, for a zero iota."""
     if iota.degree != -1:
         raise SymmetryError("contractions have degree -1")
+    if iota.is_zero() and iota.model is model:
+        return Derivation.zero(model, 0)
     return commutator(model_differential(model), iota)
 
 
@@ -69,7 +72,7 @@ def _as_base(bundle: DgBundle, value, degree: int) -> Element:
         value = bundle.base.scalar(value)
     if value.model is not bundle.base:
         raise SymmetryError("form parts must live in the base model")
-    if not value.is_zero() and value.degree() != degree:
+    if any(monomial_degree(bundle.base, m) != degree for m in value.nums):
         raise SymmetryError(f"part must be homogeneous of degree {degree}")
     return value
 
@@ -175,12 +178,18 @@ def _fibers(bundle: DgBundle) -> Tuple[Optional[str], str]:
 
 
 def form_parts(bundle: DgBundle, degree: int):
-    """[(name, base degree)] of the free form parts in this degree, in slot order."""
-    q, t = _fibers(bundle)
-    dq = bundle.total.generator_named(q).degree if q else 0
-    dt = bundle.total.generator_named(t).degree
-    slots = zip(_row(bundle, degree), (dq, dt, dt - dq))
-    return [(name, d + degree) for name, d in slots if isinstance(name, str)]
+    """((name, base degree), ...) of the free form parts in this degree, in
+    slot order; built once per bundle and degree."""
+    cached = bundle._form_parts.get(degree)
+    if cached is None:
+        q, t = _fibers(bundle)
+        dq = bundle.total.generator_named(q).degree if q else 0
+        dt = bundle.total.generator_named(t).degree
+        slots = zip(_row(bundle, degree), (dq, dt, dt - dq))
+        cached = bundle._form_parts[degree] = tuple(
+            (name, d + degree) for name, d in slots if isinstance(name, str)
+        )
+    return cached
 
 
 # -- construction and decomposition ---------------------------------------------
@@ -345,8 +354,9 @@ def _structured_derived(a: SymElement, b: SymElement) -> Optional[SymElement]:
         if a.degree == -1 and b.degree == -1:
             ix, iy = a.part("iota"), b.part("iota")
             a0, a1 = a.part("a"), b.part("a")
-            form = lie_derivative(base, ix)(a1) - iy(d(a0)) - iy(ix(theta))
-            return symmetry(bundle, -1, iota=vector_bracket(base, ix, iy), a=form)
+            lie_x = lie_derivative(base, ix)
+            form = lie_x(a1) - iy(d(a0)) - iy(ix(theta))
+            return symmetry(bundle, -1, iota=commutator(lie_x, iy), a=form)
         if a.degree == -1 and b.degree < -1:
             lie_x = lie_derivative(base, a.part("iota"))
             return symmetry(bundle, b.degree, eta=lie_x(b.part("eta")))
@@ -376,7 +386,7 @@ def _structured_derived(a: SymElement, b: SymElement) -> Optional[SymElement]:
         )
         g_slot = lie_x(g1) - iy(d(g0)) - iy(ix(fbar_curv))
         return symmetry(
-            bundle, -1, iota=vector_bracket(base, ix, iy), f=f_slot, c=c_slot, fbar=g_slot
+            bundle, -1, iota=commutator(lie_x, iy), f=f_slot, c=c_slot, fbar=g_slot
         )
     if bundle.shape == "two_step" and a.degree == -1 and b.degree == -2:
         lie_x = lie_derivative(base, a.part("iota"))
@@ -389,7 +399,7 @@ def _structured_derived(a: SymElement, b: SymElement) -> Optional[SymElement]:
         lie_x = lie_derivative(base, ix)
         slot2 = lie_x(t2) - iy(d(s2)) - iy(ix(f4))
         slot5 = lie_x(t5) - iy(d(s5)) - iy(ix(f7)) - iy(f4 * s2) + ix(f4) * t2 + d(s2) * t2
-        return symmetry(bundle, -1, iota=vector_bracket(base, ix, iy), s2=slot2, s5=slot5)
+        return symmetry(bundle, -1, iota=commutator(lie_x, iy), s2=slot2, s5=slot5)
     return None
 
 
@@ -399,12 +409,49 @@ def _raw_bracket(q: Derivation, x: Derivation, y: Derivation) -> Derivation:
     return commutator(commutator(q, x), y) * sign
 
 
+class _Brackets:
+    """The brackets of one law evaluation, each computed once per operand pair.
+
+    A law's terms share brackets, and its operands are often one object, so
+    [x, y] and |x, y| = (-1)^{||x||} [[Q, x], y] are kept by operand
+    identity.  Each entry holds its operands, so no id is reused while the
+    memo lives, and the memo dies with the evaluation that made it."""
+
+    __slots__ = ("q", "_commutators", "_derived")
+
+    def __init__(self, q: Derivation):
+        self.q = q
+        self._commutators: Dict[Tuple[int, int], tuple] = {}
+        self._derived: Dict[Tuple[int, int], tuple] = {}
+
+    def commutator(self, x: Derivation, y: Derivation) -> Derivation:
+        """[x, y]."""
+        key = id(x), id(y)
+        entry = self._commutators.get(key)
+        if entry is None:
+            entry = self._commutators[key] = (x, y, commutator(x, y))
+        return entry[2]
+
+    def delta(self, x: Derivation) -> Derivation:
+        """[Q, x]."""
+        return self.commutator(self.q, x)
+
+    def derived(self, x: Derivation, y: Derivation) -> Derivation:
+        """|x, y|, ||x|| = degree + 1."""
+        key = id(x), id(y)
+        entry = self._derived.get(key)
+        if entry is None:
+            sign = -1 if (x.degree + 1) % 2 else 1
+            entry = self._derived[key] = (x, y, self.commutator(self.delta(x), y) * sign)
+        return entry[2]
+
+
 def derived_leibniz_residue(bundle: DgBundle, a: Derivation, b: Derivation) -> Derivation:
     """delta|a,b| - |delta a, b| - (-1)^{||a||} |a, delta b|; zero iff the law holds."""
-    q = bundle.q
+    br = _Brackets(bundle.q)
     sign = -1 if (a.degree + 1) % 2 else 1
-    lhs = commutator(q, _raw_bracket(q, a, b))
-    rhs = _raw_bracket(q, commutator(q, a), b) + sign * _raw_bracket(q, a, commutator(q, b))
+    lhs = br.delta(br.derived(a, b))
+    rhs = br.derived(br.delta(a), b) + sign * br.derived(a, br.delta(b))
     return lhs - rhs
 
 
@@ -412,12 +459,10 @@ def derived_jacobi_residue(
     bundle: DgBundle, a: Derivation, b: Derivation, c: Derivation
 ) -> Derivation:
     """|a,|b,c|| - ||a,b|,c| - (-1)^{||a|| ||b||} |b,|a,c||; zero iff the law holds."""
-    q = bundle.q
+    br = _Brackets(bundle.q)
     sign = -1 if ((a.degree + 1) * (b.degree + 1)) % 2 else 1
-    lhs = _raw_bracket(q, a, _raw_bracket(q, b, c))
-    rhs = _raw_bracket(q, _raw_bracket(q, a, b), c) + sign * _raw_bracket(
-        q, b, _raw_bracket(q, a, c)
-    )
+    lhs = br.derived(a, br.derived(b, c))
+    rhs = br.derived(br.derived(a, b), c) + sign * br.derived(b, br.derived(a, c))
     return lhs - rhs
 
 
@@ -425,9 +470,9 @@ def sym0_action_residue(
     bundle: DgBundle, actor: Derivation, b: Derivation, c: Derivation
 ) -> Derivation:
     """[a, |b,c|] - |[a,b], c| - |b, [a,c]| for a degree-0 symmetry actor."""
-    q = bundle.q
-    lhs = commutator(actor, _raw_bracket(q, b, c))
-    rhs = _raw_bracket(q, commutator(actor, b), c) + _raw_bracket(q, b, commutator(actor, c))
+    br = _Brackets(bundle.q)
+    lhs = br.commutator(actor, br.derived(b, c))
+    rhs = br.derived(br.commutator(actor, b), c) + br.derived(b, br.commutator(actor, c))
     return lhs - rhs
 
 
@@ -649,7 +694,7 @@ def bn_bracket(a: SymElement, b: SymElement) -> SymElement:
         + 2 * (g * ix(f_curv))
         + 2 * (g * base.d(f))
     )
-    display = bn_element(bundle, iota=vector_bracket(base, ix, iy), f=fun, c=form)
+    display = bn_element(bundle, iota=commutator(lie_x, iy), f=fun, c=form)
     generic = derived_bracket(a, b)
     if display != generic:
         raise SymmetryError("B-structure display disagrees with the derived bracket")

@@ -67,6 +67,24 @@ ROWS = [
         '    except (sys.modules["dgcalc.graded"].GradedError, OSError) as err:',
         ["tests/test_cli.py::test_any_dgcalc_error_is_a_diagnostic"],
     ),
+    (
+        "symmetries.py",
+        "        key = id(x), id(y)\n        entry = self._derived.get(key)",
+        "        key = id(x)\n        entry = self._derived.get(key)",
+        ["tests/test_kernel.py::test_law_residues_are_the_literal_ones"],
+    ),
+    (
+        "symmetries.py",
+        "monomial_degree(bundle.base, m) != degree for m in value.nums",
+        "monomial_degree(bundle.base, m) != degree for m in list(value.nums)[:1]",
+        ["tests/test_symmetries.py::test_an_inhomogeneous_part_is_rejected_whichever_term_comes_first"],
+    ),
+    (
+        "sampling.py",
+        "num = rng.choice(range(-3, 4))",
+        "num = rng.choice(range(-3, 3))",
+        ["tests/test_kernel.py::test_random_element_draws_what_randint_drew"],
+    ),
 ]
 
 # imports dgcalc, refuses a copy other than argv[1], then runs pytest on the rest

@@ -2,12 +2,14 @@
 commutator of derivations, the bases and their sizes, the ranks of the long
 exact sequence, twisted cohomology, the T-duality map, the chain-map sign
 check, the structured symmetries and their realized derivations, the
-bracket of d with one probe derivation per unknown, the split of an
-element by powers of one generator, the rescaling and pushforward maps
-whose chain identities the tests check, a sampler of inhomogeneous
-elements, the failing field of models/mc_fail.dgm written out by hand, and
-a model of S4 x T3 for the flux tests; tests only.  The oracles compute on exponent tuples and meet the library's
-packed monomials only through `pack` and `unpack`."""
+bracket of d with one probe derivation per unknown, the derived-bracket law
+residues with every bracket taken anew, the split of an element by powers
+of one generator, the rescaling and pushforward maps whose chain
+identities the tests check, a sampler of inhomogeneous elements, the
+`randint` draws of the element sampler, the failing field of
+models/mc_fail.dgm written out by hand, and a model of S4 x T3 for the flux
+tests; tests only.  The oracles compute on exponent tuples and meet the
+library's packed monomials only through `pack` and `unpack`."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -195,6 +197,18 @@ def brute_basis(model, k):
     whole box of exponents filtered, an independent oracle for Model.basis."""
     ranges = [range(2 if g.is_odd else k // g.degree + 1) for g in model.generators]
     return sorted(m for m in product(*ranges) if sum(map(mul, m, model.degrees)) == k)
+
+
+def randint_random_element(model, degree, rng, density=0.6):
+    """`sampling.random_element` drawn with randint: each numerator by
+    randint(-3, 3), and over 1 or 2 by 2 // randint(1, 2)."""
+    nums = {}
+    for m in model.basis(degree):
+        if rng.random() < density:
+            num = rng.randint(-3, 3)
+            if num:
+                nums[m] = num * (2 // rng.randint(1, 2))
+    return Element._of(model, nums, 2)
 
 
 def random_inhomogeneous(model, degrees, rng):
@@ -500,6 +514,40 @@ def literal_symmetry(bundle, degree, **parts):
         value = value + total.gen(q) * part(q_slot) * qt_slot
     values[t] = value
     return Derivation(total, degree, values)
+
+
+def literal_derived(q, x, y):
+    """|x, y| = (-1)^{||x||} [[Q, x], y], ||x|| = degree + 1, taken anew."""
+    sign = -1 if (x.degree + 1) % 2 else 1
+    return commutator(commutator(q, x), y) * sign
+
+
+def literal_leibniz_residue(bundle, a, b):
+    """delta|a,b| - |delta a, b| - (-1)^{||a||} |a, delta b|, every bracket taken anew."""
+    q = bundle.q
+    sign = -1 if (a.degree + 1) % 2 else 1
+    lhs = commutator(q, literal_derived(q, a, b))
+    rhs = literal_derived(q, commutator(q, a), b) + sign * literal_derived(q, a, commutator(q, b))
+    return lhs - rhs
+
+
+def literal_jacobi_residue(bundle, a, b, c):
+    """|a,|b,c|| - ||a,b|,c| - (-1)^{||a|| ||b||} |b,|a,c||, every bracket taken anew."""
+    q = bundle.q
+    sign = -1 if ((a.degree + 1) * (b.degree + 1)) % 2 else 1
+    lhs = literal_derived(q, a, literal_derived(q, b, c))
+    rhs = literal_derived(q, literal_derived(q, a, b), c) + sign * literal_derived(
+        q, b, literal_derived(q, a, c)
+    )
+    return lhs - rhs
+
+
+def literal_action_residue(bundle, actor, b, c):
+    """[a, |b,c|] - |[a,b], c| - |b, [a,c]|, every bracket taken anew."""
+    q = bundle.q
+    lhs = commutator(actor, literal_derived(q, b, c))
+    rhs = literal_derived(q, commutator(actor, b), c) + literal_derived(q, b, commutator(actor, c))
+    return lhs - rhs
 
 
 def _structured_parameters(bundle):

@@ -599,6 +599,21 @@ def test_a_coefficient_past_the_int_string_limit_is_a_diagnostic(tmp_path, capsy
     assert err == f"error: a coefficient has more than {sys.get_int_max_str_digits()} digits\n"
 
 
+def test_an_unprintable_maurer_cartan_residue_keeps_the_verdict(tmp_path, capsys):
+    # the residue on t is F * Fbar, whose coefficient (10^k - 1)^2 has 2k digits
+    nines = wide_numeral("9")
+    text = (MODELS / "mc_fail.dgm").read_text()
+    model, report = tmp_path / "wide_mc_fail.dgm", tmp_path / "report.txt"
+    model.write_text(text.replace("F = a\n", f"F = {nines}*a\n").replace("Fbar = a\n", f"Fbar = {nines}*a\n"))
+    code, out, err = run(capsys, "mc-check", str(model), "--report", str(report))
+    digits = 2 * len(nines)
+    assert digits > sys.get_int_max_str_digits()
+    assert (code, err) == (1, "")
+    assert out == f"maurer-cartan: fail on generator t\n  residue not printed: a numeral of {digits} digits\n"
+    records = report.read_text().splitlines()
+    assert ["witness=t", f"residue_digits={digits}", "status=fail"] == records[-3:]
+
+
 @pytest.mark.parametrize("command", ["validate", "mc-check", "betti"])
 def test_an_unprintable_d_squared_residue_is_still_reported_at_its_witness(command, tmp_path, capsys):
     model = tmp_path / "wide.dgm"

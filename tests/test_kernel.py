@@ -8,7 +8,11 @@ integer numerators over one denominator; `oracles.apply_derivation` expands
 the Leibniz rule as products of Fraction elements instead, and `oracles.brute_basis` filters the whole exponent box where
 `Model.basis` extends memoized suffixes.  `oracles.fiber_coefficients`
 counts the odd generators after the one it splits off, so multiplying the
-pieces back through the product's sign rule must rebuild the element.
+pieces back through the product's sign rule must rebuild the element.  The
+derived-bracket law residues keep each bracket of one evaluation by operand
+identity; `oracles.literal_leibniz_residue` and its siblings take every
+bracket anew.  `sampling.random_element` draws with `choice`, and
+`oracles.randint_random_element` with `randint`, from the same stream.
 """
 
 import pathlib
@@ -17,6 +21,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +31,7 @@ from dgcalc.derivations import Derivation, DgBundle, commutator, model_different
 from dgcalc.graded import Element, Model, ValueTable, apply_values, leibniz, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
+from dgcalc.symmetries import derived_jacobi_residue, derived_leibniz_residue, sym0_action_residue
 from dgcalc.tduality import dualize
 from oracles import (
     _parity_basis,
@@ -35,10 +41,14 @@ from oracles import (
     cocycle_vectors,
     coordinates,
     fiber_coefficients,
+    literal_action_residue,
     literal_commutator,
+    literal_jacobi_residue,
+    literal_leibniz_residue,
     literal_tmap,
     merge_sign,
     primitive,
+    randint_random_element,
 )
 from test_cohomology import _assert_twisted_matches_reference
 
@@ -48,6 +58,7 @@ given, settings = hypothesis.given, hypothesis.settings
 
 DEGREES = st.lists(st.sampled_from([1, 3, 2, 4]), min_size=1, max_size=9)
 SEEDS = st.integers(0, 2**32 - 1)
+SHAPES = st.sampled_from(["line", "two_step", "correspondence", "flux"])
 
 
 def graded_model(degrees):
@@ -223,7 +234,7 @@ def random_bundle(shape, rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["line", "two_step", "correspondence", "flux"]), SEEDS)
+@given(SHAPES, SEEDS)
 def test_fiber_coefficients_rebuild_the_element(shape, seed):
     # along every generator, base ones included, so odd generators follow the
     # one split off and the sign of moving it to the right is exercised
@@ -280,6 +291,65 @@ def test_commutator_on_generators(degrees, seed, deg1, deg2):
     for g in model.generators:
         x = model.gen(g.name)
         assert bracket.value(g.name) == d1(d2(x)) - sign * d2(d1(x))
+
+
+# -- the derived-bracket law residues and the element sampler -----------------------
+
+MEMOIZED = (derived_leibniz_residue, derived_jacobi_residue, sym0_action_residue)
+LITERAL = (literal_leibniz_residue, literal_jacobi_residue, literal_action_residue)
+
+
+def law_residues(laws, bundle, a, b, c, actor):
+    """(Leibniz, Jacobi, degree-0 action) residues of one family of laws."""
+    leibniz_law, jacobi_law, action_law = laws
+    return leibniz_law(bundle, a, b), jacobi_law(bundle, a, b, c), action_law(bundle, actor, b, c)
+
+
+def law_operands(bundle, rng, squares_to_zero):
+    """The bundle the residues read, three derivations of degrees in -2..1
+    and a degree-0 actor, each with a value drawn on every generator.  The
+    residues read only bundle.q, so without squares_to_zero a random degree-1
+    field stands in for Q: the laws then fail, and their residues are
+    nonzero."""
+    total = bundle.total
+    if not squares_to_zero:
+        bundle = SimpleNamespace(q=random_derivation(total, 1, rng, 1.0))
+    a, b, c = (random_derivation(total, rng.randint(-2, 1), rng, 1.0) for _ in range(3))
+    return bundle, a, b, c, random_derivation(total, 0, rng, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(SHAPES, SEEDS, st.booleans())
+def test_law_residues_are_the_literal_ones(shape, seed, squares_to_zero):
+    # on distinct operands, on a is b, and on a is b is c, which share brackets
+    rng = random.Random(seed)
+    bundle, a, b, c, actor = law_operands(random_bundle(shape, rng), rng, squares_to_zero)
+    for x, y, z in ((a, b, c), (a, a, c), (a, a, a)):
+        memoized = law_residues(MEMOIZED, bundle, x, y, z, actor)
+        assert memoized == law_residues(LITERAL, bundle, x, y, z, actor)
+
+
+def test_the_literal_residues_do_not_all_vanish():
+    # the comparison above would hold vacuously if every residue were zero
+    nonzero = [0, 0, 0]
+    for seed in range(8):
+        rng = random.Random(seed)
+        bundle, a, b, c, actor = law_operands(random_bundle("two_step", rng), rng, False)
+        for k, residue in enumerate(law_residues(LITERAL, bundle, a, b, c, actor)):
+            nonzero[k] += not residue.is_zero()
+    assert all(nonzero), nonzero
+
+
+@settings(max_examples=100, deadline=None)
+@given(DEGREES, SEEDS, st.integers(0, 8), st.sampled_from([0.6, 1.0]))
+def test_random_element_draws_what_randint_drew(degrees, seed, degree, density):
+    model = graded_model(degrees)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert random_element(model, degree, ours, density) == randint_random_element(
+            model, degree, theirs, density
+        )
+    assert ours.getstate() == theirs.getstate()
 
 
 # -- cochain slices, bases and the cached value tables -----------------------------

@@ -5,8 +5,9 @@ share the elimination they check.  One monomial layout, checked on the
 syntax tree: `dgcalc` adds no exponent tuples with `tuple(map(add, ...))` and
 takes no odd mask with `compress`, since a monomial is one packed int.  One
 value-table layout, checked on the syntax tree too: only `graded` reads a
-`ValueTable` past its named fields and `numerators()`, so no other module
-indexes a table or unpacks its entries, the only way to its terms."""
+`ValueTable` past its named fields, `is_zero()` and `numerators()`, so no
+other module indexes a table, unpacks it or reads its `entries`, the only
+way to its terms."""
 
 import ast
 import pathlib
@@ -94,12 +95,14 @@ def _unpacks_table(target, source):
 
 def table_reads(source):
     """(line, kind) of every positional read of a value table in a source: a
-    subscript of a name or attribute ending in `table`, or an unpacking of a
-    table, its entries or its terms."""
+    subscript of a name or attribute ending in `table`, an unpacking of a
+    table, its entries or its terms, or any read of an attribute `entries`."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Subscript) and (_name(node.value) or "").endswith("table"):
             out.append((node.lineno, "subscript"))
+        elif isinstance(node, ast.Attribute) and node.attr == "entries":
+            out.append((node.lineno, "entries"))
         elif isinstance(node, (ast.For, ast.comprehension)) and _unpacks_table(node.target, node.iter):
             out.append((node.target.lineno, "unpacking"))
         elif isinstance(node, ast.Assign) and any(_unpacks_table(t, node.value) for t in node.targets):
@@ -117,6 +120,6 @@ def test_only_graded_reads_a_value_table_by_position(path):
 def test_the_table_scan_sees_indexing_and_unpacking():
     # a scan that missed these would pass the guard above vacuously
     source = "d.table[2]\nfor shift, _, _, _, terms in d.table.entries:\n    pass\n_, entries, _ = model.d_table\n"
-    assert table_reads(source) == [(1, "subscript"), (2, "unpacking"), (4, "unpacking")]
+    assert table_reads(source) == [(1, "subscript"), (2, "entries"), (2, "unpacking"), (4, "unpacking")]
     kinds = {kind for _, kind in table_reads((PACKAGE / "graded.py").read_text())}
-    assert kinds == {"unpacking"}
+    assert kinds == {"entries", "unpacking"}

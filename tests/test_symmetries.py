@@ -145,6 +145,16 @@ def test_degree_guards(ts):
         sym_differential(symmetry(ts, 0))
 
 
+def test_an_inhomogeneous_part_is_rejected_whichever_term_comes_first(ts):
+    # b is a 2-form in degree 0; one order puts the 2-form term first, so a
+    # check of the first term alone passes one of them
+    nil = ts.base
+    two_form, one_form = nil.gen("x1") * nil.gen("x2"), nil.gen("x3")
+    for part in (two_form + one_form, one_form + two_form):
+        with pytest.raises(SymmetryError, match=r"^part must be homogeneous of degree 2$"):
+            symmetry(ts, 0, b=part)
+
+
 # -- differential displays ------------------------------------------------------
 
 
