@@ -1,10 +1,13 @@
 """Degree-wise and parity-graded cohomology of bundles over the rationals.
 
-Every rank is exact.  Polynomial fibers make the cochain complex infinite in
-total but finite per degree, so the twisted (Z/2-collapsed) computation works
-at a degree cap: a class at the cap counts only if it lifts to a cocycle in a
-wider window, which kills the truncation artifacts at the top, and two
-consecutive caps must agree before a result is returned.
+Every rank is exact.  A model with only odd generators is finite, with a top
+degree, and the twisted (Z/2-collapsed) cohomology at a cap at or above it
+reads two ranks of d + h on the whole complex.  Polynomial generators make
+the cochain complex infinite in total but finite per degree, so there, and
+for a cap below the top, the twisted computation works at a degree cap: a
+class at the cap counts only if it lifts to a cocycle in a wider window,
+which kills the truncation artifacts at the top, and two consecutive caps
+must agree before a result is returned.
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import linalg
 from .derivations import DgBundle
-from .graded import DgcalcError, Element, GradedError, Model, format_monomial, leibniz
+from .graded import (
+    SIGN_MASKS,
+    DgcalcError,
+    Element,
+    GradedError,
+    Model,
+    _check_fields,
+    format_monomial,
+    leibniz,
+)
 
 BundleLike = Union[Model, DgBundle]
 # a sparse column {row: int}; zeros are left out.  A column holds a positive
@@ -157,9 +169,14 @@ def _twisted_images(model: Model, h: Element, top: int):
     parity-p monomials of degree <= w.  images[p] holds, in that order,
     (degree k, d part, whole image) for each parity-p monomial, its image
     numbered in the other parity.  The d part has degree k + 1 and h*m degree
-    k + 3; a part above top is left out.  Every column holds its values times
+    k + 3; a part above top is left out, so at the top degree of a finite
+    model the images are all of d + h.  Every column holds its values times
     d_table's denominator times h's, one scale, since the kernel vectors of a
     window are cocycles in monomial coordinates.
+
+    h*m is merged in one pass over h's few terms, with the monomial on the
+    left: h*m = (-1)^{|m|} m*h since |h| = 3, so the sign of each term reads
+    the cached masks of h's terms alone and none of the monomials'.
     """
     windows: Tuple[List[int], List[int]] = ([], [])
     upto: Tuple[List[int], List[int]] = ([], [])
@@ -170,18 +187,29 @@ def _twisted_images(model: Model, h: Element, top: int):
     index = [{m: i for i, m in enumerate(w)} for w in windows]
     images: Tuple[list, list] = ([], [])
     table = model.d_table
-    scaled = h * (table.den * h.den)  # integral: h's numerators times d's scale
+    odd, guard = model.odd, model.guard
+    # h's terms with their odd mask and its A, numerators times d's scale
+    twist = [(t, t & odd, SIGN_MASKS[t & odd][0], n * table.den) for t, n in h.nums.items()]
     for k in range(top + 1):
         target = index[1 - k % 2]
         basis = model.basis(k)
         lows = operator_matrix(model, table, basis, target) if k < top else [{}] * len(basis)
         if h.den != 1:
             lows = [{i: n * h.den for i, n in low.items()} for low in lows]
+        flip = k & 1  # (-1)^{|m|}: m*h to h*m
         for m, low in zip(basis, lows):
-            if h.nums and k + 3 <= top:
-                whole = {**low, **_column(scaled * Element._of(model, {m: 1}), target)}
-            else:
-                whole = low
+            whole = low
+            if twist and k + 3 <= top:
+                whole = dict(low)
+                mask = m & odd
+                for t, tmask, over, n in twist:
+                    if mask & tmask:
+                        continue
+                    key = m + t
+                    if key & guard:
+                        _check_fields(model, (key,))
+                    # distinct terms of h give distinct keys, of a degree d(m) does not reach
+                    whole[target[key]] = -n if flip ^ (mask & over).bit_count() & 1 else n
             images[k % 2].append((k, low, whole))
     return images, upto
 
@@ -210,9 +238,18 @@ def _twisted_dims_at(images, upto, cap: int) -> Tuple[int, int]:
 def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[int, int]:
     """Dimensions of the even/odd cohomology of (forms, d + h) for a closed h.
 
-    Computed on the parity-collapsed complex capped in degree; classes must
-    lift past the cap to count, and caps `cap` and `cap+1` must agree.  The
-    images of d + h are computed once and both caps read their windows.
+    When every generator is odd, the model is finite with top degree the sum
+    of their degrees, and a cap at or above the top covers the whole
+    complex: nothing is truncated, so no class needs a lift and caps `cap`
+    and `cap+1` agree by construction.  Then, with D = d + h on the
+    parity-collapsed complex C_0 + C_1,
+
+        dim H_p = dim C_p - rank(D on C_p) - rank(D on C_{1-p}),
+
+    one rank per parity and no kernel.  Otherwise it is computed on the
+    complex capped in degree: classes must lift past the cap to count, and
+    caps `cap` and `cap+1` must agree.  The images of d + h are computed
+    once and both caps read their windows.
     """
     if h.model is not model:
         raise CohomologyError("twist must live in the given model")
@@ -225,6 +262,12 @@ def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[
     if cap < 0:
         # both windows would be empty, and two empty windows always agree
         raise CohomologyError(f"degree cap {cap} checks no degree")
+    top = model._reach[0]  # inf past an even generator
+    if top <= cap:
+        images, _ = _twisted_images(model, h, top)
+        ranks = [linalg.rank([whole for _, _, whole in images[p]]) for p in (0, 1)]
+        even, odd = (len(images[p]) - ranks[p] - ranks[1 - p] for p in (0, 1))
+        return even, odd
     images, upto = _twisted_images(model, h, cap + 1 + TWIST_LIFT)
     first = _twisted_dims_at(images, upto, cap)
     second = _twisted_dims_at(images, upto, cap + 1)

@@ -135,9 +135,12 @@ def model_differential(model: Model) -> Derivation:
 def commutator(d1: Derivation, d2: Derivation) -> Derivation:
     """[D1, D2] = D1 D2 - (-1)^{|D1||D2|} D2 D1, evaluated on generators in one
     Leibniz pass per side: D1 over D2's values, then D2 over D1's, pre-signed.
-    The bracket keeps the integer table the passes built."""
+    The bracket keeps the integer table the passes built; with a zero
+    operand it is the zero derivation of degree |D1| + |D2|, with no pass."""
     if d1.model is not d2.model:
         raise DerivationError("ambient mismatch")
+    if d1.table.is_zero() or d2.table.is_zero():
+        return Derivation.zero(d1.model, d1.degree + d2.degree)
     negate = not (d1.degree % 2 and d2.degree % 2)
     t1, t2 = d1.table, d2.table
     table = apply_values(d1.model, [(t1, t2, False), (t2, t1, negate)])

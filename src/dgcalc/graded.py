@@ -106,27 +106,35 @@ def monomial_degree(model: "Model", m: int) -> int:
     return total
 
 
+def _sign_masks(v: int) -> tuple:
+    """(A, B) for the odd mask v: A is the XOR over the bits b of v of "every
+    bit above b" (negative when v has an odd number of bits), and B the XOR
+    of "every bit below b".  So for a mask w, (w & A).bit_count() & 1 is the
+    parity of the transpositions that move v's odd factors left past those
+    of w after them, and (w & B).bit_count() & 1 that of moving w's past
+    v's: the Koszul signs of w*v and v*w."""
+    above = below = 0
+    rest = v
+    while rest:
+        low = rest & -rest
+        above ^= -(low << 1)
+        below ^= low - 1
+        rest ^= low
+    return above, below
+
+
 class _SignMasks(dict):
-    """{odd mask v: (A, B)}, each pair built on first use: A is the XOR over
-    the bits b of v of "every bit above b" (negative when v has an odd number
-    of bits), and B the XOR of "every bit below b".  So for a mask w,
-    (w & A).bit_count() & 1 is the parity of the transpositions that move
-    v's odd factors left past those of w after them, and (w & B).bit_count()
-    & 1 that of moving w's past v's: the Koszul signs of w*v and v*w.  The
-    masks depend on v alone, so one cache serves every model and table, and
-    it holds ints only."""
+    """{odd mask v: _sign_masks(v)}, each pair built on first use.  The masks
+    depend on v alone, so one cache serves every model and table, and it
+    holds ints only.  Only operators fill it: the terms of the value tables
+    `leibniz` applies, and those of a twist.  A product reads a stored pair
+    and builds a missing one without storing it, so the cache grows with the
+    operators a process applies, not with the elements it multiplies."""
 
     __slots__ = ()
 
     def __missing__(self, v: int) -> tuple:
-        above = below = 0
-        rest = v
-        while rest:
-            low = rest & -rest
-            above ^= -(low << 1)
-            below ^= low - 1
-            rest ^= low
-        self[v] = masks = (above, below)
+        self[v] = masks = _sign_masks(v)
         return masks
 
 
@@ -410,8 +418,11 @@ class Element:
         if other.model is not self.model:
             raise GradedError("ambient model mismatch")
         odd, guard, masks = self.model.odd, self.model.guard, SIGN_MASKS
-        # each term of the right factor with its odd mask and that mask's A
-        right = [(b, bmask := b & odd, masks[bmask][0], n) for b, n in other.nums.items()]
+        # each term of the right factor with its odd mask and that mask's A,
+        # stored or built here: a product adds nothing to the cache
+        right = [
+            (b, bmask := b & odd, (masks.get(bmask) or _sign_masks(bmask))[0], n) for b, n in other.nums.items()
+        ]
         out: dict = {}
         for a, na in self.nums.items():
             amask = a & odd

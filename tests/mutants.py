@@ -53,6 +53,18 @@ ROWS = [
         ["tests/test_kernel.py::test_twisted_columns_with_denominators_are_the_oracle"],
     ),
     (
+        "cohomology.py",
+        "        flip = k & 1",
+        "        flip = 0",
+        ["tests/test_cohomology.py::test_finite_twisted_images_are_the_oracle_columns"],
+    ),
+    (
+        "cohomology.py",
+        "even, odd = (len(images[p]) - ranks[p] - ranks[1 - p] for p in (0, 1))",
+        "even, odd = (len(images[p]) - ranks[p] for p in (0, 1))",
+        ["tests/test_cohomology.py::test_twisted_torus3_volume"],
+    ),
+    (
         "tduality.py",
         "                    first[-1] = min(first[-1], k + lowest)",
         "                    pass",

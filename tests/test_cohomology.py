@@ -6,10 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from dgcalc import cli, presets
+from dgcalc import cli, linalg, presets
 from dgcalc.cohomology import (
+    TWIST_LIFT,
     CochainSpace,
     CohomologyError,
+    _twisted_dims_at,
+    _twisted_images,
     betti,
     circle_quasi_iso_check,
     cochains,
@@ -20,11 +23,15 @@ from dgcalc.cohomology import (
     validate_formal_dimension,
 )
 from dgcalc.derivations import Derivation, DgBundle, gauge_transform
-from dgcalc.graded import Model
+from dgcalc.graded import Element, Model
+from dgcalc.parser import load_path
 from dgcalc.sampling import random_element
 from oracles import (
     _differential,
+    _parity_basis,
+    _twisted_columns,
     bareiss_rank,
+    cocycle_vectors,
     coordinates,
     rescale_to_twisted,
     twist_operator,
@@ -205,6 +212,95 @@ def test_twisted_product_with_volume_twist():
     bundle = DgBundle.line(m, m.gen("c"), "t", 2)
     high = betti(bundle, 6, 9)
     assert not any(high.values())
+
+
+HALF_PAIR = pathlib.Path(__file__).resolve().parent / "nil_pair_half.dgm"
+
+
+def _finite_case(name):
+    """A model with only odd generators, so finite, and a closed twist on it:
+    tori with zero and volume twists, fixed nilmanifolds, and models whose
+    d, halved, has denominator 2, with twists over 3."""
+    from test_kernel import dg_model, halved  # test_kernel imports this module
+
+    kind, _, arg = name.partition("-")
+    if kind == "torus":
+        t = presets.torus(int(arg[0]))
+        return t, t.gen("th1") * t.gen("th2") * t.gen("th3") if arg.endswith("vol") else t.zero()
+    if kind == "nil5":
+        nil = presets.nilmanifold()
+        k3 = nil.gen("x1") * nil.gen("x3") * nil.gen("x4")
+        return nil, {"zero": nil.zero(), "k3": k3, "shifted": k3 / 3 + nil.d(nil.gen("z") * nil.gen("x3"))}[arg]
+    if kind == "nil6":
+        # two z's over four x's, and a twist with terms of both kinds
+        nil = Model(
+            [(f"x{i}", 1) for i in range(1, 5)] + [("z1", 1), ("z2", 1)],
+            formal_dimension=6,
+            differential=lambda m: {
+                "z1": m.gen("x1") * m.gen("x2"),
+                "z2": m.gen("x1") * m.gen("x3") - 2 * m.gen("x2") * m.gen("x4"),
+            },
+        )
+        x1, x3, x4, z2 = (nil.gen(g) for g in ("x1", "x3", "x4", "z2"))
+        return nil, x1 * x3 * x4 - nil.d(z2 * x4) / 2 + 2 * nil.d(nil.gen("z1") * z2)
+    if kind == "half":
+        model = load_path(str(HALF_PAIR)).model
+        k3 = model.gen("x1") * model.gen("x3") * model.gen("x4")
+        return model, k3 / 3 + model.d(model.gen("z") * model.gen("x3"))
+    seed, degrees = {"dg0": (0, [1, 1, 1, 1, 3]), "dg1": (1, [1, 1, 3, 1]), "dg2": (2, [1, 1, 3, 1])}[arg]
+    model = halved(dg_model(degrees, random.Random(seed)))
+    assert model.d_table.den == 2
+    vectors, basis = cocycle_vectors(model, 3)
+    h = sum((Element(model, dict(zip(basis, v))) * (k + 1) for k, v in enumerate(vectors)), model.zero()) / 3
+    return model, h
+
+
+FINITE_CASES = [
+    "torus-2", "torus-3", "torus-3vol", "torus-4", "torus-4vol", "torus-5", "torus-5vol",
+    "nil5-zero", "nil5-k3", "nil5-shifted", "nil6-twist", "half-pair", "halved-dg0", "halved-dg1", "halved-dg2",
+]
+
+
+@pytest.mark.parametrize("name", FINITE_CASES)
+def test_the_two_rank_path_is_the_windowed_path_on_finite_models(name, monkeypatch):
+    model, h = _finite_case(name)
+    assert model.d(h).is_zero() and (h.is_zero() or h.degree() == 3)
+    top = model._reach[0]
+    kernels, ranks = [], []
+    kernel_basis, rank = linalg.kernel_basis, linalg.rank
+    monkeypatch.setattr(linalg, "kernel_basis", lambda *a: kernels.append(a) or kernel_basis(*a))
+    monkeypatch.setattr(linalg, "rank", lambda *a: ranks.append(a) or rank(*a))
+    for cap in (top, top + 3):
+        kernels.clear()
+        ranks.clear()
+        got = twisted_betti(model, h, cap=cap)
+        assert (len(kernels), len(ranks)) == (0, 2), "one rank per parity and no kernel"
+        # the windowed assembly at this cap and the next: the stabilisation
+        # check the two ranks skip would have passed
+        images, upto = _twisted_images(model, h, cap + 1 + TWIST_LIFT)
+        assert _twisted_dims_at(images, upto, cap) == _twisted_dims_at(images, upto, cap + 1) == got
+    # one degree short of the top, the windowed path runs: a kernel per cap and parity
+    kernels.clear()
+    try:
+        twisted_betti(model, h, cap=top - 1)
+    except CohomologyError as err:
+        assert "did not stabilize" in str(err)
+    assert len(kernels) == 4
+
+
+@pytest.mark.parametrize("name", ["torus-3vol", "nil5-shifted", "nil6-twist", "half-pair", "halved-dg0"])
+def test_finite_twisted_images_are_the_oracle_columns(name):
+    # h*m from the monomial's side, with the sign (-1)^{|m|}, against h * m
+    model, h = _finite_case(name)
+    top = model._reach[0]
+    images, _ = _twisted_images(model, h, top)
+    scale = model.d_table.den * h.den
+    for parity in (0, 1):
+        source, target = _parity_basis(model, parity, top), _parity_basis(model, 1 - parity, top)
+        assert [k for k, _, _ in images[parity]] == [k for k, _ in source]
+        want = _twisted_columns(model, h, source, target, top)
+        for (k, _, whole), column in zip(images[parity], want):
+            assert [whole.get(i, 0) for i in range(len(target))] == [scale * c for c in column], k
 
 
 def test_twisted_requires_closed_form(s2):

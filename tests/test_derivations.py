@@ -20,7 +20,7 @@ from dgcalc.derivations import (
     maurer_cartan_check,
     model_differential,
 )
-from dgcalc.graded import Element, Model, format_element, pack, unpack
+from dgcalc.graded import Element, Model, apply_values, format_element, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
 from oracles import literal_commutator, mc_fail_field
@@ -66,6 +66,21 @@ def test_bracket_with_fiber_scaling_reproduces_differential(s2):
     deta = bundle.include_base(s2.d(s2.gen("b")))
     got = commutator(bundle.q, weighted(bundle.total, "t", eta))
     assert got == weighted(bundle.total, "t", deta)
+
+
+@pytest.mark.parametrize("zero_degree", [-2, -1, 0, 1, 3])
+def test_a_zero_operand_brackets_to_the_two_pass_result(s2, zero_degree):
+    # the early return must give what both Leibniz passes give, degree included
+    d = model_differential(s2)
+    contraction = Derivation(s2, -2, {"a": s2.one()})
+    zero = Derivation.zero(s2, zero_degree)
+    for d1, d2 in [(zero, d), (d, zero), (zero, contraction), (contraction, zero), (zero, zero)]:
+        negate = not (d1.degree % 2 and d2.degree % 2)
+        passes = [(d1.table, d2.table, False), (d2.table, d1.table, negate)]
+        two_pass = Derivation._of_table(s2, apply_values(s2, passes))
+        got = commutator(d1, d2)
+        assert got == two_pass and got.is_zero()
+        assert got.degree == got.table.degree == two_pass.degree == d1.degree + d2.degree
 
 
 def test_commutator_degree_and_ambient_checks(t2, s2):
