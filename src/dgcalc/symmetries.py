@@ -18,8 +18,12 @@ Decomposition reads the same numerators back and keeps the derivation it was
 given.
 
 Derived brackets are always computed from the defining double commutator
-(-1)^{||a||} [[Q, a], b]; the displayed structured formulas live next to the
-operations and the two routes are compared whenever a display exists.
+(-1)^{||a||} [[Q, a], b], written once, in `Brackets.derived`; the displayed
+structured formulas live next to the operations and the two routes are
+compared whenever a display exists.  A `Brackets` memo keeps each bracket of
+one trial, shared by the trial's laws, and dies with the trial.  The laws
+are two residues: [x, .] deriving |., .| (x = Q or a degree-0 symmetry) and
+the graded Jacobi identity of a bracket of degree 0 or 1.
 """
 
 from __future__ import annotations
@@ -57,11 +61,6 @@ def lie_derivative(model: Model, iota: Derivation) -> Derivation:
     if iota.is_zero() and iota.model is model:
         return Derivation.zero(model, 0)
     return commutator(model_differential(model), iota)
-
-
-def vector_bracket(model: Model, iota_x: Derivation, iota_y: Derivation) -> Derivation:
-    """iota of the bracket field: [[d, iota_X], iota_Y]."""
-    return commutator(lie_derivative(model, iota_x), iota_y)
 
 
 def _as_base(bundle: DgBundle, value, degree: int) -> Element:
@@ -334,10 +333,10 @@ def sym_bracket(a: SymElement, b: SymElement) -> SymElement:
 
 
 def derived_bracket(a: SymElement, b: SymElement) -> SymElement:
-    """(-1)^{||a||} [[Q, a], b], with the structured display checked when present."""
+    """|a, b| by `Brackets.derived`, with the structured display checked when present."""
     if a.bundle is not b.bundle:
         raise SymmetryError("symmetries of different bundles")
-    result = decompose(a.bundle, _raw_bracket(a.bundle.q, a.realized, b.realized))
+    result = decompose(a.bundle, Brackets(a.bundle.q).derived(a.realized, b.realized))
     display = _structured_derived(a, b)
     if display is not None and display != result:
         raise SymmetryError("structured derived bracket disagrees with the double commutator")
@@ -403,19 +402,13 @@ def _structured_derived(a: SymElement, b: SymElement) -> Optional[SymElement]:
     return None
 
 
-def _raw_bracket(q: Derivation, x: Derivation, y: Derivation) -> Derivation:
-    """(-1)^{||x||} [[Q, x], y] on raw derivations, ||x|| = degree + 1."""
-    sign = -1 if (x.degree + 1) % 2 else 1
-    return commutator(commutator(q, x), y) * sign
+class Brackets:
+    """The brackets of one trial, each computed once per operand pair.
 
-
-class _Brackets:
-    """The brackets of one law evaluation, each computed once per operand pair.
-
-    A law's terms share brackets, and its operands are often one object, so
+    A trial's laws share brackets, and their operands are often one object, so
     [x, y] and |x, y| = (-1)^{||x||} [[Q, x], y] are kept by operand
     identity.  Each entry holds its operands, so no id is reused while the
-    memo lives, and the memo dies with the evaluation that made it."""
+    memo lives, and the memo dies with the trial that made it."""
 
     __slots__ = ("q", "_commutators", "_derived")
 
@@ -432,47 +425,35 @@ class _Brackets:
             entry = self._commutators[key] = (x, y, commutator(x, y))
         return entry[2]
 
-    def delta(self, x: Derivation) -> Derivation:
-        """[Q, x]."""
-        return self.commutator(self.q, x)
-
     def derived(self, x: Derivation, y: Derivation) -> Derivation:
         """|x, y|, ||x|| = degree + 1."""
         key = id(x), id(y)
         entry = self._derived.get(key)
         if entry is None:
             sign = -1 if (x.degree + 1) % 2 else 1
-            entry = self._derived[key] = (x, y, self.commutator(self.delta(x), y) * sign)
+            delta = self.commutator(self.q, x)
+            entry = self._derived[key] = (x, y, self.commutator(delta, y) * sign)
         return entry[2]
 
 
-def derived_leibniz_residue(bundle: DgBundle, a: Derivation, b: Derivation) -> Derivation:
-    """delta|a,b| - |delta a, b| - (-1)^{||a||} |a, delta b|; zero iff the law holds."""
-    br = _Brackets(bundle.q)
-    sign = -1 if (a.degree + 1) % 2 else 1
-    lhs = br.delta(br.derived(a, b))
-    rhs = br.derived(br.delta(a), b) + sign * br.derived(a, br.delta(b))
+def derivation_residue(br: Brackets, x: Derivation, a: Derivation, b: Derivation) -> Derivation:
+    """[x, |a,b|] - |[x,a], b| - (-1)^{|x| ||a||} |a, [x,b]|; zero iff [x, .]
+    derives |a, b|.  With x = br.q this is the derived Leibniz law, with a
+    degree-0 symmetry x the action law."""
+    sign = -1 if (x.degree * (a.degree + 1)) % 2 else 1
+    lhs = br.commutator(x, br.derived(a, b))
+    rhs = br.derived(br.commutator(x, a), b) + sign * br.derived(a, br.commutator(x, b))
     return lhs - rhs
 
 
-def derived_jacobi_residue(
-    bundle: DgBundle, a: Derivation, b: Derivation, c: Derivation
-) -> Derivation:
-    """|a,|b,c|| - ||a,b|,c| - (-1)^{||a|| ||b||} |b,|a,c||; zero iff the law holds."""
-    br = _Brackets(bundle.q)
-    sign = -1 if ((a.degree + 1) * (b.degree + 1)) % 2 else 1
-    lhs = br.derived(a, br.derived(b, c))
-    rhs = br.derived(br.derived(a, b), c) + sign * br.derived(b, br.derived(a, c))
-    return lhs - rhs
-
-
-def sym0_action_residue(
-    bundle: DgBundle, actor: Derivation, b: Derivation, c: Derivation
-) -> Derivation:
-    """[a, |b,c|] - |[a,b], c| - |b, [a,c]| for a degree-0 symmetry actor."""
-    br = _Brackets(bundle.q)
-    lhs = br.commutator(actor, br.derived(b, c))
-    rhs = br.derived(br.commutator(actor, b), c) + br.derived(b, br.commutator(actor, c))
+def jacobi_residue(bracket, shift: int, a: Derivation, b: Derivation, c: Derivation) -> Derivation:
+    """(a,(b,c)) - ((a,b),c) - (-1)^{(|a|+shift)(|b|+shift)} (b,(a,c)) for a
+    bracket of degree shift; zero iff its graded Jacobi identity holds.  The
+    plain law is `commutator` with shift 0, the derived one `Brackets.derived`
+    with shift 1."""
+    sign = -1 if ((a.degree + shift) * (b.degree + shift)) % 2 else 1
+    lhs = bracket(a, bracket(b, c))
+    rhs = bracket(bracket(a, b), c) + sign * bracket(b, bracket(a, c))
     return lhs - rhs
 
 

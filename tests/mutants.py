@@ -83,7 +83,19 @@ ROWS = [
         "symmetries.py",
         "        key = id(x), id(y)\n        entry = self._derived.get(key)",
         "        key = id(x)\n        entry = self._derived.get(key)",
-        ["tests/test_kernel.py::test_law_residues_are_the_literal_ones"],
+        ["tests/test_kernel.py::test_one_memo_per_trial_gives_the_literal_residues"],
+    ),
+    (
+        "symmetries.py",
+        "sign = -1 if (x.degree * (a.degree + 1)) % 2 else 1",
+        "sign = -1 if (a.degree + 1) % 2 else 1",
+        ["tests/test_kernel.py::test_one_memo_per_trial_gives_the_literal_residues"],
+    ),
+    (
+        "symmetries.py",
+        "sign = -1 if ((a.degree + shift) * (b.degree + shift)) % 2 else 1",
+        "sign = -1 if (a.degree * b.degree) % 2 else 1",
+        ["tests/test_kernel.py::test_one_memo_per_trial_gives_the_literal_residues"],
     ),
     (
         "symmetries.py",

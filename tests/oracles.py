@@ -1,12 +1,12 @@
 """Independent oracles for the exact linear algebra, the monomial core, the
-commutator of derivations, the bases and their sizes, the ranks of the long
-exact sequence, twisted cohomology, the T-duality map, the chain-map sign
-check, the structured symmetries and their realized derivations, the
-bracket of d with one probe derivation per unknown, the derived-bracket law
-residues with every bracket taken anew, the split of an element by powers
-of one generator, the rescaling and pushforward maps whose chain
-identities the tests check, a sampler of inhomogeneous elements, the
-`randint` draws of the element sampler, the failing field of
+commutator of derivations and the vector-field bracket, the bases and their
+sizes, the ranks of the long exact sequence, twisted cohomology, the
+T-duality map, the chain-map sign check, the structured symmetries and their
+realized derivations, the bracket of d with one probe derivation per
+unknown, the bracket-law residues with every bracket taken anew, the split
+of an element by powers of one generator, the rescaling and pushforward
+maps whose chain identities the tests check, a sampler of inhomogeneous
+elements, the `randint` draws of the element sampler, the failing field of
 models/mc_fail.dgm written out by hand, and a model of S4 x T3 for the flux
 tests; tests only.  The oracles compute on exponent tuples and meet the
 library's packed monomials only through `pack` and `unpack`."""
@@ -33,6 +33,7 @@ from dgcalc.symmetries import (
     SymElement,
     _value_index,
     form_parts,
+    lie_derivative,
     symmetry,
 )
 from dgcalc.tduality import ChainMap, TDualityError, correspondence
@@ -173,6 +174,11 @@ def literal_commutator(d1, d2):
         first, second = d1(d2.value(g.name)), d2(d1.value(g.name))
         values[g.name] = first - second if sign == 1 else first + second
     return Derivation(model, d1.degree + d2.degree, values)
+
+
+def vector_bracket(model, iota_x, iota_y):
+    """iota of the bracket field: [[d, iota_X], iota_Y]."""
+    return commutator(lie_derivative(model, iota_x), iota_y)
 
 
 def dimension_series(model, top):
@@ -547,6 +553,16 @@ def literal_action_residue(bundle, actor, b, c):
     q = bundle.q
     lhs = commutator(actor, literal_derived(q, b, c))
     rhs = literal_derived(q, commutator(actor, b), c) + literal_derived(q, b, commutator(actor, c))
+    return lhs - rhs
+
+
+def literal_commutator_jacobi_residue(a, b, c):
+    """[a,[b,c]] - [[a,b],c] - (-1)^{|a||b|} [b,[a,c]], by `literal_commutator`."""
+    sign = -1 if (a.degree * b.degree) % 2 else 1
+    lhs = literal_commutator(a, literal_commutator(b, c))
+    rhs = literal_commutator(literal_commutator(a, b), c) + sign * literal_commutator(
+        b, literal_commutator(a, c)
+    )
     return lhs - rhs
 
 

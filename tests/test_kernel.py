@@ -9,10 +9,11 @@ the Leibniz rule as products of Fraction elements instead, and `oracles.brute_ba
 `Model.basis` extends memoized suffixes.  `oracles.fiber_coefficients`
 counts the odd generators after the one it splits off, so multiplying the
 pieces back through the product's sign rule must rebuild the element.  The
-derived-bracket law residues keep each bracket of one evaluation by operand
-identity; `oracles.literal_leibniz_residue` and its siblings take every
-bracket anew.  `sampling.random_element` draws with `choice`, and
-`oracles.randint_random_element` with `randint`, from the same stream.
+bracket-law residues keep each bracket of one trial by operand identity, in
+one memo that the trial's laws share; `oracles.literal_leibniz_residue` and
+its siblings take every bracket anew.  `sampling.random_element` draws with
+`choice`, and `oracles.randint_random_element` with `randint`, from the same
+stream.
 """
 
 import pathlib
@@ -31,7 +32,7 @@ from dgcalc.derivations import Derivation, DgBundle, commutator, model_different
 from dgcalc.graded import Element, Model, ValueTable, apply_values, leibniz, pack, unpack
 from dgcalc.parser import load_path
 from dgcalc.sampling import random_derivation, random_element
-from dgcalc.symmetries import derived_jacobi_residue, derived_leibniz_residue, sym0_action_residue
+from dgcalc.symmetries import Brackets, derivation_residue, jacobi_residue
 from dgcalc.tduality import dualize
 from oracles import (
     _parity_basis,
@@ -43,6 +44,7 @@ from oracles import (
     fiber_coefficients,
     literal_action_residue,
     literal_commutator,
+    literal_commutator_jacobi_residue,
     literal_jacobi_residue,
     literal_leibniz_residue,
     literal_tmap,
@@ -293,16 +295,29 @@ def test_commutator_on_generators(degrees, seed, deg1, deg2):
         assert bracket.value(g.name) == d1(d2(x)) - sign * d2(d1(x))
 
 
-# -- the derived-bracket law residues and the element sampler -----------------------
+# -- the bracket-law residues and the element sampler ------------------------------
 
-MEMOIZED = (derived_leibniz_residue, derived_jacobi_residue, sym0_action_residue)
-LITERAL = (literal_leibniz_residue, literal_jacobi_residue, literal_action_residue)
+def memoized_residues(bundle, a, b, c, actor):
+    """(derived Leibniz, derived Jacobi, degree-0 action, commutator Jacobi)
+    residues as `identities` takes them: one memo shared by the two derived
+    laws, as in a `derived` trial, and one for the action law."""
+    br = Brackets(bundle.q)
+    return (
+        derivation_residue(br, br.q, a, b),
+        jacobi_residue(br.derived, 1, a, b, c),
+        derivation_residue(Brackets(bundle.q), actor, b, c),
+        jacobi_residue(commutator, 0, a, b, c),
+    )
 
 
-def law_residues(laws, bundle, a, b, c, actor):
-    """(Leibniz, Jacobi, degree-0 action) residues of one family of laws."""
-    leibniz_law, jacobi_law, action_law = laws
-    return leibniz_law(bundle, a, b), jacobi_law(bundle, a, b, c), action_law(bundle, actor, b, c)
+def literal_residues(bundle, a, b, c, actor):
+    """The same four residues, every bracket taken anew."""
+    return (
+        literal_leibniz_residue(bundle, a, b),
+        literal_jacobi_residue(bundle, a, b, c),
+        literal_action_residue(bundle, actor, b, c),
+        literal_commutator_jacobi_residue(a, b, c),
+    )
 
 
 def law_operands(bundle, rng, squares_to_zero):
@@ -325,19 +340,34 @@ def test_law_residues_are_the_literal_ones(shape, seed, squares_to_zero):
     rng = random.Random(seed)
     bundle, a, b, c, actor = law_operands(random_bundle(shape, rng), rng, squares_to_zero)
     for x, y, z in ((a, b, c), (a, a, c), (a, a, a)):
-        memoized = law_residues(MEMOIZED, bundle, x, y, z, actor)
-        assert memoized == law_residues(LITERAL, bundle, x, y, z, actor)
+        assert memoized_residues(bundle, x, y, z, actor) == literal_residues(bundle, x, y, z, actor)
 
 
 def test_the_literal_residues_do_not_all_vanish():
-    # the comparison above would hold vacuously if every residue were zero
+    # the comparison above would hold vacuously if every residue were zero;
+    # the commutator's Jacobi identity holds for any derivations, so only the
+    # three laws of Q can fail
     nonzero = [0, 0, 0]
     for seed in range(8):
         rng = random.Random(seed)
         bundle, a, b, c, actor = law_operands(random_bundle("two_step", rng), rng, False)
-        for k, residue in enumerate(law_residues(LITERAL, bundle, a, b, c, actor)):
+        for k, residue in enumerate(literal_residues(bundle, a, b, c, actor)[:3]):
             nonzero[k] += not residue.is_zero()
     assert all(nonzero), nonzero
+
+
+def test_one_memo_per_trial_gives_the_literal_residues():
+    # fixed operands that fail a wrong memo key or a wrong sign at once: Q does
+    # not square to zero, so the residues are nonzero; a is b, so |x, y| must
+    # be keyed on both operands and the derived Jacobi sign must read the
+    # shift; a has degree 0, so the action law's sign must read |actor| = 0
+    rng = random.Random(3)
+    total = random_bundle("two_step", rng).total
+    bundle = SimpleNamespace(q=random_derivation(total, 1, rng, 1.0))
+    a, c, actor = (random_derivation(total, degree, rng, 1.0) for degree in (0, -1, 0))
+    memoized, literal = memoized_residues(bundle, a, a, c, actor), literal_residues(bundle, a, a, c, actor)
+    assert not any(residue.is_zero() for residue in literal[:3])
+    assert memoized == literal
 
 
 @settings(max_examples=100, deadline=None)
