@@ -38,6 +38,8 @@ DEFAULT_CAP_SLACK = 6
 # a twisted class at the cap counts only if it lifts to a cocycle this many
 # degrees higher
 TWIST_LIFT = 4
+# a declared formal dimension is audited over this many degrees above it
+FORMAL_DIMENSION_WINDOW = 4
 
 
 class CohomologyError(DgcalcError):
@@ -304,10 +306,10 @@ def circle_quasi_iso_check(base: Model, f: Element, total: Model, hi: Optional[i
     return lhs == rhs, pairs
 
 
-def validate_formal_dimension(space: BundleLike, window: int = 4) -> None:
+def validate_formal_dimension(space: BundleLike) -> None:
     """Audit that base cohomology vanishes just above the declared dimension."""
     fd = _total(space).formal_dimension
-    for k, dim in betti(space, fd + 1, fd + window).items():
+    for k, dim in betti(space, fd + 1, fd + FORMAL_DIMENSION_WINDOW).items():
         if dim:
             raise GradedError(
                 f"declared formal dimension {fd} but cohomology is nonzero in degree {k}"

@@ -48,13 +48,19 @@ class GradedError(DgcalcError):
         self.result = result
 
 
+def is_name(text: str) -> bool:
+    """Whether text reads back as one identifier token of the expression
+    scanner: a letter or '_', then letters, digits or '_'."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(ch.isalnum() or ch == "_" for ch in text)
+
+
 class GradedGenerator:
     """A named generator of positive degree; parity is degree mod 2."""
 
     __slots__ = ("name", "degree")
 
     def __init__(self, name: str, degree: int):
-        if not name or not (name[0].isalpha() or name[0] == "_"):
+        if not is_name(name):
             raise GradedError(f"bad generator name {name!r}")
         if degree < 1:
             raise GradedError(f"generator {name!r} must have degree >= 1, got {degree}")

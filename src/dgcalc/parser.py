@@ -3,7 +3,7 @@
 A .dgm file is line oriented; statements end at a newline or ';' and '#'
 starts a comment.  Statements:
 
-    model NAME                      dim N
+    model TEXT                      dim N
     gen NAME : DEGREE               d NAME = EXPR
     fiber NAME : DEGREE             F = EXPR | Fbar = | H = | Theta = | F4 = | F7 =
     let NAME = EXPR
@@ -11,10 +11,11 @@ starts a comment.  Statements:
     sym NAME : deg = INT [, KEY = EXPR ...]   (KEY in X a b abar f c fbar h
                                                s2 s5 eta1 c4 d3 a3 b6 eta)
 
-Expressions: sums of rational-coefficient products of generator powers;
-'*' or juxtaposition multiplies, '^' takes powers, parentheses group.
-Every statement failure carries its line and column; declaring a name, form,
-model or dimension a second time is one, reported at the repeat.
+Expressions: sums of rational-coefficient products of generator powers; '*'
+or juxtaposition multiplies, '^' takes powers, parentheses group.  A NAME is
+a letter or '_', then letters, digits or '_'.  Every statement failure has
+its line and column; declaring a name, form, model or dimension, or a key of
+one vec or sym statement, a second time is one, reported at the repeat.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .cohomology import validate_formal_dimension
 from .derivations import BUNDLE_SHAPES, BundleError, Derivation, DgBundle, form_degrees
-from .graded import DgcalcError, Element, GradedError, GradedGenerator, MCResult, Model
+from .graded import DgcalcError, Element, GradedError, GradedGenerator, MCResult, Model, is_name
 from .symmetries import PART_NAMES, SymElement, symmetry
 
 # the shapes a file can declare, tried in this order (only tdualize builds a
@@ -35,7 +36,14 @@ from .symmetries import PART_NAMES, SymElement, symmetry
 FILE_SHAPES = ("two_step", "flux", "line")
 ALIASES = {"F": "Theta"}
 STRUCTURAL_KEYS = frozenset(ALIASES).union(*(form_degrees(s, 1) for s in FILE_SHAPES))
-SYM_KEYS = PART_NAMES
+# the statements that declare a named text: {kind: (separator, diagnostic label)}
+STATEMENTS = {
+    "d": ("=", "differential"),
+    "let": ("=", "let"),
+    "vec": (":", "vec"),
+    "sym": (":", "sym"),
+    "structural form": ("=", "structural"),
+}
 
 
 class ModelFileError(DgcalcError):
@@ -267,15 +275,19 @@ def parse_expression(text: str, model: Model, line: int = 0, col: int = 1) -> El
 # -- statement splitting ----------------------------------------------------------
 
 
+def _pieces(text: str, sep: str, col: int):
+    """The stripped nonempty sep-separated pieces of text starting at col, with their columns."""
+    for piece in text.split(sep):
+        stripped = piece.strip()
+        if stripped:
+            yield stripped, col + piece.index(stripped[0])
+        col += len(piece) + 1
+
+
 def _statements(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        col = 1
-        for chunk in body.split(";"):
-            stripped = chunk.strip()
-            if stripped:
-                yield lineno, col + chunk.index(stripped[0]), stripped
-            col += len(chunk) + 1
+        for stmt, col in _pieces(raw.split("#", 1)[0], ";", 1):
+            yield lineno, col, stmt
 
 
 class ModelFile:
@@ -300,15 +312,6 @@ def _split_decl(text: str, sep: str, kind: str, line: int, col: int) -> Tuple[st
     return left.strip(), right, len(text) - len(right)
 
 
-def _clauses(spec: str, col: int):
-    """The comma-separated clauses of a spec starting at col, with their columns."""
-    for clause in spec.split(","):
-        stripped = clause.strip()
-        if stripped:
-            yield stripped, col + clause.index(stripped[0])
-        col += len(clause) + 1
-
-
 def parse_model(text: str, validate: bool = True) -> ModelFile:
     """Parse a .dgm document and run the load-time checks.
 
@@ -317,74 +320,53 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
     instead of failing the load (the mc-check command reports it); sym
     declarations are still rejected then.
     """
-    header_name = ""
-    formal_dim: Optional[int] = None
-    dim_pos = (0, 1)
-    # every declaration is keyed by its name: generators keep (degree, line,
-    # column), expression statements (text, line, statement column, text column)
-    gen_decls: Dict[str, Tuple[int, int, int]] = {}
-    fiber_decls: Dict[str, Tuple[int, int, int]] = {}
-    diff_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    structural_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    let_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    vec_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    sym_decls: Dict[str, Tuple[str, int, int, int]] = {}
-    header: Dict[str, str] = {}
-
+    # {statement kind: {name: declaration}} in file order: model and dim under None,
+    # generators (degree, line, col), STATEMENTS (text, line, col, text col)
+    decls = {kind: {} for kind in ("model", "dim", "gen", "fiber", *STATEMENTS)}
     for line, col, stmt in _statements(text):
         head, _, rest = stmt.partition(" ")
         rest = rest.strip()
         rest_col = col + len(stmt) - len(rest)  # stmt and rest are stripped
         if head == "model":
-            _declare(header, head, rest, "model statement", line, col)
-            header_name = rest
+            _declare(decls, head, None, rest, line, col)
         elif head == "dim":
-            _declare(header, head, rest, "dim statement", line, col)
+            _declare(decls, head, None, None, line, col)  # a repeat is reported before a bad value
             try:
-                formal_dim = int(rest)
-                if formal_dim < 0:
+                dim = int(rest)
+                if dim < 0:
                     raise ValueError(rest)
             except ValueError:
                 raise ModelFileError("syntax", line, col, f"bad dimension {rest!r}")
-            dim_pos = (line, col)
+            decls[head][None] = (dim, line, col)
         elif head == "gen" or head == "fiber":
             name, degree_text, _ = _split_decl(rest, ":", head, line, col)
             try:
-                degree = int(degree_text)
+                degree = GradedGenerator(name, int(degree_text)).degree
             except ValueError:
                 raise ModelFileError("syntax", line, col, f"bad degree {degree_text!r}")
-            try:
-                GradedGenerator(name, degree)
             except GradedError as e:
                 raise ModelFileError("syntax", line, col, str(e))
-            target, other = (gen_decls, fiber_decls) if head == "gen" else (fiber_decls, gen_decls)
-            if name in other:
+            if name in decls["fiber" if head == "gen" else "gen"]:
                 raise ModelFileError("syntax", line, col, f"repeated generator name {name!r}")
-            _declare(target, name, (degree, line, col), f"{head} {name!r}", line, col)
-        elif head == "d":
-            name, expr, offset = _split_decl(rest, "=", "differential", line, col)
-            decl = (expr, line, col, rest_col + offset)
-            _declare(diff_decls, name, decl, f"d {name!r}", line, col)
-        elif head in ("let", "vec", "sym"):
-            name, expr, offset = _split_decl(rest, "=" if head == "let" else ":", head, line, col)
-            target = {"let": let_decls, "vec": vec_decls, "sym": sym_decls}[head]
-            decl = (expr, line, col, rest_col + offset)
-            _declare(target, name, decl, f"{head} {name!r}", line, col)
-        elif stmt.split("=", 1)[0].strip() in STRUCTURAL_KEYS:
-            key, expr, offset = _split_decl(stmt, "=", "structural", line, col)
-            decl = (expr, line, col, col + offset)
-            _declare(structural_decls, key, decl, f"structural form {key!r}", line, col)
+            _declare(decls, head, name, (degree, line, col), line, col)
+        elif head in STATEMENTS or stmt.split("=", 1)[0].strip() in STRUCTURAL_KEYS:
+            if head not in STATEMENTS:  # a structural form's statement has no head word
+                head, rest, rest_col = "structural form", stmt, col
+            name, expr, offset = _split_decl(rest, *STATEMENTS[head], line, col)
+            if head in ("let", "vec", "sym") and not is_name(name):
+                raise ModelFileError("syntax", line, col, f"bad {head} name {name!r}")
+            _declare(decls, head, name, (expr, line, col, rest_col + offset), line, col)
         else:
             raise ModelFileError("syntax", line, col, f"unrecognized statement {stmt!r}")
 
     out = ModelFile()
-    out.name = header_name
+    out.name = decls["model"].get(None, "")
 
     # the base model, whose d statements are parsed on it as it is built, so
     # they can mention any generator
     def differential(model: Model) -> Dict[str, Element]:
         values = {}
-        for name, (expr, line, col, ecol) in diff_decls.items():
+        for name, (expr, line, col, ecol) in decls["d"].items():
             if name not in model.index:
                 raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
             value = values[name] = parse_expression(expr, model, line, ecol)
@@ -399,31 +381,33 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
                 )
         return values
 
-    gens = [(name, degree) for name, (degree, _, _) in gen_decls.items()]
+    gens = [(name, degree) for name, (degree, _, _) in decls["gen"].items()]
+    dim = decls["dim"].get(None)
     try:
-        base = Model(gens, formal_dim or 0, differential, header_name)
+        base = Model(gens, dim[0] if dim else 0, differential, out.name)
     except GradedError as e:
         # every generator and value was checked above, so this is d*d != 0,
         # reported at the witness's d statement, or d*d passing an exponent
         # field, reported at the first d statement
         if e.result is None:
-            _, line, col, _ = next(iter(diff_decls.values()))
+            _, line, col, _ = next(iter(decls["d"].values()))
             raise ModelFileError("d-squared", line, col, "d*d cannot be computed", str(e))
-        _, line, col, _ = diff_decls[e.result.witness]
+        _, line, col, _ = decls["d"][e.result.witness]
         raise ModelFileError("d-squared", line, col, "differential does not square to zero", str(e))
     out.model = base
 
-    if formal_dim is not None:
+    if dim:
         try:
             validate_formal_dimension(base)
         except GradedError as e:
-            raise ModelFileError("formal-dimension", dim_pos[0], dim_pos[1], str(e))
+            raise ModelFileError("formal-dimension", dim[1], dim[2], str(e))
 
     # bundle assembly, reported at the first fiber, or the first form if there is none
-    if fiber_decls or structural_decls:
-        fline, fcol = next(iter(fiber_decls.values() or structural_decls.values()))[1:3]
+    fibers, forms = decls["fiber"], decls["structural form"]
+    if fibers or forms:
+        fline, fcol = next(iter(fibers.values() or forms.values()))[1:3]
         try:
-            out.bundle = _build_bundle(base, fiber_decls, structural_decls, fline, fcol)
+            out.bundle = _build_bundle(base, fibers, forms, fline, fcol)
             out.maurer_cartan = MCResult()
         except BundleError as e:
             if validate or e.result is None:
@@ -432,89 +416,96 @@ def parse_model(text: str, validate: bool = True) -> ModelFile:
                 )
             out.maurer_cartan = e.result
 
-    for name, (expr, line, _, ecol) in let_decls.items():
+    for name, (expr, line, _, ecol) in decls["let"].items():
         out.elements[name] = parse_expression(expr, base, line, ecol)
-    for name, (spec, line, col, ecol) in vec_decls.items():
+    for name, (spec, line, col, ecol) in decls["vec"].items():
         out.vectors[name] = _build_vector(base, spec, line, col, ecol)
-    for name, (spec, line, col, ecol) in sym_decls.items():
+    for name, (spec, line, col, ecol) in decls["sym"].items():
         if out.bundle is None:
             raise ModelFileError("shape", line, col, "sym declarations need a validated bundle")
         out.symmetries[name] = _build_symmetry(out, spec, line, col, ecol)
     return out
 
 
-def _declare(decls: dict, key, value, what: str, line: int, col: int):
-    """Record a declaration; a second one of the same key is an error there."""
-    if key in decls:
+def _declare(decls: dict, kind: str, name: Optional[str], value, line: int, col: int):
+    """Record a declaration; a second one of the same kind and name is an error there."""
+    if name in decls[kind]:
+        what = f"{kind} statement" if name is None else f"{kind} {name!r}"
         raise ModelFileError("syntax", line, col, f"repeated {what}")
-    decls[key] = value
+    decls[kind][name] = value
 
 
 def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
-    """The first shape of FILE_SHAPES with as many fibers as declared, every
-    declared form among its own and the declared fiber degrees; its form
-    degrees are checked.  With no such shape, the first that fits but for its
-    fiber degrees names them."""
+    """The first shape of FILE_SHAPES that fits the declarations, with as many
+    fibers as declared and every declared form among its own, and whose fiber
+    degrees match; its form degrees are checked.  When none matches, the
+    first that fits names its fiber degrees."""
     structural: Dict[str, Element] = {}
     for key, (expr, line, _, ecol) in structural_decls.items():
         structural[key] = parse_expression(expr, base, line, ecol)
     fibers = {name: degree for name, (degree, _, _) in fiber_decls.items()}
     declared = list(fibers.values())
-    mismatch = None
+    fits = []
     for shape in FILE_SHAPES:
         rows = BUNDLE_SHAPES[shape][0]
-        if len(rows) != len(declared):
-            continue
-        wants = form_degrees(shape, declared[0])
-        forms = {key: key if key in wants else ALIASES.get(key) for key in structural}
-        if not set(forms.values()) <= set(wants):
-            continue
-        seen: Dict[str, str] = {}
-        for key, form in forms.items():  # in file order, so a repeat is met where it repeats
-            if form in seen:
-                _, line, col, _ = structural_decls[key]
-                raise ModelFileError(
-                    "syntax", line, col, f"repeated structural form {form!r} ({seen[form]} and {key})"
-                )
-            seen[form] = key
-        degrees = [d for _, d, _ in rows]
-        if None not in degrees and degrees != declared:
-            mismatch = mismatch or ModelFileError(
-                "shape",
-                fline,
-                fcol,
-                f"{shape.replace('_', '-')} bundles need fibers of degree "
-                + " and ".join(map(str, degrees)),
+        if len(rows) == len(declared):
+            wants = form_degrees(shape, declared[0])
+            forms = {key: key if key in wants else ALIASES.get(key) for key in structural}
+            if set(forms.values()) <= set(wants):
+                fits.append((shape, rows, wants, forms))
+    for shape, rows, wants, forms in fits:
+        if all(d in (None, n) for (_, d, _), n in zip(rows, declared)):
+            break
+    else:
+        if fits:
+            shape, rows = fits[0][:2]
+            message = f"{shape.replace('_', '-')} bundles need fibers of degree "
+            message += " and ".join(str(d) for _, d, _ in rows)
+        else:
+            message = f"cannot infer a bundle shape from fibers {sorted(fibers.items())}"
+            message += f" and forms {sorted(structural)}"
+        raise ModelFileError("shape", fline, fcol, message)
+    seen: Dict[str, str] = {}
+    for key, form in forms.items():  # in file order, so a repeat is met where it repeats
+        if form in seen:
+            _, line, col, _ = structural_decls[key]
+            raise ModelFileError(
+                "syntax", line, col, f"repeated structural form {form!r} ({seen[form]} and {key})"
             )
-            continue
-        for key in sorted(structural):
-            value, form = structural[key], forms[key]
-            expr, line, col, _ = structural_decls[key]
-            if not value.is_zero() and value.degree() != wants[form]:
-                raise ModelFileError(
-                    "degree-mismatch",
-                    line,
-                    col,
-                    f"{key} must have degree {wants[form]}, got {value.degree()}",
-                    witness=expr,
-                )
-        values = {forms[key]: value for key, value in structural.items()}
-        return DgBundle(base, shape, values, fibers, declared[0], base.name)
-    raise mismatch or ModelFileError(
-        "shape",
-        fline,
-        fcol,
-        f"cannot infer a bundle shape from fibers {sorted(fibers.items())} and forms {sorted(structural)}",
-    )
+        seen[form] = key
+    for key in sorted(structural):
+        value, form = structural[key], forms[key]
+        expr, line, col, _ = structural_decls[key]
+        if not value.is_zero() and value.degree() != wants[form]:
+            raise ModelFileError(
+                "degree-mismatch",
+                line,
+                col,
+                f"{key} must have degree {wants[form]}, got {value.degree()}",
+                witness=expr,
+            )
+    values = {forms[key]: value for key, value in structural.items()}
+    return DgBundle(base, shape, values, fibers, declared[0], base.name)
+
+
+def _spec_clauses(spec: str, kind: str, line: int, col: int, spec_col: int):
+    """(key, value, clause column, value column) of each `KEY = VALUE` clause of
+    a vec or sym spec at spec_col; a key given twice is an error at its repeat."""
+    seen = set()
+    for clause, ccol in _pieces(spec, ",", spec_col):
+        key, value, offset = _split_decl(clause, "=", kind, line, col)
+        if key in seen:
+            raise ModelFileError("syntax", line, ccol, f"repeated {kind} key {key!r}")
+        seen.add(key)
+        yield key, value, ccol, ccol + offset
 
 
 def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) -> Derivation:
     values: Dict[str, Element] = {}
-    for clause, ccol in _clauses(spec, spec_col):
-        name, expr, offset = _split_decl(clause, "=", "vec", line, col)
+    for name, expr, _, ecol in _spec_clauses(spec, "vec", line, col, spec_col):
         if name not in base.index:
             raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
-        values[name] = parse_expression(expr, base, line, ccol + offset)
+        values[name] = parse_expression(expr, base, line, ecol)
     try:
         return Derivation(base, -1, values)
     except DgcalcError as e:
@@ -524,23 +515,18 @@ def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) ->
 def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: int) -> SymElement:
     degree = None
     parts: Dict[str, object] = {}
-    seen = set()
-    for clause, ccol in _clauses(spec, spec_col):
-        key, value, offset = _split_decl(clause, "=", "sym", line, col)
-        if key in seen:
-            raise ModelFileError("syntax", line, ccol, f"repeated sym key {key!r}")
-        seen.add(key)
+    for key, value, ccol, vcol in _spec_clauses(spec, "sym", line, col, spec_col):
         if key == "deg":
             try:
                 degree = int(value)
             except ValueError:
-                raise ModelFileError("syntax", line, ccol + offset, f"bad degree {value!r}")
+                raise ModelFileError("syntax", line, vcol, f"bad degree {value!r}")
         elif key == "X":
             if value not in out.vectors:
-                raise ModelFileError("unknown-generator", line, ccol + offset, f"unknown vec {value!r}")
+                raise ModelFileError("unknown-generator", line, vcol, f"unknown vec {value!r}")
             parts["iota"] = out.vectors[value]
-        elif key in SYM_KEYS:
-            parts[key] = parse_expression(value, out.bundle.base, line, ccol + offset)
+        elif key in PART_NAMES:
+            parts[key] = parse_expression(value, out.bundle.base, line, vcol)
         else:
             raise ModelFileError("syntax", line, ccol, f"unknown sym key {key!r}")
     if degree is None:

@@ -465,9 +465,7 @@ def closed_twist(model, rng, den):
     return h
 
 
-@settings(max_examples=25, deadline=None)
-@given(SLICE_DEGREES, SEEDS, st.sampled_from([3, 5]))
-def test_twisted_columns_with_denominators_are_the_oracle(degrees, seed, den):
+def assert_twisted_columns_are_the_oracle(degrees, seed, den):
     # d t = u / 2 makes d_table's denominator even, and the twist brings its own
     rng = random.Random(seed)
     model = halved(with_contractible_pair(dg_model(degrees, rng)))
@@ -484,6 +482,17 @@ def test_twisted_columns_with_denominators_are_the_oracle(degrees, seed, den):
             assert all(type(c) is int and c for c in whole.values()), k
             assert dense(whole, len(target)) == [scale * c for c in want], k
             assert dense(low, len(target)) == [scale * c for c in want_low], k
+
+
+@settings(max_examples=25, deadline=None)
+@given(SLICE_DEGREES, SEEDS, st.sampled_from([3, 5]))
+def test_twisted_columns_with_denominators_are_the_oracle(degrees, seed, den):
+    assert_twisted_columns_are_the_oracle(degrees, seed, den)
+
+
+def test_twisted_columns_of_one_model_with_denominators_are_the_oracle():
+    # one fixed case of the property above: t's column d t = u / 2 is scaled by h's denominator 3
+    assert_twisted_columns_are_the_oracle([1, 3], 0, 3)
 
 
 @settings(max_examples=10, deadline=None)

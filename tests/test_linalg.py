@@ -149,6 +149,14 @@ def test_kernel_vectors_are_annihilated(case):
         assert {j: 1} in basis
 
 
+def test_a_kernel_vector_is_divided_by_its_content():
+    # the row is primitive, but its lead 2 divides the 2 in free column 1, so
+    # column 1's vector {1: 2, 0: -2} is divided by its content
+    rows = [[2, 2, 1]]
+    assert kernel_basis(sparse(rows), 3) == [{1: 1, 0: -1}, {2: 2, 0: -1}]
+    assert dense_kernel(rows, 3) == [primitive(v) for v in oracle_kernel(rows, 3)]
+
+
 def test_empty_and_zero_matrices():
     assert rank([{}, {0: 0}, {1: 0}]) == 0
     assert rank([]) == 0 and rank([{}, {}]) == 0

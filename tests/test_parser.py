@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from dgcalc.derivations import model_differential
-from dgcalc.graded import Model, format_element
+from dgcalc.graded import GradedError, Model, format_element
 from dgcalc.parser import (
     MAX_EXPRESSION_TERMS,
     MAX_POWER_TERMS,
@@ -433,6 +433,36 @@ def test_a_repeated_declaration_is_a_syntax_error_at_the_repeat(body, message):
         assert err.value.kind == "syntax"
         assert (err.value.line, err.value.col) == (text.count("\n"), 3)
         assert err.value.message == message
+
+
+def test_a_repeated_vec_key_is_a_syntax_error_at_the_repeated_clause():
+    text = REPEAT_BASE + "vec X : x1 = 1,  x1 = 2\n"
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert str(err.value) == "line 3, col 18: syntax: repeated vec key 'x1'"
+
+
+@pytest.mark.parametrize("statement, message", [
+    pytest.param("gen a b : 1", "bad generator name 'a b'", id="gen"),
+    pytest.param("fiber q r : 1", "bad generator name 'q r'", id="fiber"),
+    pytest.param("let h k = x1", "bad let name 'h k'", id="let"),
+    pytest.param("let = x1", "bad let name ''", id="let-empty"),
+    pytest.param("vec 1X : x1 = 1", "bad vec name '1X'", id="vec"),
+    pytest.param("sym u-v : deg = -1", "bad sym name 'u-v'", id="sym"),
+])
+def test_a_name_that_is_not_one_token_is_a_syntax_error(statement, message):
+    text = REPEAT_BASE + "fiber q : 1\nfiber t : 2\n  " + statement + "\n"
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert str(err.value) == f"line 5, col 3: syntax: {message}"
+
+
+def test_a_model_rejects_a_generator_name_that_is_not_one_token():
+    # printed, 'a b' would read back as the product a*b
+    with pytest.raises(GradedError, match="bad generator name 'a b'"):
+        Model([("a b", 1), ("a", 1), ("b", 1)])
 
 
 def test_a_form_without_fibers_is_reported_at_the_first_form():
