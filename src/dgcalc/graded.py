@@ -1,18 +1,24 @@
 """Free graded-commutative algebras over exact rationals.
 
-A monomial is one packed int: generator i's exponent (at most one if i is
-odd) sits in the WIDTH-bit field at bit WIDTH * i, below a guard bit that
-raises GradedError rather than carry an exponent past MAX_EXPONENT.  So a
-product adds monomials, `m & model.odd` is the odd mask, and a base model's
-monomials are its bundles' own.  Only `pack`, `unpack`, `format_monomial`
-and the printing order (degree, then the exponent tuples lexicographically,
-as in every basis) see exponent tuples.  Reordering a product into normal
-form accumulates the transposition sign (-1)^{|a||b|}; every other sign in
-the package derives from this one convention.  Only odd generators move
-signs, so a product's sign is read off the odd masks of its factors by
-popcounts.  `d`, every derivation and every cochain slice apply through one
-Leibniz loop, which reads a `ValueTable`: the one stored form of a model's d
-and of a derivation, built once, with the values only a view.
+A monomial is one packed int: generator i's exponent sits in field i, the
+fields in generator order, each below its top bit, a guard that raises
+GradedError rather than carry an exponent past the field.  A field is sized
+by its generator's parity: an odd generator's exponent is 0 or 1, so its
+field is that bit and the guard; an even one's is WIDTH bits and holds up to
+MAX_EXPONENT.  So a product adds monomials, `m & model.odd` is the odd mask,
+packed-int order is the colex order of the exponent tuples, and a base
+model's monomials are its bundles' own, since its generators are a prefix of
+theirs with the same parities.  An odd-only model of up to 15 generators has
+monomials below 2**30, one digit of a Python int.  Only `Model.pack`,
+`Model.unpack`, `format_monomial` and the printing order (degree, then the
+exponent tuples lexicographically, as in every basis) see exponent tuples.
+Reordering a product into normal form accumulates the transposition sign
+(-1)^{|a||b|}; every other sign in the package derives from this one
+convention.  Only odd generators move signs, so a product's sign is read off
+the odd masks of its factors by popcounts.  `d`, every derivation and every
+cochain slice apply through one Leibniz loop, which reads a `ValueTable`:
+the one stored form of a model's d and of a derivation, built once, with the
+values only a view.
 
 The kernel computes on integers, in one coefficient layout: int numerators
 over one positive denominator, the smallest such (no factor divides it and
@@ -26,8 +32,9 @@ the integer sums, so nested brackets never pass through `Fraction`.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -75,40 +82,29 @@ class GradedGenerator:
         return f"GradedGenerator({self.name!r}, {self.degree})"
 
 
-# a field holds MAX_EXPONENT below its top bit, the guard, so a sum of two
-# exponents in range never carries into the next field
+# an even generator's field holds MAX_EXPONENT below its top bit, the guard,
+# so a sum of two exponents in range never carries into the next field; an
+# odd generator's field is 2 bits, its exponent bit and the guard
 WIDTH = 25
 MAX_EXPONENT = (1 << WIDTH - 1) - 1
 
 
-def pack(exponents: Sequence[int]) -> int:
-    """The monomial with these exponents, one per generator in order."""
-    if not all(0 <= e <= MAX_EXPONENT for e in exponents):
-        raise GradedError(f"an exponent of {tuple(exponents)} is outside 0..{MAX_EXPONENT}")
-    return sum(e << WIDTH * i for i, e in enumerate(exponents))
-
-
-def unpack(m: int, n: int) -> tuple:
-    """The exponent tuple of a monomial of a model with n generators."""
-    return tuple(m >> WIDTH * i & MAX_EXPONENT for i in range(n))
-
-
 def _check_fields(model: "Model", monomials: Iterable[int]) -> None:
-    """Raise GradedError if a monomial set a guard bit: an exponent passed MAX_EXPONENT."""
+    """Raise GradedError if a monomial set a guard bit: an exponent passed its field's largest."""
     for m in monomials:
         if m & model.guard:
-            name = model.generators[((m & model.guard).bit_length() - 1) // WIDTH].name
-            raise GradedError(f"the exponent of {name} passes {MAX_EXPONENT}")
+            i = bisect_right(model.shifts, (m & model.guard).bit_length() - 1) - 1
+            raise GradedError(f"the exponent of {model.generators[i].name} passes {model.tops[i]}")
 
 
 def monomial_degree(model: "Model", m: int) -> int:
     """The total degree of a monomial."""
     total = 0
-    for g in model.degrees:
+    for g, top, width in zip(model.degrees, model.tops, model.widths):
         if not m:
             break
-        total += (m & MAX_EXPONENT) * g
-        m >>= WIDTH
+        total += (m & top) * g
+        m >>= width
     return total
 
 
@@ -163,11 +159,13 @@ class ValueTable:
     """The values of a derivation of the given degree on generators, laid out
     for `leibniz`: the one stored form of a model's d and of a derivation.
 
-    `entries` holds one (shift, unit, below, above, terms) per generator i
-    with a nonzero value, in generator order: shift is WIDTH * i, unit the
-    monomial of generator i alone, below and above select the fields before
-    and after field i, and terms are the value's (monomial, odd mask, n),
-    its coefficient being the int n over the table's one denominator `den`.
+    `entries` holds one (i, shift, top, unit, below, above, terms) per
+    generator i with a nonzero value, in generator order: shift is the
+    offset of field i, top its largest exponent and the mask of its exponent
+    bits (1 for an odd generator), unit the monomial of generator i alone,
+    below and above select the fields before and after field i, and terms
+    are the value's (monomial, odd mask, n), its coefficient being the int n
+    over the table's one denominator `den`.
     Only this module reads `entries`; others ask `is_zero()`.  A table is
     reduced, so two are equal exactly when their degrees, denominators and
     `numerators()` are.
@@ -180,7 +178,7 @@ class ValueTable:
         in normal form: zeros dropped, and the gcd of den and every
         numerator divided out.  Each row's terms are built in one pass, and
         the gcd is folded only while it is not 1."""
-        odd, units = model.odd, model.units
+        odd, units, shifts, tops, widths = model.odd, model.units, model.shifts, model.tops, model.widths
         entries = []
         common = den
         for i in sorted(sums):
@@ -189,11 +187,11 @@ class ValueTable:
                 if common != 1:
                     common = gcd(common, *[n for _, _, n in terms])
                 unit = units[i]
-                entries.append((WIDTH * i, unit, unit - 1, -unit << WIDTH, terms))
+                entries.append((i, shifts[i], tops[i], unit, unit - 1, -unit << widths[i], terms))
         if common != 1:
             den //= common
-            for k, (shift, unit, below, above, terms) in enumerate(entries):
-                entries[k] = (shift, unit, below, above, [(m, v, n // common) for m, v, n in terms])
+            for k, (*field, terms) in enumerate(entries):
+                entries[k] = (*field, [(m, v, n // common) for m, v, n in terms])
         self.degree, self.den = degree, den
         self.entries = tuple(entries)
 
@@ -204,7 +202,7 @@ class ValueTable:
     def numerators(self) -> dict:
         """{generator index: {monomial: int numerator}} over the generators
         the table gives a value, each coefficient a numerator over `den`."""
-        return {shift // WIDTH: {m: n for m, _, n in terms} for shift, _, _, _, terms in self.entries}
+        return {i: {m: n for m, _, n in terms} for i, *_, terms in self.entries}
 
     def values(self, model: "Model") -> dict:
         """{generator name: its value} over the generators the table gives a
@@ -214,7 +212,7 @@ class ValueTable:
 
     def value(self, model: "Model", i: Optional[int]) -> "Element":
         """The value the table gives generator i, zero if none; only that entry is read."""
-        terms = next((terms for shift, _, _, _, terms in self.entries if shift // WIDTH == i), ())
+        terms = next((terms for j, *_, terms in self.entries if j == i), ())
         return Element._of(model, {m: n for m, _, n in terms}, self.den)
 
     def __eq__(self, other):
@@ -248,8 +246,8 @@ def combine_tables(model: "Model", parts) -> ValueTable:
     sums: dict = {}
     for table, c in parts:
         scale = den // (table.den * c.denominator) * c.numerator
-        for shift, _, _, _, terms in table.entries:
-            out = sums.setdefault(shift // WIDTH, {})
+        for i, *_, terms in table.entries:
+            out = sums.setdefault(i, {})
             for m, _, n in terms:
                 out[m] = out.get(m, 0) + scale * n
     return ValueTable(model, sums, parts[0][0].degree, den)
@@ -273,8 +271,8 @@ def leibniz(model: "Model", table: ValueTable, pairs: Iterable[tuple], outs: Ite
     odd, guard, masks = model.odd, model.guard, SIGN_MASKS
     for (m, coeff), out in zip(pairs, outs):
         mask = m & odd
-        for shift, unit, below, above, value in entries:
-            e = m >> shift & MAX_EXPONENT
+        for _, shift, top, unit, below, above, value in entries:
+            e = m >> shift & top
             if not e:
                 continue
             front = mask & below
@@ -323,7 +321,7 @@ def apply_values(model: "Model", passes) -> ValueTable:
     sums: dict = {}
     for table, values, negate in passes:
         scale = den // (table.den * values.den)
-        targets = [(sums.setdefault(shift // WIDTH, {}), terms) for shift, _, _, _, terms in values.entries]
+        targets = [(sums.setdefault(i, {}), terms) for i, *_, terms in values.entries]
         if negate:
             scale = -scale
         pairs = ((m, scale * n) for _, terms in targets for m, _, n in terms)
@@ -501,8 +499,8 @@ class Element:
         return None
 
     def sorted_terms(self):
-        model, n = self.model, len(self.model.generators)
-        return sorted(self.terms.items(), key=lambda t: (monomial_degree(model, t[0]), unpack(t[0], n)))
+        model = self.model
+        return sorted(self.terms.items(), key=lambda t: (monomial_degree(model, t[0]), model.unpack(t[0])))
 
     def __repr__(self):
         return f"<{format_element(self)}>"
@@ -536,11 +534,16 @@ class Model:
         self.generators = tuple(gens)
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.degrees = tuple(g.degree for g in gens)
-        # the monomial of each generator alone; `odd` sums the odd ones, so
-        # m & odd is the odd mask of m, and `guard` holds every field's top bit
-        self.units = tuple(1 << WIDTH * i for i in range(len(gens)))
+        # each generator's field: its width and offset, the largest exponent
+        # it holds (the mask of its exponent bits), and the monomial of the
+        # generator alone; `odd` sums the odd units, so m & odd is the odd
+        # mask of m, and `guard` holds every field's top bit
+        self.widths = tuple(2 if g.is_odd else WIDTH for g in gens)
+        self.shifts = tuple(accumulate(self.widths, initial=0))[:-1]
+        self.tops = tuple(1 if g.is_odd else MAX_EXPONENT for g in gens)
+        self.units = tuple(1 << shift for shift in self.shifts)
         self.odd = sum(u for u, g in zip(self.units, gens) if g.is_odd)
-        self.guard = sum(self.units) << WIDTH - 1
+        self.guard = sum(u << width - 1 for u, width in zip(self.units, self.widths))
         # per start index, {degree: monomials in generators start..} up to the
         # highest degree they fill, that reach (unbounded past an even one),
         # and the gcd of their degrees, which divides every degree they fill
@@ -586,6 +589,19 @@ class Model:
     def monomial_element(self, m: int, coeff: Rational = 1) -> Element:
         c = Fraction(coeff)
         return Element._of(self, {m: c.numerator}, c.denominator)
+
+    def pack(self, exponents: Sequence[int]) -> int:
+        """The monomial with these exponents, one per generator in order."""
+        if len(exponents) != len(self.tops):
+            raise GradedError(f"{len(exponents)} exponents for {len(self.tops)} generators")
+        for e, top in zip(exponents, self.tops):
+            if not 0 <= e <= top:
+                raise GradedError(f"an exponent of {tuple(exponents)} is outside 0..{top}")
+        return sum(e << shift for e, shift in zip(exponents, self.shifts))
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a monomial, one exponent per generator."""
+        return tuple(m >> shift & top for shift, top in zip(self.shifts, self.tops))
 
     # -- degree-wise bases --------------------------------------------------
 
@@ -648,7 +664,7 @@ class Model:
 
 def format_monomial(model: Model, m: int) -> str:
     parts = []
-    for g, e in zip(model.generators, unpack(m, len(model.generators))):
+    for g, e in zip(model.generators, model.unpack(m)):
         if e == 1:
             parts.append(g.name)
         elif e > 1:

@@ -488,12 +488,13 @@ def _build_bundle(base, fiber_decls, structural_decls, fline, fcol):
     return DgBundle(base, shape, values, fibers, declared[0], base.name)
 
 
-def _spec_clauses(spec: str, kind: str, line: int, col: int, spec_col: int):
+def _spec_clauses(spec: str, kind: str, line: int, spec_col: int):
     """(key, value, clause column, value column) of each `KEY = VALUE` clause of
-    a vec or sym spec at spec_col; a key given twice is an error at its repeat."""
+    a vec or sym spec at spec_col; a clause without '=' is an error at the
+    clause, and a key given twice one at its repeat."""
     seen = set()
     for clause, ccol in _pieces(spec, ",", spec_col):
-        key, value, offset = _split_decl(clause, "=", kind, line, col)
+        key, value, offset = _split_decl(clause, "=", kind, line, ccol)
         if key in seen:
             raise ModelFileError("syntax", line, ccol, f"repeated {kind} key {key!r}")
         seen.add(key)
@@ -502,9 +503,9 @@ def _spec_clauses(spec: str, kind: str, line: int, col: int, spec_col: int):
 
 def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) -> Derivation:
     values: Dict[str, Element] = {}
-    for name, expr, _, ecol in _spec_clauses(spec, "vec", line, col, spec_col):
+    for name, expr, ccol, ecol in _spec_clauses(spec, "vec", line, spec_col):
         if name not in base.index:
-            raise ModelFileError("unknown-generator", line, col, f"unknown generator {name!r}")
+            raise ModelFileError("unknown-generator", line, ccol, f"unknown generator {name!r}")
         values[name] = parse_expression(expr, base, line, ecol)
     try:
         return Derivation(base, -1, values)
@@ -515,7 +516,7 @@ def _build_vector(base: Model, spec: str, line: int, col: int, spec_col: int) ->
 def _build_symmetry(out: ModelFile, spec: str, line: int, col: int, spec_col: int) -> SymElement:
     degree = None
     parts: Dict[str, object] = {}
-    for key, value, ccol, vcol in _spec_clauses(spec, "sym", line, col, spec_col):
+    for key, value, ccol, vcol in _spec_clauses(spec, "sym", line, spec_col):
         if key == "deg":
             try:
                 degree = int(value)

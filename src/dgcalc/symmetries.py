@@ -37,7 +37,6 @@ from . import linalg
 from .cohomology import Column, cochains
 from .derivations import Derivation, DgBundle, commutator, model_differential
 from .graded import (
-    MAX_EXPONENT,
     DgcalcError,
     Element,
     Model,
@@ -522,7 +521,7 @@ def _bracket_columns(model: Model, shift: int) -> List[Column]:
     sign = 1 if shift % 2 else -1
     for g, block in enumerate(unknowns):
         unit = model.units[g]
-        field = unit * MAX_EXPONENT
+        field = unit * model.tops[g]
         terms = [(h, x, n) for h, value in d_values.items() for x, n in value.items() if x & field]
         if not terms:
             continue

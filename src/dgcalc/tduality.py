@@ -26,7 +26,7 @@ from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from .cohomology import _total, betti, degree_cap, induced_rank
 from .derivations import Derivation, DgBundle, gauge_transform
-from .graded import WIDTH, DgcalcError, Element, _check_fields, leibniz
+from .graded import DgcalcError, Element, _check_fields, leibniz
 
 
 class TDualityError(DgcalcError):
@@ -53,7 +53,7 @@ class TDualPair:
         # both totals list the base generators, then the fiber (q upstairs, qbar
         # downstairs), then t, last, so the closed-form map moves fields as they are
         self._fiber = len(base.generators)
-        self._unit, self._t_shift = p.total.units[self._fiber], WIDTH * (self._fiber + 1)
+        self._unit, self._t_shift = p.total.units[self._fiber], p.total.shifts[self._fiber + 1]
 
     # -- the comparison map -------------------------------------------------
 

@@ -33,6 +33,24 @@ ROWS = [
     ),
     (
         "graded.py",
+        "            e = m >> shift & top",
+        "            e = m >> shift & MAX_EXPONENT",
+        ["tests/test_monomials.py::test_a_leibniz_pass_reads_each_field_by_its_own_mask"],
+    ),
+    (
+        "graded.py",
+        "self.widths = tuple(2 if g.is_odd else WIDTH for g in gens)",
+        "self.widths = tuple(WIDTH for g in gens)",
+        ["tests/test_monomials.py::test_an_odd_only_model_of_up_to_15_generators_packs_into_one_digit"],
+    ),
+    (
+        "graded.py",
+        "i = bisect_right(model.shifts, (m & model.guard).bit_length() - 1) - 1",
+        "i = ((m & model.guard).bit_length() - 1) // WIDTH",
+        ["tests/test_monomials.py::test_an_even_field_past_odd_ones_still_names_its_generator"],
+    ),
+    (
+        "graded.py",
         "        level[degree] = cached = tuple(out)",
         "        cached = tuple(out)\n        if cached:\n            level[degree] = cached",
         ["tests/test_kernel.py::test_empty_suffixes_within_reach_are_kept"],

@@ -9,7 +9,7 @@ maps whose chain identities the tests check, a sampler of inhomogeneous
 elements, the `randint` draws of the element sampler, the failing field of
 models/mc_fail.dgm written out by hand, and a model of S4 x T3 for the flux
 tests; tests only.  The oracles compute on exponent tuples and meet the
-library's packed monomials only through `pack` and `unpack`."""
+library's packed monomials only through `Model.pack` and `Model.unpack`."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +25,7 @@ from dgcalc.derivations import (
     exp_apply,
     model_differential,
 )
-from dgcalc.graded import Element, Model, monomial_degree, pack, unpack
+from dgcalc.graded import Element, Model, monomial_degree
 from dgcalc.sampling import random_element
 from dgcalc.symmetries import (
     LOWER,
@@ -146,7 +146,7 @@ def apply_derivation(model, values, degree, a):
     n = len(model.generators)
     out = model.zero()
     for packed, coeff in a.terms.items():
-        m = unpack(packed, n)
+        m = model.unpack(packed)
         prefix_parity = 0
         for i, e in enumerate(m):
             if e and model.generators[i].name in values:
@@ -154,9 +154,9 @@ def apply_derivation(model, values, degree, a):
                 rest = (0,) * i + (e - 1,) + m[i + 1 :]
                 sign = -1 if degree % 2 and prefix_parity % 2 else 1
                 out = out + (
-                    model.monomial_element(pack(front), sign * coeff * e)
+                    model.monomial_element(model.pack(front), sign * coeff * e)
                     * values[model.generators[i].name]
-                    * model.monomial_element(pack(rest))
+                    * model.monomial_element(model.pack(rest))
                 )
             prefix_parity += e * model.generators[i].degree
     return out
@@ -348,11 +348,11 @@ def fiber_coefficients(bundle, el, fiber):
     odd = [g.is_odd for g in total.generators]
     out = {}
     for packed, c in el.terms.items():
-        m = unpack(packed, len(odd))
+        m = total.unpack(packed)
         k = m[idx]
         if odd[idx] and k and sum(1 for j in range(idx + 1, len(m)) if m[j] and odd[j]) % 2:
             c = -c
-        out.setdefault(k, {})[pack(m[:idx] + (0,) + m[idx + 1 :])] = c
+        out.setdefault(k, {})[total.pack(m[:idx] + (0,) + m[idx + 1 :])] = c
     return {k: Element(total, t) for k, t in sorted(out.items())}
 
 
@@ -395,13 +395,13 @@ def transport(el, target):
     terms = {}
     for packed, c in el.terms.items():
         exps = [0] * len(target.generators)
-        for i, e in enumerate(unpack(packed, len(source.generators))):
+        for i, e in enumerate(source.unpack(packed)):
             if not e:
                 continue
             if mapping[i] is None:
                 raise ValueError(f"element uses generator {source.generators[i].name!r} missing from target")
             exps[mapping[i]] = e
-        terms[pack(exps)] = c
+        terms[target.pack(exps)] = c
     return Element(target, terms)
 
 
@@ -479,11 +479,11 @@ def pushforward_chain_map(bundle):
     """p_* for an odd line bundle as a monomial rule, w q -> w with the fiber
     stored last, wrapped with its intertwining check."""
     fiber_degree = bundle.total.generator_named(bundle.fiber_names[0]).degree
-    n = len(bundle.total.generators)
+    total, base = bundle.total, bundle.base
 
     def rule(m):
-        exps = unpack(m, n)
-        return (pack(exps[:-1]), 1) if exps[-1] else None
+        exps = total.unpack(m)
+        return (base.pack(exps[:-1]), 1) if exps[-1] else None
 
     return ChainMap(bundle, bundle.base, -fiber_degree, rule)
 

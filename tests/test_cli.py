@@ -181,6 +181,7 @@ def test_non_integer_sym_degree_is_a_syntax_error(tmp_path, capsys):
         ("X = X,", "X = X, deg = -2,", "col 26: syntax: repeated sym key 'deg'"),
         ("X = X,", "X = X, X = Y,", "col 26: syntax: repeated sym key 'X'"),
         ("c = x2", "cc = x2", "col 33: syntax: unknown sym key 'cc'"),
+        ("c = x2", "c x2", "col 33: syntax: expected '=' in sym statement"),
         ("X = X", "X = Z", "col 23: unknown-generator: unknown vec 'Z'"),
     ],
 )

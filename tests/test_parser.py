@@ -443,6 +443,26 @@ def test_a_repeated_vec_key_is_a_syntax_error_at_the_repeated_clause():
         assert str(err.value) == "line 3, col 18: syntax: repeated vec key 'x1'"
 
 
+@pytest.mark.parametrize("spec, diagnostic", [
+    pytest.param("x1 = 1,  bogus = 2", "col 18: unknown-generator: unknown generator 'bogus'", id="unknown-generator"),
+    pytest.param("x1 = 1,  x2", "col 18: syntax: expected '=' in vec statement", id="no-equals"),
+    pytest.param("x1", "col 9: syntax: expected '=' in vec statement", id="first-clause"),
+])
+def test_a_vec_clause_diagnostic_points_at_the_clause(spec, diagnostic):
+    text = REPEAT_BASE + f"vec X : {spec}\n"
+    for validate in (True, False):
+        with pytest.raises(ModelFileError) as err:
+            parse_model(text, validate=validate)
+        assert str(err.value) == f"line 3, {diagnostic}"
+
+
+def test_a_sym_clause_without_equals_is_a_syntax_error_at_the_clause():
+    text = REPEAT_BASE + "fiber q : 1\nfiber t : 2\nF = 0\nFbar = 0\nH = 0\nsym u : deg = 0,   a x3\n"
+    with pytest.raises(ModelFileError) as err:
+        parse_model(text)
+    assert str(err.value) == "line 8, col 20: syntax: expected '=' in sym statement"
+
+
 @pytest.mark.parametrize("statement, message", [
     pytest.param("gen a b : 1", "bad generator name 'a b'", id="gen"),
     pytest.param("fiber q r : 1", "bad generator name 'q r'", id="fiber"),
