@@ -30,7 +30,8 @@ PAST = f"^the exponent of a passes {TOP}$"
 
 # degrees with odd generators on both sides of an even one
 ODD = st.lists(st.sampled_from([1, 3, 5]), min_size=1, max_size=4)
-MIXED = st.builds(lambda left, middle, right: [*left, 2, *middle, *right], ODD, st.lists(st.sampled_from([1, 2, 3, 4]), max_size=5), ODD)
+ANY = st.lists(st.sampled_from([1, 2, 3, 4]), max_size=5)
+MIXED = st.builds(lambda left, middle, right: [*left, 2, *middle, *right], ODD, ANY, ODD)
 
 
 def free_model(degrees):
