@@ -1,13 +1,14 @@
 """Degree-wise and parity-graded cohomology of bundles over the rationals.
 
-Every rank is exact.  A model with only odd generators is finite, with a top
-degree, and the twisted (Z/2-collapsed) cohomology at a cap at or above it
-reads two ranks of d + h on the whole complex.  Polynomial generators make
-the cochain complex infinite in total but finite per degree, so there, and
-for a cap below the top, the twisted computation works at a degree cap: a
-class at the cap counts only if it lifts to a cocycle in a wider window,
-which kills the truncation artifacts at the top, and two consecutive caps
-must agree before a result is returned.
+Every rank is exact.  Polynomial generators make the cochain complex
+infinite in total but finite per degree, so the twisted (Z/2-collapsed)
+cohomology works at a degree cap: a class at the cap counts only if it lifts
+to a cocycle in a wider window, which kills the truncation artifacts at the
+top, and two consecutive caps must agree before a result is returned.  Both
+conditions read ranks of d + h on degree windows, no kernel.  A model with
+only odd generators is finite, with a top degree; its windows stop there, so
+at a cap at or above the top the count is two ranks of d + h on the whole
+complex.
 """
 
 from __future__ import annotations
@@ -173,8 +174,7 @@ def _twisted_images(model: Model, h: Element, top: int):
     numbered in the other parity.  The d part has degree k + 1 and h*m degree
     k + 3; a part above top is left out, so at the top degree of a finite
     model the images are all of d + h.  Every column holds its values times
-    d_table's denominator times h's, one scale, since the kernel vectors of a
-    window are cocycles in monomial coordinates.
+    d_table's denominator times h's, a positive scale that changes no rank.
 
     h*m is merged in one pass over h's few terms, with the monomial on the
     left: h*m = (-1)^{|m|} m*h since |h| = 3, so the sign of each term reads
@@ -216,42 +216,17 @@ def _twisted_images(model: Model, h: Element, top: int):
     return images, upto
 
 
-def _twisted_window(images, n: int, cap: int) -> List[Column]:
-    """The first n columns of d + h with every component above cap discarded."""
-    return [
-        whole if k + 3 <= cap else low if k < cap else {} for k, low, whole in images[:n]
-    ]
-
-
-def _twisted_dims_at(images, upto, cap: int) -> Tuple[int, int]:
-    wide = cap + TWIST_LIFT
-    out = []
-    for parity in (0, 1):
-        source = _twisted_window(images[parity], upto[parity][wide], wide)
-        cocycles = linalg.kernel_basis(_transpose(source), len(source))
-        # project the wide cocycles down to the cap window
-        keep = upto[parity][cap]
-        projected = [{j: c for j, c in v.items() if j < keep} for v in cocycles]
-        boundary = _twisted_window(images[1 - parity], upto[1 - parity][cap], cap)
-        out.append(linalg.rank_gain(boundary, projected))
-    return out[0], out[1]
-
-
 def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[int, int]:
     """Dimensions of the even/odd cohomology of (forms, d + h) for a closed h.
 
-    When every generator is odd, the model is finite with top degree the sum
-    of their degrees, and a cap at or above the top covers the whole
-    complex: nothing is truncated, so no class needs a lift and caps `cap`
-    and `cap+1` agree by construction.  Then, with D = d + h on the
-    parity-collapsed complex C_0 + C_1,
-
-        dim H_p = dim C_p - rank(D on C_p) - rank(D on C_{1-p}),
-
-    one rank per parity and no kernel.  Otherwise it is computed on the
-    complex capped in degree: classes must lift past the cap to count, and
-    caps `cap` and `cap+1` must agree.  The images of d + h are computed
-    once and both caps read their windows.
+    With D_w = d + h cut above degree w, C_p^{<=c} the parity-p monomials of
+    degree <= c and wide = c + TWIST_LIFT, a class at cap c counts only if it
+    lifts to a D_wide-cocycle.  Each D_c x is the cut of the cocycle D_wide x,
+    so dim H_p(c) = |C_p^{<=c}| - gain(p, c, wide) - gain(1-p, c, c): gain
+    is the rank D_hi gains on C_p^{<=hi} over C_p^{(lo, hi]}, one elimination
+    continued from the high columns.  Caps `cap` and `cap+1` must agree.
+    Windows stop at a finite model's top degree, so at a cap at or above it
+    both caps read the same two ranks of D on the whole complex.
     """
     if h.model is not model:
         raise CohomologyError("twist must live in the given model")
@@ -265,14 +240,27 @@ def twisted_betti(model: Model, h: Element, cap: Optional[int] = None) -> Tuple[
         # both windows would be empty, and two empty windows always agree
         raise CohomologyError(f"degree cap {cap} checks no degree")
     top = model._reach[0]  # inf past an even generator
-    if top <= cap:
-        images, _ = _twisted_images(model, h, top)
-        ranks = [linalg.rank([whole for _, _, whole in images[p]]) for p in (0, 1)]
-        even, odd = (len(images[p]) - ranks[p] - ranks[1 - p] for p in (0, 1))
+    images, upto = _twisted_images(model, h, min(cap + 1 + TWIST_LIFT, top))
+    gains: Dict[Tuple[int, int, int], int] = {}
+
+    def gain(p: int, lo: int, hi: int) -> int:
+        lo, hi = min(lo, top), min(hi, top)
+        if (p, lo, hi) not in gains:
+            # D_hi on C_p^{<=hi}: every component above hi discarded
+            window = [
+                whole if k + 3 <= hi else low if k < hi else {}
+                for k, low, whole in images[p][: upto[p][hi]]
+            ]
+            n = upto[p][lo]
+            gains[p, lo, hi] = linalg.rank_gain(window[n:], window[:n])
+        return gains[p, lo, hi]
+
+    def dims(c: int) -> Tuple[int, int]:
+        wide = c + TWIST_LIFT
+        even, odd = (upto[p][min(c, top)] - gain(p, c, wide) - gain(1 - p, c, c) for p in (0, 1))
         return even, odd
-    images, upto = _twisted_images(model, h, cap + 1 + TWIST_LIFT)
-    first = _twisted_dims_at(images, upto, cap)
-    second = _twisted_dims_at(images, upto, cap + 1)
+
+    first, second = dims(cap), dims(cap + 1)
     if first != second:
         raise CohomologyError(
             f"twisted dimensions did not stabilize at cap {cap}: {first} vs {second}"

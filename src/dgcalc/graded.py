@@ -364,6 +364,10 @@ class Element:
     __slots__ = ("model", "den", "nums")
 
     def __init__(self, model: "Model", terms: Mapping[int, Rational]):
+        for m in terms:
+            if m < 0 or m.bit_length() > model.guard.bit_length():
+                raise GradedError(f"monomial key {m} lies outside the model's fields")
+        _check_fields(model, terms)
         terms = {m: Fraction(c) for m, c in terms.items()}
         den = lcm(*[c.denominator for c in terms.values()])
         nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}

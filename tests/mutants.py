@@ -75,9 +75,21 @@ ROWS = [
     ),
     (
         "cohomology.py",
-        "even, odd = (len(images[p]) - ranks[p] - ranks[1 - p] for p in (0, 1))",
-        "even, odd = (len(images[p]) - ranks[p] for p in (0, 1))",
+        "even, odd = (upto[p][min(c, top)] - gain(p, c, wide) - gain(1 - p, c, c) for p in (0, 1))",
+        "even, odd = (upto[p][min(c, top)] - gain(p, c, wide) for p in (0, 1))",
         ["tests/test_cohomology.py::test_twisted_torus3_volume"],
+    ),
+    (
+        "cohomology.py",
+        "gains[p, lo, hi] = linalg.rank_gain(window[n:], window[:n])",
+        "gains[p, lo, hi] = linalg.rank_gain([], window[:n])",
+        ["tests/test_cohomology.py::test_twisted_product_with_volume_twist"],
+    ),
+    (
+        "cohomology.py",
+        "- gain(1 - p, c, c) for p in (0, 1))",
+        "- gain(1 - p, wide, wide) for p in (0, 1))",
+        ["tests/test_cohomology.py::test_twisted_sphere_untwisted"],
     ),
     (
         "tduality.py",

@@ -8,10 +8,8 @@ import pytest
 
 from dgcalc import cli, linalg, presets
 from dgcalc.cohomology import (
-    TWIST_LIFT,
     CochainSpace,
     CohomologyError,
-    _twisted_dims_at,
     _twisted_images,
     betti,
     circle_quasi_iso_check,
@@ -108,15 +106,22 @@ def test_columns_are_the_coordinates_of_d(s2, s3, nil):
                 assert all(column.values())
 
 
+def _no_kernel(*args):
+    raise AssertionError("twisted cohomology reads ranks only, never a kernel")
+
+
 def _assert_twisted_matches_reference(model, h, top_cap):
-    """At every cap 0..top_cap: the reference's answer where it is stable, else an error."""
+    """At every cap 0..top_cap: the reference's answer where it is stable, else
+    an error, and no call takes a kernel."""
     reference = [twisted_dims_reference(model, h, cap) for cap in range(top_cap + 2)]
-    for cap, (here, above) in enumerate(zip(reference, reference[1:])):
-        if here == above:
-            assert twisted_betti(model, h, cap=cap) == here
-        else:
-            with pytest.raises(CohomologyError, match="did not stabilize"):
-                twisted_betti(model, h, cap=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "kernel_basis", _no_kernel)
+        for cap, (here, above) in enumerate(zip(reference, reference[1:])):
+            if here == above:
+                assert twisted_betti(model, h, cap=cap) == here
+            else:
+                with pytest.raises(CohomologyError, match="did not stabilize"):
+                    twisted_betti(model, h, cap=cap)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -127,10 +132,39 @@ def test_twisted_matches_dense_reference_on_tori(n):
         _assert_twisted_matches_reference(t, h, degree_cap(t) + 1)
 
 
+def _s2_times_s3():
+    return Model(
+        [("a", 2), ("b", 3), ("c", 3)],
+        formal_dimension=5,
+        differential=lambda mm: {"b": mm.gen("a") * mm.gen("a")},
+        name="S2xS3",
+    )
+
+
+def _heisenberg_times_s2():
+    """The Heisenberg nilmanifold (dz = x1 x2) times S2: three odd generators,
+    then a polynomial one."""
+    return Model(
+        [("x1", 1), ("x2", 1), ("z", 1), ("a", 2), ("b", 3)],
+        formal_dimension=5,
+        differential=lambda m: {"z": m.gen("x1") * m.gen("x2"), "b": m.gen("a") * m.gen("a")},
+        name="nil3xS2",
+    )
+
+
 def test_twisted_matches_dense_reference_with_polynomial_generator(s2, s3):
     assert degree_cap(s2) == 10  # 2 x formal dimension + 6
     _assert_twisted_matches_reference(s2, s2.zero(), degree_cap(s2) + 1)
     _assert_twisted_matches_reference(s3, s3.gen("c"), degree_cap(s3) + 1)
+    # S2 x S3 with the S3 volume as twist
+    m = _s2_times_s3()
+    _assert_twisted_matches_reference(m, m.gen("c"), degree_cap(m) + 1)
+    # a nilmanifold times S2 with a twist of both kinds: the volume and a x1
+    m = _heisenberg_times_s2()
+    x1, x2, z, a = (m.gen(g) for g in ("x1", "x2", "z", "a"))
+    h = x1 * x2 * z + a * x1
+    assert m.d(h).is_zero() and h.degree() == 3
+    _assert_twisted_matches_reference(m, h, degree_cap(m) + 1)
 
 
 if st is not None:
@@ -200,12 +234,7 @@ def test_twisted_torus3_volume():
 def test_twisted_product_with_volume_twist():
     # S2 x S3 with the S3 volume as twist: polynomial generator plus a real
     # twist is the hardest case for the degree-cap stabilization
-    m = Model(
-        [("a", 2), ("b", 3), ("c", 3)],
-        formal_dimension=5,
-        differential=lambda mm: {"b": mm.gen("a") * mm.gen("a")},
-        name="S2xS3",
-    )
+    m = _s2_times_s3()
     assert list(betti(m, 0, 5).items()) == [(0, 1), (1, 0), (2, 1), (3, 1), (4, 0), (5, 1)]
     assert twisted_betti(m, m.gen("c")) == (0, 0)
     assert twisted_betti(m, m.zero()) == (2, 2)
@@ -266,26 +295,25 @@ def test_the_two_rank_path_is_the_windowed_path_on_finite_models(name, monkeypat
     model, h = _finite_case(name)
     assert model.d(h).is_zero() and (h.is_zero() or h.degree() == 3)
     top = model._reach[0]
-    kernels, ranks = [], []
-    kernel_basis, rank = linalg.kernel_basis, linalg.rank
-    monkeypatch.setattr(linalg, "kernel_basis", lambda *a: kernels.append(a) or kernel_basis(*a))
-    monkeypatch.setattr(linalg, "rank", lambda *a: ranks.append(a) or rank(*a))
+    eliminations = []
+    for entry in ("rank", "rank_gain"):
+        monkeypatch.setattr(
+            linalg, entry, lambda *a, run=getattr(linalg, entry): eliminations.append(a) or run(*a)
+        )
+    monkeypatch.setattr(linalg, "kernel_basis", _no_kernel)
     for cap in (top, top + 3):
-        kernels.clear()
-        ranks.clear()
+        eliminations.clear()
         got = twisted_betti(model, h, cap=cap)
-        assert (len(kernels), len(ranks)) == (0, 2), "one rank per parity and no kernel"
-        # the windowed assembly at this cap and the next: the stabilisation
-        # check the two ranks skip would have passed
-        images, upto = _twisted_images(model, h, cap + 1 + TWIST_LIFT)
-        assert _twisted_dims_at(images, upto, cap) == _twisted_dims_at(images, upto, cap + 1) == got
-    # one degree short of the top, the windowed path runs: a kernel per cap and parity
-    kernels.clear()
+        # every window is the whole complex: one rank per parity, read by both caps
+        assert len(eliminations) == 2, "one rank per parity and no kernel"
+        # the windowed count at this cap and the next, rebuilt densely
+        assert twisted_dims_reference(model, h, cap) == twisted_dims_reference(model, h, cap + 1) == got
+    # one degree short of the top the windows are cut, and still no kernel is taken
+    here, above = twisted_dims_reference(model, h, top - 1), twisted_dims_reference(model, h, top)
     try:
-        twisted_betti(model, h, cap=top - 1)
+        assert twisted_betti(model, h, cap=top - 1) == here == above
     except CohomologyError as err:
-        assert "did not stabilize" in str(err)
-    assert len(kernels) == 4
+        assert "did not stabilize" in str(err) and here != above
 
 
 @pytest.mark.parametrize("name", ["torus-3vol", "nil5-shifted", "nil6-twist", "half-pair", "halved-dg0"])

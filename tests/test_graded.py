@@ -117,6 +117,24 @@ def test_an_unprintable_residue_keeps_its_result():
     assert residue.den == 1 and residue.nums == {residue.model.pack((3, 0, 0)): nines * sevens}
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (2, "the exponent of x passes 1"),  # x's guard bit
+        (1 << 27, "monomial key 134217728 lies outside the model's fields"),  # just past a's field
+        (1 << 40, "monomial key 1099511627776 lies outside the model's fields"),
+        (-1, "monomial key -1 lies outside the model's fields"),
+    ],
+)
+def test_the_public_constructor_rejects_a_key_outside_the_fields(key, message):
+    # x takes 2 bits and a the next 25, so a key reads as a monomial only below 1 << 27
+    m = Model([("x", 1), ("a", 2)])
+    with pytest.raises(GradedError) as err:
+        Element(m, {key: 1})
+    assert str(err.value) == message
+    assert Element(m, {m.pack((1, 3)): 2}) == 2 * m.gen("x") * m.gen("a") ** 3
+
+
 def test_differential_closed_generator(t2):
     assert t2.d(t2.gen("th1")).is_zero()
     assert t2.d(t2.gen("th1") * t2.gen("th2")).is_zero()
